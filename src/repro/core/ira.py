@@ -27,12 +27,16 @@ Implementation notes beyond the paper:
 * All currently-droppable constraints are dropped in one iteration (the
   paper drops one per iteration; the relaxation argument is per-node, so
   batching is equivalent and saves LP solves).
-* Theorem 2's progress guarantee relies on exact extreme points.  With
-  floating-point LPs a degenerate iteration could make no progress; in that
-  case we force-drop the constraint with the largest slack and record a
-  diagnostic (:attr:`IRAResult.forced_relaxations`).  On all evaluated
-  workloads this path never triggers, and the final lifetime check still
-  validates the output.
+* Theorem 2's progress guarantee relies on exact extreme points.  When an
+  iteration removes no edge and drops no constraint, we force-drop the
+  constraint with the largest slack and record a diagnostic
+  (:attr:`IRAResult.forced_relaxations`).  This path is common when ``LC``
+  binds: under the Fig. 8/9 protocol (``LC`` = the AAML lifetime, G(22, 0.3),
+  energies uniform in [1500, 5000] J) 59 of 60 seeded builds force at least
+  one relaxation, all with ``inflation="auto"`` falling back to ``L' = LC``.
+  A forced relaxation may leave the tree short of ``LC``; the repair pass
+  (:meth:`IterativeRelaxation._repair_lifetime`) then restores it, and the
+  final lifetime check decides :attr:`IRAResult.lifetime_satisfied`.
 * The line-3 inflation ``L' = I_min*LC/(I_min - 2*Rx*LC)`` assumes
   ``2*Rx*LC << I_min``.  When ``LC`` approaches ``I_min/(2*Rx)`` (one
   aggregation round costing two receives) the formula explodes and the

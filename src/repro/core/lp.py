@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,8 +58,14 @@ def _perturbed_cost(cost: float, u: int, v: int) -> float:
     endpoint labels, so it is stable across IRA iterations and re-runs; all
     *reported* tree costs use the true edge costs.
     """
-    jitter = 1.0 + (stable_hash_seed("lp-perturb", u, v) % 4096) / 4096.0
-    return cost + PERTURBATION_SCALE * jitter
+    return cost + PERTURBATION_SCALE * _edge_jitter(u, v)
+
+
+@lru_cache(maxsize=1 << 16)
+def _edge_jitter(u: int, v: int) -> float:
+    """The per-edge factor in ``[1, 2)``; memoised because every IRA
+    iteration builds a fresh :class:`MRLCLinearProgram` over the same edges."""
+    return 1.0 + (stable_hash_seed("lp-perturb", u, v) % 4096) / 4096.0
 
 
 @dataclass

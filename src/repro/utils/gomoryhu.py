@@ -5,12 +5,14 @@ the same vertices such that, for every pair ``(u, v)``, the minimum u-v cut
 value equals the smallest edge weight on the tree path between them — and
 the corresponding tree edge's removal induces a minimum cut.
 
-Provided as an optimisation substrate for cut-heavy workloads (the subtour
-separation oracle probes many roots against the same fractional point; a
-Gomory–Hu tree answers *all* pairwise cut queries after ``n - 1`` flows).
-The default oracle keeps the direct Padberg–Wolsey probing — at n = 16 the
-difference is noise — but the structure is exposed, tested against
-networkx, and used by the analysis tooling.
+Provided as an optimisation substrate for cut-heavy workloads (a Gomory–Hu
+tree answers *all* pairwise cut queries after ``n - 1`` flows).  The subtour
+separation oracle does not use it: it contracts the ``x_e = 1`` components
+of the support graph first and then probes one root per component, which
+usually needs far fewer flows than a Gomory–Hu build over the original
+nodes.
+The structure is exposed, tested against networkx, and used by the
+analysis tooling.
 
 Implementation: Gusfield's simplification of the Gomory–Hu construction
 (no vertex contraction needed), on top of the same Dinic solver the

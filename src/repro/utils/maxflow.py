@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["DinicMaxFlow", "MaxFlowResult"]
@@ -31,12 +32,28 @@ class MaxFlowResult:
         source_side: Set of vertices reachable from the source in the final
             residual network; this is the source side of a minimum cut.
         flows: Mapping ``(u, v) -> flow`` for every directed arc that carries
-            positive flow.
+            positive flow, derived on first access from a snapshot of the
+            solved network (min-cut callers never pay for it).
     """
 
     flow_value: float
     source_side: Set[int]
-    flows: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    #: (arc heads, initial capacities, residual capacities) at solve time.
+    _arcs: Tuple[List[int], List[float], List[float]] = field(
+        default=([], [], []), repr=False, compare=False
+    )
+
+    @cached_property
+    def flows(self) -> Dict[Tuple[int, int], float]:
+        to, initial, residual = self._arcs
+        flows: Dict[Tuple[int, int], float] = {}
+        for arc, cap in enumerate(residual):
+            used = initial[arc] - cap
+            if used > _EPS:
+                # Arc ``arc`` runs from the head of its paired reverse arc.
+                key = (to[arc ^ 1], to[arc])
+                flows[key] = flows.get(key, 0.0) + used
+        return flows
 
 
 class DinicMaxFlow:
@@ -163,14 +180,11 @@ class DinicMaxFlow:
                 if pushed <= _EPS:
                     break
                 total += pushed
-        source_side = self._residual_reachable(source)
-        flows: Dict[Tuple[int, int], float] = {}
-        for u in range(self.n):
-            for arc in self._head[u]:
-                used = self._initial_cap[arc] - self._cap[arc]
-                if used > _EPS:
-                    flows[(u, self._to[arc])] = flows.get((u, self._to[arc]), 0.0) + used
-        return MaxFlowResult(flow_value=total, source_side=source_side, flows=flows)
+        return MaxFlowResult(
+            flow_value=total,
+            source_side=self._residual_reachable(source),
+            _arcs=(self._to, list(self._initial_cap), list(self._cap)),
+        )
 
     def _residual_reachable(self, s: int) -> Set[int]:
         seen = {s}

@@ -1,5 +1,6 @@
 """Tests for repro.core.ira (the Iterative Relaxation Algorithm)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,3 +162,20 @@ class TestTightConstraints:
         result = build_ira_tree(net, aaml.lifetime)
         meets = result.tree.lifetime() >= aaml.lifetime * (1 - 1e-9)
         assert result.lifetime_satisfied == meets
+
+
+class TestForcedRelaxation:
+    """The degeneracy safeguard fires on ordinary tight-LC inputs."""
+
+    def test_forced_relaxation_still_meets_lc(self):
+        # Fig. 8/9 protocol: LC = AAML lifetime on G(22, 0.3) with per-node
+        # energies uniform in [1500, 5000] J.
+        rng = np.random.default_rng(5)
+        net = random_graph(
+            22, 0.3, initial_energy=rng.uniform(1500.0, 5000.0, size=22), seed=rng
+        )
+        lc = build_aaml_tree(net).lifetime
+        result = build_ira_tree(net, lc)
+        assert result.forced_relaxations
+        assert result.lifetime_satisfied
+        assert result.tree.lifetime() >= lc

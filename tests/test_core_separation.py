@@ -1,11 +1,34 @@
 """Tests for repro.core.separation (subtour oracle)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.separation import find_violated_subtours, subtour_violation
+from repro.core.separation import (
+    DEFAULT_TOLERANCE,
+    find_violated_subtours,
+    subtour_violation,
+)
+from repro.obs import instrument
+
+
+def _separate_counting_probes(n, edges, x, **kwargs):
+    """Run the oracle instrumented; return (sets, root probes made)."""
+    with instrument() as session:
+        found = find_violated_subtours(n, edges, np.array(x, dtype=float), **kwargs)
+    return found, session.registry.counter_value("separation.root_probes")
+
+
+def _max_violation(n, edges, x):
+    """Brute force: the largest subtour violation over all |S| >= 2."""
+    return max(
+        subtour_violation(subset, edges, x)
+        for size in range(2, n + 1)
+        for subset in combinations(range(n), size)
+    )
 
 
 def _triangle():
@@ -105,21 +128,87 @@ class TestFindViolatedSubtours:
     @settings(max_examples=30, deadline=None)
     def test_completeness_against_bruteforce(self, seed):
         """If brute force finds a violated set, the oracle must find one."""
-        from itertools import combinations
-
         rng = np.random.default_rng(seed)
         n = 6
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         x = rng.uniform(0.0, 0.9, size=len(edges))
 
-        brute_violation = 0.0
-        for size in range(2, n + 1):
-            for subset in combinations(range(n), size):
-                brute_violation = max(
-                    brute_violation, subtour_violation(subset, edges, x)
-                )
+        brute_violation = max(0.0, _max_violation(n, edges, x))
         found = find_violated_subtours(n, edges, x)
         if brute_violation > 1e-6:
             assert found, f"oracle missed a violation of {brute_violation}"
         if not found:
             assert brute_violation <= 1e-6
+
+
+@st.composite
+def _mostly_integral_points(draw):
+    """A graph on n <= 8 nodes with many exact ``x_e = 1.0`` entries."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges, x = [], []
+    for pair in pairs:
+        kind = draw(st.sampled_from(["absent", "zero", "one", "one", "frac"]))
+        if kind == "absent":
+            continue
+        edges.append(pair)
+        if kind == "frac":
+            x.append(draw(st.floats(0.0, 1.0, allow_nan=False)))
+        else:
+            x.append(1.0 if kind == "one" else 0.0)
+    return n, edges, np.array(x, dtype=float)
+
+
+class TestShrunkSeparation:
+    """The oracle contracts ``x_e >= 1`` components before probing."""
+
+    @given(point=_mostly_integral_points())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_against_bruteforce_on_near_integral_points(self, point):
+        n, edges, x = point
+        found = find_violated_subtours(n, edges, x)
+        for subset in found:  # soundness
+            assert len(subset) >= 2
+            assert subtour_violation(sorted(subset), edges, x) > DEFAULT_TOLERANCE
+        worst = _max_violation(n, edges, x)
+        if worst > 1e-6:  # completeness
+            assert found, f"oracle missed a violation of {worst}"
+        if not found:
+            assert worst <= 1e-6
+
+    def test_integral_spanning_tree_needs_no_probe(self):
+        # A spanning tree of K5 at x = 1 contracts to one group: the only
+        # candidate set is V, checked directly.
+        n = 5
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        tree = {(0, 1), (1, 2), (1, 3), (3, 4)}
+        x = [1.0 if e in tree else 0.0 for e in edges]
+        found, probes = _separate_counting_probes(n, edges, x)
+        assert found == []
+        assert probes == 0
+
+    def test_violated_group_reported_without_probe(self):
+        # The x = 1 triangle {0, 1, 2} is one violated group; the fractional
+        # path 3-4-5 leaves four groups, but the group check already fills
+        # the max_sets budget.
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]
+        x = [1.0, 1.0, 1.0, 0.4, 0.5, 0.5]
+        found, probes = _separate_counting_probes(6, edges, x, max_sets=1)
+        assert found == [frozenset({0, 1, 2})]
+        assert probes == 0
+
+    def test_one_probe_per_group(self):
+        # Groups {0, 1} and {2, 3} are fine alone; their union carries
+        # x(E(S)) = 3.2 > 3 and is found by probing two contracted roots.
+        edges = [(0, 1), (2, 3), (1, 2), (0, 3)]
+        x = [1.0, 1.0, 0.6, 0.6]
+        found, probes = _separate_counting_probes(4, edges, x)
+        assert found == [frozenset({0, 1, 2, 3})]
+        assert probes == 2
+
+    def test_fractional_point_probes_every_node(self):
+        # No x_e reaches 1: every node is its own group (the k = n case).
+        n, edges = _triangle()
+        found, probes = _separate_counting_probes(n, edges, [2 / 3] * 3)
+        assert found == []
+        assert probes == 3
