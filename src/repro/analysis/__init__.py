@@ -5,13 +5,12 @@
 * :mod:`repro.analysis.theory` — checkable versions of the paper's extreme-
   point structure claims (laminar tight families, integrality), asserted on
   real solver output by the test suite.
-* :mod:`repro.analysis.profiling` — wall-clock stage timing and algorithm
-  scaling studies.
+* :mod:`repro.analysis.profiling` — wall-clock algorithm scaling studies.
 * :mod:`repro.analysis.stability` — structural churn of tree choices under
   estimation resampling.
 """
 
-from repro.analysis.profiling import ScalingRow, ScalingStudy, StageTimer, scaling_study
+from repro.analysis.profiling import ScalingRow, ScalingStudy, scaling_study
 from repro.analysis.stability import StabilityReport, estimation_stability, tree_distance
 from repro.analysis.theory import (
     check_extreme_point_structure,
@@ -24,7 +23,6 @@ __all__ = [
     "ScalingRow",
     "ScalingStudy",
     "StabilityReport",
-    "StageTimer",
     "TreeStatistics",
     "check_extreme_point_structure",
     "compare_trees",

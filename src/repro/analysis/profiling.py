@@ -5,9 +5,7 @@ a size sweep so complexity regressions are visible and users can size their
 deployments.  The paper claims polynomial termination for IRA and AAML;
 :func:`scaling_study` shows the constants.
 
-:class:`StageTimer` now lives in the unified instrumentation layer
-(:mod:`repro.obs.stagetimer`) and is re-exported here for compatibility;
-fine-grained algorithm statistics (LP solves, cuts, messages) come from
+Fine-grained algorithm statistics (LP solves, cuts, messages) come from
 :mod:`repro.obs` rather than wall clocks.
 """
 
@@ -21,11 +19,10 @@ from repro.baselines.aaml import build_aaml_tree
 from repro.baselines.mst import build_mst_tree
 from repro.core.ira import build_ira_tree
 from repro.network.topology import random_graph
-from repro.obs.stagetimer import StageTimer
 from repro.utils.rng import stable_hash_seed
 from repro.utils.tables import format_table
 
-__all__ = ["StageTimer", "ScalingRow", "ScalingStudy", "scaling_study"]
+__all__ = ["ScalingRow", "ScalingStudy", "scaling_study"]
 
 
 @dataclass(frozen=True)

@@ -3,25 +3,21 @@
 The correctness claims of the repo (decision-identical TreeState deltas,
 Lemma 3's ``Q(T) = e^{-C(T)}``, per-seed determinism of every figure) rest
 on code conventions that no type checker knows about.  This package encodes
-them in two layers:
+them as rules in a registry (:func:`lint_rule`), run in one pass: parse
+every file, run every rule, report.  Exemptions are
+``# repro: ignore[RULE-ID]`` comments next to the code they excuse.
 
-* **per-file rules** — AST checks with a registry (:func:`lint_rule`),
-  ``# repro: ignore[RULE-ID]`` suppressions, and a committed baseline for
-  grandfathered findings;
-* **whole-program passes** — module summaries, an import/call graph
-  (:mod:`repro.lint.graph`), and a fixpoint effect inference
-  (:mod:`repro.lint.effects`) feeding the interprocedural rules
-  (REP108–REP112: async blocking reachability, await races,
-  process-boundary RNG discipline, backend parity, aliased mutation).
+Per-file rules read one AST; the interprocedural rules (REP108–REP112:
+async blocking reachability, await races, process-boundary RNG
+discipline, backend parity, aliased mutation) read module summaries, a
+name-resolved call graph (:mod:`repro.lint.graph`), and a fixpoint effect
+inference (:mod:`repro.lint.effects`).
 
-Per-file analyses cache by content hash (:class:`LintCache`) so warm runs
-re-parse nothing.  Run it as ``repro lint`` / ``mrlc lint``; see
-:mod:`repro.lint.rules` for the rule table and ``docs/static_analysis.md``
-for the architecture and workflow.
+Run it as ``repro lint`` / ``mrlc lint``; see :mod:`repro.lint.rules` for
+the rule table and ``docs/static_analysis.md`` for the architecture and
+workflow.
 """
 
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline, BaselineError
-from repro.lint.cache import DEFAULT_CACHE_DIR, LintCache
 from repro.lint.cli import build_lint_parser, lint_main
 from repro.lint.context import FileContext, Project, module_name_for
 from repro.lint.driver import (
@@ -34,10 +30,8 @@ from repro.lint.effects import EffectAnalysis, analyze_effects
 from repro.lint.findings import Finding, Loc, Severity
 from repro.lint.graph import (
     CallGraph,
-    ImportGraph,
     ModuleSummary,
     build_call_graph,
-    build_import_graph,
     extract_summary,
 )
 from repro.lint.registry import (
@@ -47,19 +41,13 @@ from repro.lint.registry import (
     get_rule,
     lint_rule,
 )
-from repro.lint.report import render_json, render_sarif, render_text
+from repro.lint.report import render_json, render_text
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
     "CallGraph",
-    "DEFAULT_BASELINE_NAME",
-    "DEFAULT_CACHE_DIR",
     "EffectAnalysis",
     "FileContext",
     "Finding",
-    "ImportGraph",
-    "LintCache",
     "LintResult",
     "LintRule",
     "Loc",
@@ -71,7 +59,6 @@ __all__ = [
     "all_rules",
     "analyze_effects",
     "build_call_graph",
-    "build_import_graph",
     "build_lint_parser",
     "extract_summary",
     "get_rule",
@@ -79,7 +66,6 @@ __all__ = [
     "lint_paths",
     "module_name_for",
     "render_json",
-    "render_sarif",
     "render_text",
     "select_rules",
 ]

@@ -2,29 +2,25 @@
 
 Two layers live here:
 
-* :class:`FileContext` — one source file.  Loading (read + content hash)
-  is separated from parsing: the AST is built lazily on first access to
-  :attr:`~FileContext.tree`, so a warm incremental run that answers every
-  file from the summary cache never parses at all (``parsed`` stays
-  ``False`` and the driver's re-parse counter can prove it).
-* :class:`Project` — all files of one lint run plus cached cross-file
+* :class:`FileContext` — one parsed source file.
+* :class:`Project` — all files of one lint run plus memoized cross-file
   lookups.  The lookups are backed by :class:`~repro.lint.graph.ModuleSummary`
-  digests (attached from the cache or extracted on demand), so cross-file
-  rules (builder-registry wiring, import resolution, the interprocedural
-  passes) read from serialized summaries rather than re-walking ASTs.
+  digests extracted once per file, so cross-file rules (builder-registry
+  wiring, import resolution, the interprocedural passes) read from
+  summaries rather than re-walking ASTs.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.lint.effects import EffectAnalysis
-    from repro.lint.graph import CallGraph, ImportGraph, ModuleSummary
+    from repro.lint.graph import CallGraph, ModuleSummary
 
 __all__ = ["FileContext", "Project", "module_name_for"]
 
@@ -57,7 +53,7 @@ def module_name_for(path: Path) -> Optional[str]:
 
 
 def _display_path(path: Path) -> str:
-    """Path as reported/fingerprinted: cwd-relative posix when possible."""
+    """Path as reported: cwd-relative posix when possible."""
     resolved = path.resolve()
     rel = os.path.relpath(resolved, os.getcwd())
     if rel.startswith(".."):
@@ -65,72 +61,42 @@ def _display_path(path: Path) -> str:
     return Path(rel).as_posix()
 
 
+@dataclass(eq=False)
 class FileContext:
-    """One source file, parsed lazily.
+    """One parsed source file.
 
     Attributes:
         path: The file on disk.
-        display_path: Normalized path used in reports and fingerprints.
+        display_path: Normalized path used in reports.
         module: Dotted module name, or ``None`` outside the package tree.
         is_package: Whether the file is a package ``__init__.py``.
-        source: Raw text.
-        lines: ``source`` split into physical lines.
-        content_hash: ``sha256`` hex digest of the raw bytes (cache key).
+        lines: The source text split into physical lines.
+        tree: The parsed AST.
     """
 
-    def __init__(
-        self,
-        path: Path,
-        display_path: str,
-        module: Optional[str],
-        is_package: bool,
-        source: str,
-        lines: List[str],
-        content_hash: str,
-        tree: Optional[ast.Module] = None,
-    ) -> None:
-        self.path = path
-        self.display_path = display_path
-        self.module = module
-        self.is_package = is_package
-        self.source = source
-        self.lines = lines
-        self.content_hash = content_hash
-        self._tree = tree
+    path: Path
+    display_path: str
+    module: Optional[str]
+    is_package: bool
+    lines: List[str]
+    tree: ast.Module
 
     @classmethod
-    def load(cls, path: Path) -> "FileContext":
-        """Read and hash *path* without parsing it."""
-        raw = path.read_bytes()
-        source = raw.decode("utf-8")
+    def parse(cls, path: Path) -> "FileContext":
+        """Read and parse *path*.
+
+        Raises ``OSError``/``UnicodeDecodeError`` when the file cannot be
+        read as UTF-8 and ``SyntaxError`` when it does not parse.
+        """
+        source = path.read_bytes().decode("utf-8")
         return cls(
             path=path,
             display_path=_display_path(path),
             module=module_name_for(path),
             is_package=path.name == "__init__.py",
-            source=source,
             lines=source.splitlines(),
-            content_hash=hashlib.sha256(raw).hexdigest(),
+            tree=ast.parse(source, filename=str(path)),
         )
-
-    @classmethod
-    def parse(cls, path: Path) -> "FileContext":
-        """Read and parse *path*; raises ``SyntaxError`` on unparsable input."""
-        ctx = cls.load(path)
-        ctx.tree  # force the parse so errors surface here
-        return ctx
-
-    @property
-    def tree(self) -> ast.Module:
-        """The parsed AST; parsing happens on first access."""
-        if self._tree is None:
-            self._tree = ast.parse(self.source, filename=str(self.path))
-        return self._tree
-
-    @property
-    def parsed(self) -> bool:
-        """Whether this file's AST has been built in this run."""
-        return self._tree is not None
 
     def in_package(self, *packages: str) -> bool:
         """Whether this module lives in (or is) one of the dotted *packages*."""
@@ -143,14 +109,12 @@ class FileContext:
 
 
 class Project:
-    """All files of one lint run plus cached cross-file lookups.
+    """All files of one lint run plus memoized cross-file lookups.
 
-    Cross-file queries read from per-module summaries.  A summary is
-    attached by the driver when the incremental cache has a current one
-    (:meth:`attach_summary`), otherwise extracted lazily from the AST on
-    first use (:meth:`summary`).  The whole-program structures — import
-    graph, call graph, effect analysis — are built once per run from
-    those summaries and shared by every interprocedural rule.
+    Cross-file queries read from per-module summaries, extracted from the
+    AST on first use (:meth:`summary`).  The whole-program structures —
+    call graph and effect analysis — are built once per run from those
+    summaries and shared by every interprocedural rule.
     """
 
     def __init__(self, files: List[FileContext]) -> None:
@@ -161,17 +125,12 @@ class Project:
         self._summaries: Dict[str, "ModuleSummary"] = {}
         self._builders: Optional[Dict[str, List[Tuple[str, int]]]] = None
         self._call_graph: Optional["CallGraph"] = None
-        self._import_graph: Optional["ImportGraph"] = None
         self._effects: Optional["EffectAnalysis"] = None
 
     # -- summaries ------------------------------------------------------
 
-    def attach_summary(self, ctx: FileContext, summary: "ModuleSummary") -> None:
-        """Install a (cached) summary so :meth:`summary` never parses *ctx*."""
-        self._summaries[ctx.display_path] = summary
-
     def summary(self, ctx: FileContext) -> "ModuleSummary":
-        """The module summary for *ctx*, extracting it from the AST if needed."""
+        """The module summary for *ctx*, extracted on first use."""
         cached = self._summaries.get(ctx.display_path)
         if cached is None:
             from repro.lint.graph import extract_summary
@@ -187,7 +146,7 @@ class Project:
             return None
         return self.summary(ctx)
 
-    # -- symbol-table queries (kept API-compatible with PR 4) -----------
+    # -- symbol-table queries -------------------------------------------
 
     def top_level_symbols(self, module: str) -> Optional[Set[str]]:
         """Top-level bound names of *module*, or ``None`` if not in this run."""
@@ -218,14 +177,6 @@ class Project:
         return self._builders
 
     # -- whole-program analyses -----------------------------------------
-
-    def import_graph(self) -> "ImportGraph":
-        """The project import graph (built once per run)."""
-        if self._import_graph is None:
-            from repro.lint.graph import build_import_graph
-
-            self._import_graph = build_import_graph(self)
-        return self._import_graph
 
     def call_graph(self) -> "CallGraph":
         """The name-resolved call graph (built once per run)."""

@@ -1,10 +1,6 @@
-"""Finding model shared by the lint driver, reporters, and baseline.
+"""Finding model shared by the lint driver and reporters.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-:attr:`~Finding.fingerprint` deliberately excludes the line and column so a
-committed baseline keeps matching after unrelated edits shift code around;
-two findings with the same rule, file, and message are interchangeable for
-baseline accounting.
+A :class:`Finding` is one rule violation at one source location.
 """
 
 from __future__ import annotations
@@ -47,11 +43,6 @@ class Finding:
     message: str
 
     @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Baseline identity: location-free so line drift doesn't invalidate it."""
-        return (self.rule, self.path, self.message)
-
-    @property
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
 
@@ -72,26 +63,14 @@ class Finding:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict` (used by the incremental cache)."""
-        return cls(
-            rule=doc["rule"],
-            severity=Severity(doc["severity"]),
-            path=doc["path"],
-            line=doc["line"],
-            col=doc["col"],
-            message=doc["message"],
-        )
-
 
 @dataclass(frozen=True)
 class Loc:
     """A bare source location a rule may yield instead of an AST node.
 
-    Summary-based (project-scope) rules work from serialized module
-    digests, not live ASTs; the driver only reads ``lineno``/``col_offset``
-    off whatever a rule yields, so this stand-in slots in transparently.
+    Summary-based rules work from module digests, not live ASTs; the
+    driver only reads ``lineno``/``col_offset`` off whatever a rule
+    yields, so this stand-in slots in transparently.
     """
 
     lineno: int

@@ -1,26 +1,22 @@
-"""Whole-program substrate: module summaries, import graph, call graph.
+"""Whole-program substrate: module summaries and the call graph.
 
-The per-file rules of PR 4 see one AST at a time; the interprocedural
-rules (REP108–REP112) need the *project*.  This module provides the three
-layers they stand on:
+The per-file rules see one AST at a time; the interprocedural rules
+(REP108–REP112) need the *project*.  This module provides the two layers
+they stand on:
 
-1. :class:`ModuleSummary` — a JSON-serializable digest of one parsed file:
-   top-level symbols, import aliases, every function with its call sites,
-   attribute writes, and async event ordering.  Summaries are the unit of
-   the incremental cache (:mod:`repro.lint.cache`): a warm run rebuilds
-   the whole-program analyses below from cached summaries without ever
-   re-parsing an unchanged file.
-2. :class:`ImportGraph` — module → imported-project-module edges,
-   including ``from x import *`` and lazy function-level imports (the
-   engine's backend loaders import inside functions).
-3. :class:`CallGraph` — a name-resolved call graph.  Resolution is
+1. :class:`ModuleSummary` — a digest of one parsed file: top-level
+   symbols, import aliases and records (module- and function-level),
+   every function with its call sites, attribute writes, and async event
+   ordering.
+2. :class:`CallGraph` — a name-resolved call graph.  Resolution is
    deliberately conservative: bare names resolve through local nested
-   defs, module functions/classes, import aliases, and star imports;
-   ``self.method()`` resolves through the defining class and its
-   project-resolvable bases; anything else stays unresolved rather than
-   guessed.  Every call site also gets a *canonical* dotted name
-   (aliases substituted, e.g. ``sleep`` → ``time.sleep``) so the effect
-   pass (:mod:`repro.lint.effects`) can classify external primitives.
+   defs, module functions/classes, import aliases (including lazy
+   function-level imports), and star imports; ``self.method()`` resolves
+   through the defining class and its project-resolvable bases; anything
+   else stays unresolved rather than guessed.  Every call site also gets a
+   *canonical* dotted name (aliases substituted, e.g. ``sleep`` →
+   ``time.sleep``) so the effect pass (:mod:`repro.lint.effects`) can
+   classify external primitives.
 
 Nothing here imports the rules; the rules read these structures through
 :class:`~repro.lint.context.Project` accessors.
@@ -32,7 +28,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Any,
     Dict,
     FrozenSet,
     Iterator,
@@ -54,15 +49,11 @@ __all__ = [
     "ClassSummary",
     "Event",
     "FunctionSummary",
-    "ImportGraph",
     "ImportRecord",
     "ModuleSummary",
     "ResolvedCall",
     "build_call_graph",
-    "build_import_graph",
     "extract_summary",
-    "graph_to_doc",
-    "graph_to_dot",
 ]
 
 #: Longest argument-source snippet kept in a summary.
@@ -139,7 +130,7 @@ def _trim(text: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Summary data model (everything below serializes to plain JSON)
+# Summary data model
 # ----------------------------------------------------------------------
 
 
@@ -154,27 +145,6 @@ class ArgInfo:
     rng: bool  # looks like a live Generator (REP110 heuristic)
     lambda_rng: bool  # a lambda whose body references an rng name
 
-    def to_doc(self) -> Dict[str, Any]:
-        return {
-            "text": self.text,
-            "name": self.name,
-            "keyword": self.keyword,
-            "tree": self.tree,
-            "rng": self.rng,
-            "lambda_rng": self.lambda_rng,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, Any]) -> "ArgInfo":
-        return cls(
-            text=doc["text"],
-            name=doc["name"],
-            keyword=doc["keyword"],
-            tree=doc["tree"],
-            rng=doc["rng"],
-            lambda_rng=doc["lambda_rng"],
-        )
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -185,25 +155,6 @@ class CallSite:
     col: int
     awaited: bool
     args: Tuple[ArgInfo, ...] = ()
-
-    def to_doc(self) -> Dict[str, Any]:
-        return {
-            "chain": self.chain,
-            "lineno": self.lineno,
-            "col": self.col,
-            "awaited": self.awaited,
-            "args": [a.to_doc() for a in self.args],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, Any]) -> "CallSite":
-        return cls(
-            chain=doc["chain"],
-            lineno=doc["lineno"],
-            col=doc["col"],
-            awaited=doc["awaited"],
-            args=tuple(ArgInfo.from_doc(a) for a in doc["args"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -222,13 +173,6 @@ class Event:
     lineno: int
     col: int
 
-    def to_doc(self) -> List[Any]:
-        return [self.kind, self.detail, self.lineno, self.col]
-
-    @classmethod
-    def from_doc(cls, doc: Sequence[Any]) -> "Event":
-        return cls(kind=doc[0], detail=doc[1], lineno=doc[2], col=doc[3])
-
 
 @dataclass(frozen=True)
 class FunctionSummary:
@@ -241,7 +185,6 @@ class FunctionSummary:
     is_async: bool
     parent_class: Optional[str]
     nested: bool
-    decorators: Tuple[str, ...]
     builder_name: Optional[str]
     pos_params: Tuple[str, ...]  # posonly + regular, including self
     kwonly_params: Tuple[str, ...]
@@ -262,55 +205,6 @@ class FunctionSummary:
     def params(self) -> Tuple[str, ...]:
         return self.pos_params + self.kwonly_params
 
-    def to_doc(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "col": self.col,
-            "is_async": self.is_async,
-            "parent_class": self.parent_class,
-            "nested": self.nested,
-            "decorators": list(self.decorators),
-            "builder_name": self.builder_name,
-            "pos_params": list(self.pos_params),
-            "kwonly_params": list(self.kwonly_params),
-            "has_vararg": self.has_vararg,
-            "has_kwarg": self.has_kwarg,
-            "calls": [c.to_doc() for c in self.calls],
-            "events": [e.to_doc() for e in self.events],
-            "self_attr_writes": list(self.self_attr_writes),
-            "param_attr_writes": list(self.param_attr_writes),
-            "tree_attr_writes": [list(t) for t in self.tree_attr_writes],
-            "rng_capture": self.rng_capture,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            name=doc["name"],
-            qualname=doc["qualname"],
-            lineno=doc["lineno"],
-            col=doc["col"],
-            is_async=doc["is_async"],
-            parent_class=doc["parent_class"],
-            nested=doc["nested"],
-            decorators=tuple(doc["decorators"]),
-            builder_name=doc["builder_name"],
-            pos_params=tuple(doc["pos_params"]),
-            kwonly_params=tuple(doc["kwonly_params"]),
-            has_vararg=doc["has_vararg"],
-            has_kwarg=doc["has_kwarg"],
-            calls=tuple(CallSite.from_doc(c) for c in doc["calls"]),
-            events=tuple(Event.from_doc(e) for e in doc["events"]),
-            self_attr_writes=tuple(doc["self_attr_writes"]),
-            param_attr_writes=tuple(doc["param_attr_writes"]),
-            tree_attr_writes=tuple(
-                (t[0], t[1], t[2]) for t in doc["tree_attr_writes"]
-            ),
-            rng_capture=doc["rng_capture"],
-        )
-
 
 @dataclass(frozen=True)
 class ClassSummary:
@@ -323,35 +217,8 @@ class ClassSummary:
     assigns: Tuple[Tuple[str, Optional[str]], ...]  # (name, constant repr)
     has_async_method: bool
 
-    def assign_value(self, name: str) -> Optional[str]:
-        for key, value in self.assigns:
-            if key == name:
-                return value
-        return None
-
     def has_assign(self, name: str) -> bool:
         return any(key == name for key, _ in self.assigns)
-
-    def to_doc(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "col": self.col,
-            "bases": list(self.bases),
-            "assigns": [list(a) for a in self.assigns],
-            "has_async_method": self.has_async_method,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, Any]) -> "ClassSummary":
-        return cls(
-            name=doc["name"],
-            lineno=doc["lineno"],
-            col=doc["col"],
-            bases=tuple(doc["bases"]),
-            assigns=tuple((a[0], a[1]) for a in doc["assigns"]),
-            has_async_method=doc["has_async_method"],
-        )
 
 
 @dataclass(frozen=True)
@@ -363,55 +230,15 @@ class AllDecl:
     kind: str  # "ok" | "dynamic" | "badtype"
     names: Tuple[str, ...]
 
-    def to_doc(self) -> Dict[str, Any]:
-        return {
-            "lineno": self.lineno,
-            "col": self.col,
-            "kind": self.kind,
-            "names": list(self.names),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, Any]) -> "AllDecl":
-        return cls(
-            lineno=doc["lineno"],
-            col=doc["col"],
-            kind=doc["kind"],
-            names=tuple(doc["names"]),
-        )
-
 
 @dataclass(frozen=True)
 class ImportRecord:
-    """One import statement (module- or function-level)."""
+    """One ``from ... import`` statement (module- or function-level)."""
 
-    kind: str  # "import" | "from"
-    target: Optional[str]  # absolute source module for "from" (resolved)
-    names: Tuple[Tuple[str, Optional[str]], ...]  # (name, asname)
+    target: Optional[str]  # absolute source module (relative levels resolved)
+    names: Tuple[Tuple[str, Optional[str]], ...]  # (name, asname), no "*"
     lineno: int
     col: int
-    star: bool
-
-    def to_doc(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "names": [list(n) for n in self.names],
-            "lineno": self.lineno,
-            "col": self.col,
-            "star": self.star,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, Any]) -> "ImportRecord":
-        return cls(
-            kind=doc["kind"],
-            target=doc["target"],
-            names=tuple((n[0], n[1]) for n in doc["names"]),
-            lineno=doc["lineno"],
-            col=doc["col"],
-            star=doc["star"],
-        )
 
 
 @dataclass
@@ -419,8 +246,6 @@ class ModuleSummary:
     """Everything the whole-program passes need from one parsed file."""
 
     module: Optional[str]
-    display_path: str
-    is_package: bool
     top_symbols: FrozenSet[str]
     name_loads: FrozenSet[str]
     aliases: Dict[str, str]  # local name -> dotted target
@@ -446,37 +271,6 @@ class ModuleSummary:
             if cls_sum.name == name:
                 return cls_sum
         return None
-
-    def to_doc(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "display_path": self.display_path,
-            "is_package": self.is_package,
-            "top_symbols": sorted(self.top_symbols),
-            "name_loads": sorted(self.name_loads),
-            "aliases": dict(self.aliases),
-            "star_imports": list(self.star_imports),
-            "imports": [i.to_doc() for i in self.imports],
-            "all_decls": [a.to_doc() for a in self.all_decls],
-            "functions": [f.to_doc() for f in self.functions],
-            "classes": [c.to_doc() for c in self.classes],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=doc["module"],
-            display_path=doc["display_path"],
-            is_package=doc["is_package"],
-            top_symbols=frozenset(doc["top_symbols"]),
-            name_loads=frozenset(doc["name_loads"]),
-            aliases=dict(doc["aliases"]),
-            star_imports=tuple(doc["star_imports"]),
-            imports=tuple(ImportRecord.from_doc(i) for i in doc["imports"]),
-            all_decls=tuple(AllDecl.from_doc(a) for a in doc["all_decls"]),
-            functions=tuple(FunctionSummary.from_doc(f) for f in doc["functions"]),
-            classes=tuple(ClassSummary.from_doc(c) for c in doc["classes"]),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -587,17 +381,6 @@ class _Extractor:
     # -- imports --------------------------------------------------------
 
     def _record_import(self, node: ast.Import) -> None:
-        names = tuple((alias.name, alias.asname) for alias in node.names)
-        self.imports.append(
-            ImportRecord(
-                kind="import",
-                target=None,
-                names=names,
-                lineno=node.lineno,
-                col=node.col_offset,
-                star=False,
-            )
-        )
         for alias in node.names:
             if alias.asname:
                 self.aliases[alias.asname] = alias.name
@@ -615,12 +398,10 @@ class _Extractor:
         )
         self.imports.append(
             ImportRecord(
-                kind="from",
                 target=target,
                 names=names,
                 lineno=node.lineno,
                 col=node.col_offset,
-                star=star,
             )
         )
         if star and target:
@@ -888,9 +669,6 @@ class _Extractor:
                 is_async=is_async,
                 parent_class=parent_class if not nested else None,
                 nested=nested,
-                decorators=tuple(
-                    filter(None, (_dotted_chain(d if not isinstance(d, ast.Call) else d.func) for d in node.decorator_list))
-                ),
                 builder_name=builder_name,
                 pos_params=pos,
                 kwonly_params=kwonly,
@@ -1039,8 +817,6 @@ def extract_summary(ctx: "FileContext") -> ModuleSummary:
     )
     return ModuleSummary(
         module=ctx.module,
-        display_path=ctx.display_path,
-        is_package=ctx.is_package,
         top_symbols=frozenset(_top_level_symbols(tree)),
         name_loads=loads,
         aliases=extractor.aliases,
@@ -1050,54 +826,6 @@ def extract_summary(ctx: "FileContext") -> ModuleSummary:
         functions=tuple(extractor.functions),
         classes=tuple(extractor.classes),
     )
-
-
-# ----------------------------------------------------------------------
-# Import graph
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class ImportGraph:
-    """Module → imported project modules (aliases, star, lazy imports)."""
-
-    edges: Dict[str, Set[str]] = field(default_factory=dict)
-
-    def imports_of(self, module: str) -> Set[str]:
-        return self.edges.get(module, set())
-
-    def to_doc(self) -> Dict[str, List[str]]:
-        return {mod: sorted(deps) for mod, deps in sorted(self.edges.items())}
-
-
-def build_import_graph(project: "Project") -> ImportGraph:
-    """Project-module import edges from every file's summary."""
-    modules = set(project.modules)
-    graph = ImportGraph()
-    for ctx in project.files:
-        if ctx.module is None:
-            continue
-        summary = project.summary(ctx)
-        deps: Set[str] = set()
-        for record in summary.imports:
-            if record.kind == "import":
-                for name, _ in record.names:
-                    parts = name.split(".")
-                    for depth in range(len(parts), 0, -1):
-                        prefix = ".".join(parts[:depth])
-                        if prefix in modules:
-                            deps.add(prefix)
-                            break
-            elif record.target:
-                if record.target in modules:
-                    deps.add(record.target)
-                for name, _ in record.names:
-                    candidate = f"{record.target}.{name}"
-                    if candidate in modules:
-                        deps.add(candidate)
-        deps.discard(ctx.module)
-        graph.edges[ctx.module] = deps
-    return graph
 
 
 # ----------------------------------------------------------------------
@@ -1130,7 +858,6 @@ class CallGraph:
     classes: Dict[str, ClassSummary] = field(default_factory=dict)  # "mod:Cls"
     class_bases: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     builders: Dict[str, str] = field(default_factory=dict)  # name -> node id
-    unresolved: int = 0
 
     @property
     def edges(self) -> Dict[str, Set[str]]:
@@ -1210,8 +937,6 @@ def build_call_graph(project: "Project") -> CallGraph:
                 target, canonical = _resolve_call(
                     graph, summaries, summary, fn, site.chain
                 )
-                if target is None and site.chain:
-                    graph.unresolved += 1
                 resolved.append(
                     ResolvedCall(site=site, target=target, canonical=canonical)
                 )
@@ -1324,39 +1049,3 @@ def _project_lookup(
                 return graph.resolve_method(class_id, rest[1])
         return None
     return None
-
-
-# ----------------------------------------------------------------------
-# Exports (``repro lint --graph``)
-# ----------------------------------------------------------------------
-
-
-def graph_to_doc(graph: CallGraph, imports: ImportGraph) -> Dict[str, Any]:
-    """JSON document for ``repro lint --graph --format json``."""
-    return {
-        "modules": sorted(imports.edges),
-        "imports": imports.to_doc(),
-        "functions": sorted(graph.nodes),
-        "edges": sorted(
-            [caller, target]
-            for caller, targets in graph.edges.items()
-            for target in targets
-        ),
-        "builders": dict(sorted(graph.builders.items())),
-        "unresolved_calls": graph.unresolved,
-        "summary": {
-            "n_modules": len(imports.edges),
-            "n_functions": len(graph.nodes),
-            "n_edges": sum(len(t) for t in graph.edges.values()),
-        },
-    }
-
-
-def graph_to_dot(graph: CallGraph) -> str:
-    """Graphviz DOT rendering of the resolved call edges."""
-    lines = ["digraph repro_lint_callgraph {", "  rankdir=LR;"]
-    for caller, targets in sorted(graph.edges.items()):
-        for target in sorted(targets):
-            lines.append(f'  "{caller}" -> "{target}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

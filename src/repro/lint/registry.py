@@ -42,15 +42,7 @@ class UnknownRuleError(KeyError):
 
 @dataclass(frozen=True)
 class LintRule:
-    """A registered rule: id, severity, summary, scope, and the checker.
-
-    ``scope`` partitions the run for the incremental cache:
-
-    * ``"file"`` — the rule reads only the one file it is visiting, so
-      its findings can be cached per file and replayed on a warm run.
-    * ``"project"`` — the rule reads cross-file state (symbol tables,
-      call graph, effects) and must re-run whenever *any* file changed;
-      it works from module summaries, never raw ASTs.
+    """A registered rule: id, severity, summary, and the checker.
 
     ``doc`` is the checker's full docstring — the shared source of truth
     for ``repro lint --explain`` and ``docs/static_analysis.md``.
@@ -60,7 +52,6 @@ class LintRule:
     severity: Severity
     summary: str
     check: RuleCheck
-    scope: str = "file"
     doc: str = ""
 
     def describe(self) -> str:
@@ -83,19 +74,14 @@ def lint_rule(
     rule_id: str,
     severity: Severity,
     summary: Optional[str] = None,
-    *,
-    scope: str = "file",
 ) -> Callable[[RuleCheck], RuleCheck]:
     """Decorator registering *fn* as the checker for *rule_id*.
 
     ``summary`` defaults to the first line of the checker's docstring;
     the full docstring is kept as the rule's ``doc`` (the ``--explain``
-    text).  ``scope`` is ``"file"`` (cacheable per file) or ``"project"``
-    (cross-file; reruns whole-program).  Duplicate ids are an error: rule
-    ids are the suppression/baseline vocabulary and must stay unambiguous.
+    text).  Duplicate ids are an error: rule ids are the suppression
+    vocabulary and must stay unambiguous.
     """
-    if scope not in ("file", "project"):
-        raise ValueError(f"scope must be 'file' or 'project', got {scope!r}")
 
     def decorator(fn: RuleCheck) -> RuleCheck:
         if rule_id in _RULES:
@@ -110,7 +96,6 @@ def lint_rule(
             severity=severity,
             summary=one_line,
             check=fn,
-            scope=scope,
             doc=full_doc,
         )
         return fn

@@ -1,153 +1,50 @@
-"""Reporters for lint results: human text, machine JSON, and SARIF.
-
-SARIF (Static Analysis Results Interchange Format 2.1.0) is the shape CI
-annotation tooling ingests: the rule registry becomes
-``tool.driver.rules``, fresh findings become failing ``results``, and
-baselined findings travel along with an ``external`` suppression so the
-upload shows them without failing the gate.
-"""
+"""Reporters for lint results: human text and machine JSON."""
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Sequence
+from typing import List
 
-from repro.lint.driver import PARSE_ERROR_RULE, LintResult
-from repro.lint.findings import Finding, Severity
-from repro.lint.registry import all_rules
+from repro.lint.driver import LintResult
+from repro.lint.findings import Severity
 
-__all__ = ["render_json", "render_sarif", "render_text"]
+__all__ = ["render_json", "render_text"]
 
 
-def _summary_line(
-    fresh: Sequence[Finding],
-    grandfathered: Sequence[Finding],
-    result: LintResult,
-) -> str:
-    errors = sum(1 for f in fresh if f.severity is Severity.ERROR)
-    warnings = len(fresh) - errors
+def _summary_line(result: LintResult) -> str:
+    findings = result.all_findings
+    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
+    warnings = len(findings) - errors
     parts = [
         f"{result.checked_files} files checked",
-        f"{len(fresh)} findings ({errors} errors, {warnings} warnings)",
+        f"{len(findings)} findings ({errors} errors, {warnings} warnings)",
     ]
-    if grandfathered:
-        parts.append(f"{len(grandfathered)} baselined")
     if result.suppressed:
         parts.append(f"{result.suppressed} suppressed")
-    if result.cache_hits or result.cache_misses:
-        parts.append(
-            f"cache {result.cache_hits} hits / {result.cache_misses} misses"
-        )
     return ", ".join(parts)
 
 
-def render_text(
-    result: LintResult,
-    fresh: Sequence[Finding],
-    grandfathered: Sequence[Finding],
-) -> str:
-    """One line per fresh finding plus a summary; clean runs say so."""
-    lines: List[str] = [finding.render() for finding in fresh]
+def render_text(result: LintResult) -> str:
+    """One line per finding plus a summary; clean runs say so."""
+    lines: List[str] = [finding.render() for finding in result.all_findings]
     if lines:
         lines.append("")
-    lines.append(_summary_line(fresh, grandfathered, result))
+    lines.append(_summary_line(result))
     return "\n".join(lines)
 
 
-def render_json(
-    result: LintResult,
-    fresh: Sequence[Finding],
-    grandfathered: Sequence[Finding],
-) -> str:
+def render_json(result: LintResult) -> str:
     """Full structured report, stable key order, for tooling and CI artifacts."""
+    findings = result.all_findings
     payload = {
         "checked_files": result.checked_files,
         "rules": list(result.rules_run),
-        "findings": [finding.to_dict() for finding in fresh],
-        "baselined": [finding.to_dict() for finding in grandfathered],
+        "findings": [finding.to_dict() for finding in findings],
         "suppressed": result.suppressed,
         "summary": {
-            "errors": sum(1 for f in fresh if f.severity is Severity.ERROR),
-            "warnings": sum(1 for f in fresh if f.severity is Severity.WARNING),
-            "total": len(fresh),
+            "errors": sum(1 for f in findings if f.severity is Severity.ERROR),
+            "warnings": sum(1 for f in findings if f.severity is Severity.WARNING),
+            "total": len(findings),
         },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-_SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def _sarif_level(severity: Severity) -> str:
-    return "error" if severity is Severity.ERROR else "warning"
-
-
-def _sarif_result(finding: Finding, suppressed: bool) -> Dict[str, Any]:
-    doc: Dict[str, Any] = {
-        "ruleId": finding.rule,
-        "level": _sarif_level(finding.severity),
-        "message": {"text": finding.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {
-                        "startLine": max(finding.line, 1),
-                        "startColumn": finding.col + 1,
-                    },
-                }
-            }
-        ],
-    }
-    if suppressed:
-        doc["suppressions"] = [{"kind": "external"}]
-    return doc
-
-
-def render_sarif(
-    result: LintResult,
-    fresh: Sequence[Finding],
-    grandfathered: Sequence[Finding],
-) -> str:
-    """SARIF 2.1.0 log: fresh findings fail, baselined ride along suppressed."""
-    rules: List[Dict[str, Any]] = [
-        {
-            "id": PARSE_ERROR_RULE,
-            "shortDescription": {"text": "file does not parse"},
-            "defaultConfiguration": {"level": "error"},
-        }
-    ]
-    for rule in all_rules():
-        doc: Dict[str, Any] = {
-            "id": rule.id,
-            "shortDescription": {"text": rule.summary},
-            "defaultConfiguration": {"level": _sarif_level(rule.severity)},
-            "properties": {"scope": rule.scope},
-        }
-        if rule.doc:
-            doc["fullDescription"] = {"text": rule.doc}
-        rules.append(doc)
-    payload = {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": "docs/static_analysis.md",
-                        "rules": rules,
-                    }
-                },
-                "results": (
-                    [_sarif_result(f, suppressed=False) for f in fresh]
-                    + [_sarif_result(f, suppressed=True) for f in grandfathered]
-                ),
-            }
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

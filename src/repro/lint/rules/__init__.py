@@ -17,8 +17,8 @@ Rule        Severity  Invariant
 ``REP112``  error     no frozen-tree mutation through call aliases
 ==========  ========  =====================================================
 
-REP101–REP107 are file-scope (cacheable per file); REP108–REP112 plus the
-cross-file halves of REP104/REP106 are project-scope — they read module
+REP101–REP103, REP105 and REP107 read only the file they visit;
+REP108–REP112 and the cross-file halves of REP104/REP106 read module
 summaries, the call graph, and the effect analysis
 (:mod:`repro.lint.graph`, :mod:`repro.lint.effects`).
 

@@ -33,7 +33,7 @@ _Yield = Tuple[Union[ast.AST, Loc], str]
 EXEMPT_MODULES = frozenset({"repro.core.tree", "repro.engine.treestate"})
 
 
-@lint_rule("REP112", Severity.ERROR, scope="project")
+@lint_rule("REP112", Severity.ERROR)
 def check_aliased_tree_mutation(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:

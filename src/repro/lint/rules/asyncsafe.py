@@ -26,7 +26,7 @@ per-file linting because they live in the *call structure*:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.lint.context import FileContext, Project
 from repro.lint.effects import BLOCKS, is_blocking_chain
@@ -39,7 +39,7 @@ __all__ = ["check_async_blocking", "check_await_races"]
 _Yield = Tuple[Union[ast.AST, Loc], str]
 
 
-@lint_rule("REP108", Severity.ERROR, scope="project")
+@lint_rule("REP108", Severity.ERROR)
 def check_async_blocking(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:
@@ -104,7 +104,7 @@ def _self_method_writes(
     }
 
 
-@lint_rule("REP109", Severity.ERROR, scope="project")
+@lint_rule("REP109", Severity.ERROR)
 def check_await_races(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:

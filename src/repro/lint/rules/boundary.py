@@ -65,7 +65,7 @@ def _is_boundary(site: CallSite, canonical: str) -> bool:
     return False
 
 
-@lint_rule("REP110", Severity.ERROR, scope="project")
+@lint_rule("REP110", Severity.ERROR)
 def check_rng_boundary(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:

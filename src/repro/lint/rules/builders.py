@@ -19,9 +19,8 @@ resolve time instead of import time.  Three checks:
   project (duplicates raise at import time, but only on the import order
   that loads both).
 
-This is a project-scope rule: it reads only module summaries
-(:class:`~repro.lint.graph.ModuleSummary`), so on a warm cached run it
-re-checks the whole contract without re-parsing a single file.
+The rule is cross-file: it reads the module summaries
+(:class:`~repro.lint.graph.ModuleSummary`) of every file in the run.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ def _check_duplicate_names(
             )
 
 
-@lint_rule("REP104", Severity.ERROR, scope="project")
+@lint_rule("REP104", Severity.ERROR)
 def check_builder_contract(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:

@@ -13,11 +13,10 @@ imports that resolve to a file in the current run are checked, a name
 counts as defined if it is bound at module top level (including inside
 ``if``/``try`` blocks), and importing a submodule by name is recognized.
 
-This is a project-scope rule working entirely from module summaries
+The rule works entirely from module summaries
 (:class:`~repro.lint.graph.ModuleSummary`): ``__all__`` lists are
 pre-evaluated at summary-extraction time and import records carry their
-resolved absolute targets, so a warm cached run re-checks every re-export
-chain without touching an AST.
+resolved absolute targets.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def _check_all_list(ctx: FileContext, project: Project) -> Iterator[_Yield]:
 def _check_reexports(ctx: FileContext, project: Project) -> Iterator[_Yield]:
     summary = project.summary(ctx)
     for record in summary.imports:
-        if record.kind != "from" or record.target is None:
+        if record.target is None:
             continue
         target = record.target
         symbols = project.top_level_symbols(target)
@@ -86,7 +85,7 @@ def _check_reexports(ctx: FileContext, project: Project) -> Iterator[_Yield]:
             )
 
 
-@lint_rule("REP106", Severity.ERROR, scope="project")
+@lint_rule("REP106", Severity.ERROR)
 def check_export_drift(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:

@@ -23,7 +23,7 @@ file set (fixture trees opt in by providing a stub).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, Set, Tuple, Union
 
 from repro.lint.context import FileContext, Project
 from repro.lint.findings import Loc, Severity
@@ -88,7 +88,7 @@ def _inherited_method_names(
     return names
 
 
-@lint_rule("REP111", Severity.ERROR, scope="project")
+@lint_rule("REP111", Severity.ERROR)
 def check_backend_parity(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:

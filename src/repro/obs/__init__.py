@@ -57,7 +57,6 @@ from repro.obs.metrics import (
 from repro.obs.runtime import OBS, ObsSession, instrument, is_enabled
 from repro.obs.slo import SLO, SLOTracker, SLOWindow
 from repro.obs.spanctx import SpanContext, activate_span, current_span
-from repro.obs.stagetimer import StageTimer
 from repro.obs.trace import NULL_TRACER, NullTracer, TraceEvent, Tracer, read_jsonl
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "SLOTracker",
     "SLOWindow",
     "SpanContext",
-    "StageTimer",
     "TimeSeriesRing",
     "TraceEvent",
     "Tracer",

@@ -1,21 +1,13 @@
-"""Driver-level tests: suppressions, baselines, reporters, parse errors."""
+"""Driver-level tests: suppressions, reporters, parse errors."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    Baseline,
-    BaselineError,
-    Finding,
-    PARSE_ERROR_RULE,
-    Severity,
-    lint_paths,
-)
-from repro.lint.driver import iter_python_files
+from repro.lint import PARSE_ERROR_RULE, Severity, lint_paths
+from repro.lint.driver import build_project, iter_python_files
 from repro.lint.report import render_json, render_text
 
 from tests.lint_utils import lint_sources, rule_ids, write_tree
@@ -79,6 +71,21 @@ class TestParseErrors:
         assert rule_ids(result.all_findings) == [PARSE_ERROR_RULE, "REP101"]
         assert result.checked_files == 1  # only the parsable file
 
+    def test_undecodable_file_becomes_rep000(self, tmp_path):
+        src = tmp_path / "src" / "repro"
+        src.mkdir(parents=True)
+        (src / "bad.py").write_bytes(b'x = "\xff"\n')
+        (src / "ok.py").write_text("import random\n", encoding="utf-8")
+
+        result = lint_paths([tmp_path / "src"])
+        assert rule_ids(result.all_findings) == [PARSE_ERROR_RULE, "REP101"]
+        assert result.all_findings[0].path.endswith("bad.py")
+        assert result.checked_files == 1
+
+        project, parse_errors = build_project([tmp_path / "src"])
+        assert rule_ids(parse_errors) == [PARSE_ERROR_RULE]
+        assert [ctx.module for ctx in project.files] == ["repro.ok"]
+
 
 class TestFileCollection:
     def test_pycache_skipped_and_duplicates_merged(self, tmp_path):
@@ -99,65 +106,6 @@ class TestFileCollection:
             iter_python_files([target])
 
 
-class TestBaseline:
-    def finding(self, message="import random", path="src/repro/a.py"):
-        return Finding(
-            rule="REP101",
-            severity=Severity.ERROR,
-            path=path,
-            line=1,
-            col=0,
-            message=message,
-        )
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        original = Baseline.from_findings([self.finding(), self.finding("other")])
-        original.write(path)
-        assert Baseline.load(path).counts == original.counts
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "nope.json")
-        assert not baseline.counts
-
-    def test_split_grandfathers_known_findings(self):
-        known = self.finding()
-        fresh_one = self.finding("something new")
-        baseline = Baseline.from_findings([known])
-        fresh, grandfathered = baseline.split([known, fresh_one])
-        assert fresh == [fresh_one]
-        assert grandfathered == [known]
-
-    def test_split_honours_multiplicity(self):
-        finding = self.finding()
-        baseline = Baseline.from_findings([finding])
-        fresh, grandfathered = baseline.split([finding, finding])
-        assert len(grandfathered) == 1
-        assert len(fresh) == 1
-
-    def test_fingerprint_is_line_free(self):
-        moved = Finding(
-            rule="REP101",
-            severity=Severity.ERROR,
-            path="src/repro/a.py",
-            line=99,
-            col=4,
-            message="import random",
-        )
-        baseline = Baseline.from_findings([self.finding()])
-        fresh, grandfathered = baseline.split([moved])
-        assert fresh == [] and grandfathered == [moved]
-
-    def test_bad_shape_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
-        path.write_text(json.dumps([1, 2, 3]))
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
-
-
 class TestReporters:
     def result_with_findings(self, tmp_path):
         files = {"repro/a.py": "import random\n"}
@@ -165,20 +113,20 @@ class TestReporters:
 
     def test_text_report_lists_findings_and_summary(self, tmp_path):
         result = self.result_with_findings(tmp_path)
-        text = render_text(result, result.all_findings, [])
+        text = render_text(result)
         assert "REP101" in text
         assert "1 files checked" in text
         assert "1 errors" in text
 
-    def test_text_report_mentions_baselined_and_suppressed(self, tmp_path):
+    def test_text_report_mentions_suppressed(self, tmp_path):
         files = {"repro/a.py": "import random  # repro: ignore[REP101]\n"}
         result = lint_paths([write_tree(tmp_path, files)])
-        text = render_text(result, [], [])
+        text = render_text(result)
         assert "suppressed" in text
 
     def test_json_report_structure(self, tmp_path):
         result = self.result_with_findings(tmp_path)
-        payload = json.loads(render_json(result, result.all_findings, []))
+        payload = json.loads(render_json(result))
         assert payload["summary"]["total"] == 1
         assert payload["summary"]["errors"] == 1
         assert payload["findings"][0]["rule"] == "REP101"

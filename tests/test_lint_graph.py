@@ -1,11 +1,11 @@
-"""Summary extraction, import graph, and call graph — adversarial shapes.
+"""Summary extraction and call graph — adversarial shapes.
 
 The shapes here are the ones that break naive resolvers: import cycles,
 ``from x import *``, decorated and re-exported builders, lazily imported
 backends (function-level imports, the ``engine/backend.py`` loader
 pattern).  The final class pins the graph on the real repository: build
 never crashes, every ``@tree_builder`` entry point resolves to a node,
-and the known lazy-loader edges exist.
+and the backend dispatch resolves across modules.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from tests.lint_utils import write_tree
-from repro.lint import extract_summary
 from repro.lint.driver import build_project
-from repro.lint.graph import graph_to_doc, graph_to_dot
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -62,27 +60,6 @@ class TestSummaryExtraction:
         assert by_chain["h"].args[0].tree
         assert by_chain["h"].args[1].keyword == "seed"
 
-    def test_summary_round_trips_through_json_doc(self, tmp_path):
-        project = project_for(tmp_path, {
-            "repro/mod.py": (
-                "from repro.other import thing\n"
-                "__all__ = ['f']\n"
-                "class C:\n"
-                "    backend_name = 'x'\n"
-                "    async def m(self):\n"
-                "        self.n = await q(self.n)\n"
-                "def f(a, *, b=1, **kw):\n"
-                "    a.attr = b\n"
-            ),
-        })
-        ctx = project.modules["repro.mod"]
-        summary = extract_summary(ctx)
-        import json
-
-        doc = json.loads(json.dumps(summary.to_doc()))
-        restored = type(summary).from_doc(doc)
-        assert restored == summary or restored.to_doc() == summary.to_doc()
-
     def test_augassign_orders_read_before_value_before_write(self, tmp_path):
         project = project_for(tmp_path, {
             "repro/mod.py": (
@@ -100,26 +77,27 @@ class TestSummaryExtraction:
         assert read < awaited < write
 
 
-class TestImportGraph:
+class TestImportResolution:
     def test_cycles_do_not_crash_and_both_edges_exist(self, tmp_path):
         project = project_for(tmp_path, {
             "repro/a.py": "from repro.b import f\ndef g():\n    f()\n",
             "repro/b.py": "def f():\n    pass\n\ndef h():\n    from repro.a import g\n    g()\n",
         })
-        graph = project.import_graph()
-        assert "repro.b" in graph.imports_of("repro.a")
-        assert "repro.a" in graph.imports_of("repro.b")
+        graph = project.call_graph()
+        assert "repro.b:f" in graph.edges["repro.a:g"]
+        assert "repro.a:g" in graph.edges["repro.b:h"]
 
     def test_lazy_function_level_imports_are_edges(self, tmp_path):
         project = project_for(tmp_path, {
             "repro/backend.py": (
                 "def load():\n"
-                "    from repro.impl import Impl\n"
-                "    return Impl\n"
+                "    from repro.impl import make\n"
+                "    return make()\n"
             ),
-            "repro/impl.py": "class Impl:\n    pass\n",
+            "repro/impl.py": "def make():\n    pass\n",
         })
-        assert "repro.impl" in project.import_graph().imports_of("repro.backend")
+        graph = project.call_graph()
+        assert "repro.impl:make" in graph.edges["repro.backend:load"]
 
 
 class TestCallGraph:
@@ -212,16 +190,6 @@ class TestCallGraph:
         graph = project.call_graph()
         assert "repro.mod:Thing.__init__" in graph.edges["repro.mod:make"]
 
-    def test_exports_render(self, tmp_path):
-        project = project_for(tmp_path, {
-            "repro/a.py": "def f():\n    g()\n\ndef g():\n    pass\n",
-        })
-        graph = project.call_graph()
-        doc = graph_to_doc(graph, project.import_graph())
-        assert ["repro.a:f", "repro.a:g"] in doc["edges"]
-        dot = graph_to_dot(graph)
-        assert '"repro.a:f" -> "repro.a:g";' in dot
-
 
 class TestRealRepository:
     """The acceptance pins: the whole-program layer holds on src/ itself."""
@@ -247,14 +215,6 @@ class TestRealRepository:
             assert node_id in graph.nodes, (name, node_id)
             fn = graph.nodes[node_id].summary
             assert fn.pos_params and fn.pos_params[0] == "network", name
-
-    def test_lazy_backend_loaders_have_import_edges(self):
-        # engine/backend.py imports both backends inside loader functions;
-        # the import graph must see through the laziness.
-        project = self.project()
-        deps = project.import_graph().imports_of("repro.engine.backend")
-        assert "repro.engine.treestate" in deps
-        assert "repro.engine.treestate_np" in deps
 
     def test_backend_dispatch_calls_resolve_cross_module(self):
         # TreeState.__new__ dispatches through the backend loader module;

@@ -1,85 +1,8 @@
 """Tests for repro.analysis.profiling."""
 
-import time
-
 import pytest
 
-from repro.analysis.profiling import StageTimer, scaling_study
-
-
-class TestStageTimer:
-    def test_accumulates_time_and_counts(self):
-        timer = StageTimer()
-        for _ in range(3):
-            with timer.stage("work"):
-                time.sleep(0.002)
-        assert timer.counts()["work"] == 3
-        assert timer.totals()["work"] >= 0.005
-
-    def test_multiple_stages(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            pass
-        with timer.stage("b"):
-            pass
-        assert set(timer.totals()) == {"a", "b"}
-
-    def test_exception_still_recorded(self):
-        timer = StageTimer()
-        with pytest.raises(RuntimeError):
-            with timer.stage("boom"):
-                raise RuntimeError
-        assert timer.counts()["boom"] == 1
-
-    def test_nested_same_name_records_once(self):
-        # Re-entering an active stage must not double-count the elapsed
-        # time: only the outermost frame of a name records.
-        timer = StageTimer()
-        with timer.stage("recurse"):
-            with timer.stage("recurse"):
-                time.sleep(0.002)
-            time.sleep(0.002)
-        assert timer.counts()["recurse"] == 1
-        assert 0.003 <= timer.totals()["recurse"] < 0.1
-
-    def test_nested_different_names_both_recorded(self):
-        timer = StageTimer()
-        with timer.stage("outer"):
-            with timer.stage("inner"):
-                time.sleep(0.002)
-        assert timer.counts() == {"outer": 1, "inner": 1}
-        # The outer stage wraps the inner one entirely.
-        assert timer.totals()["outer"] >= timer.totals()["inner"]
-
-    def test_nested_same_name_exception_still_records_once(self):
-        timer = StageTimer()
-        with pytest.raises(RuntimeError):
-            with timer.stage("boom"):
-                with timer.stage("boom"):
-                    raise RuntimeError
-        assert timer.counts()["boom"] == 1
-
-    def test_reusable_after_nesting(self):
-        timer = StageTimer()
-        with timer.stage("s"):
-            with timer.stage("s"):
-                pass
-        with timer.stage("s"):
-            pass
-        assert timer.counts()["s"] == 2
-
-    def test_render(self):
-        timer = StageTimer()
-        with timer.stage("x"):
-            pass
-        assert "seconds" in timer.render()
-
-    def test_reexported_from_obs(self):
-        # The class moved into the instrumentation layer; the old import
-        # path must keep working and refer to the same object.
-        from repro.obs import StageTimer as ObsStageTimer
-
-        assert ObsStageTimer is StageTimer
+from repro.analysis.profiling import scaling_study
 
 
 class TestScalingStudy:
