@@ -27,6 +27,15 @@ Implementation notes beyond the paper:
 * All currently-droppable constraints are dropped in one iteration (the
   paper drops one per iteration; the relaxation argument is per-node, so
   batching is equivalent and saves LP solves).
+* An iteration whose program provably has the previous optimum ``x`` as
+  its optimum reuses ``x`` instead of calling HiGHS
+  (:meth:`~repro.core.lp.LPSolution.still_optimal_for`): the edges it drops
+  had ``x_e = 0`` and every lifetime row tight at ``x`` survives unloosened
+  (Eq. 21's ``C_2 = C_1`` argument, extended to slack rows).  Each iteration
+  is checked against the previous one; the first program of ``auto``'s
+  uninflated attempt is checked against the first program of the inflated
+  attempt, whose rows are tighter.  The count is
+  :attr:`IRAResult.lp_reused`.
 * Theorem 2's progress guarantee relies on exact extreme points.  When an
   iteration removes no edge and drops no constraint, we force-drop the
   constraint with the largest slack and record a diagnostic
@@ -62,7 +71,7 @@ from repro.core.local_search import (
     reduce_cost_under_caps,
     repair_overload,
 )
-from repro.core.lp import SUPPORT_EPS, MRLCLinearProgram
+from repro.core.lp import SUPPORT_EPS, LPSolution, MRLCLinearProgram
 from repro.core.tree import AggregationTree
 from repro.engine.treestate import TreeState, freeze_parents
 from repro.network.model import Network
@@ -81,7 +90,12 @@ class IRAResult:
         spec: The resolved lifetime requirement (``LC`` and inflated ``L'``).
         iterations: Number of LP-relaxation iterations performed.
         lp_solves: Total HiGHS invocations (cutting-plane rounds included).
-        cuts_generated: Distinct subtour cuts generated across the run.
+            An iteration whose optimum was reused makes none, so this can
+            be smaller than :attr:`iterations`.
+        lp_reused: Iterations answered by reusing a certified earlier optimum
+            instead of solving (``lp_solves + lp_reused >= iterations``).
+        cuts_generated: Distinct subtour cuts generated across the run
+            (including those carried in with a reused earlier optimum).
         forced_relaxations: Nodes whose constraint had to be force-dropped by
             the degeneracy safeguard (empty on theory-conforming runs).
         lifetime_satisfied: Whether the final tree meets ``LC``.
@@ -97,6 +111,7 @@ class IRAResult:
     forced_relaxations: List[int] = field(default_factory=list)
     lifetime_satisfied: bool = True
     inflation_used: str = "paper"
+    lp_reused: int = 0
 
 
 class IterativeRelaxation:
@@ -169,9 +184,12 @@ class IterativeRelaxation:
         attempts = self._specs_to_try()
         results: List[IRAResult] = []
         last_error: Optional[InfeasibleLifetimeError] = None
+        # The first attempt's first LP optimum, which may certify the next
+        # attempt's first program (see module notes).
+        first_optimum: List[LPSolution] = []
         for label, spec in attempts:
             try:
-                result = self._run_with_spec(spec, label)
+                result = self._run_with_spec(spec, label, first_optimum)
             except InfeasibleLifetimeError as exc:
                 last_error = exc
                 continue
@@ -184,7 +202,15 @@ class IterativeRelaxation:
             raise last_error
         return min(valid, key=lambda r: r.tree.cost())
 
-    def _run_with_spec(self, spec: LifetimeSpec, label: str) -> IRAResult:
+    def _run_with_spec(
+        self, spec: LifetimeSpec, label: str, first_optimum: List[LPSolution]
+    ) -> IRAResult:
+        """One Algorithm 1 run under *spec*.
+
+        *first_optimum* holds the first LP optimum of an earlier attempt, if
+        any, against which this run's first program is checked; when it is
+        empty, this run's first optimum is appended to it.
+        """
         net = self.network
         n = net.n
         if n == 1:
@@ -204,6 +230,8 @@ class IterativeRelaxation:
         cuts: List[FrozenSet[int]] = []
         iterations = 0
         lp_solves = 0
+        lp_reused = 0
+        previous = first_optimum[0] if first_optimum else None
         forced: List[int] = []
         prev_objective: Optional[float] = None
         if OBS.enabled:
@@ -214,11 +242,23 @@ class IterativeRelaxation:
         while w:
             iterations += 1
             bounds = {v: spec.lp_degree_bound(net, v) for v in w}
-            program = MRLCLinearProgram(
-                net, active_edges, bounds, initial_cuts=cuts
+            solution = (
+                None
+                if previous is None
+                else previous.still_optimal_for(active_edges, bounds)
             )
-            solution = program.solve()  # raises InfeasibleLifetimeError
-            lp_solves += solution.n_lp_solves
+            reused = solution is not None
+            if reused:
+                lp_reused += 1
+            else:
+                program = MRLCLinearProgram(
+                    net, active_edges, bounds, initial_cuts=cuts
+                )
+                solution = program.solve()  # raises InfeasibleLifetimeError
+                lp_solves += solution.n_lp_solves
+            if not first_optimum:
+                first_optimum.append(solution)
+            previous = solution
             cuts = solution.cuts
 
             support = solution.support(self.support_eps)
@@ -250,6 +290,8 @@ class IterativeRelaxation:
                 reg.counter("ira.lp_solves", inflation=label).inc(
                     solution.n_lp_solves
                 )
+                if reused:
+                    reg.counter("ira.lp_reused", inflation=label).inc()
                 reg.counter("ira.edges_removed", inflation=label).inc(
                     edges_removed
                 )
@@ -260,6 +302,7 @@ class IterativeRelaxation:
                     "ira.iteration",
                     iteration=iterations,
                     inflation=label,
+                    reused=reused,
                     objective=solution.objective,
                     cost_delta=(
                         solution.objective - prev_objective
@@ -286,6 +329,7 @@ class IterativeRelaxation:
                 inflation=label,
                 iterations=iterations,
                 lp_solves=lp_solves,
+                lp_reused=lp_reused,
                 cuts=len(cuts),
                 cost=tree.cost(),
                 lifetime_satisfied=satisfied,
@@ -299,6 +343,7 @@ class IterativeRelaxation:
             forced_relaxations=forced,
             lifetime_satisfied=satisfied,
             inflation_used=label,
+            lp_reused=lp_reused,
         )
 
     def _repair_lifetime(

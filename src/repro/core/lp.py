@@ -19,9 +19,11 @@ requires.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +46,12 @@ MAX_CUT_ROUNDS = 200
 #: Magnitude of the deterministic cost perturbation (see _perturbed_cost).
 PERTURBATION_SCALE = 2e-6
 
+#: A degree row whose slack at x is at most this counts as tight.
+TIGHT_SLACK = 1e-6
+
+#: Violation a tightened or new degree row may show before x is infeasible.
+FEASIBILITY_TOL = 1e-9
+
 
 def _perturbed_cost(cost: float, u: int, v: int) -> float:
     """Edge cost plus a tiny deterministic, edge-unique perturbation.
@@ -63,8 +71,9 @@ def _perturbed_cost(cost: float, u: int, v: int) -> float:
 
 @lru_cache(maxsize=1 << 16)
 def _edge_jitter(u: int, v: int) -> float:
-    """The per-edge factor in ``[1, 2)``; memoised because every IRA
-    iteration builds a fresh :class:`MRLCLinearProgram` over the same edges."""
+    """The per-edge factor in ``[1, 2)``; memoised because IRA builds many
+    :class:`MRLCLinearProgram` instances over the same edges (one per
+    iteration that cannot reuse the previous optimum, per ``auto`` spec)."""
     return 1.0 + (stable_hash_seed("lp-perturb", u, v) % 4096) / 4096.0
 
 
@@ -77,7 +86,9 @@ class LPSolution:
         x: Optimal variable values (one per edge).
         objective: Optimal cost value.
         cuts: Subtour sets that were generated to reach feasibility.
-        n_lp_solves: Number of HiGHS invocations in the cutting-plane loop.
+        n_lp_solves: Number of HiGHS invocations in the cutting-plane loop
+            (0 for a solution reused by :meth:`still_optimal_for`).
+        degree_bounds: The lifetime rows ``node -> bound`` it is optimal under.
     """
 
     edges: List[Tuple[int, int]]
@@ -85,27 +96,80 @@ class LPSolution:
     objective: float
     cuts: List[FrozenSet[int]] = field(default_factory=list)
     n_lp_solves: int = 0
+    degree_bounds: Dict[int, float] = field(default_factory=dict)
 
     def support(self, eps: float = SUPPORT_EPS) -> List[Tuple[int, int]]:
         """Edges with ``x_e > eps`` (the set ``E*`` of the paper)."""
         return [e for e, val in zip(self.edges, self.x) if val > eps]
 
+    def _endpoints(self) -> np.ndarray:
+        """Edge endpoints interleaved ``u0, v0, u1, v1, ...``."""
+        return np.asarray(self.edges, dtype=np.int64).reshape(-1)
+
     def support_degrees(self, n: int, eps: float = SUPPORT_EPS) -> np.ndarray:
         """Per-node degree within the support ``E*``."""
-        deg = np.zeros(n, dtype=np.int64)
-        for (u, v), val in zip(self.edges, self.x):
-            if val > eps:
-                deg[u] += 1
-                deg[v] += 1
-        return deg
+        in_support = np.repeat(self.x > eps, 2)
+        return np.bincount(self._endpoints()[in_support], minlength=n)
 
     def fractional_degrees(self, n: int) -> np.ndarray:
-        """Per-node fractional degree ``x(delta(v))``."""
-        deg = np.zeros(n, dtype=float)
-        for (u, v), val in zip(self.edges, self.x):
-            deg[u] += val
-            deg[v] += val
-        return deg
+        """Per-node fractional degree ``x(delta(v))``.
+
+        ``bincount`` walks the interleaved endpoints in edge order, so each
+        node's sum is accumulated in the same order as an edge-by-edge loop.
+        """
+        weights = np.repeat(np.asarray(self.x, dtype=float), 2)
+        return np.bincount(self._endpoints(), weights=weights, minlength=n)
+
+    def still_optimal_for(
+        self, edges: Sequence[Tuple[int, int]], degree_bounds: Dict[int, float]
+    ) -> Optional["LPSolution"]:
+        """This optimum restricted to *edges*, if it provably stays optimal.
+
+        Assumes this solution came out of :meth:`MRLCLinearProgram.solve`, so
+        ``x`` is optimal under :attr:`degree_bounds` and, having passed
+        separation, satisfies every subtour constraint.  Over the program on
+        *edges* with lifetime rows *degree_bounds*, the restriction of ``x``
+        is still optimal when
+
+        * every edge the new program drops had ``x_e <= SUPPORT_EPS`` and
+          it adds no edge (Eq. 21: removing ``x_e = 0`` edges keeps ``C``);
+        * ``x`` satisfies every lifetime row of the new program; and
+        * every row tight at ``x`` (slack ``<= TIGHT_SLACK``) is still
+          present with a bound no looser than before.
+
+        Then every constraint active at ``x`` is still there, so ``x`` is a
+        local and, by convexity, a global optimum; the perturbed costs
+        (:func:`_perturbed_cost`) make it the unique one, so HiGHS would
+        return this same vertex.  Returns ``None`` when any condition fails.
+        """
+        index = {e: i for i, e in enumerate(self.edges)}
+        try:
+            kept = [index[e] for e in edges]
+        except KeyError:
+            return None  # a new variable could lower the cost
+        dropped = np.ones(len(self.edges), dtype=bool)
+        dropped[kept] = False
+        if np.any(self.x[dropped] > SUPPORT_EPS):
+            return None
+        reused = LPSolution(
+            edges=list(edges),
+            x=self.x[kept],
+            objective=self.objective,
+            cuts=list(self.cuts),
+            degree_bounds=dict(degree_bounds),
+        )
+        size = 1 + max(chain(degree_bounds, self.degree_bounds), default=-1)
+        degree = reused.fractional_degrees(size)
+        for v, bound in degree_bounds.items():
+            old = self.degree_bounds.get(v)
+            loosened = old is not None and bound >= old  # x met the old row
+            if not loosened and degree[v] > bound + FEASIBILITY_TOL:
+                return None
+        for v, old in self.degree_bounds.items():
+            tight = old - degree[v] <= TIGHT_SLACK
+            if tight and degree_bounds.get(v, math.inf) > old:
+                return None
+        return reused
 
     def is_integral(self, tol: float = 1e-6) -> bool:
         """Whether every variable is within *tol* of 0 or 1."""
@@ -251,6 +315,7 @@ class MRLCLinearProgram:
                     objective=float(result.fun),
                     cuts=list(self.cuts),
                     n_lp_solves=n_solves,
+                    degree_bounds=dict(self.degree_bounds),
                 )
             before = len(self.cuts)
             for subset in violated:

@@ -71,6 +71,7 @@ def _build_ira(
         "lc": result.spec.lc,
         "iterations": result.iterations,
         "lp_solves": result.lp_solves,
+        "lp_reused": result.lp_reused,
         "cuts_generated": result.cuts_generated,
         "forced_relaxations": len(result.forced_relaxations),
         "lifetime_satisfied": result.lifetime_satisfied,

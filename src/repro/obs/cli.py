@@ -312,6 +312,7 @@ def _run_builder(args: argparse.Namespace) -> Dict[str, object]:
         "lc": lc,
         "iterations": result.meta["iterations"],
         "lp_solves": result.meta["lp_solves"],
+        "lp_reused": result.meta["lp_reused"],
         "lifetime_satisfied": result.meta["lifetime_satisfied"],
     }
 

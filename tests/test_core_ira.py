@@ -10,8 +10,11 @@ from repro.baselines.mst import build_mst_tree
 from repro.core.errors import DisconnectedNetworkError, InfeasibleLifetimeError
 from repro.core.ira import IterativeRelaxation, build_ira_tree
 from repro.core.lifetime import lifetime_with_children
+from repro.core.lp import LPSolution
+from repro.engine import build_tree
 from repro.network.model import Network
 from repro.network.topology import random_graph
+from repro.obs import instrument
 
 #: Cost slack allowed for the LP tie-break perturbation.
 PERTURB_SLACK = 1e-3
@@ -62,7 +65,8 @@ class TestBasicBehaviour:
     def test_diagnostics_populated(self, small_random_network):
         result = build_ira_tree(small_random_network, 1.0)
         assert result.iterations >= 1
-        assert result.lp_solves >= result.iterations
+        # An iteration either calls HiGHS or reuses a certified optimum.
+        assert result.lp_solves + result.lp_reused >= result.iterations
         assert result.inflation_used in ("paper", "none")
 
 
@@ -126,6 +130,68 @@ class TestInflationModes:
         auto = build_ira_tree(net, lc, inflation="auto")
         plain = build_ira_tree(net, lc, inflation="none")
         assert auto.tree.cost() <= plain.tree.cost() + 1e-9
+
+
+class TestLPReuse:
+    """Reusing certified optima changes no decision IRA makes."""
+
+    @staticmethod
+    def _inputs():
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            net = random_graph(
+                22, 0.3, initial_energy=rng.uniform(1500.0, 5000.0, size=22), seed=rng
+            )
+            yield net, build_aaml_tree(net).lifetime
+        for seed in range(3):
+            net = random_graph(25, 0.6, seed=seed)
+            yield net, 0.5 * build_tree("bfs", net).lifetime
+
+    @staticmethod
+    def _outcome(net, lc, **params):
+        try:
+            result = build_ira_tree(net, lc, **params)
+        except InfeasibleLifetimeError:
+            return "infeasible", 0
+        outcome = (
+            result.tree.parents,
+            result.iterations,
+            result.forced_relaxations,
+            result.lifetime_satisfied,
+            result.inflation_used,
+        )
+        return outcome, result.lp_reused
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"inflation": "auto"},
+            {"inflation": "paper"},
+            {"inflation": "none"},
+            {"inflation": "auto", "constrain_sink": False},
+        ],
+        ids=["auto", "paper", "none", "auto-unconstrained-sink"],
+    )
+    def test_matches_always_resolving(self, params, monkeypatch):
+        inputs = list(self._inputs())
+        reusing = [self._outcome(net, lc, **params) for net, lc in inputs]
+        monkeypatch.setattr(LPSolution, "still_optimal_for", lambda *a: None)
+        resolving = [self._outcome(net, lc, **params) for net, lc in inputs]
+        assert [o for o, _ in reusing] == [o for o, _ in resolving]
+        assert all(reused == 0 for _, reused in resolving)
+
+    def test_reuse_fires_within_and_across_attempts(self):
+        inputs = list(self._inputs())
+        # Forced relaxations of slack rows keep x within an attempt ...
+        tight = [build_ira_tree(net, lc) for net, lc in inputs[:3]]
+        assert sum(r.lp_reused for r in tight) > 0
+        # ... and on loose LC the inflated optimum certifies the uninflated
+        # attempt's only program.
+        with instrument() as session:
+            loose = [build_ira_tree(net, lc) for net, lc in inputs[3:]]
+        reused = session.registry.counter_value("ira.lp_reused", inflation="none")
+        assert reused == len(loose)
+        assert all(r.lifetime_satisfied for r in tight + loose)
 
 
 class TestConstrainSink:

@@ -5,10 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines.aaml import build_aaml_tree
 from repro.baselines.mst import build_mst_tree
 from repro.core.errors import InfeasibleLifetimeError
 from repro.core.lifetime import LifetimeSpec, lifetime_with_children
-from repro.core.lp import LPSolution, MRLCLinearProgram, solve_mrlc_lp
+from repro.core.lp import (
+    SUPPORT_EPS,
+    TIGHT_SLACK,
+    LPSolution,
+    MRLCLinearProgram,
+    solve_mrlc_lp,
+)
 from repro.core.tree import AggregationTree
 from repro.network.model import Network
 from repro.network.topology import random_graph
@@ -128,6 +135,39 @@ class TestLPSolutionHelpers:
         )
         assert solution.support() == [(1, 2)]
 
+    def test_degrees_match_edge_loop_bitwise(self):
+        """The bincount degrees equal the edge-by-edge loops they replaced."""
+
+        def loop_fractional(edges, x, n):
+            deg = np.zeros(n, dtype=float)
+            for (u, v), val in zip(edges, x):
+                deg[u] += val
+                deg[v] += val
+            return deg
+
+        def loop_support(edges, x, n, eps=SUPPORT_EPS):
+            deg = np.zeros(n, dtype=np.int64)
+            for (u, v), val in zip(edges, x):
+                if val > eps:
+                    deg[u] += 1
+                    deg[v] += 1
+            return deg
+
+        rng = np.random.default_rng(3)
+        for seed in range(5):
+            net = random_graph(25, 0.6, seed=seed)
+            edges = [e.key for e in net.edges()]
+            x = rng.random(len(edges)) / 3.0
+            x[rng.random(len(edges)) < 0.4] = 0.0
+            x[rng.random(len(edges)) < 0.1] = 1.0
+            solution = LPSolution(edges=edges, x=x, objective=0.0)
+            fractional = solution.fractional_degrees(net.n)
+            support = solution.support_degrees(net.n)
+            assert fractional.dtype == np.float64
+            assert support.dtype == np.int64
+            assert fractional.tobytes() == loop_fractional(edges, x, net.n).tobytes()
+            assert np.array_equal(support, loop_support(edges, x, net.n))
+
 
 class TestLifetimeIntegration:
     def test_bounds_from_spec_make_feasible_trees(self):
@@ -139,3 +179,97 @@ class TestLifetimeIntegration:
         degrees = solution.fractional_degrees(net.n)
         for v in net.nodes:
             assert degrees[v] <= bounds[v] + 1e-6
+
+
+def _certificate_inputs():
+    """(name, network, degree bounds) with both tight and slack lifetime rows:
+    the Fig. 8/9 protocol on G(22, 0.3) and a two-child LC on G(25, 0.6)."""
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        net = random_graph(
+            22, 0.3, initial_energy=rng.uniform(1500.0, 5000.0, size=22), seed=rng
+        )
+        spec = LifetimeSpec.uninflated(net, build_aaml_tree(net).lifetime)
+        yield f"G(22,0.3)-{seed}", net, spec
+    for seed in (0, 1):
+        net = random_graph(25, 0.6, seed=seed)
+        spec = LifetimeSpec.uninflated(net, lifetime_with_children(net, 0, 2))
+        yield f"G(25,0.6)-{seed}", net, spec
+
+
+CERTIFICATE_INPUTS = {
+    name: (net, spec) for name, net, spec in _certificate_inputs()
+}
+
+
+@pytest.fixture(params=sorted(CERTIFICATE_INPUTS), scope="module")
+def solved(request):
+    """A solved program plus its tight and slack lifetime rows."""
+    net, spec = CERTIFICATE_INPUTS[request.param]
+    bounds = {v: spec.lp_degree_bound(net, v) for v in net.nodes}
+    solution = solve_mrlc_lp(net, bounds)
+    degree = solution.fractional_degrees(net.n)
+    tight = [v for v in sorted(bounds) if bounds[v] - degree[v] <= TIGHT_SLACK]
+    slack = [v for v in sorted(bounds) if v not in tight]
+    assert tight and slack
+    return net, bounds, solution, tight, slack
+
+
+class TestReuseCertificate:
+    """``LPSolution.still_optimal_for``: reuse only a provably unchanged optimum."""
+
+    def test_solution_records_its_bounds(self, solved):
+        _, bounds, solution, _, _ = solved
+        assert solution.degree_bounds == bounds
+
+    def test_slack_rows_dropped_or_loosened_match_a_fresh_solve(self, solved):
+        net, bounds, solution, _, slack = solved
+        new_bounds = dict(bounds)
+        for v in slack[::2]:
+            del new_bounds[v]
+        for v in slack[1::2]:
+            new_bounds[v] += 0.5
+        edges = solution.support()
+        assert len(edges) < len(solution.edges)  # x_e = 0 edges removed too
+        reused = solution.still_optimal_for(edges, new_bounds)
+        assert reused is not None
+        assert reused.n_lp_solves == 0
+        assert reused.degree_bounds == new_bounds
+        fresh = MRLCLinearProgram(net, edges, new_bounds).solve()
+        assert reused.edges == fresh.edges
+        np.testing.assert_allclose(reused.x, fresh.x, rtol=0.0, atol=1e-9)
+        assert reused.support() == fresh.support()
+
+    def test_unchanged_program_is_reused(self, solved):
+        _, bounds, solution, _, _ = solved
+        reused = solution.still_optimal_for(solution.edges, bounds)
+        assert reused is not None
+        assert np.array_equal(reused.x, solution.x)
+
+    def test_refused_when_a_tight_row_is_dropped(self, solved):
+        _, bounds, solution, tight, _ = solved
+        new_bounds = {v: b for v, b in bounds.items() if v != tight[0]}
+        assert solution.still_optimal_for(solution.support(), new_bounds) is None
+
+    def test_refused_when_a_tight_row_is_loosened(self, solved):
+        _, bounds, solution, tight, _ = solved
+        new_bounds = {**bounds, tight[0]: bounds[tight[0]] + 0.5}
+        assert solution.still_optimal_for(solution.support(), new_bounds) is None
+
+    def test_refused_when_a_support_edge_is_removed(self, solved):
+        _, bounds, solution, _, _ = solved
+        edges = solution.support()
+        assert solution.still_optimal_for(edges[1:], bounds) is None
+
+    def test_refused_when_x_violates_a_tightened_row(self, solved):
+        net, bounds, solution, _, slack = solved
+        degree = solution.fractional_degrees(net.n)
+        new_bounds = {**bounds, slack[0]: degree[slack[0]] - 0.5}
+        assert solution.still_optimal_for(solution.support(), new_bounds) is None
+
+    def test_refused_when_an_edge_is_added(self, solved):
+        _, bounds, solution, _, _ = solved
+        edges = solution.support()
+        reused = solution.still_optimal_for(edges, bounds)
+        missing = next(e for e in solution.edges if e not in edges)
+        assert reused.still_optimal_for(edges + [missing], bounds) is None

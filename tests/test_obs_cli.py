@@ -43,6 +43,7 @@ class TestObsIra:
         code, out, _ = run
         assert code == 0
         assert "iterations=" in out and "lp_solves=" in out
+        assert "lp_reused=" in out
 
     def test_counters_nonzero_in_output(self, run):
         _, out, _ = run
