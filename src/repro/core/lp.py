@@ -11,10 +11,15 @@ Section IV-C formulates MRLC as
 The lifetime rows are linear degree bounds (see :mod:`repro.core.lifetime`):
 ``x(delta(v)) <= B(v) + [v != sink]``.  The exponential family of subtour
 constraints is generated lazily by the min-cut separation oracle
-(:mod:`repro.core.separation`) around scipy's HiGHS solver; the dual-simplex
-method is used so the returned solution is an extreme point (a basic feasible
-solution), which is what IRA's integrality argument (Lemma 1 / Lemma 4)
-requires.
+(:mod:`repro.core.separation`).
+
+Each :meth:`MRLCLinearProgram.solve` owns one HiGHS model, built through
+the binding scipy bundles (``scipy.optimize._highspy._core._Highs``): one
+column per edge, the spanning row, then the lifetime rows and carried cuts.
+Every cutting-plane round appends only its new cuts as sparse rows and
+re-runs dual simplex from the previous basis (:func:`linprog`).  Dual simplex
+returns an extreme point (a basic feasible solution), which is what IRA's
+integrality argument (Lemma 1 / Lemma 4) requires.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.sparse import csr_array
 
 from repro.core.errors import InfeasibleLifetimeError, LPSolverError
 from repro.core.separation import find_violated_subtours
@@ -46,6 +52,21 @@ MAX_CUT_ROUNDS = 200
 #: Magnitude of the deterministic cost perturbation (see _perturbed_cost).
 PERTURBATION_SCALE = 2e-6
 
+#: Distinct jitter factors an edge can draw (see _edge_jitter).
+JITTER_LEVELS = 4096
+
+#: Smallest nonzero gap between two edges' perturbations.
+JITTER_QUANTUM = PERTURBATION_SCALE / JITTER_LEVELS
+
+#: HiGHS's dual feasibility tolerance.  It must sit below JITTER_QUANTUM, or
+#: the solver may stop on a vertex that is worse by a few jitter steps (its
+#: 1e-7 default is 200 quanta); HiGHS accepts nothing under 1e-10.
+DUAL_FEASIBILITY_TOL = JITTER_QUANTUM / 4
+
+#: Model statuses that mean the program has no feasible point (x is boxed
+#: in [0, 1], so "unbounded or infeasible" is infeasible).
+_INFEASIBLE = (HighsModelStatus.kInfeasible, HighsModelStatus.kUnboundedOrInfeasible)
+
 #: A degree row whose slack at x is at most this counts as tight.
 TIGHT_SLACK = 1e-6
 
@@ -60,9 +81,12 @@ def _perturbed_cost(cost: float, u: int, v: int) -> float:
     perfect links have cost exactly 0; with many ties the LP optimum is a
     huge face, HiGHS returns arbitrary vertices on it, and subtour cut
     generation can wander for exponentially many rounds.  A per-edge jitter
-    of ~2e-6 — two orders above solver tolerances, three below real cost
-    differences — makes the optimum essentially unique so the cutting-plane
-    loop converges in a few rounds.  The jitter is a pure function of the
+    of ~2e-6, three orders below real cost differences, makes the optimum
+    unique so the cutting-plane loop converges in a few rounds.  Its
+    magnitude is an order above HiGHS's default tolerances, but the gaps
+    between two edges' jitters are multiples of :data:`JITTER_QUANTUM`
+    (~4.9e-10), far below them; the model therefore runs with
+    :data:`DUAL_FEASIBILITY_TOL`.  The jitter is a pure function of the
     endpoint labels, so it is stable across IRA iterations and re-runs; all
     *reported* tree costs use the true edge costs.
     """
@@ -74,7 +98,7 @@ def _edge_jitter(u: int, v: int) -> float:
     """The per-edge factor in ``[1, 2)``; memoised because IRA builds many
     :class:`MRLCLinearProgram` instances over the same edges (one per
     iteration that cannot reuse the previous optimum, per ``auto`` spec)."""
-    return 1.0 + (stable_hash_seed("lp-perturb", u, v) % 4096) / 4096.0
+    return 1.0 + (stable_hash_seed("lp-perturb", u, v) % JITTER_LEVELS) / JITTER_LEVELS
 
 
 @dataclass
@@ -176,6 +200,75 @@ class LPSolution:
         return bool(np.all((self.x < tol) | (self.x > 1.0 - tol)))
 
 
+class HighsRound(NamedTuple):
+    """What one :func:`linprog` call read back from the model."""
+
+    status: HighsModelStatus
+    x: Optional[np.ndarray]  # None unless status is kOptimal
+    objective: float
+    simplex_iterations: int
+
+
+def _new_model(costs: np.ndarray, n: int) -> _Highs:
+    """A HiGHS model over one ``[0, 1]`` column per edge, with the spanning
+    row ``x(E(V)) = n - 1`` and no other rows yet."""
+    model = _Highs()
+    model.setOptionValue("output_flag", False)
+    model.setOptionValue("solver", "simplex")
+    model.setOptionValue("simplex_strategy", 1)  # dual -> basic (extreme point)
+    model.setOptionValue("dual_feasibility_tolerance", DUAL_FEASIBILITY_TOL)
+    m = len(costs)
+    model.addCols(
+        m, costs, np.zeros(m), np.ones(m), 0,
+        np.zeros(m, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0),
+    )
+    spanning = np.array([n - 1.0])
+    model.addRows(
+        1, spanning, spanning, m,
+        np.zeros(1, dtype=np.int32), np.arange(m, dtype=np.int32), np.ones(m),
+    )
+    return model
+
+
+def linprog(model: _Highs, *, A_ub: csr_array, b_ub: np.ndarray) -> HighsRound:
+    """Append the rows ``A_ub x <= b_ub`` to *model* and re-solve it.
+
+    HiGHS extends the previous basis with the new rows' slacks, so every
+    call after the first runs dual simplex warm.  This is the only place
+    HiGHS solves anything.  perfbench's ``lp.highs`` layer wraps this
+    module attribute by name and reads its ``A_ub`` keyword, so keep both.
+    """
+    n_rows = len(b_ub)
+    if n_rows:
+        model.addRows(
+            n_rows, np.full(n_rows, -np.inf), b_ub, A_ub.nnz,
+            A_ub.indptr[:-1], A_ub.indices, A_ub.data,
+        )
+    model.run()
+    status = model.getModelStatus()
+    info = model.getInfo()
+    if status != HighsModelStatus.kOptimal:
+        return HighsRound(status, None, math.nan, info.simplex_iteration_count)
+    x = np.array(model.getSolution().col_value, dtype=float)
+    return HighsRound(
+        status, x, info.objective_function_value, info.simplex_iteration_count
+    )
+
+
+def _row_block(columns: List[np.ndarray], n_cols: int) -> csr_array:
+    """A 0/1 row block whose row ``i`` has ones at ``columns[i]``."""
+    indptr = np.zeros(len(columns) + 1, dtype=np.int32)
+    np.cumsum([len(c) for c in columns], out=indptr[1:])
+    indices = (
+        np.concatenate(columns).astype(np.int32)
+        if columns
+        else np.zeros(0, dtype=np.int32)
+    )
+    return csr_array(
+        (np.ones(len(indices)), indices, indptr), shape=(len(columns), n_cols)
+    )
+
+
 class MRLCLinearProgram:
     """Cutting-plane solver for ``LP(G, L', W)`` over a chosen edge set.
 
@@ -204,48 +297,35 @@ class MRLCLinearProgram:
             [_perturbed_cost(network.cost(u, v), u, v) for u, v in self.edges],
             dtype=float,
         )
-        # Vectorized row assembly: incidence (node x edge) and endpoint
-        # index arrays, built once per program instance.
-        n_vars = len(self.edges)
         self._endpoint_u = np.array([e[0] for e in self.edges], dtype=np.int64)
         self._endpoint_v = np.array([e[1] for e in self.edges], dtype=np.int64)
-        self._incidence = np.zeros((network.n, n_vars))
-        if n_vars:
-            self._incidence[self._endpoint_u, np.arange(n_vars)] = 1.0
-            self._incidence[self._endpoint_v, np.arange(n_vars)] += 1.0
 
-    def _build_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Assemble (A_ub, b_ub, A_eq, b_eq) for the current cut pool."""
-        n_vars = len(self.edges)
-        n = self.network.n
+    def _degree_columns(self) -> List[np.ndarray]:
+        """Edge indices of ``delta(v)`` for each bounded ``v``, by node."""
+        endpoints = np.column_stack((self._endpoint_u, self._endpoint_v)).reshape(-1)
+        order = np.argsort(endpoints, kind="stable")
+        starts = np.searchsorted(endpoints[order], np.arange(self.network.n + 1))
+        incident = order // 2  # ascending edge index within each node
+        return [incident[starts[v] : starts[v + 1]] for v in sorted(self.degree_bounds)]
 
-        rows_ub: List[np.ndarray] = []
-        rhs_ub: List[float] = []
-
-        # Lifetime rows: x(delta(v)) <= bound_v for v in W (incidence rows).
-        for v, bound in sorted(self.degree_bounds.items()):
-            rows_ub.append(self._incidence[v])
-            rhs_ub.append(bound)
-
-        # Generated subtour rows: x(E(S)) <= |S| - 1 — an edge is internal
-        # to S iff both endpoint membership flags are set.
-        if self.cuts:
-            member = np.zeros(n, dtype=bool)
-            for subset in self.cuts:
-                member[:] = False
-                member[list(subset)] = True
-                internal = member[self._endpoint_u] & member[self._endpoint_v]
-                rows_ub.append(internal.astype(float))
-                rhs_ub.append(len(subset) - 1.0)
-
-        a_ub = np.vstack(rows_ub) if rows_ub else np.zeros((0, n_vars))
-        b_ub = np.array(rhs_ub)
-        a_eq = np.ones((1, n_vars))
-        b_eq = np.array([n - 1.0])
-        return a_ub, b_ub, a_eq, b_eq
+    def _cut_columns(self, cuts: Sequence[FrozenSet[int]]) -> List[np.ndarray]:
+        """Edge indices of ``E(S)`` for each cut ``S``: both endpoints in S."""
+        member = np.zeros(self.network.n, dtype=bool)
+        columns = []
+        for subset in cuts:
+            member[:] = False
+            member[list(subset)] = True
+            columns.append(
+                np.flatnonzero(member[self._endpoint_u] & member[self._endpoint_v])
+            )
+        return columns
 
     def solve(self) -> LPSolution:
         """Run the cutting-plane loop to an extreme-point optimum.
+
+        One HiGHS model lives for the whole loop: the first round adds the
+        lifetime rows and the carried cuts, and each later round appends only
+        the new cuts and re-solves from the previous basis.
 
         Raises:
             InfeasibleLifetimeError: The LP is infeasible — no fractional
@@ -263,31 +343,37 @@ class MRLCLinearProgram:
         initial_cut_count = len(self.cuts)
         loop_start = time.perf_counter() if enabled else 0.0
 
+        model = _new_model(self._costs, self.network.n)
+        # Lifetime rows x(delta(v)) <= bound_v, then the carried subtour rows
+        # x(E(S)) <= |S| - 1.
+        rows = _row_block(
+            self._degree_columns() + self._cut_columns(self.cuts), n_vars
+        )
+        rhs = np.array(
+            [bound for _, bound in sorted(self.degree_bounds.items())]
+            + [len(subset) - 1.0 for subset in self.cuts]
+        )
         n_solves = 0
+        iterations = 0
         for _ in range(MAX_CUT_ROUNDS):
-            a_ub, b_ub, a_eq, b_eq = self._build_rows()
-            result = linprog(
-                self._costs,
-                A_ub=a_ub if len(b_ub) else None,
-                b_ub=b_ub if len(b_ub) else None,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=(0.0, 1.0),
-                method="highs-ds",  # dual simplex -> basic (extreme-point) solution
-            )
+            result = linprog(model, A_ub=rows, b_ub=rhs)
             n_solves += 1
-            if result.status == 2:
+            iterations += result.simplex_iterations
+            if result.status in _INFEASIBLE:
                 if enabled:
                     OBS.registry.counter("lp.solves").inc(n_solves)
+                    OBS.registry.counter("lp.simplex_iterations").inc(iterations)
                     OBS.registry.counter("lp.infeasible").inc()
                 raise InfeasibleLifetimeError(
                     "LP(G, L', W) infeasible: no data aggregation tree can "
                     "meet the lifetime bound on the remaining edges"
                 )
-            if not result.success:
-                raise LPSolverError(f"HiGHS failed: {result.message}")
+            if result.x is None:
+                raise LPSolverError(
+                    f"HiGHS failed: {model.modelStatusToString(result.status)}"
+                )
 
-            x = np.asarray(result.x, dtype=float)
+            x = result.x
             violated = find_violated_subtours(self.network.n, self.edges, x)
             if not violated:
                 if enabled:
@@ -297,6 +383,7 @@ class MRLCLinearProgram:
                     reg.counter("lp.cuts_added").inc(
                         len(self.cuts) - initial_cut_count
                     )
+                    reg.counter("lp.simplex_iterations").inc(iterations)
                     reg.histogram("lp.solve_seconds").observe(
                         time.perf_counter() - loop_start
                     )
@@ -305,27 +392,28 @@ class MRLCLinearProgram:
                         n_vars=n_vars,
                         n_constrained=len(self.degree_bounds),
                         n_solves=n_solves,
+                        simplex_iterations=iterations,
                         cuts_total=len(self.cuts),
                         cuts_added=len(self.cuts) - initial_cut_count,
-                        objective=float(result.fun),
+                        objective=result.objective,
                     )
                 return LPSolution(
                     edges=list(self.edges),
                     x=x,
-                    objective=float(result.fun),
+                    objective=result.objective,
                     cuts=list(self.cuts),
                     n_lp_solves=n_solves,
                     degree_bounds=dict(self.degree_bounds),
                 )
-            before = len(self.cuts)
-            for subset in violated:
-                if subset not in self.cuts:
-                    self.cuts.append(subset)
-            if len(self.cuts) == before:
+            new_cuts = [s for s in dict.fromkeys(violated) if s not in self.cuts]
+            if not new_cuts:
                 raise LPSolverError(
                     "separation oracle repeated an existing cut; "
                     "numerical tolerance mismatch"
                 )
+            self.cuts.extend(new_cuts)
+            rows = _row_block(self._cut_columns(new_cuts), n_vars)
+            rhs = np.array([len(subset) - 1.0 for subset in new_cuts])
         raise LPSolverError(
             f"cutting-plane loop did not converge in {MAX_CUT_ROUNDS} rounds"
         )

@@ -30,7 +30,7 @@ import argparse
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.metrics import metric_key
-from repro.obs.runtime import ObsSession, instrument
+from repro.obs.runtime import OBS, ObsSession, instrument
 from repro.utils.ascii_chart import histogram_summary
 
 __all__ = ["obs_main", "build_obs_parser"]
@@ -312,6 +312,7 @@ def _run_builder(args: argparse.Namespace) -> Dict[str, object]:
         "lc": lc,
         "iterations": result.meta["iterations"],
         "lp_solves": result.meta["lp_solves"],
+        "simplex_iterations": int(OBS.registry.total("lp.simplex_iterations")),
         "lp_reused": result.meta["lp_reused"],
         "lifetime_satisfied": result.meta["lifetime_satisfied"],
     }

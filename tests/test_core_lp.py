@@ -4,19 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog as cold_linprog
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
+import repro.core.lp as lp_module
 from repro.baselines.aaml import build_aaml_tree
 from repro.baselines.mst import build_mst_tree
-from repro.core.errors import InfeasibleLifetimeError
+from repro.core.errors import InfeasibleLifetimeError, LPSolverError
 from repro.core.lifetime import LifetimeSpec, lifetime_with_children
 from repro.core.lp import (
+    DUAL_FEASIBILITY_TOL,
+    HighsRound,
+    JITTER_QUANTUM,
     SUPPORT_EPS,
     TIGHT_SLACK,
     LPSolution,
     MRLCLinearProgram,
+    _perturbed_cost,
     solve_mrlc_lp,
 )
 from repro.core.tree import AggregationTree
+from repro.engine import build_tree
 from repro.network.model import Network
 from repro.network.topology import random_graph
 
@@ -273,3 +281,167 @@ class TestReuseCertificate:
         reused = solution.still_optimal_for(edges, bounds)
         missing = next(e for e in solution.edges if e not in edges)
         assert reused.still_optimal_for(edges + [missing], bounds) is None
+
+
+class TestHighsBinding:
+    def test_bundled_highs_exposes_the_methods_used(self):
+        """Fails loudly if a scipy upgrade moves or trims the binding."""
+        for method in (
+            "addCols",
+            "addRows",
+            "run",
+            "getModelStatus",
+            "getSolution",
+            "getInfo",
+            "setOptionValue",
+            "modelStatusToString",
+        ):
+            assert callable(getattr(_Highs, method, None)), method
+        for status in ("kOptimal", "kInfeasible", "kUnboundedOrInfeasible"):
+            assert hasattr(HighsModelStatus, status), status
+        info = _Highs().getInfo()
+        assert hasattr(info, "simplex_iteration_count")
+        assert hasattr(info, "objective_function_value")
+        assert hasattr(_Highs().getSolution(), "col_value")
+
+
+class TestDualTolerance:
+    def test_tolerance_is_below_the_jitter_quantum(self):
+        assert DUAL_FEASIBILITY_TOL < JITTER_QUANTUM
+        assert DUAL_FEASIBILITY_TOL >= 1e-10  # the smallest value HiGHS accepts
+
+    def test_jitter_gaps_are_multiples_of_the_quantum(self):
+        pairs = [(u, v) for u in range(30) for v in range(u + 1, 30)]
+        offsets = np.array([_perturbed_cost(0.0, u, v) for u, v in pairs])
+        steps = (offsets - lp_module.PERTURBATION_SCALE) / JITTER_QUANTUM
+        np.testing.assert_allclose(steps, np.round(steps), rtol=0.0, atol=1e-6)
+        assert len(np.unique(np.round(steps))) > 1
+
+
+def _oracle_inputs():
+    """(name, network, degree bounds): seeded G(22, 0.3) programs under the
+    AAML lifetime and G(25, 0.6) programs under half the BFS lifetime."""
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        net = random_graph(
+            22, 0.3, initial_energy=rng.uniform(1500.0, 5000.0, size=22), seed=rng
+        )
+        spec = LifetimeSpec.uninflated(net, build_aaml_tree(net).lifetime)
+        yield f"G(22,0.3)-aaml-{seed}", net, spec
+    for seed in (0, 1, 2):
+        net = random_graph(25, 0.6, seed=seed)
+        spec = LifetimeSpec.uninflated(net, 0.5 * build_tree("bfs", net).lifetime)
+        yield f"G(25,0.6)-half-bfs-{seed}", net, spec
+
+
+ORACLE_INPUTS = {name: (net, spec) for name, net, spec in _oracle_inputs()}
+
+
+def _cold_solve(program, solution):
+    """Cold dual simplex on the program's final row set through scipy."""
+    edges = program.edges
+    costs = [_perturbed_cost(program.network.cost(u, v), u, v) for u, v in edges]
+    rows, rhs = [], []
+    for v, bound in sorted(program.degree_bounds.items()):
+        rows.append([float(v in e) for e in edges])
+        rhs.append(bound)
+    for subset in solution.cuts:
+        rows.append([float(u in subset and v in subset) for u, v in edges])
+        rhs.append(len(subset) - 1.0)
+    result = cold_linprog(
+        costs,
+        A_ub=np.array(rows) if rows else None,
+        b_ub=np.array(rhs) if rows else None,
+        A_eq=np.ones((1, len(edges))),
+        b_eq=[program.network.n - 1.0],
+        bounds=(0.0, 1.0),
+        method="highs-ds",
+        options={"dual_feasibility_tolerance": DUAL_FEASIBILITY_TOL},
+    )
+    assert result.success, result.message
+    return result
+
+
+class TestWarmModelMatchesColdOracle:
+    """One warm model per program ends where a cold solve of its rows does."""
+
+    @pytest.fixture(params=sorted(ORACLE_INPUTS))
+    def program_input(self, request):
+        net, spec = ORACLE_INPUTS[request.param]
+        bounds = {v: spec.lp_degree_bound(net, v) for v in net.nodes}
+        return net, bounds
+
+    def _check(self, program):
+        solution = program.solve()
+        oracle = _cold_solve(program, solution)
+        np.testing.assert_allclose(solution.x, oracle.x, rtol=0.0, atol=1e-9)
+        assert solution.objective == pytest.approx(oracle.fun, rel=0.0, abs=1e-9)
+        cold_support = [e for e, val in zip(program.edges, oracle.x) if val > SUPPORT_EPS]
+        assert solution.support() == cold_support
+        return solution
+
+    def test_without_initial_cuts(self, program_input):
+        net, bounds = program_input
+        edges = [e.key for e in net.edges()]
+        solution = self._check(MRLCLinearProgram(net, edges, bounds))
+        assert solution.cuts  # the loop appended rows after the first round
+
+    def test_with_initial_cuts(self, program_input):
+        net, bounds = program_input
+        edges = [e.key for e in net.edges()]
+        first = MRLCLinearProgram(net, edges, bounds).solve()
+        carried = first.cuts[::2]
+        # Half the cuts carried onto the support: rows exist before round one.
+        program = MRLCLinearProgram(net, first.support(), bounds, initial_cuts=carried)
+        solution = self._check(program)
+        assert solution.cuts[: len(carried)] == carried
+
+    def test_each_round_appends_only_new_cuts(self, program_input, monkeypatch):
+        net, bounds = program_input
+        appended = []
+        real = lp_module.linprog
+
+        def spy(model, *, A_ub, b_ub):
+            appended.append(A_ub.shape[0])
+            assert A_ub.shape[0] == len(b_ub)
+            return real(model, A_ub=A_ub, b_ub=b_ub)
+
+        monkeypatch.setattr(lp_module, "linprog", spy)
+        solution = MRLCLinearProgram(net, [e.key for e in net.edges()], bounds).solve()
+        assert len(appended) == solution.n_lp_solves
+        assert appended[0] == len(bounds)
+        assert sum(appended[1:]) == len(solution.cuts)
+
+
+class TestSolverStatuses:
+    def test_infeasible_degree_bounds_raise(self):
+        net = random_graph(12, 0.6, seed=4)
+        # Degree <= 1 everywhere cannot span 12 nodes.
+        with pytest.raises(InfeasibleLifetimeError):
+            solve_mrlc_lp(net, {v: 1.0 for v in net.nodes})
+
+    @pytest.mark.parametrize("status", ["kInfeasible", "kUnboundedOrInfeasible"])
+    def test_infeasible_statuses_raise_lifetime_error(self, status, monkeypatch):
+        # x is boxed in [0, 1], so "unbounded or infeasible" means infeasible.
+        reported = getattr(HighsModelStatus, status)
+        monkeypatch.setattr(
+            lp_module,
+            "linprog",
+            lambda model, *, A_ub, b_ub: HighsRound(reported, None, math.nan, 0),
+        )
+        with pytest.raises(InfeasibleLifetimeError):
+            solve_mrlc_lp(random_graph(8, 0.6, seed=1), {})
+
+    def test_non_optimal_status_raises_solver_error(self, monkeypatch):
+        real = lp_module._new_model
+
+        def capped(costs, n):
+            model = real(costs, n)
+            model.setOptionValue("presolve", "off")
+            model.setOptionValue("simplex_iteration_limit", 0)
+            return model
+
+        monkeypatch.setattr(lp_module, "_new_model", capped)
+        net = random_graph(12, 0.6, seed=4)
+        with pytest.raises(LPSolverError, match="HiGHS failed"):
+            solve_mrlc_lp(net, {})

@@ -44,6 +44,7 @@ class TestObsIra:
         assert code == 0
         assert "iterations=" in out and "lp_solves=" in out
         assert "lp_reused=" in out
+        assert "simplex_iterations=" in out
 
     def test_counters_nonzero_in_output(self, run):
         _, out, _ = run

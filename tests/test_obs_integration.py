@@ -92,6 +92,15 @@ class TestIraCounters:
         assert reg.total("lp.solves") >= result.lp_solves
         assert reg.total("separation.calls") >= 1
 
+    def test_simplex_iterations_counted_per_solve(self, run):
+        _, reg, tracer = run
+        per_solve = [
+            e.fields["simplex_iterations"] for e in tracer.events if e.name == "lp.solve"
+        ]
+        assert per_solve and all(n >= 0 for n in per_solve)
+        # Infeasible programs add to the counter but emit no lp.solve event.
+        assert reg.total("lp.simplex_iterations") >= sum(per_solve) >= 1
+
     def test_trace_has_iteration_events(self, run):
         _, _, tracer = run
         names = [e.name for e in tracer.events]
