@@ -319,7 +319,7 @@ class TestDualTolerance:
 
 
 def _oracle_inputs():
-    """(name, network, degree bounds): seeded G(22, 0.3) programs under the
+    """(name, network, lifetime spec): seeded G(22, 0.3) programs under the
     AAML lifetime and G(25, 0.6) programs under half the BFS lifetime."""
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
@@ -391,6 +391,7 @@ class TestWarmModelMatchesColdOracle:
         edges = [e.key for e in net.edges()]
         first = MRLCLinearProgram(net, edges, bounds).solve()
         carried = first.cuts[::2]
+        assert carried
         # Half the cuts carried onto the support: rows exist before round one.
         program = MRLCLinearProgram(net, first.support(), bounds, initial_cuts=carried)
         solution = self._check(program)
