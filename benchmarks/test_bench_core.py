@@ -1,9 +1,9 @@
 """Core-bench smoke: the array-native compute paths beat the loops.
 
 A scaled-down in-CI version of ``repro bench-core`` (whose full-size runs
-feed ``BENCH_core.json``): asserts the vectorized round simulator and the
-numpy TreeState backend produce *identical* results to the historical
-loops and are faster at bench-smoke sizes.  Absolute thresholds are
+feed ``BENCH_core.json``): asserts the vectorized round simulator and
+TreeState's bulk move scan produce *identical* results to the historical
+scalar loops and are faster at bench-smoke sizes.  Absolute thresholds are
 deliberately loose — machine-independence matters more than the exact
 ratio, which the trajectory file tracks across PRs instead.
 """

@@ -105,13 +105,11 @@ def build_delay_bounded_tree(
 
     state = TreeState.from_tree(_layered_seed(network, max_depth))
     sink = state.sink
-    fast = getattr(state, "best_cost_reparent", None)
 
     moves = 0
     improved = True
     while improved and moves < max_moves:
         improved = False
-        best: Optional[Tuple[float, int, int]] = None
         depths = state.depths()
         # Deepest descendant of every node, by relaxing depths upward in
         # deepest-first order (each node folds into its parent exactly once).
@@ -123,33 +121,15 @@ def build_delay_bounded_tree(
             assert p is not None
             if subtree_max[v] > subtree_max[p]:
                 subtree_max[p] = subtree_max[v]
-        if fast is not None:
-            # Vectorized scan; the depth gate below is the loop's condition
-            # "depths[cand] + 1 + relative_depth > max_depth" negated.
-            depths_arr = np.asarray(depths, dtype=np.int64)
-            rel_arr = np.asarray(subtree_max, dtype=np.int64) - depths_arr
+        # The depth gate is "depths[cand] + 1 + relative depth of child's
+        # subtree <= max_depth": the move must not push the subtree too deep.
+        depths_arr = np.asarray(depths, dtype=np.int64)
+        rel_arr = np.asarray(subtree_max, dtype=np.int64) - depths_arr
 
-            def _depth_ok(child: np.ndarray, cand: np.ndarray) -> np.ndarray:
-                return depths_arr[cand] + 1 + rel_arr[child] <= max_depth
+        def _depth_ok(child: np.ndarray, cand: np.ndarray) -> np.ndarray:
+            return depths_arr[cand] + 1 + rel_arr[child] <= max_depth
 
-            best = fast(pair_ok=_depth_ok, threshold=-1e-15)
-        else:
-            for child in range(n):
-                if child == sink:
-                    continue
-                parent = state.parent(child)
-                assert parent is not None
-                relative_depth = subtree_max[child] - depths[child]
-                for cand in network.neighbors(child):
-                    if cand == parent or state.in_subtree(cand, child):
-                        continue
-                    if depths[cand] + 1 + relative_depth > max_depth:
-                        continue  # the move would push the subtree too deep
-                    delta = network.cost(child, cand) - network.cost(
-                        child, parent
-                    )
-                    if delta < -1e-15 and (best is None or delta < best[0]):
-                        best = (delta, child, cand)
+        best = state.best_cost_reparent(pair_ok=_depth_ok, threshold=-1e-15)
         if best is not None:
             state.reparent(best[1], best[2], check=False)
             moves += 1

@@ -86,16 +86,10 @@ def build_rasmalai_tree(
         raise ValueError("initial_tree must be built over the same network")
     state = TreeState.from_tree(tree)
 
-    # Backend-accelerated: the numpy backend answers this with one
-    # vectorized min + compare over its lifetime vector (same floats, same
-    # member list as the object backend's Python scan).
-    def bottleneck_state():
-        return state.bottleneck_members(1e-12)
-
     switches = 0
     attempts = 0
     failures = 0
-    low, members = bottleneck_state()
+    low, members = state.bottleneck_members(1e-12)
     while switches < max_switches and failures < patience:
         attempts += 1
         # Random bottleneck node with at least one child.
@@ -120,7 +114,7 @@ def build_rasmalai_tree(
             continue
         new_parent = int(eligible[rng.integers(0, len(eligible))])
         state.reparent(child, new_parent, check=False)
-        new_low, new_members = bottleneck_state()
+        new_low, new_members = state.bottleneck_members(1e-12)
         if new_low > low * (1 + 1e-12) or (
             new_low >= low * (1 - 1e-12) and len(new_members) < len(members)
         ):

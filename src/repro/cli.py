@@ -209,8 +209,8 @@ def _bench_core_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench-core",
         description="Benchmark the array-native compute core (vectorized "
-        "round simulation + numpy TreeState backend) against the "
-        "historical loops; correctness is asserted, not sampled.",
+        "round simulation + TreeState's bulk move scan) against the "
+        "historical scalar loops; correctness is asserted, not sampled.",
     )
     parser.add_argument(
         "--rounds",

@@ -21,8 +21,10 @@ All move loops run on the incremental :class:`~repro.engine.treestate.TreeState`
 engine: candidate evaluation is an O(1) delta preview (a re-parent changes
 only the two parents' lifetimes and one tree edge), cycle filtering is an
 ancestor walk, and no :class:`AggregationTree` is constructed until the
-search ``freeze()``s its result.  The accepted moves and final trees are
-decision-identical to the historical rebuild-per-candidate implementation.
+search ``freeze()``s its result.  The two greedy cost descents score every
+candidate at once through :meth:`~repro.engine.treestate.TreeState.best_cost_reparent`.
+The accepted moves and final trees are decision-identical to the historical
+rebuild-per-candidate implementation.
 """
 
 from __future__ import annotations
@@ -139,10 +141,6 @@ def maximize_lifetime(
     return state.freeze(), moves
 
 
-def _total_excess(state: TreeState, caps: Dict[int, int]) -> int:
-    return sum(max(0, state.n_children(v) - caps[v]) for v in range(state.n))
-
-
 def repair_overload(
     tree: AggregationTree, caps: Dict[int, int]
 ) -> Optional[AggregationTree]:
@@ -153,42 +151,23 @@ def repair_overload(
     tree, or ``None`` when no single move can make progress (the caller
     should fall back to :func:`maximize_lifetime`).
     """
-    network = tree.network
     state = TreeState.from_tree(tree)
+    caps_arr = _caps_array(caps, state.n)
     moves = 0
-    # Numpy backend: one vectorized pass over all (child, cand) pairs,
-    # scanned by ascending (overloaded parent, child, cand) — the exact
-    # order and tie-break of the nested loops below.
-    fast = getattr(state, "best_cost_reparent", None)
-    caps_arr = _caps_array(caps, state.n) if fast is not None else None
-    while _total_excess(state, caps) > 0:
-        best: Optional[Tuple[float, int, int]] = None
-        if fast is not None:
-            counts = state.children_counts()
-            overloaded_mask = counts > caps_arr
-            parents_arr = state.parents_array()
-            safe = np.maximum(parents_arr, 0)
-            group = np.where(
-                (parents_arr >= 0) & overloaded_mask[safe], parents_arr, -1
-            )
-            best = fast(cand_ok=counts < caps_arr, child_group=group)
-        else:
-            kids = state.children_lists()
-            overloaded = [
-                v for v in range(state.n) if state.n_children(v) > caps[v]
-            ]
-            for v in overloaded:
-                for child in kids[v]:
-                    for cand in network.neighbors(child):
-                        if cand == v or state.in_subtree(cand, child):
-                            continue
-                        if state.n_children(cand) >= caps[cand]:
-                            continue
-                        delta = network.cost(child, cand) - network.cost(
-                            child, v
-                        )
-                        if best is None or delta < best[0]:
-                            best = (delta, child, cand)
+    while True:
+        counts = state.children_counts()
+        overloaded = counts > caps_arr
+        if not overloaded.any():
+            break
+        # Children of overloaded parents only, scanned by ascending
+        # (overloaded parent, child, cand).
+        parents = state.parents_array()
+        group = np.where(
+            (parents >= 0) & overloaded[np.maximum(parents, 0)], parents, -1
+        )
+        best = state.best_cost_reparent(
+            cand_ok=counts < caps_arr, child_group=group
+        )
         if best is None:
             if OBS.enabled and moves:
                 OBS.registry.counter(
@@ -332,35 +311,13 @@ def reduce_cost_under_caps(
     Only accepts strictly cost-decreasing re-parent moves whose target stays
     under its cap, so a cap-feasible input remains cap-feasible throughout.
     """
-    network = tree.network
     state = TreeState.from_tree(tree)
-    sink = state.sink
+    caps_arr = _caps_array(caps, state.n)
     moves = 0
-    fast = getattr(state, "best_cost_reparent", None)
-    caps_arr = _caps_array(caps, state.n) if fast is not None else None
     while moves < max_moves:
-        best: Optional[Tuple[float, int, int]] = None
-        if fast is not None:
-            best = fast(
-                cand_ok=state.children_counts() < caps_arr,
-                threshold=COST_EPS,
-            )
-        else:
-            for child in range(state.n):
-                if child == sink:
-                    continue
-                parent = state.parent(child)
-                assert parent is not None
-                for cand in network.neighbors(child):
-                    if cand == parent or state.in_subtree(cand, child):
-                        continue
-                    if state.n_children(cand) >= caps[cand]:
-                        continue
-                    delta = network.cost(child, cand) - network.cost(
-                        child, parent
-                    )
-                    if delta < COST_EPS and (best is None or delta < best[0]):
-                        best = (delta, child, cand)
+        best = state.best_cost_reparent(
+            cand_ok=state.children_counts() < caps_arr, threshold=COST_EPS
+        )
         if best is None:
             break
         state.reparent(best[1], best[2], check=False)

@@ -5,8 +5,9 @@ Two pieces that every optimizer and every consumer share:
 * :mod:`repro.engine.treestate` — :class:`TreeState`, a mutable spanning
   tree with O(1) ``reparent``/``attach`` moves and incrementally-maintained
   cost / reliability / lifetime, plus ``delta_*`` previews for evaluating a
-  move without applying it and ``freeze()`` back to the immutable
-  :class:`~repro.core.tree.AggregationTree`.
+  move without applying it, a vectorized bulk cost scan
+  (``best_cost_reparent``) for the greedy descents, and ``freeze()`` back
+  to the immutable :class:`~repro.core.tree.AggregationTree`.
 * :mod:`repro.engine.registry` — the :class:`TreeBuilder` registry mapping
   canonical names (``"ira"``, ``"exact"``, ``"local_search"``, ``"mst"``,
   ``"spt"``, ``"random_tree"``, ``"aaml"``, ``"rasmalai"``,
@@ -20,25 +21,8 @@ Two pieces that every optimizer and every consumer share:
 configurable member set — in parallel processes under a wall-clock budget —
 and returns the best LC-feasible tree with per-member outcomes
 (registered as the ``"portfolio"`` meta-builder).
-
-:mod:`repro.engine.backend` adds a second axis: every ``TreeState`` has two
-interchangeable implementations — the classic object-graph one and the
-numpy struct-of-arrays one (:mod:`repro.engine.treestate_np`) — selected
-per call (``backend=``), per scope (:func:`use_backend`), per process
-(:func:`set_default_backend`), or via the ``REPRO_ENGINE_BACKEND``
-environment variable.  They are bitwise-equivalent; see
-``docs/performance.md``.
 """
 
-from repro.engine.backend import (
-    DEFAULT_BACKEND,
-    ENV_BACKEND,
-    available_tree_backends,
-    get_backend_class,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
 from repro.engine.portfolio import (
     DEFAULT_MEMBERS,
     MemberOutcome,
@@ -63,17 +47,13 @@ from repro.engine.treestate import (
     MovePreview,
     NO_GAIN,
     TreeState,
-    TreeStateBackend,
     freeze_parents,
     lifetime_delta_better,
 )
-from repro.engine.treestate_np import TreeStateNumpy
 
 __all__ = [
     "BuildResult",
-    "DEFAULT_BACKEND",
     "DEFAULT_MEMBERS",
-    "ENV_BACKEND",
     "LifetimeDelta",
     "MemberOutcome",
     "MovePreview",
@@ -82,22 +62,15 @@ __all__ = [
     "RegisteredBuilder",
     "TreeBuilder",
     "TreeState",
-    "TreeStateBackend",
-    "TreeStateNumpy",
     "UnknownBuilderError",
     "available_builders",
-    "available_tree_backends",
     "build_portfolio_tree",
     "build_tree",
     "freeze_parents",
-    "get_backend_class",
     "get_builder",
     "lifetime_delta_better",
     "race_builders",
     "register_builder",
     "select_winner",
-    "resolve_backend",
-    "set_default_backend",
     "tree_builder",
-    "use_backend",
 ]

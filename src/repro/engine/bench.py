@@ -1,4 +1,4 @@
-"""Core-compute benchmark: array-native backend vs the historical loops.
+"""Core-compute benchmark: the array-native paths vs the historical loops.
 
 Two measurements, both over workloads the acceptance bar names:
 
@@ -7,10 +7,12 @@ Two measurements, both over workloads the acceptance bar names:
   the historical per-edge Python loop, on an n≥5000 tree.  Both consume the
   same RNG stream and must produce the same estimate; the speedup is the
   vectorization win alone.
-* **Local search** — ``build_tree("local_search", ...)`` end to end on an
-  n≥2000 network, ``backend="object"`` vs ``backend="numpy"``.  The trees
-  must match bitwise (cost and lifetime compared exactly); the speedup is
-  the struct-of-arrays TreeState win on the scan-heavy cost descent.
+* **Local search** — :func:`~repro.core.local_search.reduce_cost_under_caps`
+  (the greedy cost descent on :meth:`TreeState.best_cost_reparent
+  <repro.engine.treestate.TreeState.best_cost_reparent>`'s bulk move scan)
+  against the historical scalar nested scan, both from the BFS tree of an
+  n≥2000 grid.  The trees must match exactly; the speedup is the bulk
+  scan's win alone.
 
 ``repro bench-core`` runs both and can append the report to a
 ``BENCH_core.json`` trajectory (same shape as ``BENCH_serve.json``), which
@@ -24,9 +26,12 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.core.local_search import COST_EPS, reduce_cost_under_caps
+from repro.core.tree import AggregationTree
 from repro.engine.registry import build_tree
+from repro.engine.treestate import TreeState
 from repro.network.topology import grid_graph
 from repro.simulation.rounds import AggregationSimulator
 from repro.utils.rng import as_rng
@@ -51,6 +56,9 @@ SEARCH_GRID = 45  # 45 × 45 = 2025 nodes
 #: cost-optimal and the descent actually scans.
 SEARCH_SPACING_M = 28.0
 SEARCH_MAX_MOVES = 100
+#: Children cap of every node in the search workload: tight enough that the
+#: cap filter rejects candidates.
+SEARCH_CAP = 2
 
 
 def _reference_estimate(tree, rng, n_rounds: int) -> float:
@@ -75,6 +83,41 @@ def _reference_estimate(tree, rng, n_rounds: int) -> float:
     return complete / n_rounds
 
 
+def _reference_reduce_cost(
+    tree: AggregationTree, caps: Dict[int, int], max_moves: int
+) -> AggregationTree:
+    """The historical scalar cost-descent scan, kept verbatim as the baseline.
+
+    Children ascending, then neighbours ascending; the first strict minimum
+    below ``COST_EPS`` wins — the move order
+    :func:`~repro.core.local_search.reduce_cost_under_caps` reproduces.
+    """
+    network = tree.network
+    state = TreeState.from_tree(tree)
+    sink = state.sink
+    moves = 0
+    while moves < max_moves:
+        best: Optional[Tuple[float, int, int]] = None
+        for child in range(state.n):
+            if child == sink:
+                continue
+            parent = state.parent(child)
+            assert parent is not None
+            for cand in network.neighbors(child):
+                if cand == parent or state.in_subtree(cand, child):
+                    continue
+                if state.n_children(cand) >= caps[cand]:
+                    continue
+                delta = network.cost(child, cand) - network.cost(child, parent)
+                if delta < COST_EPS and (best is None or delta < best[0]):
+                    best = (delta, child, cand)
+        if best is None:
+            break
+        state.reparent(best[1], best[2], check=False)
+        moves += 1
+    return state.freeze()
+
+
 @dataclass(frozen=True)
 class CoreBenchReport:
     """One core-bench run: sizes, wall-clock splits, and the two speedups."""
@@ -86,8 +129,8 @@ class CoreBenchReport:
     round_sim_speedup: float
     search_nodes: int
     search_max_moves: int
-    search_object_s: float
-    search_numpy_s: float
+    search_reference_s: float
+    search_bulk_s: float
     local_search_speedup: float
     timestamp: float
 
@@ -103,8 +146,8 @@ class CoreBenchReport:
             f"  ({self.round_sim_speedup:.1f}x)",
             f"  local search n={self.search_nodes}"
             f" max_moves={self.search_max_moves}:"
-            f" object {self.search_object_s:.3f}s ->"
-            f" numpy {self.search_numpy_s:.3f}s"
+            f" loop {self.search_reference_s:.3f}s ->"
+            f" bulk scan {self.search_bulk_s:.3f}s"
             f"  ({self.local_search_speedup:.1f}x)",
         ]
         return "\n".join(lines)
@@ -141,23 +184,22 @@ def run_core_bench(
             f"round-sim divergence: vectorized {vec} != reference {ref}"
         )
 
-    # --- local search: object backend vs numpy backend ------------------
+    # --- local search: bulk move scan vs historical scalar scan --------
     search_net = grid_graph(
         search_grid, search_grid, spacing_m=SEARCH_SPACING_M, seed=seed
     )
-    config = {"lc": 1.0, "max_moves": search_max_moves}
+    search_tree = build_tree("bfs", search_net).tree
+    caps = {v: SEARCH_CAP for v in search_net.nodes}
 
     start = time.perf_counter()
-    obj = build_tree("local_search", search_net, backend="object", **config)
-    object_s = time.perf_counter() - start
+    bulk = reduce_cost_under_caps(search_tree, caps, max_moves=search_max_moves)
+    bulk_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    vec_build = build_tree("local_search", search_net, backend="numpy", **config)
-    numpy_s = time.perf_counter() - start
-    if (obj.cost, obj.lifetime) != (vec_build.cost, vec_build.lifetime) or (
-        obj.tree.parents != vec_build.tree.parents
-    ):
-        raise AssertionError("local-search divergence between backends")
+    ref_tree = _reference_reduce_cost(search_tree, caps, search_max_moves)
+    search_reference_s = time.perf_counter() - start
+    if bulk.parents != ref_tree.parents:
+        raise AssertionError("local-search divergence: bulk scan != scalar scan")
 
     return CoreBenchReport(
         round_sim_nodes=sim_net.n,
@@ -167,9 +209,9 @@ def run_core_bench(
         round_sim_speedup=reference_s / max(vectorized_s, 1e-9),
         search_nodes=search_net.n,
         search_max_moves=search_max_moves,
-        search_object_s=object_s,
-        search_numpy_s=numpy_s,
-        local_search_speedup=object_s / max(numpy_s, 1e-9),
+        search_reference_s=search_reference_s,
+        search_bulk_s=bulk_s,
+        local_search_speedup=search_reference_s / max(bulk_s, 1e-9),
         timestamp=time.time(),
     )
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.core.tree import AggregationTree
-from repro.engine.backend import use_backend
 from repro.network.model import Network
 from repro.obs import OBS
 
@@ -100,18 +99,8 @@ class TreeBuilder(Protocol):
     summary: str
     knobs: Mapping[str, str]
 
-    def build(
-        self,
-        network: Network,
-        *,
-        backend: Optional[str] = None,
-        **config: Any,
-    ) -> BuildResult:
-        """Construct a tree on *network* with the given config knobs.
-
-        ``backend`` scopes the build to a TreeState implementation
-        (:mod:`repro.engine.backend`); ``None`` keeps the ambient default.
-        """
+    def build(self, network: Network, **config: Any) -> BuildResult:
+        """Construct a tree on *network* with the given config knobs."""
         ...
 
 
@@ -130,21 +119,9 @@ class RegisteredBuilder:
     summary: str
     knobs: Mapping[str, str]
 
-    def build(
-        self,
-        network: Network,
-        *,
-        backend: Optional[str] = None,
-        **config: Any,
-    ) -> BuildResult:
+    def build(self, network: Network, **config: Any) -> BuildResult:
         start = time.perf_counter()
-        # The backend scope changes which TreeState implementation the
-        # builder's internals instantiate — never the tree it returns
-        # (backends are bitwise-equivalent), so it is deliberately NOT
-        # recorded in ``params``: results stay identity-equal across
-        # backends for caching and comparison purposes.
-        with use_backend(backend):
-            out = self.fn(network, **config)
+        out = self.fn(network, **config)
         elapsed = time.perf_counter() - start
         meta: Dict[str, Any] = {}
         raw: Any = None
@@ -253,18 +230,6 @@ def get_builder(name: str) -> RegisteredBuilder:
         ) from None
 
 
-def build_tree(
-    name: str,
-    network: Network,
-    *,
-    backend: Optional[str] = None,
-    **config: Any,
-) -> BuildResult:
-    """Resolve *name* and build a tree on *network* — the one-call entry.
-
-    ``backend`` selects the :class:`~repro.engine.treestate.TreeState`
-    implementation the build runs on (``"object"`` or ``"numpy"``; see
-    :mod:`repro.engine.backend`).  ``None`` keeps the ambient/env default.
-    The built tree is bitwise identical either way — only speed changes.
-    """
-    return get_builder(name).build(network, backend=backend, **config)
+def build_tree(name: str, network: Network, **config: Any) -> BuildResult:
+    """Resolve *name* and build a tree on *network* — the one-call entry."""
+    return get_builder(name).build(network, **config)

@@ -18,6 +18,13 @@ A move changes exactly one tree edge and the children count of exactly two
 nodes, so all bookkeeping is constant-time.  ``freeze()`` converts back to
 the immutable, fully-validated :class:`AggregationTree` at search exit.
 
+The greedy cost descents do not loop over candidates in Python:
+:meth:`TreeState.best_cost_reparent` scores every ``(child, neighbour)``
+pair in one vectorized pass and returns exactly the move the scalar nested
+scan (child ascending, neighbour ascending, first strict minimum wins)
+would accept.  ``tests/test_engine_treestate.py`` pins it against that
+scalar scan, kept there as the oracle.
+
 The incremental C and Q accumulate one floating add/multiply per move and so
 can drift from a from-scratch recomputation by a few ULPs over thousands of
 moves; the randomized equivalence suite pins the drift below 1e-9.  Lifetime
@@ -28,20 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.tree import AggregationTree
-from repro.engine.backend import get_backend_class, resolve_backend
 from repro.network.model import Network
 
 __all__ = [
@@ -49,10 +47,13 @@ __all__ = [
     "MovePreview",
     "NO_GAIN",
     "TreeState",
-    "TreeStateBackend",
     "freeze_parents",
     "lifetime_delta_better",
 ]
+
+#: ``(src, dst, cost)``: every directed network link in (src ascending, dst
+#: ascending) order — the scalar scan's candidate order.
+_Adjacency = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: A lifetime delta as two cancelled multisets ``(removed, added)`` of
 #: per-node lifetime values; the identity move is ``((), ())``.
@@ -105,51 +106,6 @@ def lifetime_delta_better(a: LifetimeDelta, b: LifetimeDelta) -> bool:
     return False
 
 
-@runtime_checkable
-class TreeStateBackend(Protocol):
-    """The contract every tree-state backend implements.
-
-    This is the surface the local searches, the builders, and the
-    simulators program against; :class:`TreeState` (the ``"object"``
-    backend) and :class:`~repro.engine.treestate_np.TreeStateNumpy` (the
-    ``"numpy"`` struct-of-arrays backend) both satisfy it, and the
-    randomized cross-backend equivalence suite pins that they agree
-    bitwise on every method below.  Backends are selected by name through
-    :mod:`repro.engine.backend` (``backend=`` argument or the
-    ``REPRO_ENGINE_BACKEND`` environment variable).
-    """
-
-    network: Network
-
-    # structure
-    def is_attached(self, v: int) -> bool: ...
-    def parent(self, v: int) -> Optional[int]: ...
-    def parents_map(self) -> Dict[int, int]: ...
-    def n_children(self, v: int) -> int: ...
-    def children(self, v: int) -> List[int]: ...
-    def children_lists(self) -> List[List[int]]: ...
-    def in_subtree(self, node: int, root: int) -> bool: ...
-    def depths(self) -> List[int]: ...
-
-    # metrics
-    def node_lifetime(self, v: int) -> float: ...
-    def lifetime(self) -> float: ...
-    def lifetime_values(self) -> Sequence[float]: ...
-    def bottleneck_count(self) -> int: ...
-
-    # moves and previews
-    def attach(self, v: int, parent: int) -> None: ...
-    def reparent(self, v: int, new_parent: int, *, check: bool = True) -> None: ...
-    def delta_cost(self, v: int, new_parent: int) -> float: ...
-    def delta_reliability(self, v: int, new_parent: int) -> float: ...
-    def lifetime_if_reparent(self, v: int, new_parent: int) -> float: ...
-    def reparent_lifetime_delta(self, v: int, new_parent: int) -> LifetimeDelta: ...
-
-    # conversion
-    def freeze(self) -> AggregationTree: ...
-    def copy(self) -> "TreeStateBackend": ...
-
-
 class TreeState:
     """Mutable (partial) spanning tree with O(1) incremental paper metrics.
 
@@ -161,12 +117,9 @@ class TreeState:
     (unattached nodes carry their zero-children lifetime, so once the state
     is spanning every metric equals the :class:`AggregationTree` definition).
 
-    ``TreeState(...)`` is also the backend dispatch point: constructing the
-    base class resolves the effective backend (explicit ``backend=`` >
-    ambient :func:`repro.engine.backend.use_backend` > the
-    ``REPRO_ENGINE_BACKEND`` environment variable > ``"object"``) and may
-    hand back a :class:`~repro.engine.treestate_np.TreeStateNumpy` instead.
-    Instantiating a concrete subclass directly always yields that subclass.
+    Parent pointers and children counts are ``int64`` arrays (the bulk move
+    scans index them); per-node lifetimes are a Python list, because the
+    searches read them one scalar at a time.
 
     Args:
         network: The network the tree lives in.
@@ -174,12 +127,7 @@ class TreeState:
             sink's entry ignored).  ``None`` starts with only the sink
             attached.  A partial dict is allowed as long as every attached
             node reaches the sink; edges must exist in the network.
-        backend: Optional backend name (``"object"`` / ``"numpy"``)
-            overriding the ambient/environment policy for this instance.
     """
-
-    #: Registry name of this implementation (subclasses override).
-    backend_name = "object"
 
     __slots__ = (
         "network",
@@ -192,67 +140,20 @@ class TreeState:
         "_min_life",
         "_min_count",
         "_min_dirty",
+        "_adj",
     )
-
-    def __new__(
-        cls,
-        network: Optional[Network] = None,
-        parents: Optional[Dict[int, int] | Sequence[int]] = None,
-        *,
-        backend: Optional[str] = None,
-    ) -> "TreeState":
-        # Only base-class construction dispatches; concrete subclasses are
-        # an explicit choice and are honoured as-is.
-        if cls is TreeState:
-            impl = get_backend_class(resolve_backend(backend))
-            if impl is not TreeState:
-                return super().__new__(impl)
-        return super().__new__(cls)
 
     def __init__(
         self,
         network: Network,
         parents: Optional[Dict[int, int] | Sequence[int]] = None,
-        *,
-        backend: Optional[str] = None,  # consumed by __new__ dispatch
     ) -> None:
         self.network = network
-        n = network.n
-        self._parent = np.full(n, -1, dtype=np.int64)
-        self._n_children = np.zeros(n, dtype=np.int64)
-        self._init_lifetimes()
-        self._cost = 0.0
-        self._q = 1.0
-        self._n_attached = 1
-        self._min_life = 0.0
-        self._min_count = 0
-        self._min_dirty = True
+        self._parent = np.full(network.n, -1, dtype=np.int64)
+        self._adj: Optional[_Adjacency] = None
         if parents is not None:
             self._load_parents(parents)
-
-    # -- backend extension points ---------------------------------------
-    # The numpy backend overrides these three hooks (array storage, O(1)
-    # per-move edge bookkeeping, vectorized recomputes); the scalar cost/Q
-    # accumulation itself is shared so both backends produce bitwise-equal
-    # metrics.
-    def _init_lifetimes(self) -> None:
-        network = self.network
-        model = network.energy_model
-        self._life: List[float] = [
-            model.lifetime_rounds(network.initial_energy(v), 0)
-            for v in range(network.n)
-        ]
-
-    def _note_parent_edge(self, v: int, edge) -> None:
-        """Called whenever *v*'s tree edge becomes *edge* (attach/reparent)."""
-
-    def _recompute_all_lifetimes(self) -> None:
-        network = self.network
-        model = network.energy_model
-        for v in range(network.n):
-            self._life[v] = model.lifetime_rounds(
-                network.initial_energy(v), int(self._n_children[v])
-            )
+        self._derive_metrics()
 
     def _load_parents(self, parents: Dict[int, int] | Sequence[int]) -> None:
         network = self.network
@@ -300,49 +201,46 @@ class TreeState:
                 )
             for u in path:
                 state[u] = 2
-        for v in range(n):
-            p = int(self._parent[v])
+
+    def _derive_metrics(self) -> None:
+        """Children counts, C, Q and lifetimes from scratch off ``_parent``.
+
+        Sums and products run in ascending node order, so a state thawed
+        from a tree starts from the same floats however it was built.
+        """
+        network = self.network
+        counts = [0] * network.n
+        cost = 0.0
+        q = 1.0
+        attached = 1
+        for v, p in enumerate(self._parent.tolist()):
             if p >= 0:
-                self._n_children[p] += 1
+                counts[p] += 1
                 edge = network.edge(v, p)
-                self._cost += edge.cost
-                self._q *= edge.prr
-                self._n_attached += 1
-                self._note_parent_edge(v, edge)
-        self._recompute_all_lifetimes()
+                cost += edge.cost
+                q *= edge.prr
+                attached += 1
+        model = network.energy_model
+        self._n_children = np.asarray(counts, dtype=np.int64)
+        self._life: List[float] = [
+            model.lifetime_rounds(network.initial_energy(v), k)
+            for v, k in enumerate(counts)
+        ]
+        self._cost = cost
+        self._q = q
+        self._n_attached = attached
+        self._min_life = 0.0
+        self._min_count = 0
         self._min_dirty = True
 
     @classmethod
-    def from_tree(
-        cls, tree: AggregationTree, *, backend: Optional[str] = None
-    ) -> "TreeState":
-        """Thaw an :class:`AggregationTree` into a mutable state.
-
-        Called on the base class this resolves the backend policy (like
-        ``TreeState(...)``); called on a concrete subclass it builds that
-        subclass.
-        """
-        if cls is TreeState:
-            impl = get_backend_class(resolve_backend(backend))
-            if impl is not TreeState:
-                return impl.from_tree(tree)
-        state = cls(tree.network)
-        parent = tree._parent
-        sink = tree.sink
-        network = tree.network
-        for v in range(tree.n):
-            if v == sink:
-                continue
-            p = int(parent[v])
-            state._parent[v] = p
-            state._n_children[p] += 1
-            edge = network.edge(v, p)
-            state._cost += edge.cost
-            state._q *= edge.prr
-            state._note_parent_edge(v, edge)
-        state._n_attached = tree.n
-        state._recompute_all_lifetimes()
-        state._min_dirty = True
+    def from_tree(cls, tree: AggregationTree) -> "TreeState":
+        """Thaw an :class:`AggregationTree` into a mutable state."""
+        state = cls.__new__(cls)
+        state.network = tree.network
+        state._parent = tree._parent.copy()
+        state._adj = None
+        state._derive_metrics()
         return state
 
     # ------------------------------------------------------------------
@@ -376,11 +274,7 @@ class TreeState:
 
     def parents_map(self) -> Dict[int, int]:
         """Parent map of the attached non-sink nodes."""
-        return {
-            v: int(self._parent[v])
-            for v in range(self.network.n)
-            if self._parent[v] >= 0
-        }
+        return {v: p for v, p in enumerate(self._parent.tolist()) if p >= 0}
 
     def n_children(self, v: int) -> int:
         """``Ch_T(v)`` of Eq. 1."""
@@ -396,15 +290,12 @@ class TreeState:
 
     def children(self, v: int) -> List[int]:
         """Children of *v* in ascending id order (O(n) scan)."""
-        parent = self._parent
-        return [c for c in range(self.network.n) if parent[c] == v]
+        return np.nonzero(self._parent == v)[0].tolist()
 
     def children_lists(self) -> List[List[int]]:
         """Children of every node at once (one O(n) pass, ids ascending)."""
         kids: List[List[int]] = [[] for _ in range(self.network.n)]
-        parent = self._parent
-        for c in range(self.network.n):
-            p = int(parent[c])
+        for c, p in enumerate(self._parent.tolist()):
             if p >= 0:
                 kids[p].append(c)
         return kids
@@ -436,7 +327,7 @@ class TreeState:
         """
         n = self.network.n
         sink = self.network.sink
-        parent = self._parent
+        parent = self._parent.tolist()
         depth = [-1] * n
         depth[sink] = 0
         for v in range(n):
@@ -446,7 +337,7 @@ class TreeState:
             u = v
             while depth[u] < 0:
                 path.append(u)
-                u = int(parent[u])
+                u = parent[u]
             d = depth[u]
             for w in reversed(path):
                 d += 1
@@ -486,15 +377,14 @@ class TreeState:
     def lifetime_values(self) -> Sequence[float]:
         """Per-node lifetimes indexed by node id (read-only view).
 
-        The numpy backend returns its lifetime vector directly; callers
-        must treat the result as immutable.
+        Returns the live list; callers must treat it as immutable.
         """
         return self._life
 
     def bottleneck_members(self, rel_tol: float = 1e-12) -> Tuple[float, List[int]]:
         """``(low, members)``: the minimum lifetime and the node ids within
         ``low * (1 + rel_tol)`` of it, ascending.  The randomized-switching
-        baseline polls this every attempt, so backends may vectorize it.
+        baseline polls this every attempt.
         """
         life = self._life
         low = min(life)
@@ -548,7 +438,6 @@ class TreeState:
         self._n_attached += 1
         self._cost += edge.cost
         self._q *= edge.prr
-        self._note_parent_edge(v, edge)
         self._update_children(parent, +1)
 
     def reparent(self, v: int, new_parent: int, *, check: bool = True) -> None:
@@ -583,7 +472,6 @@ class TreeState:
         self._cost += edge_new.cost - edge_old.cost
         self._q *= edge_new.prr / edge_old.prr
         self._parent[v] = p
-        self._note_parent_edge(v, edge_new)
         self._update_children(old, -1)
         self._update_children(p, +1)
 
@@ -707,6 +595,113 @@ class TreeState:
         return tuple(rem), tuple(add)
 
     # ------------------------------------------------------------------
+    # Bulk move scans
+    # ------------------------------------------------------------------
+    def _adjacency(self) -> _Adjacency:
+        """The directed link arrays, snapshotted on first use.
+
+        Link costs are read once per state (and shared by its copies), so
+        a search must not change link qualities while it runs — true for
+        every builder; the churn simulator mutates PRRs only between builds.
+        """
+        if self._adj is None:
+            network = self.network
+            src: List[int] = []
+            dst: List[int] = []
+            cost: List[float] = []
+            for v in range(network.n):
+                for u in network.neighbors(v):  # ascending
+                    src.append(v)
+                    dst.append(u)
+                    # Scalar math.log values: np.log is not guaranteed to
+                    # round like libm, and deltas must equal the scalar scan's.
+                    cost.append(network.cost(v, u))
+            self._adj = (
+                np.asarray(src, dtype=np.int64),
+                np.asarray(dst, dtype=np.int64),
+                np.asarray(cost, dtype=np.float64),
+            )
+        return self._adj
+
+    def reparent_candidates(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(child, cand, delta)`` for every legal-looking re-parent pair.
+
+        Covers all directed ``(node, neighbour)`` pairs with ``child !=
+        sink`` and ``cand != parent(child)``, in (child ascending, cand
+        ascending) order.  ``delta`` is the cost change ``cost(child, cand)
+        - cost(child, parent)``, bitwise-equal to :meth:`delta_cost`.
+        Subtree (cycle) legality is *not* filtered here;
+        :meth:`best_cost_reparent` validates lazily.
+        """
+        src, dst, cost = self._adjacency()
+        on_tree = dst == self._parent[src]
+        # Each attached child's current edge cost, read off its tree link.
+        edge_cost = np.zeros(self.network.n, dtype=np.float64)
+        edge_cost[src[on_tree]] = cost[on_tree]
+        keep = (src != self.network.sink) & ~on_tree
+        child = src[keep]
+        return child, dst[keep], cost[keep] - edge_cost[child]
+
+    def best_cost_reparent(
+        self,
+        *,
+        cand_ok: Optional[np.ndarray] = None,
+        child_group: Optional[np.ndarray] = None,
+        pair_ok: Optional[
+            Callable[[np.ndarray, np.ndarray], np.ndarray]
+        ] = None,
+        threshold: Optional[float] = None,
+    ) -> Optional[Tuple[float, int, int]]:
+        """The move a scalar nested cost scan would accept.
+
+        Returns ``(delta, child, cand)`` for the minimum-delta valid move —
+        ties broken by scan order, exactly like a sequential ``delta <
+        best`` loop over children ascending, then neighbours ascending — or
+        ``None`` when no candidate qualifies.
+
+        Args:
+            cand_ok: Optional per-node bool mask of allowed new parents
+                (children-cap filtering).
+            child_group: Optional per-node int key; when given, children
+                with a negative key are excluded and candidates are scanned
+                grouped by ascending key first (``repair_overload`` scans
+                by ascending overloaded-parent id before child id).
+            pair_ok: Optional vectorized predicate over ``(child, cand)``
+                arrays (the delay-bounded depth gate).
+            threshold: When set, only deltas strictly below it qualify
+                (the ``-1e-15`` strict-descent cutoff).
+
+        Subtree legality is validated lazily on the delta-sorted candidate
+        list (O(depth) ancestor walk each), so the usual case touches a
+        handful of candidates even though every pair was scored.
+        """
+        if not self.spanning:
+            raise ValueError("bulk move scans require a spanning state")
+        child, cand, delta = self.reparent_candidates()
+        valid = np.ones(child.size, dtype=bool)
+        if cand_ok is not None:
+            valid &= cand_ok[cand]
+        if child_group is not None:
+            valid &= child_group[child] >= 0
+        if pair_ok is not None:
+            valid &= pair_ok(child, cand)
+        if threshold is not None:
+            valid &= delta < threshold
+        idx = np.nonzero(valid)[0]
+        if idx.size == 0:
+            return None
+        if child_group is not None:
+            # Stable: keeps (child, cand) order within one group.
+            idx = idx[np.argsort(child_group[child[idx]], kind="stable")]
+        order = idx[np.argsort(delta[idx], kind="stable")]
+        for i in order:
+            c = int(child[i])
+            t = int(cand[i])
+            if not self.in_subtree(t, c):
+                return float(delta[i]), c, t
+        return None
+
+    # ------------------------------------------------------------------
     # Conversion
     # ------------------------------------------------------------------
     def freeze(self) -> AggregationTree:
@@ -724,8 +719,9 @@ class TreeState:
         return AggregationTree(self.network, self.parents_map())
 
     def copy(self) -> "TreeState":
-        """Independent copy of this state (same backend as the original)."""
-        clone = type(self)(self.network)
+        """Independent copy of this state."""
+        clone = TreeState.__new__(TreeState)
+        clone.network = self.network
         clone._parent = self._parent.copy()
         clone._n_children = self._n_children.copy()
         clone._life = self._life.copy()
@@ -735,6 +731,7 @@ class TreeState:
         clone._min_life = self._min_life
         clone._min_count = self._min_count
         clone._min_dirty = self._min_dirty
+        clone._adj = self._adj  # immutable snapshot, safe to share
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -745,14 +742,11 @@ class TreeState:
 
 
 def freeze_parents(
-    network: Network,
-    parents: Dict[int, int] | Sequence[int],
-    *,
-    backend: Optional[str] = None,
+    network: Network, parents: Dict[int, int] | Sequence[int]
 ) -> AggregationTree:
     """One shared parents→:class:`AggregationTree` conversion point.
 
     Covers the single-node network (empty parent map) and validates through
     :class:`TreeState` so every construction site reports the same errors.
     """
-    return TreeState(network, parents, backend=backend).freeze()
+    return TreeState(network, parents).freeze()

@@ -87,15 +87,12 @@ def _build_indexed(
     builder: str,
     network_factory: Callable[[int], Any],
     config: Dict[str, Any],
-    backend: Optional[str],
     index: int,
 ):
     from repro.engine import build_tree
 
     try:
-        return build_tree(
-            builder, network_factory(index), backend=backend, **config
-        )
+        return build_tree(builder, network_factory(index), **config)
     except Exception as exc:
         raise ParallelBuildError(
             builder, index, f"{type(exc).__name__}: {exc}"
@@ -108,7 +105,6 @@ def parallel_build(
     n_trials: int,
     *,
     config: Optional[Dict[str, Any]] = None,
-    backend: Optional[str] = None,
     n_jobs: Optional[int] = None,
     chunk_size: Optional[int] = None,
     executor: Optional[Executor] = None,
@@ -121,12 +117,6 @@ def parallel_build(
     index alone (derive seeds from ``i``), which makes the sweep
     schedule-independent exactly like :func:`parallel_map`.
 
-    ``backend`` selects the TreeState implementation every trial builds on
-    (:mod:`repro.engine.backend`); being a plain string it pickles into
-    worker processes, so a sweep can run array-native regardless of each
-    worker's own environment.  Results are bitwise identical across
-    backends — only throughput changes.
-
     ``executor`` reuses a caller-owned worker pool (see
     :func:`parallel_map`) instead of spawning one per call.
 
@@ -135,13 +125,9 @@ def parallel_build(
     from functools import partial
 
     from repro.engine import get_builder
-    from repro.engine.backend import resolve_backend
 
     get_builder(builder)  # fail fast on unknown names before forking
-    resolve_backend(backend)  # and on unknown backends, same rule
-    func = partial(
-        _build_indexed, builder, network_factory, dict(config or {}), backend
-    )
+    func = partial(_build_indexed, builder, network_factory, dict(config or {}))
     return parallel_map(
         func, n_trials, n_jobs=n_jobs, chunk_size=chunk_size, executor=executor
     )

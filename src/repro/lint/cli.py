@@ -35,8 +35,7 @@ def build_lint_parser() -> argparse.ArgumentParser:
             "discipline, obs guarding, float-equality bans, frozen-tree "
             "mutation) plus whole-program passes (builder-registry contract, "
             "export drift, async blocking reachability, await races, "
-            "process-boundary RNG discipline, backend parity, aliased "
-            "mutation)."
+            "process-boundary RNG discipline, aliased mutation)."
         ),
     )
     parser.add_argument(

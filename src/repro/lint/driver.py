@@ -5,8 +5,8 @@
 become ``REP000`` findings and the rest are still linted.
 :func:`run_rules` then visits each file with every selected rule.  Rules
 that need cross-file state (builder wiring, exports, the interprocedural
-REP108–REP112 passes) read it through the project's module summaries,
-call graph, and effect analysis, each built once per run.
+REP108–REP110 and REP112 passes) read it through the project's module
+summaries, call graph, and effect analysis, each built once per run.
 
 Suppression is comment-based::
 

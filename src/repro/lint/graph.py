@@ -1,7 +1,7 @@
 """Whole-program substrate: module summaries and the call graph.
 
 The per-file rules see one AST at a time; the interprocedural rules
-(REP108–REP112) need the *project*.  This module provides the two layers
+(REP108–REP110, REP112) need the *project*.  This module provides the two layers
 they stand on:
 
 1. :class:`ModuleSummary` — a digest of one parsed file: top-level

@@ -13,12 +13,11 @@ Rule        Severity  Invariant
 ``REP108``  error     async functions never reach blocking calls
 ``REP109``  error     no read-modify-write of shared attrs across an await
 ``REP110``  error     no live ``Generator`` crosses a process boundary
-``REP111``  error     backends track the ``TreeStateBackend`` protocol
 ``REP112``  error     no frozen-tree mutation through call aliases
 ==========  ========  =====================================================
 
 REP101–REP103, REP105 and REP107 read only the file they visit;
-REP108–REP112 and the cross-file halves of REP104/REP106 read module
+REP108–REP110, REP112 and the cross-file halves of REP104/REP106 read module
 summaries, the call graph, and the effect analysis
 (:mod:`repro.lint.graph`, :mod:`repro.lint.effects`).
 
@@ -34,7 +33,6 @@ from repro.lint.rules import (
     floats,
     frozen,
     obs,
-    parity,
     rng,
     timing,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "floats",
     "frozen",
     "obs",
-    "parity",
     "rng",
     "timing",
 ]

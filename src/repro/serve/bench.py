@@ -267,7 +267,6 @@ def run_serve_bench(
     seed: int = 0,
     mode: str = "inline",
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     concurrency: int = 32,
     config: Optional[ServeConfig] = None,
     verify: bool = True,
@@ -276,8 +275,7 @@ def run_serve_bench(
 
     ``repeats`` is the total number of times each unique request is issued
     (1 cold + ``repeats - 1`` warm), so the expected hit rate is
-    ``1 - 1/repeats`` — ≥ 90% from ``repeats=10`` up.  ``backend`` pins
-    the pool's TreeState implementation (see :mod:`repro.engine.backend`).
+    ``1 - 1/repeats`` — ≥ 90% from ``repeats=10`` up.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -290,7 +288,7 @@ def run_serve_bench(
     )
 
     async def _drive() -> Tuple[Dict[str, Any], Dict[str, BuildResponse], float, float]:
-        pool = WorkerPool(mode=mode, n_workers=workers, backend=backend)
+        pool = WorkerPool(mode=mode, n_workers=workers)
         served: Dict[str, BuildResponse] = {}
         async with TreeServer(pool=pool, config=config) as server:
             start = time.perf_counter()

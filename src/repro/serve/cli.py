@@ -22,7 +22,6 @@ import argparse
 import asyncio
 from typing import List, Optional
 
-from repro.engine.backend import available_tree_backends
 from repro.obs.slo import SLO
 from repro.serve.bench import (
     DEFAULT_BENCH_BUILDERS,
@@ -48,13 +47,6 @@ def _add_pool_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="worker count for thread/process modes (default: cores - 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=available_tree_backends(),
-        default=None,
-        help="TreeState backend every build runs on ('numpy' = array-"
-        "native; default: ambient/REPRO_ENGINE_BACKEND)",
     )
     parser.add_argument(
         "--batch-size",
@@ -217,9 +209,7 @@ def _run_server(args: argparse.Namespace) -> int:
     )
 
     async def _main() -> None:
-        pool = WorkerPool(
-            mode=args.mode, n_workers=args.workers, backend=args.backend
-        )
+        pool = WorkerPool(mode=args.mode, n_workers=args.workers)
         async with TreeServer(pool=pool, config=config) as server:
             await serve_forever(server, args.host, args.port)
 
@@ -248,7 +238,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         mode=args.mode,
         workers=args.workers,
-        backend=args.backend,
         concurrency=args.concurrency,
         config=_serve_config(args),
         verify=not args.no_verify,

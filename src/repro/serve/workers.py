@@ -50,7 +50,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.tree import AggregationTree
 from repro.engine import BuildResult, build_tree
-from repro.engine.backend import resolve_backend
 from repro.experiments.parallel import default_workers
 from repro.network.model import Network
 from repro.obs.spanctx import SpanContext
@@ -104,14 +103,10 @@ def _child_span(
     return {"ctx": child.to_dict(), "dur": time.perf_counter() - start}
 
 
-def _build_one(
-    network: Network, item: WorkItem, backend: Optional[str] = None
-) -> ShardOutcome:
+def _build_one(network: Network, item: WorkItem) -> ShardOutcome:
     start = time.perf_counter() if item.span is not None else 0.0
     try:
-        result = build_tree(
-            item.builder, network, backend=backend, **dict(item.params)
-        )
+        result = build_tree(item.builder, network, **dict(item.params))
         return ShardOutcome(
             key=item.key, result=result, span=_child_span(item.span, start)
         )
@@ -125,9 +120,9 @@ def _build_one(
 
 
 def _build_shard_local(
-    network: Network, items: Sequence[WorkItem], backend: Optional[str] = None
+    network: Network, items: Sequence[WorkItem]
 ) -> List[ShardOutcome]:
-    return [_build_one(network, item, backend) for item in items]
+    return [_build_one(network, item) for item in items]
 
 
 # ----------------------------------------------------------------------
@@ -166,10 +161,7 @@ _WireRow = Tuple[
 
 
 def _build_shard_remote(
-    fingerprint: str,
-    payload: bytes,
-    items: Sequence[_WireItem],
-    backend: Optional[str] = None,
+    fingerprint: str, payload: bytes, items: Sequence[_WireItem]
 ) -> List[_WireRow]:
     """Run one shard inside a worker process.
 
@@ -177,15 +169,13 @@ def _build_shard_remote(
     span)`` — no ``AggregationTree``/``Network`` objects travel back, only
     the parent map the server re-binds locally plus the worker-measured
     build span (``None`` when the item carried no trace context).
-    ``backend`` (a plain string on the wire) scopes every build to that
-    TreeState implementation inside the worker process.
     """
     network = _worker_network(fingerprint, payload)
     out: List[_WireRow] = []
     for key, builder, params, parent_span in items:
         start = time.perf_counter() if parent_span is not None else 0.0
         try:
-            result = build_tree(builder, network, backend=backend, **params)
+            result = build_tree(builder, network, **params)
             span = _child_span(parent_span, start)
             out.append(
                 (
@@ -206,21 +196,10 @@ def _build_shard_remote(
 
 
 class WorkerPool:
-    """A reusable executor with an async shard-execution front end.
-
-    ``backend`` pins every build this pool runs to one TreeState
-    implementation (:mod:`repro.engine.backend`) — ``"numpy"`` makes served
-    builds array-native in all three modes (the name travels over the wire
-    to process workers).  ``None`` leaves each worker on its own ambient
-    default (usually ``"object"``, or ``REPRO_ENGINE_BACKEND``).
-    """
+    """A reusable executor with an async shard-execution front end."""
 
     def __init__(
-        self,
-        mode: str = "inline",
-        n_workers: Optional[int] = None,
-        *,
-        backend: Optional[str] = None,
+        self, mode: str = "inline", n_workers: Optional[int] = None
     ) -> None:
         if mode not in POOL_MODES:
             raise ValueError(
@@ -228,9 +207,6 @@ class WorkerPool:
             )
         if n_workers is not None and n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if backend is not None:
-            resolve_backend(backend)  # fail fast on unknown names
-        self.backend = backend
         self.mode = mode
         self.n_workers = (
             1 if mode == "inline" else (n_workers or default_workers())
@@ -264,7 +240,7 @@ class WorkerPool:
         if not items:
             return []
         if self.mode == "inline":
-            return _build_shard_local(warm.network, items, self.backend)
+            return _build_shard_local(warm.network, items)
         loop = asyncio.get_running_loop()
         if self.mode == "thread":
             return await loop.run_in_executor(
@@ -272,7 +248,6 @@ class WorkerPool:
                 _build_shard_local,
                 warm.network,
                 list(items),
-                self.backend,
             )
         wire_items = [
             (item.key, item.builder, dict(item.params), item.span)
@@ -280,11 +255,10 @@ class WorkerPool:
         ]
         rows = await loop.run_in_executor(
             self._executor,
-            _shard_call,
+            _build_shard_remote,
             warm.fingerprint,
             warm.payload(),
             wire_items,
-            self.backend,
         )
         outcomes: List[ShardOutcome] = []
         by_key = {item.key: item for item in items}
@@ -323,13 +297,3 @@ class WorkerPool:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _shard_call(
-    fingerprint: str,
-    payload: bytes,
-    items: List[_WireItem],
-    backend: Optional[str] = None,
-):
-    """Picklable trampoline for ``run_in_executor`` (no kwargs support)."""
-    return _build_shard_remote(fingerprint, payload, items, backend)

@@ -28,7 +28,8 @@ from the same double stream as repeated scalar ``random()`` calls, and the
 simulator orders edge columns exactly like the historical per-edge loop
 (non-sink nodes in tree postorder) — so every outcome, loss tuple, energy
 debit, and reliability estimate is **bitwise identical** to the sequential
-implementation.  The cross-backend pin tests assert this.
+implementation.  ``TestVectorizationParity`` in
+``tests/test_simulation_rounds.py`` asserts this.
 """
 
 from __future__ import annotations

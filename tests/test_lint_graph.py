@@ -1,11 +1,10 @@
 """Summary extraction and call graph — adversarial shapes.
 
 The shapes here are the ones that break naive resolvers: import cycles,
-``from x import *``, decorated and re-exported builders, lazily imported
-backends (function-level imports, the ``engine/backend.py`` loader
-pattern).  The final class pins the graph on the real repository: build
+``from x import *``, decorated and re-exported builders, function-level
+imports.  The final class pins the graph on the real repository: build
 never crashes, every ``@tree_builder`` entry point resolves to a node,
-and the backend dispatch resolves across modules.
+and calls into the TreeState engine resolve across modules.
 """
 
 from __future__ import annotations
@@ -216,11 +215,14 @@ class TestRealRepository:
             fn = graph.nodes[node_id].summary
             assert fn.pos_params and fn.pos_params[0] == "network", name
 
-    def test_backend_dispatch_calls_resolve_cross_module(self):
-        # TreeState.__new__ dispatches through the backend loader module;
-        # both helper calls must resolve across the module boundary.
+    def test_treestate_calls_resolve_cross_module(self):
+        # The delay-bounded baseline thaws its seed tree and freezes the
+        # single-node case through the engine module; both calls must
+        # resolve across the module boundary.
         project = self.project()
         graph = project.call_graph()
-        callees = graph.edges["repro.engine.treestate:TreeState.__new__"]
-        assert "repro.engine.backend:resolve_backend" in callees
-        assert "repro.engine.backend:get_backend_class" in callees
+        callees = graph.edges[
+            "repro.baselines.delay_bounded:build_delay_bounded_tree"
+        ]
+        assert "repro.engine.treestate:TreeState.from_tree" in callees
+        assert "repro.engine.treestate:freeze_parents" in callees

@@ -1,4 +1,4 @@
-"""Interprocedural rules REP108–REP112: positive and negative fixtures.
+"""Interprocedural rules REP108–REP110 and REP112: positive and negative fixtures.
 
 Every rule gets at least one fixture that must fire and one that must
 stay silent — the silent cases encode the sanctioned patterns
@@ -185,107 +185,6 @@ class TestRep110RngBoundary:
                 "    pool.submit(task, spawn_rngs(rng, 1)[0])\n"
             ),
         }, select=["REP110"])
-        assert findings == []
-
-
-BACKEND_STUB = (
-    "class TreeStateBackend:\n"
-    "    def parent_of(self, node):\n"
-    "        ...\n"
-    "    def attach(self, node, parent):\n"
-    "        ...\n"
-    "class TreeState:\n"
-    "    def parent_of(self, node):\n"
-    "        ...\n"
-    "    def attach(self, node, parent):\n"
-    "        ...\n"
-)
-
-
-class TestRep111BackendParity:
-    def test_missing_protocol_method_fires(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/engine/treestate.py": BACKEND_STUB,
-            "repro/engine/fastback.py": (
-                "class FastState:\n"
-                "    backend_name = 'fast'\n"
-                "    def parent_of(self, node):\n"
-                "        ...\n"
-            ),
-        }, select=["REP111"])
-        assert set(rule_ids(findings)) == {"REP111"}
-        assert "attach" in findings[0].message
-
-    def test_signature_drift_fires(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/engine/treestate.py": BACKEND_STUB,
-            "repro/engine/fastback.py": (
-                "class FastState:\n"
-                "    backend_name = 'fast'\n"
-                "    def parent_of(self, node, default):\n"
-                "        ...\n"
-                "    def attach(self, node, parent):\n"
-                "        ...\n"
-            ),
-        }, select=["REP111"])
-        assert set(rule_ids(findings)) == {"REP111"}
-        assert "parent_of" in findings[0].message
-
-    def test_extra_public_method_fires(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/engine/treestate.py": BACKEND_STUB,
-            "repro/engine/fastback.py": (
-                "class FastState:\n"
-                "    backend_name = 'fast'\n"
-                "    def parent_of(self, node):\n"
-                "        ...\n"
-                "    def attach(self, node, parent):\n"
-                "        ...\n"
-                "    def bulk_scan(self):\n"
-                "        ...\n"
-            ),
-        }, select=["REP111"])
-        assert set(rule_ids(findings)) == {"REP111"}
-        assert "bulk_scan" in findings[0].message
-
-    def test_conforming_backend_is_clean(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/engine/treestate.py": BACKEND_STUB,
-            "repro/engine/fastback.py": (
-                "class FastState:\n"
-                "    backend_name = 'fast'\n"
-                "    def parent_of(self, node):\n"
-                "        ...\n"
-                "    def attach(self, node, parent):\n"
-                "        ...\n"
-                "    def _private_fast_path(self):\n"
-                "        ...\n"
-            ),
-        }, select=["REP111"])
-        assert findings == []
-
-    def test_methods_inherited_from_base_count(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/engine/treestate.py": BACKEND_STUB,
-            "repro/engine/fastback.py": (
-                "class Common:\n"
-                "    def attach(self, node, parent):\n"
-                "        ...\n"
-                "class FastState(Common):\n"
-                "    backend_name = 'fast'\n"
-                "    def parent_of(self, node):\n"
-                "        ...\n"
-            ),
-        }, select=["REP111"])
-        assert findings == []
-
-    def test_rule_is_inert_without_treestate_module(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/engine/fastback.py": (
-                "class FastState:\n"
-                "    backend_name = 'fast'\n"
-            ),
-        }, select=["REP111"])
         assert findings == []
 
 

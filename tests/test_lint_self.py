@@ -40,7 +40,6 @@ class TestSelfCheck:
             "REP108",
             "REP109",
             "REP110",
-            "REP111",
             "REP112",
         } <= ids
 

@@ -417,6 +417,14 @@ class TestServeCli:
         with pytest.raises(SystemExit):
             serve_main(["nonsense"])
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_backend_flag_is_gone(self, command, capsys):
+        # One TreeState engine: there is no engine to choose.
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main([command, "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestParseSlo:
     def test_parses_full_spec(self):
