@@ -13,6 +13,18 @@ from repro.baselines import build_aaml_tree
 from repro.network import Network, dfl_network, random_graph
 
 
+
+@pytest.fixture(params=["object", "numpy"])
+def retired_engine_setting(request, monkeypatch):
+    """Run a test under each value ``REPRO_ENGINE_BACKEND`` used to accept.
+
+    ``TreeState`` is the only tree engine and reads no engine setting, so
+    the engine suites must pass unchanged in an environment that still
+    exports the retired variable, whichever value it holds.
+    """
+    monkeypatch.setenv("REPRO_ENGINE_BACKEND", request.param)
+    return request.param
+
 @pytest.fixture
 def tiny_network() -> Network:
     """5-node network with a known structure and hand-picked PRRs.
