@@ -27,7 +27,7 @@ from repro.lint.driver import (
     select_rules,
 )
 from repro.lint.effects import EffectAnalysis, analyze_effects
-from repro.lint.findings import Finding, Loc, Severity
+from repro.lint.findings import Finding, Loc
 from repro.lint.graph import (
     CallGraph,
     ModuleSummary,
@@ -54,7 +54,6 @@ __all__ = [
     "ModuleSummary",
     "PARSE_ERROR_RULE",
     "Project",
-    "Severity",
     "UnknownRuleError",
     "all_rules",
     "analyze_effects",

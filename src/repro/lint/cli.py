@@ -6,7 +6,7 @@ Usage::
     repro lint src/repro/core        # lint a subtree
     repro lint --format json src/    # machine-readable report
     repro lint --select REP101 src/  # run one rule
-    repro lint --ignore REP103 src/  # skip one rule
+    repro lint --ignore REP101 src/  # skip one rule
     repro lint --explain REP108      # rule doc, rationale, fix pattern
     repro lint --list-rules          # rule table
 
@@ -32,10 +32,10 @@ def build_lint_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "Static analysis for the reproduction: per-file invariants (RNG "
-            "discipline, obs guarding, float-equality bans, frozen-tree "
-            "mutation) plus whole-program passes (builder-registry contract, "
-            "export drift, async blocking reachability, await races, "
-            "process-boundary RNG discipline, aliased mutation)."
+            "discipline, obs guarding, frozen-tree mutation) plus "
+            "whole-program passes (builder-registry contract, async blocking "
+            "reachability, await races, process-boundary RNG discipline, "
+            "aliased mutation)."
         ),
     )
     parser.add_argument(
@@ -88,9 +88,8 @@ def _explain(rule_id: str, parser: argparse.ArgumentParser) -> int:
         rule = get_rule(rule_id)
     except UnknownRuleError as exc:
         parser.error(str(exc.args[0]))
-    header = f"{rule.id} [{rule.severity}]"
-    print(header)
-    print("=" * len(header))
+    print(rule.id)
+    print("=" * len(rule.id))
     print(rule.doc or rule.summary)
     return 0
 

@@ -148,13 +148,6 @@ class Project:
 
     # -- symbol-table queries -------------------------------------------
 
-    def top_level_symbols(self, module: str) -> Optional[Set[str]]:
-        """Top-level bound names of *module*, or ``None`` if not in this run."""
-        summary = self.module_summary(module)
-        if summary is None:
-            return None
-        return set(summary.top_symbols)
-
     def name_loads(self, module: str) -> Optional[Set[str]]:
         """Every ``Name`` referenced anywhere in *module* (any context)."""
         summary = self.module_summary(module)

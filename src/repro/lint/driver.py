@@ -4,7 +4,7 @@
 :class:`~repro.lint.context.Project`; files that cannot be read or parsed
 become ``REP000`` findings and the rest are still linted.
 :func:`run_rules` then visits each file with every selected rule.  Rules
-that need cross-file state (builder wiring, exports, the interprocedural
+that need cross-file state (builder wiring, the interprocedural
 REP108–REP110 and REP112 passes) read it through the project's module
 summaries, call graph, and effect analysis, each built once per run.
 
@@ -15,10 +15,11 @@ Suppression is comment-based::
 
 and a whole file can opt out of one rule with a top-of-file marker::
 
-    # repro: ignore-file[REP103]
+    # repro: ignore-file[RULE-ID]
 
 Suppressions are deliberately line- and file-scoped only — there is no
 block scope, so each exemption is visible next to the code it excuses.
+Either kind counts the findings it hides in :attr:`LintResult.suppressed`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import (
 )
 
 from repro.lint.context import FileContext, Project
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.registry import LintRule, all_rules, get_rule
 
 __all__ = [
@@ -104,7 +105,6 @@ def _parse_error_finding(path: Path, exc: Exception) -> Finding:
         line, col, reason = 1, 0, str(exc)
     return Finding(
         rule=PARSE_ERROR_RULE,
-        severity=Severity.ERROR,
         path=str(path),
         line=line,
         col=col,
@@ -157,9 +157,15 @@ def _file_ignores(ctx: FileContext) -> FrozenSet[str]:
     return frozenset(filter(None, ids))
 
 
-def _line_suppresses(line: str, rule_id: str) -> bool:
-    """Whether *line* carries an ignore comment covering *rule_id*."""
-    match = _IGNORE_RE.search(line)
+def _suppressed(
+    ctx: FileContext, file_ignores: FrozenSet[str], rule_id: str, line: int
+) -> bool:
+    """Whether a *rule_id* finding on *line* is covered by an ignore marker."""
+    if rule_id in file_ignores:
+        return True
+    if not 0 < line <= len(ctx.lines):
+        return False
+    match = _IGNORE_RE.search(ctx.lines[line - 1])
     if match is None:
         return False
     rules = match.group("rules")
@@ -177,19 +183,15 @@ def run_rules(
     for ctx in project.files:
         file_ignores = _file_ignores(ctx)
         for rule in rules:
-            if rule.id in file_ignores:
-                continue
             for node, message in rule.check(ctx, project):
                 line = getattr(node, "lineno", 1)
                 col = getattr(node, "col_offset", 0)
-                source_line = ctx.lines[line - 1] if 0 < line <= len(ctx.lines) else ""
-                if _line_suppresses(source_line, rule.id):
+                if _suppressed(ctx, file_ignores, rule.id, line):
                     suppressed += 1
                     continue
                 findings.append(
                     Finding(
                         rule=rule.id,
-                        severity=rule.severity,
                         path=ctx.display_path,
                         line=line,
                         col=col,

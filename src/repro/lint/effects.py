@@ -2,35 +2,16 @@
 
 Each function node gets a set of *effects* — facts about what running it
 may do — seeded from its own body and propagated along call edges with a
-worklist until nothing changes:
+worklist until nothing changes.  One effect is tracked:
 
-``uses-rng``
-    Draws randomness: calls ``numpy.random`` primitives outside the
-    explicit-Generator allow list, calls methods on an rng-named
-    receiver, or calls ``as_rng``/``spawn_rngs``/``default_rng``.
-``emits-obs``
-    Touches the observability plane (``repro.obs`` call targets or the
-    ``OBS`` facade).
 ``blocks``
     May block the calling thread: ``time.sleep``, socket/DNS calls,
     ``subprocess``, ``urllib``, file IO.  Deliberately **not** propagated
     from ``async def`` callees — awaiting a coroutine suspends instead of
     blocking, and the coroutine's own blocking calls are its own REP108
     finding.
-``mutates-frozen``
-    Assigns attributes on a tree-valued expression (REP105's heuristic),
-    directly or transitively.
-``mutates-shared-attr``
-    Writes ``self.<attr>``.  Propagated only along same-class
-    ``self.method()`` edges — a method that calls a sibling mutator
-    effectively mutates shared state, but calling another object's
-    method does not make *this* object's state shared.
-``unpicklable-capture``
-    Closes over a live rng-named name it neither binds nor receives as a
-    parameter; shipping such a function across a process boundary either
-    fails to pickle or silently forks the stream (REP110's target).
 
-The analysis also computes, per function, which *parameters* it mutates
+The same worklist computes, per function, which *parameters* it mutates
 attributes on (directly or by passing them onward), which is what REP112
 needs to follow a frozen tree through aliases.
 """
@@ -44,23 +25,13 @@ from repro.lint.graph import ArgInfo, CallGraph, CallSite, FunctionSummary, Reso
 
 __all__ = [
     "BLOCKS",
-    "EMITS_OBS",
     "EffectAnalysis",
-    "MUTATES_FROZEN",
-    "MUTATES_SHARED_ATTR",
-    "UNPICKLABLE_CAPTURE",
-    "USES_RNG",
     "analyze_effects",
     "arg_param_pairs",
     "is_blocking_chain",
 ]
 
-USES_RNG = "uses-rng"
-EMITS_OBS = "emits-obs"
 BLOCKS = "blocks"
-MUTATES_FROZEN = "mutates-frozen"
-MUTATES_SHARED_ATTR = "mutates-shared-attr"
-UNPICKLABLE_CAPTURE = "unpicklable-capture"
 
 #: Canonical dotted names that block the calling thread outright.
 _BLOCKING_EXACT = frozenset(
@@ -95,28 +66,8 @@ _BLOCKING_TAILS = frozenset(
     }
 )
 
-#: ``numpy.random`` members that are fine to *name* (explicit Generator
-#: construction), mirroring REP101's allow list.
-_ALLOWED_NUMPY_RANDOM = frozenset(
-    {
-        "Generator",
-        "SeedSequence",
-        "BitGenerator",
-        "MT19937",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "SFC64",
-        "default_rng",
-    }
-)
-
 #: Longest rendered witness chain (in hops) for findings.
 _WITNESS_DEPTH = 6
-
-
-def _is_rng_name(name: str) -> bool:
-    return name == "rng" or name.endswith("_rng")
 
 
 def is_blocking_chain(chain: str, canonical: str) -> bool:
@@ -132,36 +83,12 @@ def is_blocking_chain(chain: str, canonical: str) -> bool:
     return tail in _BLOCKING_TAILS and "." in (canonical or chain)
 
 
-def _direct_effects(fn: FunctionSummary, resolved: List[ResolvedCall]) -> Set[str]:
+def _direct_effects(resolved: List[ResolvedCall]) -> Set[str]:
     """Effects evident from one function's own body."""
-    effects: Set[str] = set()
-    if fn.tree_attr_writes:
-        effects.add(MUTATES_FROZEN)
-    if fn.self_attr_writes:
-        effects.add(MUTATES_SHARED_ATTR)
-    if fn.rng_capture:
-        effects.add(UNPICKLABLE_CAPTURE)
     for rc in resolved:
-        chain, canonical = rc.site.chain, rc.canonical
-        if not chain:
-            continue
-        if is_blocking_chain(chain, canonical):
-            effects.add(BLOCKS)
-        if chain.startswith("OBS.") or canonical.startswith("repro.obs."):
-            effects.add(EMITS_OBS)
-        parts = (canonical or chain).split(".")
-        if "random" in parts:
-            idx = parts.index("random")
-            member = parts[idx + 1] if idx + 1 < len(parts) else ""
-            if parts[0] in {"numpy", "np"} and member not in _ALLOWED_NUMPY_RANDOM:
-                effects.add(USES_RNG)
-        head = chain.split(".")[0]
-        if "." in chain and _is_rng_name(head):
-            effects.add(USES_RNG)
-        tail = chain.rpartition(".")[2]
-        if tail in {"as_rng", "spawn_rngs", "default_rng"}:
-            effects.add(USES_RNG)
-    return effects
+        if rc.site.chain and is_blocking_chain(rc.site.chain, rc.canonical):
+            return {BLOCKS}
+    return set()
 
 
 @dataclass
@@ -176,9 +103,6 @@ class EffectAnalysis:
     mutated_params: Dict[str, Set[str]] = field(default_factory=dict)
     iterations: int = 0
 
-    def effects_of(self, node_id: str) -> Set[str]:
-        return self.effects.get(node_id, set())
-
     def has_effect(self, node_id: str, effect: str) -> bool:
         return effect in self.effects.get(node_id, ())
 
@@ -191,13 +115,12 @@ class EffectAnalysis:
             seen.add(current)
             hops.append(_short(current) + "()")
             current = self.provenance.get((current, effect))
-        if effect == BLOCKS:
-            # Terminate the chain at the primitive when we can name it.
-            origin = _last_id(node_id, self.provenance, effect)
-            for rc in self.graph.calls.get(origin, []):
-                if is_blocking_chain(rc.site.chain, rc.canonical):
-                    hops.append(rc.canonical or rc.site.chain)
-                    break
+        # Terminate the chain at the blocking primitive when we can name it.
+        origin = _last_id(node_id, self.provenance, effect)
+        for rc in self.graph.calls.get(origin, []):
+            if is_blocking_chain(rc.site.chain, rc.canonical):
+                hops.append(rc.canonical or rc.site.chain)
+                break
         return " → ".join(hops)
 
     def params_mutated_by(self, node_id: str) -> Set[str]:
@@ -255,7 +178,7 @@ def analyze_effects(graph: CallGraph) -> EffectAnalysis:
 
     for node_id, node in graph.nodes.items():
         resolved = graph.calls.get(node_id, [])
-        direct = _direct_effects(node.summary, resolved)
+        direct = _direct_effects(resolved)
         effects[node_id] = set(direct)
         for effect in direct:
             provenance[(node_id, effect)] = None
@@ -281,12 +204,6 @@ def analyze_effects(graph: CallGraph) -> EffectAnalysis:
                     continue
                 if effect == BLOCKS and callee_node.summary.is_async:
                     continue  # awaiting suspends; it does not block
-                if effect == MUTATES_SHARED_ATTR and not _same_class_self_edge(
-                    graph, caller_id, callee_id
-                ):
-                    continue
-                if effect == UNPICKLABLE_CAPTURE:
-                    continue  # a capture is a property of the callee object
                 effects[caller_id].add(effect)
                 provenance[(caller_id, effect)] = callee_id
                 changed = True
@@ -311,17 +228,3 @@ def analyze_effects(graph: CallGraph) -> EffectAnalysis:
                 worklist.append(caller_id)
                 in_worklist.add(caller_id)
     return analysis
-
-
-def _same_class_self_edge(graph: CallGraph, caller_id: str, callee_id: str) -> bool:
-    """Whether caller→callee is a ``self.method()`` edge within one class."""
-    caller = graph.nodes[caller_id].summary
-    callee = graph.nodes[callee_id].summary
-    if caller.parent_class is None or callee.parent_class is None:
-        return False
-    if graph.nodes[caller_id].module != graph.nodes[callee_id].module:
-        return False
-    for rc in graph.calls.get(caller_id, []):
-        if rc.target == callee_id and rc.site.chain.startswith("self."):
-            return True
-    return False

@@ -1,25 +1,15 @@
 """Finding model shared by the lint driver and reporters.
 
-A :class:`Finding` is one rule violation at one source location.
+A :class:`Finding` is one rule violation at one source location.  Every
+finding is an error: any finding fails the gate.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-__all__ = ["Finding", "Loc", "Severity"]
-
-
-class Severity(enum.Enum):
-    """How bad a finding is; both levels fail the gate, the label is for humans."""
-
-    WARNING = "warning"
-    ERROR = "error"
-
-    def __str__(self) -> str:
-        return self.value
+__all__ = ["Finding", "Loc"]
 
 
 @dataclass(frozen=True)
@@ -28,7 +18,6 @@ class Finding:
 
     Attributes:
         rule: Rule identifier, e.g. ``"REP101"``.
-        severity: :class:`Severity` of the owning rule.
         path: Display path of the offending file (posix separators).
         line: 1-based line of the violation.
         col: 0-based column of the violation.
@@ -36,7 +25,6 @@ class Finding:
     """
 
     rule: str
-    severity: Severity
     path: str
     line: int
     col: int
@@ -47,16 +35,12 @@ class Finding:
         return (self.path, self.line, self.col, self.rule)
 
     def render(self) -> str:
-        """``path:line:col RULE severity: message`` — one line per finding."""
-        return (
-            f"{self.path}:{self.line}:{self.col} "
-            f"{self.rule} {self.severity}: {self.message}"
-        )
+        """``path:line:col RULE: message`` — one line per finding."""
+        return f"{self.path}:{self.line}:{self.col} {self.rule}: {self.message}"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "rule": self.rule,
-            "severity": str(self.severity),
             "path": self.path,
             "line": self.line,
             "col": self.col,

@@ -4,10 +4,9 @@ The per-file rules see one AST at a time; the interprocedural rules
 (REP108–REP110, REP112) need the *project*.  This module provides the two layers
 they stand on:
 
-1. :class:`ModuleSummary` — a digest of one parsed file: top-level
-   symbols, import aliases and records (module- and function-level),
-   every function with its call sites, attribute writes, and async event
-   ordering.
+1. :class:`ModuleSummary` — a digest of one parsed file: referenced
+   names, import aliases (module- and function-level), every function
+   with its call sites, attribute writes, and async event ordering.
 2. :class:`CallGraph` — a name-resolved call graph.  Resolution is
    deliberately conservative: bare names resolve through local nested
    defs, module functions/classes, import aliases (including lazy
@@ -43,13 +42,11 @@ if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
 
 __all__ = [
     "ArgInfo",
-    "AllDecl",
     "CallGraph",
     "CallSite",
     "ClassSummary",
     "Event",
     "FunctionSummary",
-    "ImportRecord",
     "ModuleSummary",
     "ResolvedCall",
     "build_call_graph",
@@ -194,12 +191,7 @@ class FunctionSummary:
     events: Tuple[Event, ...]  # populated for async functions only
     self_attr_writes: Tuple[str, ...]
     param_attr_writes: Tuple[str, ...]
-    tree_attr_writes: Tuple[Tuple[str, int, int], ...]  # (expr text, line, col)
     rng_capture: bool  # reads an rng-named name it does not bind
-
-    @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_")
 
     @property
     def params(self) -> Tuple[str, ...]:
@@ -208,37 +200,13 @@ class FunctionSummary:
 
 @dataclass(frozen=True)
 class ClassSummary:
-    """One class: bases, class-level constant assigns, async-ness."""
+    """One class: bases and async-ness."""
 
     name: str
     lineno: int
     col: int
     bases: Tuple[str, ...]  # dotted chains as written
-    assigns: Tuple[Tuple[str, Optional[str]], ...]  # (name, constant repr)
     has_async_method: bool
-
-    def has_assign(self, name: str) -> bool:
-        return any(key == name for key, _ in self.assigns)
-
-
-@dataclass(frozen=True)
-class AllDecl:
-    """One top-level ``__all__`` assignment, pre-evaluated for REP106."""
-
-    lineno: int
-    col: int
-    kind: str  # "ok" | "dynamic" | "badtype"
-    names: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ImportRecord:
-    """One ``from ... import`` statement (module- or function-level)."""
-
-    target: Optional[str]  # absolute source module (relative levels resolved)
-    names: Tuple[Tuple[str, Optional[str]], ...]  # (name, asname), no "*"
-    lineno: int
-    col: int
 
 
 @dataclass
@@ -246,12 +214,9 @@ class ModuleSummary:
     """Everything the whole-program passes need from one parsed file."""
 
     module: Optional[str]
-    top_symbols: FrozenSet[str]
     name_loads: FrozenSet[str]
     aliases: Dict[str, str]  # local name -> dotted target
     star_imports: Tuple[str, ...]
-    imports: Tuple[ImportRecord, ...]
-    all_decls: Tuple[AllDecl, ...]
     functions: Tuple[FunctionSummary, ...]  # flat: module-level + methods + nested
     classes: Tuple[ClassSummary, ...]
 
@@ -343,7 +308,6 @@ class _FunctionCollector:
         self.events: List[Event] = []
         self.self_writes: Set[str] = set()
         self.param_writes: Set[str] = set()
-        self.tree_writes: List[Tuple[str, int, int]] = []
         self.bound_names: Set[str] = set()
         self.loaded_rng_names: Set[str] = set()
 
@@ -371,7 +335,6 @@ class _Extractor:
         self.is_package = is_package
         self.aliases: Dict[str, str] = {}
         self.star_imports: List[str] = []
-        self.imports: List[ImportRecord] = []
         self.functions: List[FunctionSummary] = []
         self.classes: List[ClassSummary] = []
         self._fn_stack: List[_FunctionCollector] = []
@@ -390,25 +353,13 @@ class _Extractor:
 
     def _record_import_from(self, node: ast.ImportFrom) -> None:
         target = _resolve_relative(self.module, self.is_package, node)
-        star = any(alias.name == "*" for alias in node.names)
-        names = tuple(
-            (alias.name, alias.asname)
-            for alias in node.names
-            if alias.name != "*"
-        )
-        self.imports.append(
-            ImportRecord(
-                target=target,
-                names=names,
-                lineno=node.lineno,
-                col=node.col_offset,
-            )
-        )
-        if star and target:
-            self.star_imports.append(target)
-        if target:
-            for name, asname in names:
-                self.aliases[asname or name] = f"{target}.{name}"
+        if target is None:
+            return
+        for alias in node.names:
+            if alias.name == "*":
+                self.star_imports.append(target)
+            else:
+                self.aliases[alias.asname or alias.name] = f"{target}.{alias.name}"
 
     # -- statements -----------------------------------------------------
 
@@ -514,18 +465,6 @@ class _Extractor:
                     fn.event("write", target.attr, stmt)
                 if isinstance(base, ast.Name) and base.id in self._current_params():
                     fn.param_writes.add(base.id)
-                if _is_tree_valued(base):
-                    try:
-                        text = _trim(ast.unparse(base))
-                    except Exception:  # pragma: no cover
-                        text = "<expr>"
-                    fn.tree_writes.append(
-                        (
-                            text,
-                            getattr(stmt, "lineno", 0),
-                            getattr(stmt, "col_offset", 0),
-                        )
-                    )
             # Reads hidden in the base expression (e.g. self.a.b = x reads self.a).
             self.visit_expr(base)
 
@@ -678,7 +617,6 @@ class _Extractor:
                 events=tuple(collector.events),
                 self_attr_writes=tuple(sorted(collector.self_writes)),
                 param_attr_writes=tuple(sorted(collector.param_writes)),
-                tree_attr_writes=tuple(collector.tree_writes),
                 rng_capture=captured_rng,
             )
         )
@@ -691,26 +629,6 @@ class _Extractor:
             self.visit_body(node.body)
             self._class_stack.pop()
             return
-        assigns: List[Tuple[str, Optional[str]]] = []
-        for stmt in node.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        value = (
-                            repr(stmt.value.value)
-                            if isinstance(stmt.value, ast.Constant)
-                            else None
-                        )
-                        assigns.append((target.id, value))
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                value = (
-                    repr(stmt.value.value)
-                    if isinstance(stmt.value, ast.Constant)
-                    else None
-                )
-                assigns.append((stmt.target.id, value))
         self._class_stack.append(node.name)
         n_before = len(self.functions)
         self.visit_body(node.body)
@@ -725,86 +643,9 @@ class _Extractor:
                 lineno=node.lineno,
                 col=node.col_offset,
                 bases=tuple(filter(None, (_dotted_chain(b) for b in node.bases))),
-                assigns=tuple(assigns),
                 has_async_method=has_async,
             )
         )
-
-
-def _top_level_symbols(tree: ast.Module) -> Set[str]:
-    """Names bound at module top level, descending into If/Try/With bodies."""
-    symbols: Set[str] = set()
-
-    def collect_targets(target: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            symbols.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                collect_targets(element)
-
-    def visit_body(body: List[ast.stmt]) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                symbols.add(node.name)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    symbols.add((alias.asname or alias.name).split(".")[0])
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    collect_targets(target)
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                symbols.add(node.target.id)
-            elif isinstance(node, ast.If):
-                visit_body(node.body)
-                visit_body(node.orelse)
-            elif isinstance(node, ast.Try):
-                visit_body(node.body)
-                for handler in node.handlers:
-                    visit_body(handler.body)
-                visit_body(node.orelse)
-                visit_body(node.finalbody)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                visit_body(node.body)
-
-    visit_body(tree.body)
-    return symbols
-
-
-def _all_decls(tree: ast.Module) -> List[AllDecl]:
-    decls: List[AllDecl] = []
-    for node in tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            targets, value = list(node.targets), node.value
-        elif isinstance(node, ast.AnnAssign):
-            targets, value = [node.target], node.value
-        if not any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in targets
-        ):
-            continue
-        if value is None:
-            continue  # bare annotation, nothing to check
-        try:
-            names = ast.literal_eval(value)
-        except ValueError:
-            decls.append(
-                AllDecl(node.lineno, node.col_offset, kind="dynamic", names=())
-            )
-            continue
-        if not isinstance(names, (list, tuple)) or not all(
-            isinstance(name, str) for name in names
-        ):
-            decls.append(
-                AllDecl(node.lineno, node.col_offset, kind="badtype", names=())
-            )
-            continue
-        decls.append(
-            AllDecl(node.lineno, node.col_offset, kind="ok", names=tuple(names))
-        )
-    return decls
 
 
 def extract_summary(ctx: "FileContext") -> ModuleSummary:
@@ -817,12 +658,9 @@ def extract_summary(ctx: "FileContext") -> ModuleSummary:
     )
     return ModuleSummary(
         module=ctx.module,
-        top_symbols=frozenset(_top_level_symbols(tree)),
         name_loads=loads,
         aliases=extractor.aliases,
         star_imports=tuple(extractor.star_imports),
-        imports=tuple(extractor.imports),
-        all_decls=tuple(_all_decls(tree)),
         functions=tuple(extractor.functions),
         classes=tuple(extractor.classes),
     )

@@ -1,10 +1,10 @@
-"""Lint-rule registry: ``@lint_rule(id, severity)`` and rule lookup.
+"""Lint-rule registry: ``@lint_rule(id)`` and rule lookup.
 
 Mirrors the tree-builder registry's shape (:mod:`repro.engine.registry`):
 rules self-register at decoration time, the stock rule modules are imported
 lazily on first lookup, and consumers address rules by their stable string
 id.  A rule is a generator over ``(ast_node, message)`` pairs; the driver
-stamps rule id, severity, file, and location onto each yielded pair to form
+stamps rule id, file, and location onto each yielded pair to form
 :class:`~repro.lint.findings.Finding` objects.
 """
 
@@ -14,8 +14,6 @@ import ast
 import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
-
-from repro.lint.findings import Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.lint.context import FileContext, Project
@@ -42,20 +40,19 @@ class UnknownRuleError(KeyError):
 
 @dataclass(frozen=True)
 class LintRule:
-    """A registered rule: id, severity, summary, and the checker.
+    """A registered rule: id, summary, and the checker.
 
     ``doc`` is the checker's full docstring — the shared source of truth
     for ``repro lint --explain`` and ``docs/static_analysis.md``.
     """
 
     id: str
-    severity: Severity
     summary: str
     check: RuleCheck
     doc: str = ""
 
     def describe(self) -> str:
-        return f"{self.id} [{self.severity}] {self.summary}"
+        return f"{self.id} {self.summary}"
 
 
 _RULES: Dict[str, LintRule] = {}
@@ -72,7 +69,6 @@ def _ensure_defaults() -> None:
 
 def lint_rule(
     rule_id: str,
-    severity: Severity,
     summary: Optional[str] = None,
 ) -> Callable[[RuleCheck], RuleCheck]:
     """Decorator registering *fn* as the checker for *rule_id*.
@@ -93,7 +89,6 @@ def lint_rule(
             one_line = doc_lines[0] if doc_lines else rule_id
         _RULES[rule_id] = LintRule(
             id=rule_id,
-            severity=severity,
             summary=one_line,
             check=fn,
             doc=full_doc,

@@ -6,18 +6,14 @@ import json
 from typing import List
 
 from repro.lint.driver import LintResult
-from repro.lint.findings import Severity
 
 __all__ = ["render_json", "render_text"]
 
 
 def _summary_line(result: LintResult) -> str:
-    findings = result.all_findings
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    warnings = len(findings) - errors
     parts = [
         f"{result.checked_files} files checked",
-        f"{len(findings)} findings ({errors} errors, {warnings} warnings)",
+        f"{len(result.all_findings)} findings",
     ]
     if result.suppressed:
         parts.append(f"{result.suppressed} suppressed")
@@ -41,10 +37,6 @@ def render_json(result: LintResult) -> str:
         "rules": list(result.rules_run),
         "findings": [finding.to_dict() for finding in findings],
         "suppressed": result.suppressed,
-        "summary": {
-            "errors": sum(1 for f in findings if f.severity is Severity.ERROR),
-            "warnings": sum(1 for f in findings if f.severity is Severity.WARNING),
-            "total": len(findings),
-        },
+        "summary": {"total": len(findings)},
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -22,7 +22,7 @@ from typing import Iterator, Tuple, Union
 
 from repro.lint.context import FileContext, Project
 from repro.lint.effects import arg_param_pairs
-from repro.lint.findings import Loc, Severity
+from repro.lint.findings import Loc
 from repro.lint.registry import lint_rule
 
 __all__ = ["check_aliased_tree_mutation"]
@@ -33,7 +33,7 @@ _Yield = Tuple[Union[ast.AST, Loc], str]
 EXEMPT_MODULES = frozenset({"repro.core.tree", "repro.engine.treestate"})
 
 
-@lint_rule("REP112", Severity.ERROR)
+@lint_rule("REP112")
 def check_aliased_tree_mutation(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:

@@ -30,7 +30,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.lint.context import FileContext, Project
 from repro.lint.effects import BLOCKS, is_blocking_chain
-from repro.lint.findings import Loc, Severity
+from repro.lint.findings import Loc
 from repro.lint.graph import FunctionSummary
 from repro.lint.registry import lint_rule
 
@@ -39,7 +39,7 @@ __all__ = ["check_async_blocking", "check_await_races"]
 _Yield = Tuple[Union[ast.AST, Loc], str]
 
 
-@lint_rule("REP108", Severity.ERROR)
+@lint_rule("REP108")
 def check_async_blocking(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:
@@ -104,7 +104,7 @@ def _self_method_writes(
     }
 
 
-@lint_rule("REP109", Severity.ERROR)
+@lint_rule("REP109")
 def check_await_races(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:

@@ -18,8 +18,9 @@ are flagged:
   ``default_rng(...)``) passed straight through — ``spawn_rngs(...)``
   results are the sanctioned handoff and stay clean;
 * a ``lambda`` whose body closes over an rng name;
-* a named function that the effect analysis marked
-  ``unpicklable-capture`` (it closes over a live rng).
+* a named function whose summary records an rng capture
+  (:attr:`~repro.lint.graph.FunctionSummary.rng_capture`: it closes over
+  a live rng it neither binds nor receives as a parameter).
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import ast
 from typing import Iterator, Optional, Tuple, Union
 
 from repro.lint.context import FileContext, Project
-from repro.lint.effects import UNPICKLABLE_CAPTURE, EffectAnalysis
-from repro.lint.findings import Loc, Severity
+from repro.lint.findings import Loc
 from repro.lint.graph import ArgInfo, CallGraph, CallSite, ModuleSummary
 from repro.lint.registry import lint_rule
 
@@ -65,7 +65,7 @@ def _is_boundary(site: CallSite, canonical: str) -> bool:
     return False
 
 
-@lint_rule("REP110", Severity.ERROR)
+@lint_rule("REP110")
 def check_rng_boundary(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:
@@ -86,7 +86,6 @@ def check_rng_boundary(
     if summary.module is None:
         return
     graph = project.call_graph()
-    effects = project.effect_analysis()
     for fn in summary.functions:
         node_id = f"{summary.module}:{fn.qualname}"
         for rc in graph.calls.get(node_id, ()):
@@ -95,7 +94,7 @@ def check_rng_boundary(
             boundary = rc.canonical or rc.site.chain
             for arg in rc.site.args:
                 message = _classify_arg(
-                    arg, summary.module, graph, effects, summary, fn.qualname
+                    arg, summary.module, graph, summary, fn.qualname
                 )
                 if message is not None:
                     yield (
@@ -110,7 +109,6 @@ def _classify_arg(
     arg: ArgInfo,
     module: str,
     graph: CallGraph,
-    effects: EffectAnalysis,
     summary: ModuleSummary,
     caller_qualname: str,
 ) -> Optional[str]:
@@ -129,8 +127,6 @@ def _classify_arg(
             if alias is not None:
                 mod, _, attr = alias.rpartition(".")
                 target = f"{mod}:{attr}"
-        if target in graph.nodes and effects.has_effect(
-            target, UNPICKLABLE_CAPTURE
-        ):
+        if target in graph.nodes and graph.nodes[target].summary.rng_capture:
             return f"function {arg.name}() closing over a live rng"
     return None

@@ -29,7 +29,7 @@ import ast
 from typing import Iterator, Tuple, Union
 
 from repro.lint.context import FileContext, Project
-from repro.lint.findings import Loc, Severity
+from repro.lint.findings import Loc
 from repro.lint.registry import lint_rule
 
 __all__ = ["check_builder_contract"]
@@ -114,7 +114,7 @@ def _check_duplicate_names(
             )
 
 
-@lint_rule("REP104", Severity.ERROR)
+@lint_rule("REP104")
 def check_builder_contract(
     ctx: FileContext, project: Project
 ) -> Iterator[_Yield]:

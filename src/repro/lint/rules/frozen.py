@@ -20,7 +20,6 @@ import ast
 from typing import Iterator, Tuple
 
 from repro.lint.context import FileContext, Project
-from repro.lint.findings import Severity
 from repro.lint.registry import lint_rule
 
 __all__ = ["check_frozen_tree"]
@@ -52,7 +51,7 @@ def _message(target: str) -> str:
     )
 
 
-@lint_rule("REP105", Severity.ERROR)
+@lint_rule("REP105")
 def check_frozen_tree(
     ctx: FileContext, project: Project
 ) -> Iterator[Tuple[ast.AST, str]]:

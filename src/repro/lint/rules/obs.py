@@ -27,7 +27,6 @@ import ast
 from typing import Iterator, List, Set, Tuple
 
 from repro.lint.context import FileContext, Project
-from repro.lint.findings import Severity
 from repro.lint.registry import lint_rule
 
 __all__ = ["HOT_PACKAGES", "check_obs_guard"]
@@ -88,7 +87,7 @@ def _test_guards(test: ast.expr, aliases: Set[str]) -> bool:
     return False
 
 
-@lint_rule("REP102", Severity.ERROR)
+@lint_rule("REP102")
 def check_obs_guard(
     ctx: FileContext, project: Project
 ) -> Iterator[Tuple[ast.AST, str]]:

@@ -24,7 +24,6 @@ import ast
 from typing import Iterator, Set, Tuple
 
 from repro.lint.context import FileContext, Project
-from repro.lint.findings import Severity
 from repro.lint.registry import lint_rule
 
 __all__ = ["ALLOWED_NUMPY_RANDOM_NAMES", "check_rng_discipline"]
@@ -62,7 +61,7 @@ def _dotted_chain(node: ast.expr) -> str:
     return ".".join(reversed(parts))
 
 
-@lint_rule("REP101", Severity.ERROR)
+@lint_rule("REP101")
 def check_rng_discipline(
     ctx: FileContext, project: Project
 ) -> Iterator[Tuple[ast.AST, str]]:

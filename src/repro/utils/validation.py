@@ -33,9 +33,9 @@ def approx_eq(
 
     Tree cost, reliability, and lifetime are sums/products of many float
     terms (and the engine maintains them incrementally), so bitwise ``==``
-    on them is path-dependent; ``repro lint`` rule REP103 bans it and points
-    here.  The defaults absorb ulp-level drift while still distinguishing
-    any two genuinely different trees of practical size.
+    on them is path-dependent; compare them through this helper instead.
+    The defaults absorb ulp-level drift while still distinguishing any two
+    genuinely different trees of practical size.
     """
     return math.isclose(float(a), float(b), rel_tol=rel_tol, abs_tol=abs_tol)
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.lint import PARSE_ERROR_RULE, Severity, lint_paths
+from repro.lint import PARSE_ERROR_RULE, lint_paths
 from repro.lint.driver import build_project, iter_python_files
 from repro.lint.report import render_json, render_text
 
@@ -21,10 +21,14 @@ class TestSuppression:
         assert result.suppressed == 1
 
     def test_bare_ignore_silences_all_rules(self, tmp_path):
-        source = "def f(a, b):\n    return a.cost() == b.cost()  # repro: ignore\n"
+        source = (
+            "import numpy as np\n"
+            "def f(tree):\n"
+            "    tree.rng = np.random.default_rng(3)  # repro: ignore\n"
+        )
         result = lint_paths([write_tree(tmp_path, {"repro/a.py": source})])
         assert result.all_findings == []
-        assert result.suppressed == 1
+        assert result.suppressed == 2  # REP101 and REP105 on one line
 
     def test_wrong_id_does_not_suppress(self, tmp_path):
         source = "import random  # repro: ignore[REP105]\n"
@@ -33,8 +37,9 @@ class TestSuppression:
 
     def test_multiple_ids_in_one_comment(self, tmp_path):
         source = (
-            "def f(tree, cost):\n"
-            "    tree.cost = cost == tree.old_cost  # repro: ignore[REP103, REP105]\n"
+            "import numpy as np\n"
+            "def f(tree):\n"
+            "    tree.rng = np.random.default_rng(3)  # repro: ignore[REP101, REP105]\n"
         )
         result = lint_paths([write_tree(tmp_path, {"repro/a.py": source})])
         assert result.all_findings == []
@@ -42,14 +47,21 @@ class TestSuppression:
 
     def test_ignore_file_marker(self, tmp_path):
         source = (
-            "# repro: ignore-file[REP103]\n"
-            "def f(a, b):\n"
-            "    return a.cost() == b.cost() and a.lifetime() == b.lifetime()\n"
+            "# repro: ignore-file[REP105]\n"
+            "def f(tree, best_tree):\n"
+            "    tree.cost = 1.0\n"
+            "    best_tree.cost = 2.0\n"
         )
         assert lint_sources(tmp_path, {"repro/a.py": source}) == []
 
+    def test_ignore_file_marker_counts_suppressed(self, tmp_path):
+        source = "# repro: ignore-file[REP101]\nimport random\n"
+        result = lint_paths([write_tree(tmp_path, {"repro/a.py": source})])
+        assert result.all_findings == []
+        assert result.suppressed == 1
+
     def test_ignore_file_marker_is_rule_scoped(self, tmp_path):
-        source = "# repro: ignore-file[REP103]\nimport random\n"
+        source = "# repro: ignore-file[REP105]\nimport random\n"
         findings = lint_sources(tmp_path, {"repro/a.py": source})
         assert rule_ids(findings) == ["REP101"]
 
@@ -63,7 +75,6 @@ class TestParseErrors:
     def test_syntax_error_becomes_rep000(self, tmp_path):
         result = lint_paths([write_tree(tmp_path, {"repro/bad.py": "def f(:\n"})])
         assert rule_ids(result.all_findings) == [PARSE_ERROR_RULE]
-        assert result.all_findings[0].severity is Severity.ERROR
 
     def test_other_files_still_checked(self, tmp_path):
         files = {"repro/bad.py": "def f(:\n", "repro/ok.py": "import random\n"}
@@ -116,7 +127,7 @@ class TestReporters:
         text = render_text(result)
         assert "REP101" in text
         assert "1 files checked" in text
-        assert "1 errors" in text
+        assert "1 findings" in text
 
     def test_text_report_mentions_suppressed(self, tmp_path):
         files = {"repro/a.py": "import random  # repro: ignore[REP101]\n"}
@@ -128,7 +139,6 @@ class TestReporters:
         result = self.result_with_findings(tmp_path)
         payload = json.loads(render_json(result))
         assert payload["summary"]["total"] == 1
-        assert payload["summary"]["errors"] == 1
         assert payload["findings"][0]["rule"] == "REP101"
         assert payload["checked_files"] == 1
         assert "REP101" in payload["rules"]
@@ -138,4 +148,4 @@ class TestReporters:
         line = result.all_findings[0].render()
         path = result.all_findings[0].path
         assert line.startswith(f"{path}:1:")
-        assert "REP101" in line and "error" in line
+        assert "REP101" in line

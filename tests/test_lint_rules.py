@@ -138,32 +138,6 @@ class TestREP102ObsGuard:
         )
 
 
-class TestREP103FloatEquality:
-    def test_method_call_equality_flagged(self, tmp_path):
-        source = "def f(a, b):\n    return a.cost() == b.cost()\n"
-        findings = lint_sources(tmp_path, {"repro/algo.py": source})
-        assert rule_ids(findings) == ["REP103"]
-
-    def test_attribute_inequality_flagged(self, tmp_path):
-        source = "def f(r, lc):\n    return r.lifetime != lc\n"
-        findings = lint_sources(tmp_path, {"repro/algo.py": source})
-        assert rule_ids(findings) == ["REP103"]
-
-    def test_variable_name_flagged(self, tmp_path):
-        source = "def f(best_cost, cost):\n    return best_cost == cost\n"
-        findings = lint_sources(tmp_path, {"repro/algo.py": source})
-        # one finding per comparison, not one per matching side
-        assert rule_ids(findings) == ["REP103"]
-
-    def test_ordering_comparisons_allowed(self, tmp_path):
-        source = "def f(a, b):\n    return a.cost() < b.cost() <= b.lifetime()\n"
-        assert lint_sources(tmp_path, {"repro/algo.py": source}) == []
-
-    def test_unrelated_equality_allowed(self, tmp_path):
-        source = "def f(n, m):\n    return n.index == m.index\n"
-        assert lint_sources(tmp_path, {"repro/algo.py": source}) == []
-
-
 BUILDERS_OK = (
     "from repro.engine.registry import tree_builder\n"
     "from repro.baselines.fancy import build_fancy_tree\n"
@@ -278,138 +252,6 @@ class TestREP105FrozenTree:
         source = "def freeze(self, tree):\n    tree._parent = []\n"
         assert lint_sources(tmp_path, {"repro/engine/treestate.py": source}) == []
         assert lint_sources(tmp_path, {"repro/core/tree.py": source}) == []
-
-
-class TestREP106ExportDrift:
-    def test_missing_name_flagged(self, tmp_path):
-        source = "__all__ = ['exists', 'ghost']\ndef exists():\n    return 1\n"
-        findings = lint_sources(tmp_path, {"repro/mod.py": source})
-        assert rule_ids(findings) == ["REP106"]
-        assert "ghost" in findings[0].message
-
-    def test_duplicate_entry_flagged(self, tmp_path):
-        source = "__all__ = ['f', 'f']\ndef f():\n    return 1\n"
-        findings = lint_sources(tmp_path, {"repro/mod.py": source})
-        assert rule_ids(findings) == ["REP106"]
-
-    def test_dynamic_all_flagged(self, tmp_path):
-        source = "names = ['a']\n__all__ = names + ['b']\n"
-        findings = lint_sources(tmp_path, {"repro/mod.py": source})
-        assert rule_ids(findings) == ["REP106"]
-
-    def test_conditional_and_imported_names_count(self, tmp_path):
-        source = (
-            "__all__ = ['Flag', 'path', 'sub']\n"
-            "from os import path\n"
-            "from repro import sub\n"
-            "try:\n"
-            "    Flag = True\n"
-            "except ImportError:\n"
-            "    Flag = False\n"
-        )
-        assert lint_sources(tmp_path, {"repro/mod.py": source}) == []
-
-    def test_broken_reexport_flagged(self, tmp_path):
-        files = {
-            "repro/pkg/__init__.py": "from repro.pkg.impl import gone\n",
-            "repro/pkg/impl.py": "def here():\n    return 1\n",
-        }
-        findings = lint_sources(tmp_path, files)
-        assert rule_ids(findings) == ["REP106"]
-        assert "gone" in findings[0].message
-
-    def test_resolving_reexport_allowed(self, tmp_path):
-        files = {
-            "repro/pkg/__init__.py": (
-                "from repro.pkg.impl import here\n__all__ = ['here']\n"
-            ),
-            "repro/pkg/impl.py": "def here():\n    return 1\n",
-        }
-        assert lint_sources(tmp_path, files) == []
-
-    def test_relative_import_resolves(self, tmp_path):
-        files = {
-            "repro/pkg/__init__.py": "from .impl import here\n",
-            "repro/pkg/impl.py": "def here():\n    return 1\n",
-        }
-        assert lint_sources(tmp_path, files) == []
-
-    def test_relative_import_broken_flagged(self, tmp_path):
-        files = {
-            "repro/pkg/__init__.py": "from .impl import gone\n",
-            "repro/pkg/impl.py": "def here():\n    return 1\n",
-        }
-        findings = lint_sources(tmp_path, files)
-        assert rule_ids(findings) == ["REP106"]
-
-    def test_submodule_import_allowed(self, tmp_path):
-        files = {
-            "repro/pkg/__init__.py": "from repro.pkg import impl\n",
-            "repro/pkg/impl.py": "def here():\n    return 1\n",
-        }
-        assert lint_sources(tmp_path, files) == []
-
-    def test_external_modules_skipped(self, tmp_path):
-        source = "from collections import Counter\n_ = Counter\n"
-        assert lint_sources(tmp_path, {"repro/mod.py": source}) == []
-
-
-class TestREP107TimingDiscipline:
-    def test_bare_time_time_flagged(self, tmp_path):
-        source = "import time\nstart = time.time()\n"
-        findings = lint_sources(tmp_path, {"repro/mod.py": source})
-        assert rule_ids(findings) == ["REP107"]
-        assert "perf_counter" in findings[0].message
-
-    def test_duration_arithmetic_flagged(self, tmp_path):
-        source = (
-            "import time\n"
-            "def f():\n"
-            "    t0 = time.time()\n"
-            "    return time.time() - t0\n"
-        )
-        findings = lint_sources(tmp_path, {"repro/mod.py": source})
-        assert rule_ids(findings) == ["REP107", "REP107"]
-
-    def test_module_alias_flagged(self, tmp_path):
-        source = "import time as clock\nx = clock.time()\n"
-        findings = lint_sources(tmp_path, {"repro/mod.py": source})
-        assert rule_ids(findings) == ["REP107"]
-
-    def test_from_import_flagged(self, tmp_path):
-        source = "from time import time\nx = time()\n"
-        findings = lint_sources(tmp_path, {"repro/mod.py": source})
-        assert rule_ids(findings) == ["REP107"]
-
-    def test_timestamp_keyword_allowed(self, tmp_path):
-        source = (
-            "import time\n"
-            "def f(record):\n"
-            "    return record(timestamp=time.time())\n"
-        )
-        assert lint_sources(tmp_path, {"repro/mod.py": source}) == []
-
-    def test_timestamp_assignment_allowed(self, tmp_path):
-        source = "import time\nwall_timestamp = time.time()\n"
-        assert lint_sources(tmp_path, {"repro/mod.py": source}) == []
-
-    def test_timestamp_dict_key_allowed(self, tmp_path):
-        source = "import time\ndoc = {'utc_epoch': time.time()}\n"
-        assert lint_sources(tmp_path, {"repro/mod.py": source}) == []
-
-    def test_perf_counter_and_monotonic_allowed(self, tmp_path):
-        source = (
-            "import time\n"
-            "a = time.perf_counter()\n"
-            "b = time.monotonic()\n"
-            "time.sleep(0)\n"
-        )
-        assert lint_sources(tmp_path, {"repro/mod.py": source}) == []
-
-    def test_unrelated_time_function_allowed(self, tmp_path):
-        # A local callable named `time` without the stdlib import in scope.
-        source = "def time():\n    return 0\nx = time()\n"
-        assert lint_sources(tmp_path, {"repro/mod.py": source}) == []
 
 
 class TestRuleSelection:
