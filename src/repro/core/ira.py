@@ -36,6 +36,12 @@ Implementation notes beyond the paper:
   uninflated attempt is checked against the first program of the inflated
   attempt, whose rows are tighter.  The count is
   :attr:`IRAResult.lp_reused`.
+* An attempt keeps one :class:`~repro.core.lp.MRLCLinearProgram`, and so
+  one HiGHS model, across its iterations.  Before each later solve,
+  :meth:`~repro.core.lp.MRLCLinearProgram.restrict` cuts it down to the
+  surviving edges and lifetime rows, keeping every cut row and the basis.
+  The edited program is the fresh one row for row, and the perturbed costs
+  make its optimum unique, so the warm solve returns the same vertex.
 * Theorem 2's progress guarantee relies on exact extreme points.  When an
   iteration removes no edge and drops no constraint, we force-drop the
   constraint with the largest slack and record a diagnostic
@@ -232,6 +238,7 @@ class IterativeRelaxation:
         lp_solves = 0
         lp_reused = 0
         previous = first_optimum[0] if first_optimum else None
+        program: Optional[MRLCLinearProgram] = None
         forced: List[int] = []
         prev_objective: Optional[float] = None
         if OBS.enabled:
@@ -251,9 +258,12 @@ class IterativeRelaxation:
             if reused:
                 lp_reused += 1
             else:
-                program = MRLCLinearProgram(
-                    net, active_edges, bounds, initial_cuts=cuts
-                )
+                if program is None:
+                    program = MRLCLinearProgram(
+                        net, active_edges, bounds, initial_cuts=cuts
+                    )
+                else:
+                    program.restrict(active_edges, bounds)
                 solution = program.solve()  # raises InfeasibleLifetimeError
                 lp_solves += solution.n_lp_solves
             if not first_optimum:

@@ -13,13 +13,17 @@ The lifetime rows are linear degree bounds (see :mod:`repro.core.lifetime`):
 constraints is generated lazily by the min-cut separation oracle
 (:mod:`repro.core.separation`).
 
-Each :meth:`MRLCLinearProgram.solve` owns one HiGHS model, built through
-the binding scipy bundles (``scipy.optimize._highspy._core._Highs``): one
-column per edge, the spanning row, then the lifetime rows and carried cuts.
-Every cutting-plane round appends only its new cuts as sparse rows and
-re-runs dual simplex from the previous basis (:func:`linprog`).  Dual simplex
-returns an extreme point (a basic feasible solution), which is what IRA's
-integrality argument (Lemma 1 / Lemma 4) requires.
+Each :class:`MRLCLinearProgram` owns one HiGHS model, built through the
+binding scipy bundles (``scipy.optimize._highspy._core._Highs``) on its first
+:meth:`~MRLCLinearProgram.solve`: one column per edge, the spanning row, then
+the lifetime rows and carried cuts.  Every cutting-plane round appends only
+its new cuts as sparse rows and re-runs dual simplex from the previous basis
+(:func:`linprog`).  IRA keeps one program for a whole attempt: between its
+iterations :meth:`~MRLCLinearProgram.restrict` deletes the ``x_e = 0``
+columns (line 6) and the dropped lifetime rows (line 8) in place, keeps
+every cut row, and the next solve starts warm from what is left of the
+basis.  Dual simplex returns an extreme point (a basic feasible solution),
+which is what IRA's integrality argument (Lemma 1 / Lemma 4) requires.
 """
 
 from __future__ import annotations
@@ -95,9 +99,9 @@ def _perturbed_cost(cost: float, u: int, v: int) -> float:
 
 @lru_cache(maxsize=1 << 16)
 def _edge_jitter(u: int, v: int) -> float:
-    """The per-edge factor in ``[1, 2)``; memoised because IRA builds many
-    :class:`MRLCLinearProgram` instances over the same edges (one per
-    iteration that cannot reuse the previous optimum, per ``auto`` spec)."""
+    """The per-edge factor in ``[1, 2)``; memoised because IRA builds an
+    :class:`MRLCLinearProgram` over the same edges once per ``auto`` attempt,
+    and again on every later build over the same network."""
     return 1.0 + (stable_hash_seed("lp-perturb", u, v) % JITTER_LEVELS) / JITTER_LEVELS
 
 
@@ -274,10 +278,11 @@ class MRLCLinearProgram:
 
     Args:
         network: Provides edge costs and energies.
-        edges: The active edge set (IRA shrinks it across iterations).
+        edges: The active edge set (IRA shrinks it across iterations with
+            :meth:`restrict`).
         degree_bounds: Mapping ``node -> max fractional degree``; only nodes
             present in the mapping are constrained (the set ``W``).
-        initial_cuts: Subtour sets carried over from previous IRA iterations
+        initial_cuts: Subtour sets carried over from an earlier program
             (they remain valid when edges are removed).
     """
 
@@ -299,14 +304,66 @@ class MRLCLinearProgram:
         )
         self._endpoint_u = np.array([e[0] for e in self.edges], dtype=np.int64)
         self._endpoint_v = np.array([e[1] for e in self.edges], dtype=np.int64)
+        #: The HiGHS model, built by the first solve.
+        self._model: Optional[_Highs] = None
+        #: Nodes whose lifetime rows sit in the model, in row order (rows
+        #: ``1 .. len``, right after the spanning row).
+        self._row_nodes: List[int] = []
+
+    def restrict(
+        self, edges: Sequence[Tuple[int, int]], degree_bounds: Dict[int, float]
+    ) -> None:
+        """Narrow the program to *edges* and the lifetime rows *degree_bounds*.
+
+        *edges* must be a subsequence of :attr:`edges` and *degree_bounds* may
+        only name nodes already bounded, as between two IRA iterations (lines
+        6 and 8 only delete).  A built model is edited in place: the dropped
+        columns and lifetime rows are deleted, a changed bound is reset, and
+        every cut row stays.  The program is then the one a fresh
+        ``MRLCLinearProgram(network, edges, degree_bounds,
+        initial_cuts=self.cuts)`` would build, row for row, and the next
+        :meth:`solve` re-runs HiGHS from the surviving basis.
+
+        Raises:
+            ValueError: *edges* adds an edge or reorders them, or
+                *degree_bounds* bounds a node the program does not.
+        """
+        index = {e: i for i, e in enumerate(self.edges)}
+        try:
+            kept = np.array([index[tuple(e)] for e in edges], dtype=np.int64)
+        except KeyError as exc:
+            raise ValueError(f"restrict cannot add edge {exc.args[0]}") from None
+        if np.any(np.diff(kept) <= 0):
+            raise ValueError("restrict must keep the program's edge order")
+        unknown = degree_bounds.keys() - self.degree_bounds.keys()
+        if unknown:
+            raise ValueError(f"restrict cannot bound new nodes {sorted(unknown)}")
+        if self._model is not None:
+            dropped = np.ones(len(self.edges), dtype=bool)
+            dropped[kept] = False
+            if dropped.any():
+                cols = np.flatnonzero(dropped).astype(np.int32)
+                self._model.deleteCols(len(cols), cols)
+            rows = [1 + i for i, v in enumerate(self._row_nodes) if v not in degree_bounds]
+            if rows:
+                self._model.deleteRows(len(rows), np.array(rows, dtype=np.int32))
+            self._row_nodes = [v for v in self._row_nodes if v in degree_bounds]
+            for row, v in enumerate(self._row_nodes, start=1):
+                if degree_bounds[v] != self.degree_bounds[v]:
+                    self._model.changeRowBounds(row, -np.inf, degree_bounds[v])
+        self.edges = [self.edges[i] for i in kept]
+        self.degree_bounds = dict(degree_bounds)
+        self._costs = self._costs[kept]
+        self._endpoint_u = self._endpoint_u[kept]
+        self._endpoint_v = self._endpoint_v[kept]
 
     def _degree_columns(self) -> List[np.ndarray]:
-        """Edge indices of ``delta(v)`` for each bounded ``v``, by node."""
+        """Edge indices of ``delta(v)`` for each lifetime row's node, in row order."""
         endpoints = np.column_stack((self._endpoint_u, self._endpoint_v)).reshape(-1)
         order = np.argsort(endpoints, kind="stable")
         starts = np.searchsorted(endpoints[order], np.arange(self.network.n + 1))
         incident = order // 2  # ascending edge index within each node
-        return [incident[starts[v] : starts[v + 1]] for v in sorted(self.degree_bounds)]
+        return [incident[starts[v] : starts[v + 1]] for v in self._row_nodes]
 
     def _cut_columns(self, cuts: Sequence[FrozenSet[int]]) -> List[np.ndarray]:
         """Edge indices of ``E(S)`` for each cut ``S``: both endpoints in S."""
@@ -323,9 +380,11 @@ class MRLCLinearProgram:
     def solve(self) -> LPSolution:
         """Run the cutting-plane loop to an extreme-point optimum.
 
-        One HiGHS model lives for the whole loop: the first round adds the
-        lifetime rows and the carried cuts, and each later round appends only
-        the new cuts and re-solves from the previous basis.
+        The first call builds the HiGHS model with the lifetime rows and the
+        carried cuts.  A later call, typically after :meth:`restrict`, finds
+        every row already in place and re-runs HiGHS warm on the edited
+        model.  Within a call, each round after the first appends only the
+        new cuts and re-solves from the previous basis.
 
         Raises:
             InfeasibleLifetimeError: The LP is infeasible — no fractional
@@ -343,80 +402,87 @@ class MRLCLinearProgram:
         initial_cut_count = len(self.cuts)
         loop_start = time.perf_counter() if enabled else 0.0
 
-        model = _new_model(self._costs, self.network.n)
-        # Lifetime rows x(delta(v)) <= bound_v, then the carried subtour rows
-        # x(E(S)) <= |S| - 1.
-        rows = _row_block(
-            self._degree_columns() + self._cut_columns(self.cuts), n_vars
-        )
-        rhs = np.array(
-            [bound for _, bound in sorted(self.degree_bounds.items())]
-            + [len(subset) - 1.0 for subset in self.cuts]
-        )
+        if self._model is None:
+            self._model = _new_model(self._costs, self.network.n)
+            self._row_nodes = sorted(self.degree_bounds)
+            # Lifetime rows x(delta(v)) <= bound_v, then the carried subtour
+            # rows x(E(S)) <= |S| - 1.
+            rows = _row_block(
+                self._degree_columns() + self._cut_columns(self.cuts), n_vars
+            )
+            rhs = np.array(
+                [self.degree_bounds[v] for v in self._row_nodes]
+                + [len(subset) - 1.0 for subset in self.cuts]
+            )
+        else:
+            rows, rhs = _row_block([], n_vars), np.zeros(0)
+        model = self._model
         n_solves = 0
         iterations = 0
-        for _ in range(MAX_CUT_ROUNDS):
-            result = linprog(model, A_ub=rows, b_ub=rhs)
-            n_solves += 1
-            iterations += result.simplex_iterations
-            if result.status in _INFEASIBLE:
-                if enabled:
-                    OBS.registry.counter("lp.solves").inc(n_solves)
-                    OBS.registry.counter("lp.simplex_iterations").inc(iterations)
-                    OBS.registry.counter("lp.infeasible").inc()
-                raise InfeasibleLifetimeError(
-                    "LP(G, L', W) infeasible: no data aggregation tree can "
-                    "meet the lifetime bound on the remaining edges"
-                )
-            if result.x is None:
-                raise LPSolverError(
-                    f"HiGHS failed: {model.modelStatusToString(result.status)}"
-                )
+        try:
+            for _ in range(MAX_CUT_ROUNDS):
+                result = linprog(model, A_ub=rows, b_ub=rhs)
+                n_solves += 1
+                iterations += result.simplex_iterations
+                if result.status in _INFEASIBLE:
+                    if enabled:
+                        OBS.registry.counter("lp.infeasible").inc()
+                    raise InfeasibleLifetimeError(
+                        "LP(G, L', W) infeasible: no data aggregation tree can "
+                        "meet the lifetime bound on the remaining edges"
+                    )
+                if result.x is None:
+                    raise LPSolverError(
+                        f"HiGHS failed: {model.modelStatusToString(result.status)}"
+                    )
 
-            x = result.x
-            violated = find_violated_subtours(self.network.n, self.edges, x)
-            if not violated:
-                if enabled:
-                    reg = OBS.registry
-                    reg.counter("lp.solves").inc(n_solves)
-                    reg.counter("lp.cut_rounds").inc(n_solves - 1)
-                    reg.counter("lp.cuts_added").inc(
-                        len(self.cuts) - initial_cut_count
-                    )
-                    reg.counter("lp.simplex_iterations").inc(iterations)
-                    reg.histogram("lp.solve_seconds").observe(
-                        time.perf_counter() - loop_start
-                    )
-                    OBS.tracer.event(
-                        "lp.solve",
-                        n_vars=n_vars,
-                        n_constrained=len(self.degree_bounds),
-                        n_solves=n_solves,
-                        simplex_iterations=iterations,
-                        cuts_total=len(self.cuts),
-                        cuts_added=len(self.cuts) - initial_cut_count,
+                x = result.x
+                violated = find_violated_subtours(self.network.n, self.edges, x)
+                if not violated:
+                    if enabled:
+                        reg = OBS.registry
+                        reg.counter("lp.cut_rounds").inc(n_solves - 1)
+                        reg.counter("lp.cuts_added").inc(
+                            len(self.cuts) - initial_cut_count
+                        )
+                        reg.histogram("lp.solve_seconds").observe(
+                            time.perf_counter() - loop_start
+                        )
+                        OBS.tracer.event(
+                            "lp.solve",
+                            n_vars=n_vars,
+                            n_constrained=len(self.degree_bounds),
+                            n_solves=n_solves,
+                            simplex_iterations=iterations,
+                            cuts_total=len(self.cuts),
+                            cuts_added=len(self.cuts) - initial_cut_count,
+                            objective=result.objective,
+                        )
+                    return LPSolution(
+                        edges=list(self.edges),
+                        x=x,
                         objective=result.objective,
+                        cuts=list(self.cuts),
+                        n_lp_solves=n_solves,
+                        degree_bounds=dict(self.degree_bounds),
                     )
-                return LPSolution(
-                    edges=list(self.edges),
-                    x=x,
-                    objective=result.objective,
-                    cuts=list(self.cuts),
-                    n_lp_solves=n_solves,
-                    degree_bounds=dict(self.degree_bounds),
-                )
-            new_cuts = [s for s in dict.fromkeys(violated) if s not in self.cuts]
-            if not new_cuts:
-                raise LPSolverError(
-                    "separation oracle repeated an existing cut; "
-                    "numerical tolerance mismatch"
-                )
-            self.cuts.extend(new_cuts)
-            rows = _row_block(self._cut_columns(new_cuts), n_vars)
-            rhs = np.array([len(subset) - 1.0 for subset in new_cuts])
-        raise LPSolverError(
-            f"cutting-plane loop did not converge in {MAX_CUT_ROUNDS} rounds"
-        )
+                new_cuts = [s for s in dict.fromkeys(violated) if s not in self.cuts]
+                if not new_cuts:
+                    raise LPSolverError(
+                        "separation oracle repeated an existing cut; "
+                        "numerical tolerance mismatch"
+                    )
+                self.cuts.extend(new_cuts)
+                rows = _row_block(self._cut_columns(new_cuts), n_vars)
+                rhs = np.array([len(subset) - 1.0 for subset in new_cuts])
+            raise LPSolverError(
+                f"cutting-plane loop did not converge in {MAX_CUT_ROUNDS} rounds"
+            )
+        finally:
+            # Every exit, the error ones included, records its HiGHS work.
+            if enabled:
+                OBS.registry.counter("lp.solves").inc(n_solves)
+                OBS.registry.counter("lp.simplex_iterations").inc(iterations)
 
 
 def solve_mrlc_lp(

@@ -1,11 +1,14 @@
 """Tests for repro.core.ira (the Iterative Relaxation Algorithm)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.aaml import build_aaml_tree
+import repro.core.lp as lp_module
 from repro.baselines.mst import build_mst_tree
 from repro.core.errors import DisconnectedNetworkError, InfeasibleLifetimeError
 from repro.core.ira import IterativeRelaxation, build_ira_tree
@@ -245,3 +248,35 @@ class TestForcedRelaxation:
         assert result.forced_relaxations
         assert result.lifetime_satisfied
         assert result.tree.lifetime() >= lc
+
+    def test_one_model_per_attempt(self, monkeypatch):
+        """Relaxation iterations restrict one HiGHS model instead of building
+        a new one, and the tree is the one a model per iteration built."""
+        rng = np.random.default_rng(5)
+        net = random_graph(
+            22, 0.3, initial_energy=rng.uniform(1500.0, 5000.0, size=22), seed=rng
+        )
+        lc = build_aaml_tree(net).lifetime
+        models = []
+        real = lp_module._new_model
+
+        def spy(costs, n):
+            models.append(real(costs, n))
+            return models[-1]
+
+        monkeypatch.setattr(lp_module, "_new_model", spy)
+        with instrument() as session:
+            result = build_ira_tree(net, lc)
+        reg = session.registry
+        assert result.forced_relaxations and result.inflation_used == "none"
+        # The inflated attempt is infeasible at its first solve; the
+        # uninflated one solves 4 of its 7 programs on one model.
+        assert reg.counter_value("lp.infeasible") == 1
+        assert result.iterations - result.lp_reused == 4
+        assert len(models) == 2
+        digest = hashlib.sha256(
+            f"{sorted(result.tree.parents.items())} {result.tree.cost()!r}".encode()
+        ).hexdigest()
+        assert digest == (
+            "94c5ae1d32e7aadcf7c4172d20ebe609c9ba997322b6453ccba62af64af9e123"
+        )

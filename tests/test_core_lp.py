@@ -27,6 +27,7 @@ from repro.core.tree import AggregationTree
 from repro.engine import build_tree
 from repro.network.model import Network
 from repro.network.topology import random_graph
+from repro.obs import instrument
 
 #: Cost slack allowed for the deterministic tie-break perturbation.
 PERTURB_SLACK = 1e-3
@@ -414,6 +415,76 @@ class TestWarmModelMatchesColdOracle:
         assert sum(appended[1:]) == len(solution.cuts)
 
 
+#: (oracle input, lifetime row change): drop a slack row, drop a tight row
+#: (a forced relaxation), or loosen a tight row.  The half-BFS programs have
+#: no tight row.
+RESTRICT_CASES = [(name, "drop-slack") for name in sorted(ORACLE_INPUTS)] + [
+    (name, change)
+    for name in sorted(ORACLE_INPUTS)
+    if "aaml" in name
+    for change in ("drop-tight", "loosen-tight")
+]
+
+
+class TestRestrictedModelMatchesFresh:
+    """A solved program cut down in place by ``restrict`` re-solves warm to
+    the optimum a fresh program over the same edges, rows and cuts finds."""
+
+    @pytest.mark.parametrize("name, change", RESTRICT_CASES)
+    def test_matches_fresh_and_cold(self, name, change, monkeypatch):
+        net, spec = ORACLE_INPUTS[name]
+        bounds = {v: spec.lp_degree_bound(net, v) for v in net.nodes}
+        program = MRLCLinearProgram(net, [e.key for e in net.edges()], bounds)
+        first = program.solve()
+        degree = first.fractional_degrees(net.n)
+        victim = next(
+            v
+            for v in sorted(bounds)
+            if (bounds[v] - degree[v] <= TIGHT_SLACK) == change.endswith("tight")
+        )
+        if change == "loosen-tight":
+            bounds[victim] += 0.5
+        else:
+            del bounds[victim]
+        support = first.support()
+        assert len(support) < len(first.edges)
+        appended = []
+        real = lp_module.linprog
+
+        def spy(model, *, A_ub, b_ub):
+            appended.append(A_ub.shape[0])
+            return real(model, A_ub=A_ub, b_ub=b_ub)
+
+        monkeypatch.setattr(lp_module, "linprog", spy)
+        program.restrict(support, bounds)
+        assert program.edges == support and program.degree_bounds == bounds
+        restricted = program.solve()
+        assert appended[0] == 0  # every row was already in the model
+
+        fresh = MRLCLinearProgram(net, support, bounds, initial_cuts=first.cuts).solve()
+        oracle = _cold_solve(program, restricted)
+        for x, objective in ((fresh.x, fresh.objective), (oracle.x, oracle.fun)):
+            np.testing.assert_allclose(restricted.x, x, rtol=0.0, atol=1e-9)
+            assert restricted.objective == pytest.approx(objective, rel=0.0, abs=1e-9)
+        assert restricted.support() == fresh.support()
+        assert restricted.cuts[: len(first.cuts)] == first.cuts
+        if change == "drop-slack":
+            # x stays optimal: one warm call, no new cut, and fresh agrees.
+            assert restricted.n_lp_solves == 1
+            assert restricted.cuts == fresh.cuts == first.cuts
+
+    def test_rejects_what_it_cannot_delete(self):
+        net, _ = ORACLE_INPUTS[sorted(ORACLE_INPUTS)[0]]
+        edges = [e.key for e in net.edges()]
+        program = MRLCLinearProgram(net, edges[1:], {0: 2.0})
+        with pytest.raises(ValueError, match="add edge"):
+            program.restrict(edges, {0: 2.0})
+        with pytest.raises(ValueError, match="order"):
+            program.restrict(edges[2:0:-1], {0: 2.0})
+        with pytest.raises(ValueError, match="new nodes"):
+            program.restrict(edges[1:], {1: 2.0})
+
+
 class TestSolverStatuses:
     def test_infeasible_degree_bounds_raise(self):
         net = random_graph(12, 0.6, seed=4)
@@ -444,5 +515,17 @@ class TestSolverStatuses:
 
         monkeypatch.setattr(lp_module, "_new_model", capped)
         net = random_graph(12, 0.6, seed=4)
-        with pytest.raises(LPSolverError, match="HiGHS failed"):
-            solve_mrlc_lp(net, {})
+        with instrument() as session:
+            with pytest.raises(LPSolverError, match="HiGHS failed"):
+                solve_mrlc_lp(net, {})
+        assert session.registry.counter_value("lp.solves") == 1
+
+    def test_cut_round_overrun_records_its_solves(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "MAX_CUT_ROUNDS", 1)
+        net, spec = ORACLE_INPUTS[sorted(ORACLE_INPUTS)[0]]
+        bounds = {v: spec.lp_degree_bound(net, v) for v in net.nodes}
+        with instrument() as session:
+            with pytest.raises(LPSolverError, match="did not converge"):
+                solve_mrlc_lp(net, bounds)  # round one always needs cuts
+        assert session.registry.counter_value("lp.solves") == 1
+        assert session.registry.counter_value("lp.simplex_iterations") > 0
