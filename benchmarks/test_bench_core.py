@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from repro.engine.bench import (
     BENCH_CORE_FORMAT,
-    append_core_bench_run,
+    BENCH_CORE_VERSION,
     run_core_bench,
 )
-from repro.obs.benchdiff import diff_trajectory_file
+from repro.obs.benchdiff import append_trajectory, diff_trajectory_file
 
 
 def test_core_bench_speedups_and_identity(tmp_path):
@@ -34,8 +34,9 @@ def test_core_bench_speedups_and_identity(tmp_path):
     # Trajectory plumbing: append twice, then the sentinel must parse the
     # document and find no regression between back-to-back runs.
     out = tmp_path / "BENCH_core.json"
-    doc = append_core_bench_run(out, report)
+    run = report.to_doc()
+    doc = append_trajectory(out, BENCH_CORE_FORMAT, BENCH_CORE_VERSION, run)
     assert doc["format"] == BENCH_CORE_FORMAT
-    append_core_bench_run(out, report)
+    append_trajectory(out, BENCH_CORE_FORMAT, BENCH_CORE_VERSION, run)
     diff = diff_trajectory_file(out)
     assert not diff.regressed, diff.render()

@@ -26,9 +26,9 @@ from repro.engine.portfolio import (
     BENCH_PORTFOLIO_FORMAT,
     BENCH_PORTFOLIO_VERSION,
     DEFAULT_MEMBERS,
-    append_portfolio_bench_run,
     run_portfolio_bench,
 )
+from repro.obs.benchdiff import append_trajectory
 
 
 class TestPortfolioRace:
@@ -52,8 +52,10 @@ class TestTrajectoryFile:
     def test_appended_runs_keep_schema(self, tmp_path):
         report = run_portfolio_bench(n_nodes=24, members=("mst", "bfs"))
         path = tmp_path / "BENCH_portfolio.json"
-        append_portfolio_bench_run(path, report)
-        append_portfolio_bench_run(path, report)
+        for _ in range(2):
+            append_trajectory(
+                path, BENCH_PORTFOLIO_FORMAT, BENCH_PORTFOLIO_VERSION, report.to_doc()
+            )
         doc = json.loads(path.read_text())
         assert doc["format"] == BENCH_PORTFOLIO_FORMAT
         assert doc["version"] == BENCH_PORTFOLIO_VERSION

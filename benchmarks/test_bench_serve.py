@@ -21,7 +21,8 @@ import json
 
 import pytest
 
-from repro.serve import append_bench_run, run_serve_bench
+from repro.obs.benchdiff import append_trajectory
+from repro.serve import run_serve_bench
 from repro.serve.bench import BENCH_FORMAT, BENCH_VERSION
 
 BUILDERS = ("mst", "spt", "bfs", "random_tree")
@@ -97,8 +98,8 @@ class TestTrajectoryFile:
             verify=True,
         )
         path = tmp_path / "BENCH_serve.json"
-        append_bench_run(path, report)
-        append_bench_run(path, report)
+        for _ in range(2):
+            append_trajectory(path, BENCH_FORMAT, BENCH_VERSION, report.to_doc())
         doc = json.loads(path.read_text())
         assert doc["format"] == BENCH_FORMAT
         assert doc["version"] == BENCH_VERSION

@@ -233,7 +233,8 @@ def _bench_core_main(argv: List[str]) -> int:
         help="append the report to this BENCH_core.json trajectory file",
     )
     args = parser.parse_args(argv)
-    from repro.engine.bench import append_core_bench_run, run_core_bench
+    from repro.engine.bench import BENCH_CORE_FORMAT, BENCH_CORE_VERSION, run_core_bench
+    from repro.obs.benchdiff import append_trajectory
 
     kwargs = {"seed": args.seed}
     if args.ci:
@@ -245,7 +246,9 @@ def _bench_core_main(argv: List[str]) -> int:
     report = run_core_bench(**kwargs)
     print(report.render())
     if args.out:
-        append_core_bench_run(args.out, report)
+        append_trajectory(
+            args.out, BENCH_CORE_FORMAT, BENCH_CORE_VERSION, report.to_doc()
+        )
         print(f"[appended run to {args.out}]")
     return 0
 
@@ -289,9 +292,11 @@ def _bench_portfolio_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
     from repro.engine.portfolio import (
-        append_portfolio_bench_run,
+        BENCH_PORTFOLIO_FORMAT,
+        BENCH_PORTFOLIO_VERSION,
         run_portfolio_bench,
     )
+    from repro.obs.benchdiff import append_trajectory
 
     kwargs = {"seed": args.seed, "n_jobs": args.jobs}
     if args.ci:
@@ -305,7 +310,9 @@ def _bench_portfolio_main(argv: List[str]) -> int:
     report = run_portfolio_bench(**kwargs)
     print(report.render())
     if args.out:
-        append_portfolio_bench_run(args.out, report)
+        append_trajectory(
+            args.out, BENCH_PORTFOLIO_FORMAT, BENCH_PORTFOLIO_VERSION, report.to_doc()
+        )
         print(f"[appended run to {args.out}]")
     return 0
 

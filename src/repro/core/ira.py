@@ -72,9 +72,8 @@ from repro.core.errors import DisconnectedNetworkError, InfeasibleLifetimeError
 from repro.core.lifetime import LifetimeSpec
 from repro.core.local_search import (
     bfs_tree,
-    improve_hamiltonian_path,
     maximize_lifetime,
-    reduce_cost_under_caps,
+    polish_under_caps,
     repair_overload,
 )
 from repro.core.lp import SUPPORT_EPS, LPSolution, MRLCLinearProgram
@@ -371,24 +370,17 @@ class IterativeRelaxation:
            (:func:`maximize_lifetime` — the same engine as AAML, which
            reaches ``LC`` whenever ``LC`` is locally achievable) and then
            descend in cost without leaving the cap-feasible region
-           (:func:`reduce_cost_under_caps`).
+           (:func:`polish_under_caps`).
 
         If even that misses ``LC``, the original tree is returned and the
         caller reports ``lifetime_satisfied=False``.
         """
         net = self.network
-        caps = {
-            v: max(
-                spec.tree_feasible_degree(net, v)
-                - (0 if v == net.sink else 1),
-                0,
-            )
-            for v in net.nodes
-        }
+        caps = spec.children_caps(net)
         candidates = []
         repaired = repair_overload(tree, caps)
         if repaired is not None:
-            candidates.append(self._polish(repaired, caps))
+            candidates.append(polish_under_caps(repaired, caps))
         # The LP tree can sit on a lexicographic plateau (e.g. swapping which
         # branch the sink keeps changes nothing); also restart the ascent
         # from the BFS tree, which mirrors the AAML trajectory that proved
@@ -396,24 +388,11 @@ class IterativeRelaxation:
         for start in (tree, bfs_tree(net)):
             lifted, _ = maximize_lifetime(start)
             if lifted.meets_lifetime(spec.lc):
-                candidates.append(self._polish(lifted, caps))
+                candidates.append(polish_under_caps(lifted, caps))
         candidates = [c for c in candidates if c.meets_lifetime(spec.lc)]
         if candidates:
             return min(candidates, key=lambda t: t.cost())
         return tree  # cannot repair; report the violation honestly
-
-    @staticmethod
-    def _polish(tree: AggregationTree, caps) -> AggregationTree:
-        """Cost descent after repair: re-parent moves, then path 2-opt.
-
-        In the Hamiltonian-path regime (all caps 1) re-parent moves are
-        blocked — no node has spare capacity — and the feasibility-first
-        tree can be several times costlier than optimal; 2-opt closes most
-        of that gap (measured against the exact solver in
-        benchmarks/test_bench_optimality.py).
-        """
-        tree = reduce_cost_under_caps(tree, caps)
-        return improve_hamiltonian_path(tree)
 
     def _min_spanning_tree(self, edges: List[Tuple[int, int]]) -> AggregationTree:
         """Kruskal MST over the surviving edges.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.network.model import Network
 from repro.utils.validation import check_positive
@@ -136,3 +137,19 @@ class LifetimeSpec:
         """Largest integer tree degree of *node* that still meets ``LC``."""
         bound = degree_bound(network, node, self.lc)
         return max(int(math.floor(bound + 1e-9)), 0)
+
+    def children_caps(self, network: Network) -> Dict[int, int]:
+        """Per-node children caps that keep every ``L(v) >= LC``.
+
+        :meth:`tree_feasible_degree` minus the parent link (the sink has
+        none) — the hard constraint of the cap-respecting searches in
+        :mod:`repro.core.local_search`.
+        """
+        return {
+            v: max(
+                self.tree_feasible_degree(network, v)
+                - (0 if v == network.sink else 1),
+                0,
+            )
+            for v in network.nodes
+        }

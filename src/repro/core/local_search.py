@@ -13,12 +13,15 @@ and re-attach it under a network neighbour outside its own subtree.
   leave behind.
 * :func:`reduce_cost_under_caps` — greedy cost descent that never violates
   the children caps; polishes a feasibility-first tree back toward low cost.
+* :func:`polish_under_caps` — that descent followed by
+  :func:`improve_hamiltonian_path`'s 2-opt; the one polish IRA's repair
+  pass and the ``local_search`` builder share.
 
 Every search strictly decreases (or lexicographically increases) a potential
 per accepted move over a finite state space, so all of them terminate.
 
 All move loops run on the incremental :class:`~repro.engine.treestate.TreeState`
-engine: candidate evaluation is an O(1) delta preview (a re-parent changes
+engine: candidate evaluation is an O(1) delta (a re-parent changes
 only the two parents' lifetimes and one tree edge), cycle filtering is an
 ancestor walk, and no :class:`AggregationTree` is constructed until the
 search ``freeze()``s its result.  The two greedy cost descents score every
@@ -54,6 +57,7 @@ __all__ = [
     "improve_hamiltonian_path",
     "lifetime_vector",
     "maximize_lifetime",
+    "polish_under_caps",
     "repair_overload",
     "reduce_cost_under_caps",
 ]
@@ -327,3 +331,20 @@ def reduce_cost_under_caps(
             "local_search.moves_accepted", op="reduce_cost_under_caps"
         ).inc(moves)
     return state.freeze()
+
+
+def polish_under_caps(
+    tree: AggregationTree, caps: Dict[int, int], *, max_moves: int = 100_000
+) -> AggregationTree:
+    """Cost descent for a cap-feasible tree: re-parent moves, then path 2-opt.
+
+    In the Hamiltonian-path regime (all caps 1) re-parent moves are
+    blocked — no node has spare capacity — and a feasibility-first tree can
+    be several times costlier than optimal; 2-opt closes most of that gap
+    (measured against the exact solver in
+    benchmarks/test_bench_optimality.py).  Shared by IRA's repair pass and
+    the ``local_search`` builder.
+    """
+    return improve_hamiltonian_path(
+        reduce_cost_under_caps(tree, caps, max_moves=max_moves)
+    )

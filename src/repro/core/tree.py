@@ -30,6 +30,23 @@ __all__ = ["AggregationTree", "PAPER_COST_SCALE"]
 PAPER_COST_SCALE = 1000.0 / math.log(2.0)
 
 
+def _validate_rooted(parent: List[int], sink: int) -> None:
+    """Every node must reach the sink via parent pointers (no cycles)."""
+    state = [0] * len(parent)  # 0 unvisited, 1 in-progress, 2 ok
+    state[sink] = 2
+    for start in range(len(parent)):
+        path = []
+        v = start
+        while state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            v = parent[v]
+        if state[v] == 1:
+            raise ValueError(f"parent pointers contain a cycle through node {v}")
+        for u in path:
+            state[u] = 2
+
+
 class AggregationTree:
     """A spanning tree of a :class:`Network`, rooted at the sink.
 
@@ -38,6 +55,13 @@ class AggregationTree:
     every tree edge must exist in the network — both validated on
     construction.
 
+    Immutable by construction: attribute assignment and deletion raise
+    ``AttributeError``, the parent array is read-only and children are
+    tuples, so a built (and certified) tree can be shared freely — the serve
+    cache hands the same object to every hit.  Derive a changed tree with
+    :meth:`with_parent` or through :class:`~repro.engine.treestate.TreeState`.
+    Pickle and :mod:`copy` rebuild through the constructor.
+
     Args:
         network: The network this tree spans.
         parents: Mapping or sequence giving each non-sink node's parent.  A
@@ -45,13 +69,19 @@ class AggregationTree:
             (conventionally ``-1``).
     """
 
+    __slots__ = ("network", "_parent", "_children")
+
+    network: Network
+    _parent: np.ndarray
+    _children: Tuple[Tuple[int, ...], ...]
+
     def __init__(
         self,
         network: Network,
         parents: Dict[int, int] | Sequence[int],
     ) -> None:
-        self.network = network
         n = network.n
+        sink = network.sink
         parent_arr = np.full(n, -1, dtype=np.int64)
         if isinstance(parents, dict):
             items = parents.items()
@@ -60,46 +90,41 @@ class AggregationTree:
                 raise ValueError(
                     f"parents sequence must have length {n}, got {len(parents)}"
                 )
-            items = ((v, p) for v, p in enumerate(parents) if v != network.sink)
+            items = ((v, p) for v, p in enumerate(parents) if v != sink)
         for v, p in items:
-            if v == network.sink:
+            if v == sink:
                 continue
             if not (0 <= v < n) or not (0 <= p < n):
                 raise ValueError(f"parent entry ({v} -> {p}) out of range")
             parent_arr[v] = p
-        self._parent = parent_arr
-        self._children: List[List[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            if v == network.sink:
+        parent_arr.setflags(write=False)
+        parent_list = parent_arr.tolist()
+        # Visiting v in ascending order leaves every child list sorted.
+        children: List[List[int]] = [[] for _ in range(n)]
+        has_edge = network.has_edge
+        for v, p in enumerate(parent_list):
+            if v == sink:
                 continue
-            p = int(parent_arr[v])
             if p < 0:
                 raise ValueError(f"node {v} has no parent; tree is not spanning")
-            if not network.has_edge(v, p):
+            if not has_edge(v, p):
                 raise ValueError(
                     f"tree edge ({v}, {p}) does not exist in the network"
                 )
-            self._children[p].append(v)
-        for kids in self._children:
-            kids.sort()
-        self._validate_rooted()
+            children[p].append(v)
+        _validate_rooted(parent_list, sink)
+        object.__setattr__(self, "network", network)
+        object.__setattr__(self, "_parent", parent_arr)
+        object.__setattr__(self, "_children", tuple(map(tuple, children)))
 
-    def _validate_rooted(self) -> None:
-        """Every node must reach the sink via parent pointers (no cycles)."""
-        n = self.network.n
-        state = np.zeros(n, dtype=np.int8)  # 0 unvisited, 1 in-progress, 2 ok
-        state[self.network.sink] = 2
-        for start in range(n):
-            path = []
-            v = start
-            while state[v] == 0:
-                state[v] = 1
-                path.append(v)
-                v = int(self._parent[v])
-            if state[v] == 1:
-                raise ValueError(f"parent pointers contain a cycle through node {v}")
-            for u in path:
-                state[u] = 2
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"AggregationTree is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"AggregationTree is immutable; cannot delete {name!r}")
+
+    def __reduce__(self) -> Tuple[type, Tuple[Network, List[int]]]:
+        return (AggregationTree, (self.network, self._parent.tolist()))
 
     # ------------------------------------------------------------------
     # Alternative constructors
@@ -265,7 +290,7 @@ class AggregationTree:
         return self.lifetime() >= bound * (1.0 - rel_tol)
 
     # ------------------------------------------------------------------
-    # Mutation-by-copy
+    # Derived trees
     # ------------------------------------------------------------------
     def with_parent(self, child: int, new_parent: int) -> "AggregationTree":
         """New tree with *child* re-attached under *new_parent*.
@@ -278,9 +303,6 @@ class AggregationTree:
         parents = self.parents
         parents[child] = new_parent
         return AggregationTree(self.network, parents)
-
-    def copy(self) -> "AggregationTree":
-        return AggregationTree(self.network, self.parents)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AggregationTree):

@@ -4,8 +4,8 @@ Two pieces that every optimizer and every consumer share:
 
 * :mod:`repro.engine.treestate` — :class:`TreeState`, a mutable spanning
   tree with O(1) ``reparent``/``attach`` moves and incrementally-maintained
-  cost / reliability / lifetime, plus ``delta_*`` previews for evaluating a
-  move without applying it, a vectorized bulk cost scan
+  cost / reliability / lifetime, plus ``reparent_lifetime_delta`` for ranking
+  a move without applying it, a vectorized bulk cost scan
   (``best_cost_reparent``) for the greedy descents, and ``freeze()`` back
   to the immutable :class:`~repro.core.tree.AggregationTree`.
 * :mod:`repro.engine.registry` — the :class:`TreeBuilder` registry mapping
@@ -44,7 +44,6 @@ from repro.engine.registry import (
 )
 from repro.engine.treestate import (
     LifetimeDelta,
-    MovePreview,
     NO_GAIN,
     TreeState,
     freeze_parents,
@@ -56,7 +55,6 @@ __all__ = [
     "DEFAULT_MEMBERS",
     "LifetimeDelta",
     "MemberOutcome",
-    "MovePreview",
     "NO_GAIN",
     "PortfolioError",
     "RegisteredBuilder",

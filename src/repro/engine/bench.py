@@ -22,11 +22,9 @@ the compute core.  See ``docs/performance.md``.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.local_search import COST_EPS, reduce_cost_under_caps
 from repro.core.tree import AggregationTree
@@ -39,7 +37,6 @@ from repro.utils.rng import as_rng
 __all__ = [
     "BENCH_CORE_FORMAT",
     "CoreBenchReport",
-    "append_core_bench_run",
     "run_core_bench",
 ]
 
@@ -214,31 +211,3 @@ def run_core_bench(
         local_search_speedup=search_reference_s / max(bulk_s, 1e-9),
         timestamp=time.time(),
     )
-
-
-def append_core_bench_run(
-    path: Union[str, Path], report: CoreBenchReport
-) -> Dict[str, Any]:
-    """Append *report* to the ``BENCH_core.json`` trajectory at *path*.
-
-    Same one-document shape as the serve trajectory: ``{"format":
-    "repro-bench-core", "version": 1, "runs": [...]}``, runs in append
-    order.  Returns the written document.
-    """
-    target = Path(path)
-    if target.exists():
-        doc = json.loads(target.read_text(encoding="utf-8"))
-        if doc.get("format") != BENCH_CORE_FORMAT:
-            raise ValueError(
-                f"{target} is not a {BENCH_CORE_FORMAT} document "
-                f"(format={doc.get('format')!r})"
-            )
-    else:
-        doc = {
-            "format": BENCH_CORE_FORMAT,
-            "version": BENCH_CORE_VERSION,
-            "runs": [],
-        }
-    doc["runs"].append(report.to_doc())
-    target.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return doc

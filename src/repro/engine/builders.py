@@ -42,9 +42,8 @@ from repro.core.ira import build_ira_tree
 from repro.core.lifetime import LifetimeSpec
 from repro.core.local_search import (
     bfs_tree,
-    improve_hamiltonian_path,
     maximize_lifetime,
-    reduce_cost_under_caps,
+    polish_under_caps,
 )
 from repro.engine.registry import tree_builder
 from repro.network.model import Network
@@ -124,18 +123,8 @@ def _build_local_search(network: Network, *, lc: float, max_moves: int = 100_000
             f"local search cannot reach LC={lc}: best bottleneck lifetime "
             f"{lifted.lifetime():.6g}"
         )
-    spec = LifetimeSpec.uninflated(network, lc)
-    caps = {
-        v: max(
-            spec.tree_feasible_degree(network, v)
-            - (0 if v == network.sink else 1),
-            0,
-        )
-        for v in network.nodes
-    }
-    polished = improve_hamiltonian_path(
-        reduce_cost_under_caps(lifted, caps, max_moves=max_moves)
-    )
+    caps = LifetimeSpec.uninflated(network, lc).children_caps(network)
+    polished = polish_under_caps(lifted, caps, max_moves=max_moves)
     meta = {"ascent_moves": ascent_moves, "lifetime": polished.lifetime()}
     return polished, meta
 

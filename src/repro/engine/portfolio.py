@@ -36,12 +36,10 @@ member order or execution schedule.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import MRLCError
 from repro.core.tree import AggregationTree
@@ -53,7 +51,6 @@ __all__ = [
     "MemberOutcome",
     "PortfolioBenchReport",
     "PortfolioError",
-    "append_portfolio_bench_run",
     "build_portfolio_tree",
     "race_builders",
     "run_portfolio_bench",
@@ -533,31 +530,3 @@ def run_portfolio_bench(
         statuses={o.member: o.status for o in serial},
         timestamp=time.time(),
     )
-
-
-def append_portfolio_bench_run(
-    path: Union[str, Path], report: PortfolioBenchReport
-) -> Dict[str, Any]:
-    """Append *report* to the ``BENCH_portfolio.json`` trajectory at *path*.
-
-    Same one-document shape as the serve/core trajectories: ``{"format":
-    "repro-bench-portfolio", "version": 1, "runs": [...]}``; the
-    bench-diff sentinel reads it back.  Returns the written document.
-    """
-    target = Path(path)
-    if target.exists():
-        doc = json.loads(target.read_text(encoding="utf-8"))
-        if doc.get("format") != BENCH_PORTFOLIO_FORMAT:
-            raise ValueError(
-                f"{target} is not a {BENCH_PORTFOLIO_FORMAT} document "
-                f"(format={doc.get('format')!r})"
-            )
-    else:
-        doc = {
-            "format": BENCH_PORTFOLIO_FORMAT,
-            "version": BENCH_PORTFOLIO_VERSION,
-            "runs": [],
-        }
-    doc["runs"].append(report.to_doc())
-    target.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return doc

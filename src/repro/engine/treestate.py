@@ -33,8 +33,6 @@ values are recomputed exactly from the children counts, never accumulated.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +42,6 @@ from repro.network.model import Network
 
 __all__ = [
     "LifetimeDelta",
-    "MovePreview",
     "NO_GAIN",
     "TreeState",
     "freeze_parents",
@@ -61,27 +58,6 @@ LifetimeDelta = Tuple[Tuple[float, ...], Tuple[float, ...]]
 
 #: The identity lifetime delta (move changes no node's lifetime).
 NO_GAIN: LifetimeDelta = ((), ())
-
-
-@dataclass(frozen=True)
-class MovePreview:
-    """Metrics a re-parent move *would* produce, computed without applying it.
-
-    Attributes:
-        cost: ``C(T')`` after the move.
-        reliability: ``Q(T')`` after the move.
-        lifetime: ``L(T')`` after the move.
-        delta_cost: ``C(T') - C(T)``.
-        delta_reliability: ``Q(T') - Q(T)``.
-        delta_lifetime: ``L(T') - L(T)``.
-    """
-
-    cost: float
-    reliability: float
-    lifetime: float
-    delta_cost: float
-    delta_reliability: float
-    delta_lifetime: float
 
 
 def lifetime_delta_better(a: LifetimeDelta, b: LifetimeDelta) -> bool:
@@ -369,18 +345,6 @@ class TreeState:
             self._min_dirty = False
         return self._min_life
 
-    def bottleneck_count(self) -> int:
-        """How many nodes realise the minimum lifetime."""
-        self.lifetime()
-        return self._min_count
-
-    def lifetime_values(self) -> Sequence[float]:
-        """Per-node lifetimes indexed by node id (read-only view).
-
-        Returns the live list; callers must treat it as immutable.
-        """
-        return self._life
-
     def bottleneck_members(self, rel_tol: float = 1e-12) -> Tuple[float, List[int]]:
         """``(low, members)``: the minimum lifetime and the node ids within
         ``low * (1 + rel_tol)`` of it, ascending.  The randomized-switching
@@ -475,79 +439,6 @@ class TreeState:
         self._update_children(old, -1)
         self._update_children(p, +1)
 
-    # ------------------------------------------------------------------
-    # Move previews (evaluate without applying)
-    # ------------------------------------------------------------------
-    def delta_cost(self, v: int, new_parent: int) -> float:
-        """``C(T') - C(T)`` of re-parenting *v* under *new_parent*."""
-        old = int(self._parent[v])
-        if old < 0:
-            raise ValueError(f"node {v} is not attached")
-        if new_parent == old:
-            return 0.0
-        return self.network.cost(v, new_parent) - self.network.cost(v, old)
-
-    def delta_reliability(self, v: int, new_parent: int) -> float:
-        """``Q(T') - Q(T)`` of re-parenting *v* under *new_parent*."""
-        old = int(self._parent[v])
-        if old < 0:
-            raise ValueError(f"node {v} is not attached")
-        if new_parent == old:
-            return 0.0
-        ratio = self.network.prr(v, new_parent) / self.network.prr(v, old)
-        return self._q * ratio - self._q
-
-    def lifetime_if_reparent(self, v: int, new_parent: int) -> float:
-        """``L(T')`` after re-parenting *v* under *new_parent*.
-
-        O(1) unless every current bottleneck node is one of the two nodes the
-        move touches, in which case one O(n) rescan of the untouched nodes is
-        needed.
-        """
-        old = int(self._parent[v])
-        if old < 0:
-            raise ValueError(f"node {v} is not attached")
-        current = self.lifetime()
-        if new_parent == old:
-            return current
-        model = self.network.energy_model
-        life_old = model.lifetime_rounds(
-            self.network.initial_energy(old), int(self._n_children[old]) - 1
-        )
-        life_new = model.lifetime_rounds(
-            self.network.initial_energy(new_parent),
-            int(self._n_children[new_parent]) + 1,
-        )
-        touched_at_min = (self._life[old] == current) + (
-            self._life[new_parent] == current
-        )
-        if self._min_count > touched_at_min:
-            rest = current
-        else:
-            rest = math.inf
-            for u in range(self.network.n):
-                if u != old and u != new_parent and self._life[u] < rest:
-                    rest = self._life[u]
-        return min(rest, life_old, life_new)
-
-    def delta_lifetime(self, v: int, new_parent: int) -> float:
-        """``L(T') - L(T)`` of re-parenting *v* under *new_parent*."""
-        return self.lifetime_if_reparent(v, new_parent) - self.lifetime()
-
-    def preview_reparent(self, v: int, new_parent: int) -> MovePreview:
-        """All three paper metrics of the move, without applying it."""
-        d_cost = self.delta_cost(v, new_parent)
-        d_rel = self.delta_reliability(v, new_parent)
-        life = self.lifetime_if_reparent(v, new_parent)
-        return MovePreview(
-            cost=self._cost + d_cost,
-            reliability=self._q + d_rel,
-            lifetime=life,
-            delta_cost=d_cost,
-            delta_reliability=d_rel,
-            delta_lifetime=life - self.lifetime(),
-        )
-
     def reparent_lifetime_delta(self, v: int, new_parent: int) -> LifetimeDelta:
         """The move's lifetime change as cancelled ``(removed, added)`` tuples.
 
@@ -629,7 +520,9 @@ class TreeState:
         Covers all directed ``(node, neighbour)`` pairs with ``child !=
         sink`` and ``cand != parent(child)``, in (child ascending, cand
         ascending) order.  ``delta`` is the cost change ``cost(child, cand)
-        - cost(child, parent)``, bitwise-equal to :meth:`delta_cost`.
+        - cost(child, parent)``, bitwise-equal to the scalar scan's
+        ``network.cost`` difference (``scalar_best_cost_reparent`` in
+        ``tests/test_engine_treestate.py``).
         Subtree (cycle) legality is *not* filtered here;
         :meth:`best_cost_reparent` validates lazily.
         """

@@ -7,11 +7,12 @@ them as rules in a registry (:func:`lint_rule`), run in one pass: parse
 every file, run every rule, report.  Exemptions are
 ``# repro: ignore[RULE-ID]`` comments next to the code they excuse.
 
-Per-file rules read one AST; the interprocedural rules (REP108–REP110 and
-REP112: async blocking reachability, await races, process-boundary RNG
-discipline, aliased mutation) read module summaries, a
-name-resolved call graph (:mod:`repro.lint.graph`), and a fixpoint effect
-inference (:mod:`repro.lint.effects`).
+Per-file rules read one AST; the interprocedural rules (REP108–REP110:
+async blocking reachability, await races, process-boundary RNG discipline)
+read module summaries, a name-resolved call graph
+(:mod:`repro.lint.graph`), and a fixpoint effect inference
+(:mod:`repro.lint.effects`).  Frozen trees are not a lint rule:
+``AggregationTree`` enforces its own immutability.
 
 Run it as ``repro lint`` / ``mrlc lint``; see :mod:`repro.lint.rules` for
 the rule table and ``docs/static_analysis.md`` for the architecture and

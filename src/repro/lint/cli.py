@@ -32,10 +32,9 @@ def build_lint_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "Static analysis for the reproduction: per-file invariants (RNG "
-            "discipline, obs guarding, frozen-tree mutation) plus "
-            "whole-program passes (builder-registry contract, async blocking "
-            "reachability, await races, process-boundary RNG discipline, "
-            "aliased mutation)."
+            "discipline, obs guarding) plus whole-program passes "
+            "(builder-registry contract, async blocking reachability, await "
+            "races, process-boundary RNG discipline)."
         ),
     )
     parser.add_argument(

@@ -5,7 +5,7 @@
 become ``REP000`` findings and the rest are still linted.
 :func:`run_rules` then visits each file with every selected rule.  Rules
 that need cross-file state (builder wiring, the interprocedural
-REP108–REP110 and REP112 passes) read it through the project's module
+REP108–REP110 passes) read it through the project's module
 summaries, call graph, and effect analysis, each built once per run.
 
 Suppression is comment-based::

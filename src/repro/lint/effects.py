@@ -10,10 +10,6 @@ worklist until nothing changes.  One effect is tracked:
     from ``async def`` callees — awaiting a coroutine suspends instead of
     blocking, and the coroutine's own blocking calls are its own REP108
     finding.
-
-The same worklist computes, per function, which *parameters* it mutates
-attributes on (directly or by passing them onward), which is what REP112
-needs to follow a frozen tree through aliases.
 """
 
 from __future__ import annotations
@@ -21,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lint.graph import ArgInfo, CallGraph, CallSite, FunctionSummary, ResolvedCall
+from repro.lint.graph import CallGraph, ResolvedCall
 
 __all__ = [
     "BLOCKS",
     "EffectAnalysis",
     "analyze_effects",
-    "arg_param_pairs",
     "is_blocking_chain",
 ]
 
@@ -99,8 +94,6 @@ class EffectAnalysis:
     effects: Dict[str, Set[str]] = field(default_factory=dict)
     #: (node id, effect) → the callee edge that introduced it (None = own body).
     provenance: Dict[Tuple[str, str], Optional[str]] = field(default_factory=dict)
-    #: node id → parameter names it mutates attributes on (transitively).
-    mutated_params: Dict[str, Set[str]] = field(default_factory=dict)
     iterations: int = 0
 
     def has_effect(self, node_id: str, effect: str) -> bool:
@@ -123,9 +116,6 @@ class EffectAnalysis:
                 break
         return " → ".join(hops)
 
-    def params_mutated_by(self, node_id: str) -> Set[str]:
-        return self.mutated_params.get(node_id, set())
-
 
 def _short(node_id: str) -> str:
     return node_id.split(":", 1)[1]
@@ -145,44 +135,17 @@ def _last_id(
     return current
 
 
-def arg_param_pairs(
-    site: CallSite, callee: FunctionSummary
-) -> List[Tuple[ArgInfo, Optional[str]]]:
-    """Map each call-site argument to the callee parameter it binds."""
-    pairs: List[Tuple[ArgInfo, Optional[str]]] = []
-    pos_params = list(callee.pos_params)
-    if callee.parent_class is not None and pos_params and pos_params[0] == "self":
-        pos_params = pos_params[1:]
-    pos_index = 0
-    for arg in site.args:
-        if arg.keyword is not None:
-            param = (
-                arg.keyword
-                if arg.keyword in callee.pos_params or arg.keyword in callee.kwonly_params
-                else (arg.keyword if callee.has_kwarg else None)
-            )
-            pairs.append((arg, param))
-        else:
-            param = pos_params[pos_index] if pos_index < len(pos_params) else None
-            pairs.append((arg, param))
-            pos_index += 1
-    return pairs
-
-
 def analyze_effects(graph: CallGraph) -> EffectAnalysis:
     """Run the worklist fixpoint over *graph* and return the analysis."""
     analysis = EffectAnalysis(graph=graph)
     effects = analysis.effects
     provenance = analysis.provenance
-    mutated = analysis.mutated_params
 
-    for node_id, node in graph.nodes.items():
-        resolved = graph.calls.get(node_id, [])
-        direct = _direct_effects(resolved)
+    for node_id in graph.nodes:
+        direct = _direct_effects(graph.calls.get(node_id, []))
         effects[node_id] = set(direct)
         for effect in direct:
             provenance[(node_id, effect)] = None
-        mutated[node_id] = set(node.summary.param_attr_writes)
 
     callers_of = graph.callers_of()
     worklist: List[str] = list(graph.nodes)
@@ -194,10 +157,8 @@ def analyze_effects(graph: CallGraph) -> EffectAnalysis:
         in_worklist.discard(callee_id)
         callee_node = graph.nodes[callee_id]
         callee_fx = effects[callee_id]
-        callee_mut = mutated[callee_id]
 
         for caller_id in callers_of.get(callee_id, ()):
-            caller_node = graph.nodes[caller_id]
             changed = False
             for effect in callee_fx:
                 if effect in effects[caller_id]:
@@ -207,23 +168,6 @@ def analyze_effects(graph: CallGraph) -> EffectAnalysis:
                 effects[caller_id].add(effect)
                 provenance[(caller_id, effect)] = callee_id
                 changed = True
-            # Parameter-mutation flow: an argument bound to a mutated
-            # callee parameter marks the caller's own parameter (if the
-            # argument is a bare name that is one).
-            if callee_mut:
-                caller_params = set(caller_node.summary.params)
-                for rc in graph.calls.get(caller_id, []):
-                    if rc.target != callee_id:
-                        continue
-                    for arg, param in arg_param_pairs(rc.site, callee_node.summary):
-                        if (
-                            param in callee_mut
-                            and arg.name is not None
-                            and arg.name in caller_params
-                            and arg.name not in mutated[caller_id]
-                        ):
-                            mutated[caller_id].add(arg.name)
-                            changed = True
             if changed and caller_id not in in_worklist:
                 worklist.append(caller_id)
                 in_worklist.add(caller_id)

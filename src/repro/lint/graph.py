@@ -1,7 +1,7 @@
 """Whole-program substrate: module summaries and the call graph.
 
 The per-file rules see one AST at a time; the interprocedural rules
-(REP108–REP110, REP112) need the *project*.  This module provides the two layers
+(REP108–REP110) need the *project*.  This module provides the two layers
 they stand on:
 
 1. :class:`ModuleSummary` — a digest of one parsed file: referenced
@@ -57,10 +57,6 @@ __all__ = [
 _ARG_TEXT_LIMIT = 80
 
 
-def _is_tree_name(name: str) -> bool:
-    return name == "tree" or name.endswith("_tree")
-
-
 def _is_rng_name(name: str) -> bool:
     return name == "rng" or name.endswith("_rng")
 
@@ -76,17 +72,6 @@ def _dotted_chain(node: ast.expr) -> str:
         return ""
     parts.append(current.id)
     return ".".join(reversed(parts))
-
-
-def _is_tree_valued(node: ast.expr) -> bool:
-    """REP105's heuristic: tree-valued by naming convention."""
-    if isinstance(node, ast.Name):
-        return _is_tree_name(node.id)
-    if isinstance(node, ast.Attribute):
-        return _is_tree_name(node.attr)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id == "AggregationTree"
-    return False
 
 
 def _is_rng_valued(node: ast.expr) -> bool:
@@ -138,7 +123,6 @@ class ArgInfo:
     text: str
     name: Optional[str]  # bare-Name id, else None
     keyword: Optional[str]  # keyword name, None for positional
-    tree: bool  # looks tree-valued (REP105/REP112 heuristic)
     rng: bool  # looks like a live Generator (REP110 heuristic)
     lambda_rng: bool  # a lambda whose body references an rng name
 
@@ -184,18 +168,11 @@ class FunctionSummary:
     nested: bool
     builder_name: Optional[str]
     pos_params: Tuple[str, ...]  # posonly + regular, including self
-    kwonly_params: Tuple[str, ...]
     has_vararg: bool
-    has_kwarg: bool
     calls: Tuple[CallSite, ...]
     events: Tuple[Event, ...]  # populated for async functions only
     self_attr_writes: Tuple[str, ...]
-    param_attr_writes: Tuple[str, ...]
     rng_capture: bool  # reads an rng-named name it does not bind
-
-    @property
-    def params(self) -> Tuple[str, ...]:
-        return self.pos_params + self.kwonly_params
 
 
 @dataclass(frozen=True)
@@ -292,7 +269,6 @@ def _arg_info(node: ast.expr, keyword: Optional[str]) -> ArgInfo:
         text=text,
         name=node.id if isinstance(node, ast.Name) else None,
         keyword=keyword,
-        tree=_is_tree_valued(node),
         rng=_is_rng_valued(node),
         lambda_rng=_lambda_touches_rng(node),
     )
@@ -301,13 +277,11 @@ def _arg_info(node: ast.expr, keyword: Optional[str]) -> ArgInfo:
 class _FunctionCollector:
     """Accumulates one function's call sites, events, and attribute writes."""
 
-    def __init__(self, node: ast.AST, record_events: bool) -> None:
-        self.node = node
+    def __init__(self, record_events: bool) -> None:
         self.record_events = record_events
         self.calls: List[CallSite] = []
         self.events: List[Event] = []
         self.self_writes: Set[str] = set()
-        self.param_writes: Set[str] = set()
         self.bound_names: Set[str] = set()
         self.loaded_rng_names: Set[str] = set()
 
@@ -459,30 +433,11 @@ class _Extractor:
             return
         if isinstance(target, ast.Attribute):
             base = target.value
-            if fn is not None:
-                if isinstance(base, ast.Name) and base.id == "self":
-                    fn.self_writes.add(target.attr)
-                    fn.event("write", target.attr, stmt)
-                if isinstance(base, ast.Name) and base.id in self._current_params():
-                    fn.param_writes.add(base.id)
+            if fn is not None and isinstance(base, ast.Name) and base.id == "self":
+                fn.self_writes.add(target.attr)
+                fn.event("write", target.attr, stmt)
             # Reads hidden in the base expression (e.g. self.a.b = x reads self.a).
             self.visit_expr(base)
-
-    def _current_params(self) -> Set[str]:
-        if not self._fn_stack:
-            return set()
-        node = self._fn_stack[-1].node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return set()
-        args = node.args
-        return {
-            a.arg
-            for a in (
-                list(args.posonlyargs)
-                + list(args.args)
-                + list(args.kwonlyargs)
-            )
-        }
 
     # -- expressions ----------------------------------------------------
 
@@ -579,7 +534,7 @@ class _Extractor:
         for deco in node.decorator_list:
             self.visit_expr(deco)
 
-        collector = _FunctionCollector(node, record_events=is_async)
+        collector = _FunctionCollector(record_events=is_async)
         self._fn_stack.append(collector)
         self._qual_stack.append(qual)
         self.visit_body(node.body)
@@ -588,8 +543,7 @@ class _Extractor:
 
         args = node.args
         pos = tuple(a.arg for a in list(args.posonlyargs) + list(args.args))
-        kwonly = tuple(a.arg for a in args.kwonlyargs)
-        params = set(pos) | set(kwonly)
+        params = set(pos) | {a.arg for a in args.kwonlyargs}
         captured_rng = any(
             name not in params and name not in collector.bound_names
             for name in collector.loaded_rng_names
@@ -610,13 +564,10 @@ class _Extractor:
                 nested=nested,
                 builder_name=builder_name,
                 pos_params=pos,
-                kwonly_params=kwonly,
                 has_vararg=args.vararg is not None,
-                has_kwarg=args.kwarg is not None,
                 calls=tuple(collector.calls),
                 events=tuple(collector.events),
                 self_attr_writes=tuple(sorted(collector.self_writes)),
-                param_attr_writes=tuple(sorted(collector.param_writes)),
                 rng_capture=captured_rng,
             )
         )

@@ -33,6 +33,7 @@ __all__ = [
     "MetricDiff",
     "MetricSpec",
     "DEFAULT_METRICS",
+    "append_trajectory",
     "diff_trajectory",
     "diff_trajectory_file",
     "load_trajectory",
@@ -141,6 +142,29 @@ def load_trajectory(path: Union[str, Path]) -> Dict[str, Any]:
         isinstance(run, dict) for run in runs
     ):
         raise ValueError(f"{target}: 'runs' must be a list of run documents")
+    return doc
+
+
+def append_trajectory(
+    path: Union[str, Path], fmt: str, version: int, run: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Append one *run* document to the ``BENCH_*.json`` trajectory at *path*.
+
+    An absent file starts as ``{"format": fmt, "version": version, "runs":
+    []}``; an existing one is read through :func:`load_trajectory` and must
+    carry *fmt*.  Runs stay in append order.  Returns the written document.
+    """
+    target = Path(path)
+    if target.exists():
+        doc = load_trajectory(target)
+        if doc["format"] != fmt:
+            raise ValueError(
+                f"{target} is not a {fmt} document (format={doc['format']!r})"
+            )
+    else:
+        doc = {"format": fmt, "version": version, "runs": []}
+    doc["runs"].append(run)
+    target.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return doc
 
 

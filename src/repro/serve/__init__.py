@@ -28,7 +28,7 @@ repeat-query workload whose reports feed ``BENCH_serve.json``.  The full
 architecture is documented in ``docs/serving.md``.
 """
 
-from repro.serve.bench import BenchReport, append_bench_run, run_serve_bench
+from repro.serve.bench import BenchReport, run_serve_bench
 from repro.serve.cache import ResultCache, StructureCache, WarmStructures
 from repro.serve.request import (
     BuildRequest,
@@ -64,7 +64,6 @@ __all__ = [
     "WarmStructures",
     "WorkItem",
     "WorkerPool",
-    "append_bench_run",
     "canonical_params_json",
     "effective_params",
     "make_response",

@@ -26,11 +26,9 @@ pins the n=100–500 numbers.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.local_search import bfs_tree
 from repro.engine import build_tree, get_builder
@@ -43,7 +41,6 @@ from repro.utils.rng import as_rng
 
 __all__ = [
     "BenchReport",
-    "append_bench_run",
     "make_workload",
     "run_serve_bench",
 ]
@@ -328,27 +325,3 @@ def run_serve_bench(
         pool_workers=int(stats["pool_workers"]),
         timestamp=time.time(),
     )
-
-
-def append_bench_run(
-    path: Union[str, Path], report: BenchReport
-) -> Dict[str, Any]:
-    """Append *report* to the trajectory file at *path* (created if absent).
-
-    The file is one JSON document: ``{"format": ..., "version": 1,
-    "runs": [...]}`` with runs in append order — the cross-PR throughput
-    trajectory.  Returns the written document.
-    """
-    target = Path(path)
-    if target.exists():
-        doc = json.loads(target.read_text(encoding="utf-8"))
-        if doc.get("format") != BENCH_FORMAT:
-            raise ValueError(
-                f"{target} is not a {BENCH_FORMAT} document "
-                f"(format={doc.get('format')!r})"
-            )
-    else:
-        doc = {"format": BENCH_FORMAT, "version": BENCH_VERSION, "runs": []}
-    doc["runs"].append(report.to_doc())
-    target.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return doc

@@ -2,9 +2,10 @@
 
 Tier 1 — :class:`ResultCache`: a bounded LRU mapping full request keys
 (topology fingerprint + builder + canonical effective params) to finished
-:class:`~repro.engine.BuildResult` objects.  ``AggregationTree`` is
-immutable (lint rule REP105 enforces it), so hits hand back the stored tree
-itself; a repeat query costs two dict operations.
+:class:`~repro.engine.BuildResult` objects.  ``AggregationTree`` is frozen
+by its type (attribute writes raise, the parent array is read-only and
+children are tuples), so hits hand back the stored tree itself; a repeat
+query costs two dict operations.
 
 Tier 2 — :class:`StructureCache`: per-*fingerprint* warm state shared by
 every request on a topology, whatever its builder, LC bound, or seed.  A

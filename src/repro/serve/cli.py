@@ -22,10 +22,12 @@ import argparse
 import asyncio
 from typing import List, Optional
 
+from repro.obs.benchdiff import append_trajectory
 from repro.obs.slo import SLO
 from repro.serve.bench import (
+    BENCH_FORMAT,
+    BENCH_VERSION,
     DEFAULT_BENCH_BUILDERS,
-    append_bench_run,
     run_serve_bench,
 )
 from repro.serve.server import ServeConfig, TreeServer
@@ -244,7 +246,7 @@ def _run_bench(args: argparse.Namespace) -> int:
     )
     print(report.render())
     if args.out:
-        append_bench_run(args.out, report)
+        append_trajectory(args.out, BENCH_FORMAT, BENCH_VERSION, report.to_doc())
         print(f"[appended run to {args.out}]")
     return 1 if report.divergent else 0
 

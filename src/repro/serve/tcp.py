@@ -142,7 +142,14 @@ async def _handle_connection(
         while True:
             try:
                 line = await reader.readline()
-            except (ConnectionResetError, asyncio.LimitOverrunError):
+            except ConnectionResetError:
+                break
+            except ValueError:
+                # readline() reports a line over the stream limit as
+                # ValueError; the framing is lost, so answer once and close.
+                error = ServeError(f"request line exceeds {MAX_LINE_BYTES} bytes")
+                writer.write(json.dumps(encode_error(error)).encode("utf-8") + b"\n")
+                await writer.drain()
                 break
             if not line:
                 break

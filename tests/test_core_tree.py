@@ -1,6 +1,8 @@
 """Tests for repro.core.tree (AggregationTree)."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -172,7 +174,7 @@ class TestMutation:
             tree.with_parent(0, 1)
 
     def test_copy_and_equality(self, tree):
-        clone = tree.copy()
+        clone = copy.copy(tree)
         assert clone == tree
         assert hash(clone) == hash(tree)
         moved = tree.with_parent(4, 3)
@@ -180,6 +182,75 @@ class TestMutation:
 
     def test_equality_other_type(self, tree):
         assert tree != "not a tree"
+
+
+def _set_network(tree):
+    tree.network = None
+
+
+def _set_new_attribute(tree):
+    tree.cached_cost = 0.0
+
+
+def _setattr_builtin(tree):
+    setattr(tree, "_parent", [])
+
+
+def _del_attribute(tree):
+    del tree.network
+
+
+def _write_parent_array(tree):
+    tree._parent[1] = 0
+
+
+def _append_child(tree):
+    tree._children[0].append(5)
+
+
+def _replace_children(tree):
+    tree._children[0] = ()
+
+
+class TestFrozen:
+    """A built tree cannot be changed by any route; copies round-trip."""
+
+    @pytest.fixture
+    def built(self):
+        from repro.engine import build_tree
+
+        return build_tree("mst", random_graph(20, 0.4, seed=3)).tree
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _set_network,
+            _set_new_attribute,
+            _setattr_builtin,
+            _del_attribute,
+            _write_parent_array,
+            _append_child,
+            _replace_children,
+        ],
+    )
+    def test_every_mutation_route_raises(self, built, mutate):
+        before = (built.parents, built.cost(), built.children(0))
+        with pytest.raises((AttributeError, TypeError, ValueError)):
+            mutate(built)
+        assert (built.parents, built.cost(), built.children(0)) == before
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copies_round_trip(self, built, clone):
+        other = clone(built)
+        assert other.parents == built.parents
+        assert other.cost() == built.cost()
+        assert other.reliability() == built.reliability()
+        assert other.lifetime() == built.lifetime()
+        assert not other._parent.flags.writeable
 
 
 class TestPaperToyExample:

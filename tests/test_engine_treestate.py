@@ -135,28 +135,8 @@ def test_random_attach_construction_matches_scratch():
 
 
 # ---------------------------------------------------------------------------
-# previews
+# lifetime deltas
 # ---------------------------------------------------------------------------
-
-
-@under_retired_setting
-def test_preview_matches_apply():
-    """Every delta_*/preview answer equals the post-move recomputed value."""
-    net = random_graph(18, 0.6, seed=5)
-    state = TreeState.from_tree(AggregationTree.from_edges(net, _bfs_edges(net)))
-    rng = random.Random(3)
-    for _ in range(200):
-        moves = _legal_reparents(state)
-        v, p = rng.choice(moves)
-        preview = state.preview_reparent(v, p)
-        before_life = state.lifetime()
-        state.reparent(v, p)
-        assert state.cost == pytest.approx(preview.cost, abs=1e-9)
-        assert state.reliability == pytest.approx(preview.reliability, rel=1e-9)
-        assert state.lifetime() == pytest.approx(preview.lifetime, abs=1e-6)
-        assert preview.delta_lifetime == pytest.approx(
-            state.lifetime() - before_life, abs=1e-6
-        )
 
 
 @under_retired_setting
@@ -284,8 +264,8 @@ def test_copy_is_independent():
 
 
 def test_depths_survive_ten_thousand_node_path():
-    """A 10k-node path must not recurse: depths(), freeze(), previews all
-    work at a depth far beyond CPython's default recursion limit."""
+    """A 10k-node path must not recurse: depths() and freeze() work at a
+    depth far beyond CPython's default recursion limit."""
     n = 10_000
     net = Network(n)
     for v in range(1, n):

@@ -13,9 +13,7 @@ from tests.lint_utils import write_tree
 
 CLEAN = {"repro/ok.py": "def f():\n    return 1\n"}
 DIRTY = {"repro/bad.py": "import random\n"}
-KEPT_RULES = [
-    "REP101", "REP102", "REP104", "REP105", "REP108", "REP109", "REP110", "REP112",
-]
+KEPT_RULES = ["REP101", "REP102", "REP104", "REP108", "REP109", "REP110"]
 
 
 class TestExitCodes:
@@ -43,7 +41,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--select", "REP103"], ["--ignore", "REP106"], ["--explain", "REP107"]],
+        [
+            ["--select", "REP103"],
+            ["--ignore", "REP106"],
+            ["--explain", "REP107"],
+            ["--select", "REP105"],
+            ["--ignore", "REP112"],
+        ],
     )
     def test_deleted_rules_are_usage_errors(self, tmp_path, flags):
         src = write_tree(tmp_path, CLEAN)
@@ -73,11 +77,18 @@ class TestExitCodes:
 
 class TestSelection:
     def test_select_limits_rules(self, tmp_path, capsys):
-        files = {"repro/bad.py": "import random\ndef f(tree):\n    tree.x = 1\n"}
+        files = {
+            "repro/core/bad.py": (
+                "import random\n"
+                "from repro.obs import OBS\n"
+                "def f():\n"
+                "    OBS.tracer.event('x')\n"
+            )
+        }
         src = write_tree(tmp_path, files)
-        assert lint_main([str(src), "--select", "REP105"]) == 1
+        assert lint_main([str(src), "--select", "REP102"]) == 1
         out = capsys.readouterr().out
-        assert "REP105" in out and "REP101" not in out
+        assert "REP102" in out and "REP101" not in out
 
     def test_ignore_skips_rules(self, tmp_path, capsys):
         src = write_tree(tmp_path, DIRTY)

@@ -23,36 +23,39 @@ class TestSuppression:
     def test_bare_ignore_silences_all_rules(self, tmp_path):
         source = (
             "import numpy as np\n"
-            "def f(tree):\n"
-            "    tree.rng = np.random.default_rng(3)  # repro: ignore\n"
+            "from repro.obs import OBS\n"
+            "def f():\n"
+            "    OBS.tracer.event(np.random.default_rng(3))  # repro: ignore\n"
         )
-        result = lint_paths([write_tree(tmp_path, {"repro/a.py": source})])
+        result = lint_paths([write_tree(tmp_path, {"repro/core/a.py": source})])
         assert result.all_findings == []
-        assert result.suppressed == 2  # REP101 and REP105 on one line
+        assert result.suppressed == 2  # REP101 and REP102 on one line
 
     def test_wrong_id_does_not_suppress(self, tmp_path):
-        source = "import random  # repro: ignore[REP105]\n"
+        source = "import random  # repro: ignore[REP102]\n"
         findings = lint_sources(tmp_path, {"repro/a.py": source})
         assert rule_ids(findings) == ["REP101"]
 
     def test_multiple_ids_in_one_comment(self, tmp_path):
         source = (
             "import numpy as np\n"
-            "def f(tree):\n"
-            "    tree.rng = np.random.default_rng(3)  # repro: ignore[REP101, REP105]\n"
+            "from repro.obs import OBS\n"
+            "def f():\n"
+            "    OBS.tracer.event(np.random.default_rng(3))  # repro: ignore[REP101, REP102]\n"
         )
-        result = lint_paths([write_tree(tmp_path, {"repro/a.py": source})])
+        result = lint_paths([write_tree(tmp_path, {"repro/core/a.py": source})])
         assert result.all_findings == []
         assert result.suppressed == 2
 
     def test_ignore_file_marker(self, tmp_path):
         source = (
-            "# repro: ignore-file[REP105]\n"
-            "def f(tree, best_tree):\n"
-            "    tree.cost = 1.0\n"
-            "    best_tree.cost = 2.0\n"
+            "# repro: ignore-file[REP102]\n"
+            "from repro.obs import OBS\n"
+            "def f():\n"
+            "    OBS.tracer.event('x')\n"
+            "    OBS.registry.counter('y').inc()\n"
         )
-        assert lint_sources(tmp_path, {"repro/a.py": source}) == []
+        assert lint_sources(tmp_path, {"repro/core/a.py": source}) == []
 
     def test_ignore_file_marker_counts_suppressed(self, tmp_path):
         source = "# repro: ignore-file[REP101]\nimport random\n"
@@ -61,7 +64,7 @@ class TestSuppression:
         assert result.suppressed == 1
 
     def test_ignore_file_marker_is_rule_scoped(self, tmp_path):
-        source = "# repro: ignore-file[REP105]\nimport random\n"
+        source = "# repro: ignore-file[REP102]\nimport random\n"
         findings = lint_sources(tmp_path, {"repro/a.py": source})
         assert rule_ids(findings) == ["REP101"]
 

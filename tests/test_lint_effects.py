@@ -1,8 +1,8 @@
 """Effect inference: direct effects, fixpoint propagation, witnesses.
 
-Fixture tests pin the propagation rules (``blocks`` stops at async
-callees, parameter mutation flows through bare-name arguments) and that
-an rng capture stays a property of the capturing function.  The
+Fixture tests pin the propagation rule (``blocks`` stops at async
+callees) and that an rng capture stays a property of the capturing
+function.  The
 real-repository tests exercise the fixpoint on ``src/`` itself.
 """
 
@@ -97,20 +97,6 @@ class TestPropagation:
         assert nodes["repro.mod:worker.<locals>.task"].summary.rng_capture
         assert not nodes["repro.mod:worker"].summary.rng_capture
         assert not nodes["repro.mod:outer"].summary.rng_capture
-
-
-class TestParamMutation:
-    def test_direct_and_transitive_param_mutation(self, tmp_path):
-        analysis = effects_for(tmp_path, {
-            "repro/mod.py": (
-                "def poke(tree):\n"
-                "    tree.parent = {}\n"
-                "def relay(my_tree):\n"
-                "    poke(my_tree)\n"
-            ),
-        })
-        assert analysis.params_mutated_by("repro.mod:poke") == {"tree"}
-        assert analysis.params_mutated_by("repro.mod:relay") == {"my_tree"}
 
 
 class TestRealRepository:

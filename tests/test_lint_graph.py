@@ -46,9 +46,9 @@ class TestSummaryExtraction:
     def test_call_sites_record_await_and_args(self, tmp_path):
         project = project_for(tmp_path, {
             "repro/mod.py": (
-                "async def f(rng, my_tree):\n"
+                "async def f(rng, my_rng):\n"
                 "    await g(rng)\n"
-                "    h(my_tree, seed=1)\n"
+                "    h(my_rng, seed=1)\n"
             ),
         })
         summary = project.module_summary("repro.mod")
@@ -56,7 +56,7 @@ class TestSummaryExtraction:
         by_chain = {c.chain: c for c in fn.calls}
         assert by_chain["g"].awaited and not by_chain["h"].awaited
         assert by_chain["g"].args[0].rng
-        assert by_chain["h"].args[0].tree
+        assert by_chain["h"].args[0].rng
         assert by_chain["h"].args[1].keyword == "seed"
 
     def test_augassign_orders_read_before_value_before_write(self, tmp_path):

@@ -213,61 +213,25 @@ class TestREP104BuilderContract:
         assert rule_ids(findings) == ["REP104", "REP104"]
 
 
-class TestREP105FrozenTree:
-    def test_attribute_assignment_flagged(self, tmp_path):
-        source = "def f(tree):\n    tree.network = None\n"
-        findings = lint_sources(tmp_path, {"repro/algo.py": source})
-        assert rule_ids(findings) == ["REP105"]
-
-    def test_suffixed_name_flagged(self, tmp_path):
-        source = "def f(best_tree):\n    best_tree._parent = []\n"
-        findings = lint_sources(tmp_path, {"repro/algo.py": source})
-        assert rule_ids(findings) == ["REP105"]
-
-    def test_result_tree_attribute_flagged(self, tmp_path):
-        source = "def f(result):\n    result.tree.cached = 1\n"
-        findings = lint_sources(tmp_path, {"repro/algo.py": source})
-        assert rule_ids(findings) == ["REP105"]
-
-    def test_setattr_flagged(self, tmp_path):
-        source = "def f(tree):\n    setattr(tree, 'x', 1)\n"
-        findings = lint_sources(tmp_path, {"repro/algo.py": source})
-        assert rule_ids(findings) == ["REP105"]
-
-    def test_augmented_assignment_flagged(self, tmp_path):
-        source = "def f(tree):\n    tree.n += 1\n"
-        findings = lint_sources(tmp_path, {"repro/algo.py": source})
-        assert rule_ids(findings) == ["REP105"]
-
-    def test_reads_and_item_writes_allowed(self, tmp_path):
-        source = (
-            "def f(tree, out):\n"
-            "    out['n'] = tree.n\n"
-            "    caps = tree.network.nodes\n"
-            "    return caps\n"
-        )
-        assert lint_sources(tmp_path, {"repro/algo.py": source}) == []
-
-    def test_freeze_path_modules_exempt(self, tmp_path):
-        source = "def freeze(self, tree):\n    tree._parent = []\n"
-        assert lint_sources(tmp_path, {"repro/engine/treestate.py": source}) == []
-        assert lint_sources(tmp_path, {"repro/core/tree.py": source}) == []
+#: One REP101 and one REP102 finding when placed in a hot package.
+TWO_RULE_SOURCE = (
+    "import random\n"
+    "from repro.obs import OBS\n"
+    "def f():\n"
+    "    OBS.tracer.event('x')\n"
+)
 
 
 class TestRuleSelection:
     def test_select_runs_single_rule(self, tmp_path):
-        files = {
-            "repro/algo.py": "import random\ndef f(tree):\n    tree.x = 1\n"
-        }
-        findings = lint_sources(tmp_path, files, select=["REP105"])
-        assert rule_ids(findings) == ["REP105"]
+        files = {"repro/core/algo.py": TWO_RULE_SOURCE}
+        findings = lint_sources(tmp_path, files, select=["REP102"])
+        assert rule_ids(findings) == ["REP102"]
 
     def test_ignore_removes_rule(self, tmp_path):
-        files = {
-            "repro/algo.py": "import random\ndef f(tree):\n    tree.x = 1\n"
-        }
+        files = {"repro/core/algo.py": TWO_RULE_SOURCE}
         findings = lint_sources(tmp_path, files, ignore=["REP101"])
-        assert rule_ids(findings) == ["REP105"]
+        assert rule_ids(findings) == ["REP102"]
 
     def test_unknown_rule_raises(self, tmp_path):
         from repro.lint import UnknownRuleError

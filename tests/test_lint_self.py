@@ -33,11 +33,9 @@ class TestSelfCheck:
             "REP101",
             "REP102",
             "REP104",
-            "REP105",
             "REP108",
             "REP109",
             "REP110",
-            "REP112",
         ]
 
     def test_every_rule_has_severity_and_summary(self):

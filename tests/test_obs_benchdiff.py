@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs.benchdiff import (
     MetricSpec,
+    append_trajectory,
     diff_trajectory,
     diff_trajectory_file,
     load_trajectory,
@@ -51,6 +52,33 @@ class TestLoadTrajectory:
         path.write_text(json.dumps({"format": "x", "runs": [1, 2]}))
         with pytest.raises(ValueError, match="'runs'"):
             load_trajectory(path)
+
+
+class TestAppendTrajectory:
+    def test_creates_then_appends_in_order(self, tmp_path):
+        path = tmp_path / "BENCH_serve.json"
+        append_trajectory(path, "repro-bench-serve", 1, {"warm_rps": 1.0})
+        doc = append_trajectory(path, "repro-bench-serve", 1, {"warm_rps": 2.0})
+        expected = {
+            "format": "repro-bench-serve",
+            "version": 1,
+            "runs": [{"warm_rps": 1.0}, {"warm_rps": 2.0}],
+        }
+        assert doc == expected
+        assert path.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    def test_malformed_file_rejected(self, tmp_path):
+        path = tmp_path / "BENCH_serve.json"
+        path.write_text(json.dumps({"format": "repro-bench-serve", "runs": 3}))
+        with pytest.raises(ValueError, match="'runs'"):
+            append_trajectory(path, "repro-bench-serve", 1, {})
+
+    def test_foreign_format_rejected(self, tmp_path):
+        path = tmp_path / "BENCH_core.json"
+        path.write_text(json.dumps({"format": "repro-bench-core", "runs": []}))
+        with pytest.raises(ValueError, match="not a repro-bench-serve document"):
+            append_trajectory(path, "repro-bench-serve", 1, {})
+        assert json.loads(path.read_text())["runs"] == []
 
 
 class TestDiffTrajectory:

@@ -12,8 +12,9 @@ import repro.engine.registry as registry_module
 from repro.engine.portfolio import (
     DEFAULT_MEMBERS,
     MemberOutcome,
+    BENCH_PORTFOLIO_FORMAT,
+    BENCH_PORTFOLIO_VERSION,
     PortfolioError,
-    append_portfolio_bench_run,
     build_portfolio_tree,
     member_configs,
     race_builders,
@@ -23,6 +24,7 @@ from repro.engine.portfolio import (
 from repro.engine.registry import build_tree, tree_builder
 from repro.network.topology import random_graph
 from repro.obs import instrument
+from repro.obs.benchdiff import append_trajectory
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -357,6 +359,12 @@ class TestServeIntegration:
             assert len(response.tree.edges()) == net.n - 1
 
 
+def _append(path, report):
+    return append_trajectory(
+        path, BENCH_PORTFOLIO_FORMAT, BENCH_PORTFOLIO_VERSION, report.to_doc()
+    )
+
+
 class TestPortfolioBench:
     def test_report_and_trajectory_roundtrip(self, tmp_path):
         report = run_portfolio_bench(
@@ -367,10 +375,10 @@ class TestPortfolioBench:
         assert "portfolio bench" in report.render()
 
         out = tmp_path / "BENCH_portfolio.json"
-        doc = append_portfolio_bench_run(out, report)
+        doc = _append(out, report)
         assert doc["format"] == "repro-bench-portfolio"
         assert doc["runs"][0]["winner"] == "mst"
-        append_portfolio_bench_run(out, report)
+        _append(out, report)
         import json
 
         assert len(json.loads(out.read_text())["runs"]) == 2
@@ -380,7 +388,7 @@ class TestPortfolioBench:
         out.write_text('{"format": "repro-bench-serve", "runs": []}')
         report = run_portfolio_bench(n_nodes=12, members=("mst", "bfs"), seed=1)
         with pytest.raises(ValueError, match="repro-bench-portfolio"):
-            append_portfolio_bench_run(out, report)
+            _append(out, report)
 
     def test_bench_diff_knows_portfolio_format(self):
         from repro.obs.benchdiff import DEFAULT_METRICS

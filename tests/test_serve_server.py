@@ -345,6 +345,39 @@ class TestTcpTransport:
         assert not bad_json["ok"]
 
 
+    def test_oversized_line_gets_one_error_reply(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.tcp.MAX_LINE_BYTES", 1024)
+
+        async def run():
+            async with TreeServer() as server:
+                tcp = await start_tcp_server(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(b"x" * 4096 + b"\n")
+                await writer.drain()
+                reply = await reader.readline()
+                after = await reader.readline()
+                writer.close()
+                await writer.wait_closed()
+
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(b'{"op": "ping"}\n')
+                await writer.drain()
+                ping = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                tcp.close()
+                await tcp.wait_closed()
+                return reply, after, ping
+
+        reply, after, ping = asyncio.run(run())
+        error = json.loads(reply)
+        assert error["ok"] is False and error["kind"] == "bad-request"
+        assert "1024" in error["error"]
+        assert after == b""  # one reply, then the connection closes
+        assert ping["ok"] is True
+
+
 class TestServeCli:
     def test_bench_subcommand_prints_report(self, capsys):
         exit_code = serve_main(

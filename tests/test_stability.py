@@ -1,5 +1,7 @@
 """Tests for repro.analysis.stability."""
 
+import copy
+
 import pytest
 
 from repro.analysis.stability import (
@@ -15,7 +17,7 @@ from repro.network.topology import random_graph
 class TestTreeDistance:
     def test_identical_trees(self, tiny_network):
         tree = bfs_tree(tiny_network)
-        assert tree_distance(tree, tree.copy()) == 0
+        assert tree_distance(tree, copy.copy(tree)) == 0
 
     def test_single_reparent_is_distance_one(self, tiny_network):
         tree = bfs_tree(tiny_network)
