@@ -2,8 +2,8 @@
 
 A scaled-down in-CI version of ``repro bench-core`` (whose full-size runs
 feed ``BENCH_core.json``): asserts the vectorized round simulator and
-TreeState's bulk move scan produce *identical* results to the historical
-scalar loops and are faster at bench-smoke sizes.  Absolute thresholds are
+TreeState's bulk cost and lifetime scans produce *identical* results to
+the historical scalar loops and are faster at bench-smoke sizes.  Absolute thresholds are
 deliberately loose — machine-independence matters more than the exact
 ratio, which the trajectory file tracks across PRs instead.
 """
@@ -30,6 +30,10 @@ def test_core_bench_speedups_and_identity(tmp_path):
     # the margins are smaller but must still be decisive.
     assert report.round_sim_speedup > 3.0
     assert report.local_search_speedup > 1.5
+    # The ascent row keeps its n=300 graph at every size; trees and move
+    # counts are asserted equal inside run_core_bench.
+    assert (report.ascent_nodes, report.ascent_moves) == (300, 241)
+    assert report.lifetime_ascent_speedup > 1.5
 
     # Trajectory plumbing: append twice, then the sentinel must parse the
     # document and find no regression between back-to-back runs.

@@ -209,8 +209,9 @@ def _bench_core_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench-core",
         description="Benchmark the array-native compute core (vectorized "
-        "round simulation + TreeState's bulk move scan) against the "
-        "historical scalar loops; correctness is asserted, not sampled.",
+        "round simulation + TreeState's bulk cost and lifetime move scans) "
+        "against the historical scalar loops; correctness is asserted, not "
+        "sampled.",
     )
     parser.add_argument(
         "--rounds",
@@ -222,7 +223,8 @@ def _bench_core_main(argv: List[str]) -> int:
         "--ci",
         action="store_true",
         help="use CI smoke sizes (40x40 round-sim grid, 26x26 search grid) "
-        "so the loop baselines finish in seconds",
+        "so the loop baselines finish in seconds; the lifetime ascent keeps "
+        "its n=300 graph",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="workload seed (default 0)"

@@ -1,6 +1,6 @@
 """Tree local-search primitives shared by AAML and IRA's repair pass.
 
-All three searches operate on the same move: detach a node from its parent
+All four searches operate on the same move: detach a node from its parent
 and re-attach it under a network neighbour outside its own subtree.
 
 * :func:`maximize_lifetime` — lexicographically raise the ascending per-node
@@ -21,11 +21,12 @@ Every search strictly decreases (or lexicographically increases) a potential
 per accepted move over a finite state space, so all of them terminate.
 
 All move loops run on the incremental :class:`~repro.engine.treestate.TreeState`
-engine: candidate evaluation is an O(1) delta (a re-parent changes
-only the two parents' lifetimes and one tree edge), cycle filtering is an
-ancestor walk, and no :class:`AggregationTree` is constructed until the
-search ``freeze()``s its result.  The two greedy cost descents score every
-candidate at once through :meth:`~repro.engine.treestate.TreeState.best_cost_reparent`.
+engine: a re-parent changes only the two parents' lifetimes and one tree
+edge, cycle filtering is an ancestor walk, and no :class:`AggregationTree`
+is constructed until the search ``freeze()``s its result.  The two greedy
+cost descents score every candidate at once through
+:meth:`~repro.engine.treestate.TreeState.best_cost_reparent`, the lifetime
+ascent through :meth:`~repro.engine.treestate.TreeState.best_lifetime_reparent`.
 The accepted moves and final trees are decision-identical to the historical
 rebuild-per-candidate implementation.
 """
@@ -37,20 +38,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.tree import AggregationTree
-from repro.engine.treestate import (
-    NO_GAIN,
-    TreeState,
-    freeze_parents,
-    lifetime_delta_better,
-)
+from repro.engine.treestate import TreeState, freeze_parents
 from repro.obs import OBS
-
-#: Strict-descent cutoff shared by every greedy cost scan.
-COST_EPS = -1e-15
-
-
-def _caps_array(caps: Dict[int, int], n: int) -> np.ndarray:
-    return np.array([caps[v] for v in range(n)], dtype=np.int64)
 
 __all__ = [
     "bfs_tree",
@@ -61,6 +50,13 @@ __all__ = [
     "repair_overload",
     "reduce_cost_under_caps",
 ]
+
+#: Strict-descent cutoff shared by every greedy cost scan.
+COST_EPS = -1e-15
+
+
+def _caps_array(caps: Dict[int, int], n: int) -> np.ndarray:
+    return np.array([caps[v] for v in range(n)], dtype=np.int64)
 
 
 def bfs_tree(network) -> AggregationTree:
@@ -97,50 +93,31 @@ def lifetime_vector(tree: AggregationTree) -> Tuple[float, ...]:
 def maximize_lifetime(
     tree: AggregationTree, *, max_moves: int = 100_000
 ) -> Tuple[AggregationTree, int]:
-    """Lexicographic bottleneneck-lifetime ascent; returns (tree, moves).
+    """Lexicographic bottleneck-lifetime ascent; returns (tree, moves).
 
-    Each iteration scans moves from the most-starved nodes outward and
-    accepts the lexicographically best strict improvement of the ascending
-    lifetime vector; stops at a local optimum.  Candidates are compared via
-    :func:`~repro.engine.treestate.lifetime_delta_better` on the two-node
-    delta each move induces, so evaluation is O(1) per candidate instead of
-    an O(n log n) trial-tree rebuild.
+    Each iteration takes the most-starved loaded node that has a strictly
+    improving move, accepts its lexicographically best move of the
+    ascending lifetime vector, and stops at a local optimum.
+    :meth:`~repro.engine.treestate.TreeState.best_lifetime_reparent` scores
+    every candidate in one vectorized pass and walks ancestors only for the
+    few it checks for legality; the accepted moves are those of the scalar
+    scan (``_reference_maximize_lifetime`` in :mod:`repro.engine.bench`).
     """
-    network = tree.network
     state = TreeState.from_tree(tree)
-    n = state.n
     moves = 0
-    evaluated = 0
-    improved = True
-    while improved and moves < max_moves:
-        improved = False
-        best_gain = NO_GAIN
-        best_move: Optional[Tuple[int, int]] = None
-
-        kids = state.children_lists()
-        order = sorted(range(n), key=state.node_lifetime)
-        for loaded in order:
-            for child in kids[loaded]:
-                for candidate in network.neighbors(child):
-                    if candidate == loaded or state.in_subtree(candidate, child):
-                        continue
-                    gain = state.reparent_lifetime_delta(child, candidate)
-                    evaluated += 1
-                    if lifetime_delta_better(gain, best_gain):
-                        best_gain = gain
-                        best_move = (child, candidate)
-            if best_move is not None:
-                break  # act on the tightest bottleneck first
-
-        if best_move is not None:
-            state.reparent(*best_move, check=False)
-            moves += 1
-            improved = True
+    checked = 0
+    while moves < max_moves:
+        move, walked = state.best_lifetime_reparent()
+        checked += walked
+        if move is None:
+            break
+        state.reparent(*move, check=False)
+        moves += 1
     if OBS.enabled:
         reg = OBS.registry
         reg.counter("local_search.moves_accepted", op="maximize_lifetime").inc(moves)
         reg.counter("local_search.moves_evaluated", op="maximize_lifetime").inc(
-            evaluated
+            checked
         )
     return state.freeze(), moves
 

@@ -5,9 +5,10 @@ Two pieces that every optimizer and every consumer share:
 * :mod:`repro.engine.treestate` — :class:`TreeState`, a mutable spanning
   tree with O(1) ``reparent``/``attach`` moves and incrementally-maintained
   cost / reliability / lifetime, plus ``reparent_lifetime_delta`` for ranking
-  a move without applying it, a vectorized bulk cost scan
-  (``best_cost_reparent``) for the greedy descents, and ``freeze()`` back
-  to the immutable :class:`~repro.core.tree.AggregationTree`.
+  a move without applying it, vectorized bulk scans for the greedy cost
+  descents (``best_cost_reparent``) and the lifetime ascent
+  (``best_lifetime_reparent``), and ``freeze()`` back to the immutable
+  :class:`~repro.core.tree.AggregationTree`.
 * :mod:`repro.engine.registry` — the :class:`TreeBuilder` registry mapping
   canonical names (``"ira"``, ``"exact"``, ``"local_search"``, ``"mst"``,
   ``"spt"``, ``"random_tree"``, ``"aaml"``, ``"rasmalai"``,

@@ -1,6 +1,6 @@
 """Core-compute benchmark: the array-native paths vs the historical loops.
 
-Two measurements, both over workloads the acceptance bar names:
+Three measurements, each over a workload the acceptance bar names:
 
 * **Round simulation** — ``AggregationSimulator.estimate_reliability`` (the
   batched Bernoulli-matrix path) against a faithful re-implementation of
@@ -13,8 +13,13 @@ Two measurements, both over workloads the acceptance bar names:
   against the historical scalar nested scan, both from the BFS tree of an
   n≥2000 grid.  The trees must match exactly; the speedup is the bulk
   scan's win alone.
+* **Lifetime ascent** — :func:`~repro.core.local_search.maximize_lifetime`
+  (AAML's engine, on :meth:`TreeState.best_lifetime_reparent
+  <repro.engine.treestate.TreeState.best_lifetime_reparent>`) against the
+  historical scalar scan, both from the BFS tree of
+  ``random_graph(300, 0.07, seed=1)``.  Trees and move counts must match.
 
-``repro bench-core`` runs both and can append the report to a
+``repro bench-core`` runs all three and can append the report to a
 ``BENCH_core.json`` trajectory (same shape as ``BENCH_serve.json``), which
 ``repro obs bench-diff`` then gates — the cross-PR regression sentinel for
 the compute core.  See ``docs/performance.md``.
@@ -24,13 +29,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.local_search import COST_EPS, reduce_cost_under_caps
+from repro.core.local_search import (
+    COST_EPS,
+    bfs_tree,
+    maximize_lifetime,
+    reduce_cost_under_caps,
+)
 from repro.core.tree import AggregationTree
 from repro.engine.registry import build_tree
-from repro.engine.treestate import TreeState
-from repro.network.topology import grid_graph
+from repro.engine.treestate import NO_GAIN, TreeState, lifetime_delta_better
+from repro.network.topology import grid_graph, random_graph
 from repro.simulation.rounds import AggregationSimulator
 from repro.utils.rng import as_rng
 
@@ -56,6 +66,14 @@ SEARCH_MAX_MOVES = 100
 #: Children cap of every node in the search workload: tight enough that the
 #: cap filter rejects candidates.
 SEARCH_CAP = 2
+#: Lifetime-ascent workload: ``random_graph(300, 0.07, seed=1)``, the
+#: n=300 IRA input of the performance notes.
+ASCENT_NODES = 300
+ASCENT_LINK_P = 0.07
+ASCENT_SEED = 1
+#: The ascent takes tens of milliseconds, so each side keeps its best of
+#: this many runs.
+ASCENT_REPEATS = 3
 
 
 def _reference_estimate(tree, rng, n_rounds: int) -> float:
@@ -115,9 +133,61 @@ def _reference_reduce_cost(
     return state.freeze()
 
 
+def _reference_maximize_lifetime(
+    tree: AggregationTree, *, max_moves: int = 100_000
+) -> Tuple[AggregationTree, int]:
+    """The historical scalar lifetime-ascent scan, kept verbatim as the oracle.
+
+    Loaded nodes by ascending lifetime; for each, its children ascending,
+    then neighbours ascending; the first strictly better
+    :func:`~repro.engine.treestate.lifetime_delta_better` delta wins, and
+    the first loaded node with a move ends the scan — the move order
+    :func:`~repro.core.local_search.maximize_lifetime` reproduces.
+    """
+    network = tree.network
+    state = TreeState.from_tree(tree)
+    n = state.n
+    moves = 0
+    improved = True
+    while improved and moves < max_moves:
+        improved = False
+        best_gain = NO_GAIN
+        best_move: Optional[Tuple[int, int]] = None
+
+        kids = state.children_lists()
+        order = sorted(range(n), key=state.node_lifetime)
+        for loaded in order:
+            for child in kids[loaded]:
+                for candidate in network.neighbors(child):
+                    if candidate == loaded or state.in_subtree(candidate, child):
+                        continue
+                    gain = state.reparent_lifetime_delta(child, candidate)
+                    if lifetime_delta_better(gain, best_gain):
+                        best_gain = gain
+                        best_move = (child, candidate)
+            if best_move is not None:
+                break  # act on the tightest bottleneck first
+
+        if best_move is not None:
+            state.reparent(*best_move, check=False)
+            moves += 1
+            improved = True
+    return state.freeze(), moves
+
+
+def _best_of(fn: Callable[[], Any]) -> Tuple[Any, float]:
+    """``fn()``'s result and its fastest wall time over ``ASCENT_REPEATS`` runs."""
+    best = float("inf")
+    for _ in range(ASCENT_REPEATS):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return result, best
+
+
 @dataclass(frozen=True)
 class CoreBenchReport:
-    """One core-bench run: sizes, wall-clock splits, and the two speedups."""
+    """One core-bench run: sizes, wall-clock splits, and the three speedups."""
 
     round_sim_nodes: int
     round_sim_rounds: int
@@ -129,6 +199,11 @@ class CoreBenchReport:
     search_reference_s: float
     search_bulk_s: float
     local_search_speedup: float
+    ascent_nodes: int
+    ascent_moves: int
+    ascent_reference_s: float
+    ascent_bulk_s: float
+    lifetime_ascent_speedup: float
     timestamp: float
 
     def to_doc(self) -> Dict[str, Any]:
@@ -146,6 +221,11 @@ class CoreBenchReport:
             f" loop {self.search_reference_s:.3f}s ->"
             f" bulk scan {self.search_bulk_s:.3f}s"
             f"  ({self.local_search_speedup:.1f}x)",
+            f"  lifetime ascent n={self.ascent_nodes}"
+            f" moves={self.ascent_moves}:"
+            f" loop {self.ascent_reference_s:.3f}s ->"
+            f" bulk scan {self.ascent_bulk_s:.3f}s"
+            f"  ({self.lifetime_ascent_speedup:.1f}x)",
         ]
         return "\n".join(lines)
 
@@ -158,11 +238,11 @@ def run_core_bench(
     search_max_moves: int = SEARCH_MAX_MOVES,
     seed: int = 0,
 ) -> CoreBenchReport:
-    """Run both core benchmarks once and return the report.
+    """Run the three core benchmarks and return the report.
 
     Correctness is asserted, not sampled: the round-simulation estimates
-    and the local-search trees must agree exactly between the compared
-    implementations (they share RNG streams / decision sequences), so a
+    and the local-search and ascent trees must agree exactly between the
+    compared implementations (they share RNG streams / decision sequences), so a
     speedup can never be bought with a behaviour change.
     """
     # --- round simulation: batched matrix vs historical loop -----------
@@ -198,6 +278,18 @@ def run_core_bench(
     if bulk.parents != ref_tree.parents:
         raise AssertionError("local-search divergence: bulk scan != scalar scan")
 
+    # --- lifetime ascent: bulk lifetime scan vs historical scalar scan --
+    ascent_net = random_graph(ASCENT_NODES, ASCENT_LINK_P, seed=ASCENT_SEED)
+    ascent_start = bfs_tree(ascent_net)
+    (ascent, moves), ascent_bulk_s = _best_of(
+        lambda: maximize_lifetime(ascent_start)
+    )
+    (ref_ascent, ref_moves), ascent_reference_s = _best_of(
+        lambda: _reference_maximize_lifetime(ascent_start)
+    )
+    if moves != ref_moves or ascent.parents != ref_ascent.parents:
+        raise AssertionError("lifetime-ascent divergence: bulk scan != scalar scan")
+
     return CoreBenchReport(
         round_sim_nodes=sim_net.n,
         round_sim_rounds=rounds,
@@ -209,5 +301,10 @@ def run_core_bench(
         search_reference_s=search_reference_s,
         search_bulk_s=bulk_s,
         local_search_speedup=search_reference_s / max(bulk_s, 1e-9),
+        ascent_nodes=ascent_net.n,
+        ascent_moves=moves,
+        ascent_reference_s=ascent_reference_s,
+        ascent_bulk_s=ascent_bulk_s,
+        lifetime_ascent_speedup=ascent_reference_s / max(ascent_bulk_s, 1e-9),
         timestamp=time.time(),
     )

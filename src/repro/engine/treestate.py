@@ -25,6 +25,45 @@ scan (child ascending, neighbour ascending, first strict minimum wins)
 would accept.  ``tests/test_engine_treestate.py`` pins it against that
 scalar scan, kept there as the oracle.
 
+The lifetime ascent is bulk as well.  :meth:`TreeState.best_lifetime_reparent`
+returns exactly the move of the scalar scan (kept as
+``_reference_maximize_lifetime`` in :mod:`repro.engine.bench`): loaded
+nodes in stable ascending-lifetime order; for each, its children
+ascending, then their neighbours ascending; the first candidate strictly
+better under :func:`lifetime_delta_better` replaces the running best; the
+first loaded node with an improving legal move ends the scan.  One sort key
+reproduces it.  Write ``S`` for the current lifetime multiset, ``L[v]`` for
+node ``v``'s lifetime and ``L⁻[v]`` / ``L⁺[v]`` for it with one child fewer
+/ more.  Moving a child of the loaded node ``l`` under ``c`` yields
+``S - {L[l], L[c]} + {L⁻[l], L⁺[c]}``.  For a fixed ``l``, candidates ``a``
+and ``b`` therefore compare like the multisets ``{L⁺[a], L[b]}`` and
+``{L⁺[b], L[a]}`` (add ``L[a] + L[b]`` to both results; common terms
+cancel), and the side holding the smallest uncancelled value is the worse
+move.  Eq. 1 falls as the child count grows, so ``L⁺[c] <= L[c]``; call
+``c`` *flat* when they are equal (a zero-energy node, or one whose Eq. 1
+denominator rounds the extra child away).
+
+1. *Flat first.*  ``a`` flat, ``b`` not: what is left is ``{L[b]}`` against
+   ``{L⁺[b]}`` with ``L⁺[b] < L[b]``, so ``a`` wins.  Two flat candidates
+   both yield ``S - L[l] + L⁻[l]``: they tie whatever their values.
+2. *Then larger* ``L⁺``.  Neither flat and ``L⁺[a] > L⁺[b]``: ``L⁺[b]`` lies
+   below ``L⁺[a] < L[a]`` and below ``L[b]``, so it is the uncancelled
+   minimum, on ``b``'s side; ``a`` wins.
+3. *Then smaller* ``L``.  Neither flat and ``L⁺[a] == L⁺[b]``: those cancel,
+   leaving ``{L[b]}`` against ``{L[a]}``; the smaller ``L[a]`` wins.
+4. *Then scan order.*  Otherwise both moves yield the same multiset, and
+   the scalar scan keeps the one it met first.
+
+The key is a total preorder that agrees with :func:`lifetime_delta_better`,
+and "strictly improves the tree" means "beats the identity move", so the
+best legal candidate of a loaded node improves exactly when any of its
+legal candidates does.  Hence: filter the strictly improving pairs in one
+pass (sorted ``added`` tuple-greater than sorted ``removed``), visit them
+by (loaded node's rank, key), and accept the first that passes the
+ancestor walk.  Lifetimes at ``k ± 1`` children come from
+:meth:`~repro.network.energy.EnergyModel.lifetime_rounds_unchecked`, bitwise
+the scalar Eq. 1.
+
 The incremental C and Q accumulate one floating add/multiply per move and so
 can drift from a from-scratch recomputation by a few ULPs over thousands of
 moves; the randomized equivalence suite pins the drift below 1e-9.  Lifetime
@@ -33,7 +72,7 @@ values are recomputed exactly from the children counts, never accumulated.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,9 +87,8 @@ __all__ = [
     "lifetime_delta_better",
 ]
 
-#: ``(src, dst, cost)``: every directed network link in (src ascending, dst
-#: ascending) order — the scalar scan's candidate order.
-_Adjacency = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: Children-count offsets of the lifetime ascent's two trial lifetimes.
+_MINUS_PLUS = np.array([[-1], [1]], dtype=np.int64)
 
 #: A lifetime delta as two cancelled multisets ``(removed, added)`` of
 #: per-node lifetime values; the identity move is ``((), ())``.
@@ -116,7 +154,6 @@ class TreeState:
         "_min_life",
         "_min_count",
         "_min_dirty",
-        "_adj",
     )
 
     def __init__(
@@ -126,7 +163,6 @@ class TreeState:
     ) -> None:
         self.network = network
         self._parent = np.full(network.n, -1, dtype=np.int64)
-        self._adj: Optional[_Adjacency] = None
         if parents is not None:
             self._load_parents(parents)
         self._derive_metrics()
@@ -185,23 +221,21 @@ class TreeState:
         from a tree starts from the same floats however it was built.
         """
         network = self.network
-        counts = [0] * network.n
         cost = 0.0
         q = 1.0
         attached = 1
         for v, p in enumerate(self._parent.tolist()):
             if p >= 0:
-                counts[p] += 1
                 edge = network.edge(v, p)
                 cost += edge.cost
                 q *= edge.prr
                 attached += 1
-        model = network.energy_model
-        self._n_children = np.asarray(counts, dtype=np.int64)
-        self._life: List[float] = [
-            model.lifetime_rounds(network.initial_energy(v), k)
-            for v, k in enumerate(counts)
-        ]
+        parent = self._parent
+        counts = np.bincount(parent[parent >= 0], minlength=network.n)
+        self._n_children = counts.astype(np.int64, copy=False)
+        self._life: List[float] = network.energy_model.lifetime_rounds_unchecked(
+            network.initial_energies, self._n_children
+        ).tolist()
         self._cost = cost
         self._q = q
         self._n_attached = attached
@@ -215,7 +249,6 @@ class TreeState:
         state = cls.__new__(cls)
         state.network = tree.network
         state._parent = tree._parent.copy()
-        state._adj = None
         state._derive_metrics()
         return state
 
@@ -374,10 +407,11 @@ class TreeState:
 
     def _update_children(self, v: int, delta: int) -> None:
         self._n_children[v] += delta
+        network = self.network
         self._set_life(
             v,
-            self.network.energy_model.lifetime_rounds(
-                self.network.initial_energy(v), int(self._n_children[v])
+            network.energy_model.lifetime_rounds_unchecked(
+                network.initial_energy(v), int(self._n_children[v])
             ),
         )
 
@@ -488,32 +522,6 @@ class TreeState:
     # ------------------------------------------------------------------
     # Bulk move scans
     # ------------------------------------------------------------------
-    def _adjacency(self) -> _Adjacency:
-        """The directed link arrays, snapshotted on first use.
-
-        Link costs are read once per state (and shared by its copies), so
-        a search must not change link qualities while it runs — true for
-        every builder; the churn simulator mutates PRRs only between builds.
-        """
-        if self._adj is None:
-            network = self.network
-            src: List[int] = []
-            dst: List[int] = []
-            cost: List[float] = []
-            for v in range(network.n):
-                for u in network.neighbors(v):  # ascending
-                    src.append(v)
-                    dst.append(u)
-                    # Scalar math.log values: np.log is not guaranteed to
-                    # round like libm, and deltas must equal the scalar scan's.
-                    cost.append(network.cost(v, u))
-            self._adj = (
-                np.asarray(src, dtype=np.int64),
-                np.asarray(dst, dtype=np.int64),
-                np.asarray(cost, dtype=np.float64),
-            )
-        return self._adj
-
     def reparent_candidates(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(child, cand, delta)`` for every legal-looking re-parent pair.
 
@@ -526,7 +534,7 @@ class TreeState:
         Subtree (cycle) legality is *not* filtered here;
         :meth:`best_cost_reparent` validates lazily.
         """
-        src, dst, cost = self._adjacency()
+        src, dst, cost = self.network.link_arrays()
         on_tree = dst == self._parent[src]
         # Each attached child's current edge cost, read off its tree link.
         edge_cost = np.zeros(self.network.n, dtype=np.float64)
@@ -594,6 +602,83 @@ class TreeState:
                 return float(delta[i]), c, t
         return None
 
+    def lifetime_candidates(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """``(child, cand)`` of the strictly lifetime-improving re-parents.
+
+        Covers the same directed pairs as :meth:`reparent_candidates` and
+        keeps those whose move lexicographically raises the ascending
+        lifetime vector.  Yields one group per loaded node (the children's
+        current parent), in stable ascending-lifetime order of that node;
+        within a group, pairs follow the key of the module docstring: flat
+        candidates first, then larger ``L⁺[cand]``, then smaller
+        ``L[cand]``, then scan order.  Scoring is one vectorized pass; each
+        group is sorted only when the caller asks for it.  Subtree (cycle)
+        legality is *not* filtered; :meth:`best_lifetime_reparent`
+        validates lazily.
+        """
+        if not self.spanning:
+            raise ValueError("bulk move scans require a spanning state")
+        network = self.network
+        child, cand, _ = network.link_arrays()
+        loaded = self._parent[child]  # -1 on the sink's rows, masked below
+        life = np.asarray(self._life, dtype=np.float64)
+        # Eq. 1 at k - 1 and k + 1.  Every loaded node has a child, so the
+        # clamp at 0 only touches rows that are never read.
+        minus, plus = network.energy_model.lifetime_rounds_unchecked(
+            network.initial_energies,
+            np.maximum(self._n_children + _MINUS_PLUS, 0),
+        )
+        rem_l, rem_c = life[loaded], life[cand]
+        add_l, add_c = minus[loaded], plus[cand]
+        rem_lo = np.minimum(rem_l, rem_c)
+        add_lo = np.minimum(add_l, add_c)
+        better = (add_lo > rem_lo) | (
+            (add_lo == rem_lo)
+            & (np.maximum(add_l, add_c) > np.maximum(rem_l, rem_c))
+        )
+        better &= (child != network.sink) & (cand != loaded)
+        idx = np.nonzero(better)[0]
+        # Each node's position in stable ascending-lifetime order.
+        rank = np.argsort(np.argsort(life, kind="stable"))
+        group_rank = rank[loaded[idx]]
+        while idx.size:
+            # Peel off the lowest-ranked loaded node: the ascent almost
+            # always stops in the first group, so the rest stays unsorted.
+            first = group_rank == group_rank.min()
+            group = idx[first]
+            cand_life = rem_c[group]
+            cand_plus = add_c[group]
+            flat = cand_plus == cand_life
+            # Stable lexsort, last key first; ``group`` is in scan order.
+            order = np.lexsort(
+                (
+                    np.where(flat, 0.0, cand_life),
+                    np.where(flat, 0.0, -cand_plus),
+                    ~flat,
+                )
+            )
+            picked = group[order]
+            yield child[picked], cand[picked]
+            idx = idx[~first]
+            group_rank = group_rank[~first]
+
+    def best_lifetime_reparent(self) -> Tuple[Optional[Tuple[int, int]], int]:
+        """The move a scalar lifetime-ascent scan would accept.
+
+        Returns ``((child, cand), checked)``, or ``(None, checked)`` at a
+        local optimum; ``checked`` counts the candidates whose subtree
+        legality was walked.  See :meth:`lifetime_candidates` and the module
+        docstring for why the first legal candidate in key order is the
+        scalar scan's choice.
+        """
+        checked = 0
+        for children, cands in self.lifetime_candidates():
+            for c, t in zip(children.tolist(), cands.tolist()):
+                checked += 1
+                if not self.in_subtree(t, c):
+                    return (c, t), checked
+        return None, checked
+
     # ------------------------------------------------------------------
     # Conversion
     # ------------------------------------------------------------------
@@ -624,7 +709,6 @@ class TreeState:
         clone._min_life = self._min_life
         clone._min_count = self._min_count
         clone._min_dirty = self._min_dirty
-        clone._adj = self._adj  # immutable snapshot, safe to share
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -81,6 +81,18 @@ class EnergyModel:
         check_non_negative(initial_energy, "initial_energy")
         return initial_energy / self.round_energy(n_children)
 
+    def lifetime_rounds_unchecked(
+        self, initial_energy: float | np.ndarray, n_children: int | np.ndarray
+    ) -> float | np.ndarray:
+        """Eq. 1 without validation, on scalars or elementwise on arrays.
+
+        The same float operations, in the same order, as
+        :meth:`lifetime_rounds`, so the two agree bitwise.  For the hot
+        loops of :class:`~repro.engine.treestate.TreeState`, whose inputs
+        the :class:`~repro.network.model.Network` has already validated.
+        """
+        return initial_energy / (self.tx + self.rx * n_children)
+
     def lifetime_rounds_with_idle(
         self,
         initial_energy: float,

@@ -28,6 +28,11 @@ __all__ = ["Edge", "Network", "edge_key"]
 MIN_USABLE_PRR = 1e-9
 
 
+#: ``(src, dst, cost)`` arrays of every directed link; see
+#: :meth:`Network.link_arrays`.
+_LinkArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def edge_key(u: int, v: int) -> Tuple[int, int]:
     """Canonical undirected edge key (sorted endpoint pair)."""
     if u == v:
@@ -124,6 +129,13 @@ class Network:
 
         self._edges: Dict[Tuple[int, int], Edge] = {}
         self._adj: List[Dict[int, Edge]] = [dict() for _ in range(self.n)]
+        self._links: Optional[_LinkArrays] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The link snapshot is derived data: pickles and copies rebuild it.
+        state = self.__dict__.copy()
+        state["_links"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Construction
@@ -137,6 +149,7 @@ class Network:
         self._edges[key] = edge
         self._adj[u][v] = edge
         self._adj[v][u] = edge
+        self._links = None
         return edge
 
     def remove_link(self, u: int, v: int) -> None:
@@ -145,6 +158,7 @@ class Network:
         del self._edges[key]
         del self._adj[u][v]
         del self._adj[v][u]
+        self._links = None
 
     def set_prr(self, u: int, v: int, prr: float) -> Edge:
         """Update the PRR of an existing link (used by the dynamic protocol)."""
@@ -188,6 +202,38 @@ class Network:
         """Sorted neighbor ids of *node*."""
         self._check_node(node)
         return sorted(self._adj[node])
+
+    def link_arrays(self) -> _LinkArrays:
+        """``(src, dst, cost)`` of every directed link, built once per link set.
+
+        Rows run in (src ascending, dst ascending) order, the order of a
+        scalar ``for v in nodes: for u in neighbors(v)`` scan.  ``cost``
+        holds the scalar ``math.log`` values of :meth:`cost` (``np.log``
+        need not round like libm), so bulk scans over it stay bitwise equal
+        to scalar ones.  :meth:`add_link`, :meth:`remove_link` and
+        :meth:`set_prr` drop the snapshot; the arrays are read-only.  A
+        search that reads them must not change links while it runs — true
+        for every builder; the churn simulator changes PRRs only between
+        builds.
+        """
+        if self._links is None:
+            src: List[int] = []
+            dst: List[int] = []
+            cost: List[float] = []
+            for v in range(self.n):
+                for u in sorted(self._adj[v]):
+                    src.append(v)
+                    dst.append(u)
+                    cost.append(self._adj[v][u].cost)
+            links = (
+                np.asarray(src, dtype=np.int64),
+                np.asarray(dst, dtype=np.int64),
+                np.asarray(cost, dtype=np.float64),
+            )
+            for array in links:
+                array.setflags(write=False)
+            self._links = links
+        return self._links
 
     def degree(self, node: int) -> int:
         self._check_node(node)

@@ -66,6 +66,7 @@ DEFAULT_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
     "repro-bench-core": (
         MetricSpec("round_sim_speedup", higher_is_better=True),
         MetricSpec("local_search_speedup", higher_is_better=True),
+        MetricSpec("lifetime_ascent_speedup", higher_is_better=True),
     ),
     "repro-bench-portfolio": (
         MetricSpec("speedup", higher_is_better=True),
@@ -101,6 +102,9 @@ class BenchDiff:
     threshold: float
     metrics: Tuple[MetricDiff, ...]
     skipped_reason: Optional[str] = None
+    #: Watched metrics the newest run reports but no run in the window
+    #: does (a metric a PR just added): listed, not gated.
+    new_metrics: Tuple[str, ...] = ()
 
     @property
     def regressed(self) -> bool:
@@ -121,6 +125,8 @@ class BenchDiff:
                 f"  {m.name:<12} {m.newest:>12.4g}  baseline {m.baseline:>12.4g}"
                 f"  change {m.change:+8.1%}  {verdict}"
             )
+        for name in self.new_metrics:
+            lines.append(f"  {name:<12} new: no baseline in the window yet")
         return "\n".join(lines)
 
 
@@ -228,9 +234,14 @@ def diff_trajectory(
     newest = runs[-1]
     history = runs[-1 - window : -1]
     diffs: List[MetricDiff] = []
+    new_metrics: List[str] = []
     for spec in specs:
-        baseline = statistics.median(_metric_values(history, spec.name))
         value = _metric_values([newest], spec.name)[0]
+        past = [run for run in history if spec.name in run]
+        if not past:
+            new_metrics.append(spec.name)
+            continue
+        baseline = statistics.median(_metric_values(past, spec.name))
         if baseline == 0:
             # A zero baseline can't express relative change; any nonzero
             # move in the bad direction counts as a full-size move.
@@ -254,6 +265,7 @@ def diff_trajectory(
         window=min(window, len(history)),
         threshold=threshold,
         metrics=tuple(diffs),
+        new_metrics=tuple(new_metrics),
     )
 
 

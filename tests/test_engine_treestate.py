@@ -5,17 +5,22 @@ sequence of ``attach``/``reparent`` mutations, its incrementally maintained
 C(T), Q(T), L(T), and children counts match a freshly constructed
 :class:`~repro.core.tree.AggregationTree` to 1e-9.  The randomized suite
 here drives a thousand mutations per topology and re-checks the invariant
-throughout.  The bulk move scan is pinned against the scalar nested scans
-it replaced, kept below as the oracle.
+throughout.  The bulk move scans are pinned against the scalar nested scans
+they replaced: the cost scan's oracle is kept below, the lifetime ascent's
+is ``_reference_maximize_lifetime`` in :mod:`repro.engine.bench`.
 """
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 
+import repro.core.ira as ira_module
+from repro.core.local_search import bfs_tree, maximize_lifetime
 from repro.core.tree import AggregationTree
 from repro.engine import (
     NO_GAIN,
@@ -23,7 +28,10 @@ from repro.engine import (
     freeze_parents,
     lifetime_delta_better,
 )
+from repro.engine.bench import _reference_maximize_lifetime
+from repro.engine.registry import build_tree
 from repro.network.dfl import dfl_network
+from repro.network.energy import EnergyModel
 from repro.network.model import Network
 from repro.network.topology import grid_graph, random_graph
 
@@ -380,3 +388,243 @@ def test_bulk_scan_matches_scalar_scan(
             assert state.best_cost_reparent(**filters) == expect
             found += expect is not None
     assert found > 0
+
+
+# ---------------------------------------------------------------------------
+# bulk lifetime ascent == scalar ascent
+# ---------------------------------------------------------------------------
+
+
+def _assert_ascent_matches_reference(tree, **kwargs):
+    bulk, bulk_moves = maximize_lifetime(tree, **kwargs)
+    ref, ref_moves = _reference_maximize_lifetime(tree, **kwargs)
+    assert bulk_moves == ref_moves
+    assert bulk.parents == ref.parents
+    return bulk_moves
+
+
+def _energy_network(n, p, energies, seed, energy_model=None):
+    kwargs = {} if energy_model is None else {"energy_model": energy_model}
+    return random_graph(n, p, initial_energy=np.asarray(energies), seed=seed, **kwargs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ascent_matches_reference_from_random_starts(seed):
+    """Uniform random spanning trees over G(n, p) with random energies."""
+    rng = random.Random(seed)
+    n = rng.choice((12, 20, 30))
+    energies = [rng.uniform(1500.0, 5000.0) for _ in range(n)]
+    net = _energy_network(n, rng.choice((0.2, 0.4)), energies, seed)
+    moved = 0
+    for _ in range(5):
+        moved += _assert_ascent_matches_reference(
+            _random_spanning_state(net, rng).freeze()
+        )
+    assert moved > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ascent_matches_reference_with_zero_energy_nodes(seed):
+    """Zero-energy nodes are flat candidates and pin the minimum at 0."""
+    rng = random.Random(100 + seed)
+    n = 20
+    energies = [
+        0.0 if v != 0 and rng.random() < 0.25 else rng.uniform(1000.0, 4000.0)
+        for v in range(n)
+    ]
+    net = _energy_network(n, 0.3, energies, seed)
+    for _ in range(4):
+        _assert_ascent_matches_reference(_random_spanning_state(net, rng).freeze())
+    _assert_ascent_matches_reference(bfs_tree(net))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ascent_matches_reference_with_tied_energies(seed):
+    """Rounded energies: lifetimes tie, so ranks and keys tie often."""
+    rng = random.Random(200 + seed)
+    n = 25
+    energies = [float(rng.choice((1000, 2000, 3000))) for _ in range(n)]
+    net = _energy_network(n, 0.3, energies, seed)
+    for _ in range(4):
+        _assert_ascent_matches_reference(_random_spanning_state(net, rng).freeze())
+    _assert_ascent_matches_reference(bfs_tree(net))
+
+
+def test_ascent_matches_reference_from_ira_lp_trees(monkeypatch):
+    """The starts IRA's repair pass feeds the ascent: LP trees and BFS."""
+    starts = []
+
+    def recording(tree, **kwargs):
+        starts.append(tree)
+        return maximize_lifetime(tree, **kwargs)
+
+    monkeypatch.setattr(ira_module, "maximize_lifetime", recording)
+    for seed in range(4):
+        # Fig. 8/9 protocol: LC = AAML lifetime, energies U[1500, 5000] J.
+        rng = np.random.default_rng(seed)
+        net = random_graph(
+            22, 0.3, initial_energy=rng.uniform(1500.0, 5000.0, size=22), seed=rng
+        )
+        build_tree("ira", net, lc=build_tree("aaml", net).lifetime)
+    assert len(starts) >= 4
+    for tree in starts:
+        _assert_ascent_matches_reference(tree)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 5, 17])
+def test_ascent_matches_reference_under_move_caps(cap):
+    net = random_graph(40, 0.2, seed=31)
+    moves = _assert_ascent_matches_reference(bfs_tree(net), max_moves=cap)
+    assert moves == cap
+
+
+def test_flat_candidates_tie_so_scan_order_decides():
+    """Two flat candidates with different lifetimes: the first scanned wins.
+
+    With ``tx = 1`` and ``rx = 6e-17``, one child rounds ``tx + rx`` back
+    to 1.0, so every leaf keeps its lifetime ``E`` when it adopts a child:
+    leaves are flat, with values set by their energies.  Node 1 is the
+    bottleneck (two children, ``E = 1``).  Its child 2 can move under leaf
+    4, 5 or 6.  All three moves leave the same lifetime multiset, so the
+    scalar scan keeps the first, leaf 4 — not 5 (largest ``L⁺``) nor 6
+    (smallest ``L``).
+    """
+    model = EnergyModel(tx=1.0, rx=6e-17)
+    assert model.lifetime_rounds(7.0, 1) == model.lifetime_rounds(7.0, 0)
+    net = Network(
+        7,
+        initial_energy=[1000.0, 1.0, 100.0, 100.0, 5.0, 9.0, 2.0],
+        energy_model=model,
+    )
+    for u, v in [(0, 1), (1, 2), (1, 3), (0, 4), (0, 5), (0, 6)]:
+        net.add_link(u, v, 0.9)
+    for leaf in (4, 5, 6):
+        net.add_link(2, leaf, 0.9)
+    tree = AggregationTree(net, {1: 0, 2: 1, 3: 1, 4: 0, 5: 0, 6: 0})
+    state = TreeState.from_tree(tree)
+    assert state.best_lifetime_reparent() == ((2, 4), 1)
+    _assert_ascent_matches_reference(tree)
+    _assert_ascent_matches_reference(tree, max_moves=1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ascent_matches_reference_with_flat_leaves(seed):
+    """The rounding model of the fixture above on random graphs."""
+    rng = random.Random(300 + seed)
+    n = 18
+    energies = [float(rng.choice((1, 2, 3, 5, 8))) for _ in range(n)]
+    net = _energy_network(
+        n, 0.35, energies, seed, energy_model=EnergyModel(tx=1.0, rx=6e-17)
+    )
+    for _ in range(4):
+        _assert_ascent_matches_reference(_random_spanning_state(net, rng).freeze())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ascent_matches_reference_with_equal_plus_lifetimes(seed):
+    """``E / (1 + k)`` with small integer energies: ``L⁺`` ties are common,
+    so the smaller-``L`` rule decides between different lifetimes."""
+    rng = random.Random(400 + seed)
+    n = 18
+    energies = [float(rng.randint(2, 12)) for _ in range(n)]
+    net = _energy_network(
+        n, 0.35, energies, seed, energy_model=EnergyModel(tx=1.0, rx=1.0)
+    )
+    for _ in range(4):
+        _assert_ascent_matches_reference(_random_spanning_state(net, rng).freeze())
+
+
+def test_lifetime_candidates_are_exactly_the_improving_moves():
+    """The filter keeps every strictly improving pair and nothing else."""
+    net = random_graph(16, 0.5, seed=41)
+    rng = random.Random(41)
+    for _ in range(5):
+        state = _random_spanning_state(net, rng)
+        got = {
+            (c, t)
+            for child, cand in state.lifetime_candidates()
+            for c, t in zip(child.tolist(), cand.tolist())
+        }
+        expect = {
+            (v, p)
+            for v in range(net.n)
+            if v != net.sink
+            for p in net.neighbors(v)
+            if p != state.parent(v)
+            and lifetime_delta_better(state.reparent_lifetime_delta(v, p), NO_GAIN)
+        }
+        assert got == expect
+
+
+# ---------------------------------------------------------------------------
+# the network's link snapshot
+# ---------------------------------------------------------------------------
+
+
+def _scan_costs(net, parents):
+    """``{(child, cand): delta}`` of the bulk cost scan on a fresh state."""
+    child, cand, delta = TreeState(net, parents).reparent_candidates()
+    return dict(zip(zip(child.tolist(), cand.tolist()), delta.tolist()))
+
+
+def _scalar_costs(net, parents):
+    return {
+        (v, u): net.cost(v, u) - net.cost(v, parents[v])
+        for v in parents
+        for u in net.neighbors(v)
+        if u != parents[v]
+    }
+
+
+def test_link_changes_between_builds_reach_the_bulk_scans():
+    """set_prr, add_link and remove_link each drop the snapshot."""
+    net = random_graph(12, 0.4, seed=51)
+    parents = bfs_tree(net).parents
+    assert _scan_costs(net, parents) == _scalar_costs(net, parents)
+
+    off_tree = next(
+        (v, u)
+        for v in parents
+        for u in net.neighbors(v)
+        if u != parents[v] and parents.get(u) != v
+    )
+    net.set_prr(*off_tree, 0.5)
+    costs = _scan_costs(net, parents)
+    assert costs == _scalar_costs(net, parents)
+    assert costs[off_tree] == net.cost(*off_tree) - net.cost(
+        off_tree[0], parents[off_tree[0]]
+    )
+
+    missing = next(
+        (v, u)
+        for v in parents
+        for u in range(net.n)
+        if u != v and not net.has_edge(v, u)
+    )
+    net.add_link(*missing, 0.7)
+    assert missing in _scan_costs(net, parents)
+    assert _scan_costs(net, parents) == _scalar_costs(net, parents)
+
+    net.remove_link(*off_tree)
+    costs = _scan_costs(net, parents)
+    assert off_tree not in costs
+    assert costs == _scalar_costs(net, parents)
+
+
+def test_link_snapshot_is_shared_read_only_and_not_pickled():
+    net = random_graph(10, 0.5, seed=52)
+    blank = pickle.dumps(net)
+    links = net.link_arrays()
+    assert net.link_arrays() is links  # one snapshot per link set
+    assert all(not array.flags.writeable for array in links)
+    assert pickle.dumps(net) == blank  # the snapshot stays out of pickles
+    for clone in (
+        pickle.loads(blank),
+        copy.copy(net),
+        copy.deepcopy(net),
+        net.copy(),
+    ):
+        rebuilt = clone.link_arrays()
+        assert rebuilt is not links
+        for a, b in zip(rebuilt, links):
+            assert np.array_equal(a, b)

@@ -36,6 +36,18 @@ class TestEnergyModel:
             3000.0 / 2.8e-4
         )
 
+    @pytest.mark.parametrize(
+        "model", [TELOSB, EnergyModel(tx=1.0, rx=6e-17), EnergyModel(tx=3e-4, rx=7e-5)]
+    )
+    def test_unchecked_lifetime_is_bitwise_the_scalar_eq1(self, model):
+        rng = np.random.default_rng(5)
+        energies = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 5000.0, size=200)])
+        counts = rng.integers(0, 40, size=energies.size)
+        bulk = model.lifetime_rounds_unchecked(energies, counts)
+        scalar = [model.lifetime_rounds(float(e), int(k)) for e, k in zip(energies, counts)]
+        assert bulk.tolist() == scalar
+        assert model.lifetime_rounds_unchecked(3000.0, 2) == model.lifetime_rounds(3000.0, 2)
+
     def test_lifetime_decreases_with_children(self):
         lifetimes = [TELOSB.lifetime_rounds(3000.0, c) for c in range(5)]
         assert lifetimes == sorted(lifetimes, reverse=True)

@@ -147,6 +147,23 @@ class TestDiffTrajectory:
         with pytest.raises(ValueError, match="missing numeric metric"):
             diff_trajectory(doc, metrics=[MetricSpec("a")])
 
+    def test_metric_new_to_the_window_is_listed_not_gated(self):
+        # Older runs predate a watched metric; the newest run reports it.
+        doc = {
+            "format": "x",
+            "runs": [{"a": 1.0}, {"a": 1.0}, {"a": 1.0, "b": 0.01}],
+        }
+        diff = diff_trajectory(doc, metrics=[MetricSpec("a"), MetricSpec("b")])
+        assert [m.name for m in diff.metrics] == ["a"]
+        assert diff.new_metrics == ("b",)
+        assert not diff.regressed
+        assert "no baseline" in diff.render()
+        # Once one run in the window has it, it is gated like the rest.
+        doc["runs"].append({"a": 1.0, "b": 0.001})
+        diff = diff_trajectory(doc, metrics=[MetricSpec("a"), MetricSpec("b")])
+        assert diff.new_metrics == ()
+        assert diff.regressed
+
     def test_bad_threshold_and_window_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
             diff_trajectory(serve_doc(1.0, 2.0), threshold=0)
