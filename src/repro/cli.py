@@ -15,6 +15,7 @@ Usage (installed as ``mrlc`` or via ``python -m repro``)::
     mrlc serve bench          # synthetic load against the serving layer
     mrlc ext-portfolio        # portfolio tournament win-rate table
     mrlc bench-portfolio      # serial-vs-parallel portfolio race benchmark
+    mrlc bench-ira            # IRA build time and work counts at n=120..300
 
 Output is the plain-text table of the same rows/series the paper's figure
 plots (costs in the paper's −1000·log2 q units).  The ``obs`` subcommand
@@ -319,6 +320,38 @@ def _bench_portfolio_main(argv: List[str]) -> int:
     return 0
 
 
+def _bench_ira_main(argv: List[str]) -> int:
+    """Run the IRA benchmark (``repro bench-ira [--out PATH]``)."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="repro bench-ira",
+        description="Benchmark IRA builds on random_graph(n, p, seed=1) at "
+        "n=120, 200 and 300 (LC = half the AAML lifetime): wall time plus "
+        "separation calls, root probes, HiGHS calls and simplex iterations; "
+        "the n=120 tree cost is asserted against its pin.",
+    )
+    parser.add_argument(
+        "--out",
+        default=None,
+        help="append the report to this BENCH_ira.json trajectory file",
+    )
+    args = parser.parse_args(argv)
+    from repro.engine.bench_ira import (
+        BENCH_IRA_FORMAT,
+        BENCH_IRA_VERSION,
+        run_ira_bench,
+    )
+    from repro.obs.benchdiff import append_trajectory
+
+    report = run_ira_bench()
+    print(report.render())
+    if args.out:
+        append_trajectory(args.out, BENCH_IRA_FORMAT, BENCH_IRA_VERSION, report.to_doc())
+        print(f"[appended run to {args.out}]")
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:
@@ -330,6 +363,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "bench-portfolio":
         # Portfolio-race benchmark, same family as bench-core.
         return _bench_portfolio_main(argv[1:])
+    if argv and argv[0] == "bench-ira":
+        # IRA build benchmark at scale, same family as bench-core.
+        return _bench_ira_main(argv[1:])
     if argv and argv[0] == "obs":
         # Instrumented runs live in their own sub-CLI so the figure parser
         # stays a plain positional-choice interface.

@@ -17,13 +17,18 @@ Each :class:`MRLCLinearProgram` owns one HiGHS model, built through the
 binding scipy bundles (``scipy.optimize._highspy._core._Highs``) on its first
 :meth:`~MRLCLinearProgram.solve`: one column per edge, the spanning row, then
 the lifetime rows and carried cuts.  Every cutting-plane round appends only
-its new cuts as sparse rows and re-runs dual simplex from the previous basis
-(:func:`linprog`).  IRA keeps one program for a whole attempt: between its
-iterations :meth:`~MRLCLinearProgram.restrict` deletes the ``x_e = 0``
-columns (line 6) and the dropped lifetime rows (line 8) in place, keeps
-every cut row, and the next solve starts warm from what is left of the
-basis.  Dual simplex returns an extreme point (a basic feasible solution),
-which is what IRA's integrality argument (Lemma 1 / Lemma 4) requires.
+its new cuts and re-runs dual simplex from the previous basis
+(:func:`linprog`).  Rows travel as a plain :class:`RowBlock` of the three
+CSR arrays ``addRows`` takes, not a ``scipy.sparse`` matrix it would only
+unpack again.  Presolve stays on for a model's first solve (every warm
+re-solve skips it): switching it off leaves the trees unchanged but costs
+about 10% more dual simplex iterations.  IRA keeps one program for a whole
+attempt: between its iterations :meth:`~MRLCLinearProgram.restrict`
+deletes the ``x_e = 0`` columns (line 6) and the dropped lifetime rows
+(line 8) in place, keeps every cut row, and the next solve starts warm
+from what is left of the basis.  Dual simplex returns an extreme point (a
+basic feasible solution), which is what IRA's integrality argument
+(Lemma 1 / Lemma 4) requires.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-from scipy.sparse import csr_array
 
 from repro.core.errors import InfeasibleLifetimeError, LPSolverError
 from repro.core.separation import find_violated_subtours
@@ -234,7 +238,25 @@ def _new_model(costs: np.ndarray, n: int) -> _Highs:
     return model
 
 
-def linprog(model: _Highs, *, A_ub: csr_array, b_ub: np.ndarray) -> HighsRound:
+class RowBlock(NamedTuple):
+    """Rows to append to a model, in compressed sparse row form.
+
+    The same three arrays a ``scipy.sparse.csr_array`` stores (``indptr``
+    and ``indices`` as ``int32``, ``data`` as ``float64``), without the
+    sparse-matrix object HiGHS would only unpack again.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: Tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+
+def linprog(model: _Highs, *, A_ub: RowBlock, b_ub: np.ndarray) -> HighsRound:
     """Append the rows ``A_ub x <= b_ub`` to *model* and re-solve it.
 
     HiGHS extends the previous basis with the new rows' slacks, so every
@@ -259,7 +281,7 @@ def linprog(model: _Highs, *, A_ub: csr_array, b_ub: np.ndarray) -> HighsRound:
     )
 
 
-def _row_block(columns: List[np.ndarray], n_cols: int) -> csr_array:
+def _row_block(columns: List[np.ndarray], n_cols: int) -> RowBlock:
     """A 0/1 row block whose row ``i`` has ones at ``columns[i]``."""
     indptr = np.zeros(len(columns) + 1, dtype=np.int32)
     np.cumsum([len(c) for c in columns], out=indptr[1:])
@@ -268,9 +290,7 @@ def _row_block(columns: List[np.ndarray], n_cols: int) -> csr_array:
         if columns
         else np.zeros(0, dtype=np.int32)
     )
-    return csr_array(
-        (np.ones(len(indices)), indices, indptr), shape=(len(columns), n_cols)
-    )
+    return RowBlock(indptr, indices, np.ones(len(indices)), (len(columns), n_cols))
 
 
 class MRLCLinearProgram:

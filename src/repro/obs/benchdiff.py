@@ -1,6 +1,7 @@
 """``BENCH_*.json`` regression sentinel: compare the newest run to history.
 
-The ROADMAP's benchmark trajectories (``BENCH_serve.json`` today; any
+The ROADMAP's benchmark trajectories (``BENCH_serve.json``,
+``BENCH_core.json``, ``BENCH_ira.json``, ...; any
 ``{"format": "repro-bench-*", "runs": [...]}`` document tomorrow) are
 append-only logs of measured performance across PRs.  Until now they were
 written but never read; this module is the reader — and the ratchet.
@@ -71,6 +72,11 @@ DEFAULT_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
     "repro-bench-portfolio": (
         MetricSpec("speedup", higher_is_better=True),
         MetricSpec("serial_builds_per_s", higher_is_better=True),
+    ),
+    "repro-bench-ira": (
+        MetricSpec("n120_seconds", higher_is_better=False),
+        MetricSpec("n200_seconds", higher_is_better=False),
+        MetricSpec("n300_seconds", higher_is_better=False),
     ),
 }
 

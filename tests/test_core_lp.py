@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog as cold_linprog
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.sparse import csr_array
 
 import repro.core.lp as lp_module
 from repro.baselines.aaml import build_aaml_tree
@@ -21,6 +22,7 @@ from repro.core.lp import (
     LPSolution,
     MRLCLinearProgram,
     _perturbed_cost,
+    _row_block,
     solve_mrlc_lp,
 )
 from repro.core.tree import AggregationTree
@@ -413,6 +415,40 @@ class TestWarmModelMatchesColdOracle:
         assert len(appended) == solution.n_lp_solves
         assert appended[0] == len(bounds)
         assert sum(appended[1:]) == len(solution.cuts)
+
+
+class TestRowBlock:
+    """``_row_block`` holds exactly what the ``csr_array`` it replaced held,
+    so perfbench's ``lp.rows_per_call`` and ``lp.a_ub_bytes`` read the same."""
+
+    @staticmethod
+    def _assert_same_as_csr(columns, n_cols):
+        block = _row_block(columns, n_cols)
+        dense = np.zeros((len(columns), n_cols))
+        for row, cols in enumerate(columns):
+            dense[row, cols] = 1.0
+        expected = csr_array(dense)
+        assert block.shape == expected.shape
+        assert block.nnz == expected.nnz
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(block, part), getattr(expected, part)
+            assert got.dtype == want.dtype, part
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("lengths", [(), (0,), (3, 0, 5), (1, 1, 1, 1), (12,)])
+    def test_random_columns(self, lengths):
+        rng = np.random.default_rng(len(lengths))
+        columns = [np.sort(rng.choice(12, size=k, replace=False)) for k in lengths]
+        self._assert_same_as_csr(columns, 12)
+
+    def test_a_programs_lifetime_and_cut_rows(self):
+        net, spec = ORACLE_INPUTS[sorted(ORACLE_INPUTS)[0]]
+        bounds = {v: spec.lp_degree_bound(net, v) for v in net.nodes}
+        program = MRLCLinearProgram(net, [e.key for e in net.edges()], bounds)
+        solution = program.solve()
+        assert solution.cuts
+        columns = program._degree_columns() + program._cut_columns(solution.cuts)
+        self._assert_same_as_csr(columns, len(program.edges))
 
 
 #: (oracle input, lifetime row change): drop a slack row, drop a tight row

@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.lp as lp_module
+import repro.core.separation as separation_module
+from repro.core.ira import build_ira_tree
 from repro.core.separation import (
     DEFAULT_TOLERANCE,
+    SCREEN_MAX_GROUPS,
     find_violated_subtours,
     subtour_violation,
 )
 from repro.obs import instrument
+from tests.test_core_lp import ORACLE_INPUTS
 
 
 def _separate_counting_probes(n, edges, x, **kwargs):
@@ -208,7 +213,81 @@ class TestShrunkSeparation:
 
     def test_fractional_point_probes_every_node(self):
         # No x_e reaches 1: every node is its own group (the k = n case).
+        # With k = 13 > SCREEN_MAX_GROUPS groups the screen is off, so every
+        # root is probed even though the point is clean: at x = 12/13 on a
+        # 13-cycle, f(V) = 1 and every path of j nodes has f = 1 + (j-1)/13.
+        n = 13
+        assert n > SCREEN_MAX_GROUPS
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        found, probes = _separate_counting_probes(n, edges, [12 / 13] * n)
+        assert found == []
+        assert probes == 13
+
+    def test_screen_clears_a_certifying_round(self):
+        # x = 2/3 on a triangle: f(S) >= 1 on every union, so the screen
+        # shows that no root's probe could find a violated set.
         n, edges = _triangle()
         found, probes = _separate_counting_probes(n, edges, [2 / 3] * 3)
         assert found == []
-        assert probes == 3
+        assert probes == 0
+
+
+def _unscreened(n, edges, x, **kwargs):
+    """The oracle with the root screen switched off (every root probed)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(separation_module, "SCREEN_MAX_GROUPS", 0)
+        return find_violated_subtours(n, edges, x, **kwargs)
+
+
+#: Values whose sums land exactly on f(S) = 1 (ties for the screen's margin).
+_TIES = (0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0)
+
+
+@st.composite
+def _tied_points(draw):
+    """A graph on n <= 12 nodes with x mixing exact ties and uniform values."""
+    n = draw(st.integers(2, SCREEN_MAX_GROUPS))
+    value = st.one_of(
+        st.sampled_from(_TIES), st.floats(0.0, 1.0, allow_nan=False)
+    )
+    edges, x = [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                edges.append((u, v))
+                x.append(draw(value))
+    return n, edges, np.array(x, dtype=float)
+
+
+class TestRootScreen:
+    """Skipping the roots the screen clears leaves the output unchanged."""
+
+    @given(point=_tied_points(), max_sets=st.sampled_from([1, 3, 10]))
+    @settings(max_examples=300, deadline=None)
+    def test_screen_returns_what_probing_every_root_returns(self, point, max_sets):
+        n, edges, x = point
+        screened = find_violated_subtours(n, edges, x, max_sets=max_sets)
+        assert screened == _unscreened(n, edges, x, max_sets=max_sets)
+
+    def test_screen_on_ira_lp_points(self, monkeypatch):
+        points = []
+        real = lp_module.find_violated_subtours
+
+        def record(n, edges, x, **kwargs):
+            points.append((n, list(edges), np.array(x)))
+            return real(n, edges, x, **kwargs)
+
+        monkeypatch.setattr(lp_module, "find_violated_subtours", record)
+        for net, spec in ORACLE_INPUTS.values():
+            build_ira_tree(net, spec.lc)
+        monkeypatch.undo()
+        assert len(points) > 30
+        with instrument() as screened_session:
+            screened = [find_violated_subtours(*point) for point in points]
+        with instrument() as full_session:
+            full = [_unscreened(*point) for point in points]
+        assert screened == full
+        probes = "separation.root_probes"
+        assert screened_session.registry.counter_value(
+            probes
+        ) < full_session.registry.counter_value(probes)

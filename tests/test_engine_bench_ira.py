@@ -1,0 +1,75 @@
+"""Tests for repro.engine.bench_ira (the ``repro bench-ira`` writer)."""
+
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.engine.bench_ira import (
+    BENCH_IRA_FORMAT,
+    BENCH_IRA_VERSION,
+    IRA_SIZES,
+    PINNED_COSTS,
+    IraBenchReport,
+    IraBenchRow,
+    run_ira_bench,
+)
+from repro.obs.benchdiff import (
+    DEFAULT_METRICS,
+    MetricSpec,
+    append_trajectory,
+    diff_trajectory_file,
+)
+
+
+def _row(nodes, seconds):
+    return IraBenchRow(
+        nodes=nodes,
+        edges=10 * nodes,
+        seconds=seconds,
+        cost=1.0,
+        separation_calls=40,
+        root_probes=300,
+        lp_solves=40,
+        simplex_iterations=316,
+    )
+
+
+def test_n120_build_is_pinned_and_counted(tmp_path):
+    report = run_ira_bench(IRA_SIZES[:1])
+    (row,) = report.rows
+    assert (row.nodes, row.edges) == (120, 1057)
+    assert row.cost == pytest.approx(PINNED_COSTS[120], rel=0.0, abs=1e-9)
+    assert row.separation_calls == row.lp_solves == 40
+    # Probing every contracted root ran 343 Dinic probes on this build.
+    assert 0 < row.root_probes <= 307
+    assert 0 < row.simplex_iterations <= 316
+    assert "n=120" in report.render()
+
+    out = tmp_path / "BENCH_ira.json"
+    for _ in range(2):
+        doc = append_trajectory(out, BENCH_IRA_FORMAT, BENCH_IRA_VERSION, report.to_doc())
+    assert doc["format"] == BENCH_IRA_FORMAT and len(doc["runs"]) == 2
+    assert doc["runs"][0]["n120_root_probes"] == row.root_probes
+    diff = diff_trajectory_file(
+        out, metrics=[MetricSpec("n120_seconds", higher_is_better=False)]
+    )
+    assert not diff.regressed, diff.render()
+
+
+def test_sentinel_gates_every_size_by_default(tmp_path, capsys):
+    runs = [
+        IraBenchReport(rows=tuple(_row(n, s) for n, _ in IRA_SIZES), timestamp=0.0)
+        for s in (1.0, 1.1, 3.0)
+    ]
+    names = {spec.name for spec in DEFAULT_METRICS[BENCH_IRA_FORMAT]}
+    assert names == {f"n{n}_seconds" for n, _ in IRA_SIZES}
+    assert names <= set(runs[0].to_doc())
+    out = tmp_path / "BENCH_ira.json"
+    for run in runs[:2]:
+        append_trajectory(out, BENCH_IRA_FORMAT, BENCH_IRA_VERSION, run.to_doc())
+    assert main(["obs", "bench-diff", str(out)]) == 0
+    append_trajectory(out, BENCH_IRA_FORMAT, BENCH_IRA_VERSION, runs[2].to_doc())
+    assert main(["obs", "bench-diff", str(out)]) != 0  # 3x slower regresses
+    assert "REGRESSED" in capsys.readouterr().out
+    assert json.loads(out.read_text())["runs"][2]["total_s"] == pytest.approx(9.0)
