@@ -262,9 +262,10 @@ def _bench_portfolio_main(argv: List[str]) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro bench-portfolio",
-        description="Benchmark the portfolio meta-builder: one serial and "
-        "one parallel race over the default member set; winner identity "
-        "between the two modes is asserted, not sampled.",
+        description="Benchmark the portfolio meta-builder: one serial race "
+        "and two parallel races (cold pool, then warm) over the default "
+        "member set; winner identity across the races is asserted, not "
+        "sampled.",
     )
     parser.add_argument(
         "--nodes", type=int, default=None, help="instance size (default 60)"

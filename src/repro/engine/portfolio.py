@@ -25,9 +25,16 @@ Guarantees the tests pin:
   registry *names* plus JSON-able params (the same discipline as
   :func:`repro.experiments.parallel.parallel_build`), and results come
   back as plain parent maps that are re-bound to the caller's network, so
-  winner metrics are bitwise identical to an in-process build.  A
-  long-running caller can hand in a borrowed executor (e.g.
-  ``WorkerPool.executor``) instead of paying pool start-up per race.
+  winner metrics are bitwise identical to an in-process build.  A live
+  ``numpy.random.Generator`` in member params is rejected before submit.
+* **One shared pool** — parallel races run on one lazily created,
+  module-level process pool that outlives the race, so a race pays no
+  fork or reap.  The pool is recreated when the worker count, the builder
+  registry (workers look members up by name), or the process (a forked
+  child never drives its parent's pool) changed, or when it broke.  A
+  race that times out kills the pool's workers and drops the pool, so no
+  member outlives its race.  A borrowed executor (e.g.
+  ``WorkerPool.executor``) is still honoured and never shut down.
 
 Per-member seeds are derived with :func:`repro.utils.rng.stable_hash_seed`
 from the portfolio seed and the member *name*, so they do not depend on
@@ -36,11 +43,18 @@ member order or execution schedule.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from multiprocessing.util import Finalize
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
+import repro.engine.registry as registry_module
 from repro.core.errors import MRLCError
 from repro.core.tree import AggregationTree
 from repro.network.model import Network
@@ -209,6 +223,130 @@ def _bind_outcome(
     )
 
 
+def _reject_generators(member: str, value: Any) -> None:
+    """Raise if a live ``numpy.random.Generator`` sits anywhere in *value*.
+
+    A pickled generator forks its stream: the worker would draw from a
+    copy while the caller's state stays put.  Members take integer seeds.
+    """
+    if isinstance(value, np.random.Generator):
+        raise ValueError(
+            f"member {member!r}: a numpy.random.Generator cannot cross the "
+            "process boundary; pass an integer seed instead"
+        )
+    if isinstance(value, Mapping):
+        value = value.values()
+    elif not isinstance(value, (list, tuple, set, frozenset)):
+        return
+    for item in value:
+        _reject_generators(member, item)
+
+
+@dataclass(frozen=True)
+class _SharedPool:
+    """The module-level race pool and what its workers were forked with."""
+
+    executor: ProcessPoolExecutor
+    workers: int
+    #: The registry at creation (builders compare by identity; holding
+    #: them keeps their identities from being reused by replacements).
+    registry: Dict[str, Any]
+    pid: int
+
+
+_SHARED: Optional[_SharedPool] = None
+#: Held by the one race using the shared pool; a concurrent race (from
+#: another thread) races on a private pool instead.
+_SHARED_LOCK = threading.Lock()
+#: The process that registered the exit hook for its shared pool.
+_EXIT_HOOK_PID: Optional[int] = None
+#: Pools inherited across ``fork()``.  They are never used or collected:
+#: collecting one would signal the parent's pool through a shared pipe.
+_INHERITED: List[_SharedPool] = []
+
+
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Terminate *pool*'s worker processes, reap them, and shut it down."""
+    processes = list((pool._processes or {}).values())
+    for proc in processes:
+        proc.terminate()
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in processes:
+        proc.join()
+
+
+def _own_shared() -> Optional[_SharedPool]:
+    """The shared pool if this process created it (an inherited one is parked)."""
+    shared = _SHARED
+    if shared is not None and shared.pid != os.getpid():
+        _INHERITED.append(shared)
+        return None
+    return shared
+
+
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The shared race pool, recreated when it no longer fits this race."""
+    global _SHARED, _EXIT_HOOK_PID
+    registry = dict(registry_module._REGISTRY)
+    shared = _own_shared()
+    if shared is not None and (
+        shared.workers != workers
+        or shared.executor._broken
+        or shared.executor._shutdown_thread
+        or shared.registry != registry
+    ):
+        _kill_pool(shared.executor)
+        shared = None
+    if shared is None:
+        shared = _SharedPool(
+            ProcessPoolExecutor(max_workers=workers), workers, registry, os.getpid()
+        )
+        _SHARED = shared
+        if _EXIT_HOOK_PID != shared.pid:
+            # multiprocessing runs this at interpreter exit, and also where
+            # atexit never runs: a worker process's exit, which would
+            # otherwise wait forever on this pool's idle workers.
+            _EXIT_HOOK_PID = shared.pid
+            Finalize(None, _drop_shared_pool, exitpriority=0)
+    return shared.executor
+
+
+def _drop_shared_pool() -> None:
+    """Kill the shared pool's workers; the next parallel race forks anew.
+
+    Call it only while no race runs (at exit, or between bench races).
+    """
+    global _SHARED
+    shared, _SHARED = _own_shared(), None
+    if shared is not None:
+        _kill_pool(shared.executor)
+
+
+@contextmanager
+def _race_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """Lend the shared pool for one race; kill it if the race raises.
+
+    While another thread races on the shared pool, lend a private pool
+    instead, killed after the race, so no race kills another's members.
+    """
+    if not _SHARED_LOCK.acquire(blocking=False):
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            yield pool
+        finally:
+            _kill_pool(pool)
+        return
+    try:
+        pool = _shared_pool(workers)
+        try:
+            yield pool
+        except BaseException:
+            _kill_pool(pool)
+            raise
+    finally:
+        _SHARED_LOCK.release()
+
+
 def race_builders(
     network: Network,
     members: Sequence[str] = DEFAULT_MEMBERS,
@@ -229,9 +367,10 @@ def race_builders(
         lc: Lifetime bound feasibility is judged against; merged into the
             params of members that declare an ``lc`` knob.
         budget_s: Wall-clock budget.  In a parallel race, members still
-            running at the deadline are recorded as ``timeout`` (their
-            worker is abandoned, not joined); in a serial race the budget
-            is checked between members and the remainder is ``skipped``.
+            running at the deadline are recorded as ``timeout`` and, on
+            the shared pool, every worker is killed; in a serial race the
+            budget is checked between members and the remainder is
+            ``skipped``.
         seed: Portfolio seed; member seeds derive from it by name.
         member_params: Per-member config overrides, keyed by member name.
         parallel: Force the execution mode.  Default (``None``): parallel
@@ -240,13 +379,16 @@ def race_builders(
         n_jobs: Worker process count for the parallel race.  Default: one
             per member — anything less lets a hanging member starve the
             queued ones, which breaks the isolation guarantee.
-        executor: Borrowed process pool (e.g. ``WorkerPool.executor``);
-            not shut down on return.  Note a *thread* pool cannot isolate
-            a hanging member — pass a process pool when budgets matter.
+        executor: Borrowed process pool (e.g. ``WorkerPool.executor``)
+            used instead of the shared pool; not shut down on return, and
+            a timed-out member's worker is left running.  Note a *thread*
+            pool cannot isolate a hanging member — pass a process pool
+            when budgets matter.
 
     Raises:
         UnknownBuilderError: A member name is not registered.
-        ValueError: Duplicate members, bad budget, or bad ``n_jobs``.
+        ValueError: Duplicate members, bad budget, bad ``n_jobs``, or a
+            ``numpy.random.Generator`` in a parallel member's params.
     """
     configs = member_configs(
         members, lc=lc, seed=seed, member_params=member_params
@@ -273,15 +415,15 @@ def race_builders(
                 continue
             rows[name] = _race_one(network, name, params)
     else:
-        owns_pool = executor is None
-        if owns_pool:
-            workers = n_jobs if n_jobs is not None else len(members)
-            pool: Executor = ProcessPoolExecutor(
-                max_workers=max(1, min(workers, len(members)))
-            )
-        else:
-            pool = executor
-        try:
+        for name, params in zip(members, configs):
+            _reject_generators(name, params)
+        workers = n_jobs if n_jobs is not None else len(members)
+        lease = (
+            _race_pool(max(1, min(workers, len(members))))
+            if executor is None
+            else nullcontext(executor)
+        )
+        with lease as pool:
             futures = {
                 pool.submit(_race_one, network, name, params): name
                 for name, params in zip(members, configs)
@@ -311,11 +453,10 @@ def race_builders(
             )
             for fut in pending:
                 fut.cancel()
-        finally:
-            if owns_pool:
-                # Never block on a hung member: abandon its worker process
-                # (it is reaped at interpreter exit) instead of joining.
-                pool.shutdown(wait=not timed_out, cancel_futures=True)
+            if pending and executor is None:
+                # A hung member must not outlive its race: kill every
+                # worker; the next race forks a fresh pool.
+                _kill_pool(pool)
 
     outcomes: List[MemberOutcome] = []
     for order, name in enumerate(members):
@@ -437,7 +578,9 @@ class PortfolioBenchReport:
 
     ``speedup`` (serial over parallel elapsed) is the machine-portable
     headline the bench-diff sentinel watches; identical winners between
-    the two modes are *asserted*, not measured.
+    the two modes are *asserted*, not measured.  The cold parallel race
+    (``parallel_s``) forks the shared pool; the warm one
+    (``warm_parallel_s``, ``warm_speedup``) is a second race on it.
     """
 
     n_nodes: int
@@ -447,6 +590,8 @@ class PortfolioBenchReport:
     serial_s: float
     parallel_s: float
     speedup: float
+    warm_parallel_s: float
+    warm_speedup: float
     serial_builds_per_s: float
     statuses: Dict[str, str] = field(default_factory=dict)
     timestamp: float = 0.0
@@ -460,6 +605,8 @@ class PortfolioBenchReport:
             "serial_s": self.serial_s,
             "parallel_s": self.parallel_s,
             "speedup": self.speedup,
+            "warm_parallel_s": self.warm_parallel_s,
+            "warm_speedup": self.warm_speedup,
             "serial_builds_per_s": self.serial_builds_per_s,
             "statuses": dict(self.statuses),
             "timestamp": self.timestamp,
@@ -472,7 +619,9 @@ class PortfolioBenchReport:
             f"  n={self.n_nodes}, members={','.join(self.members)}",
             f"  serial   {self.serial_s:.3f}s "
             f"({self.serial_builds_per_s:.1f} builds/s)",
-            f"  parallel {self.parallel_s:.3f}s  ({self.speedup:.2f}x)",
+            f"  parallel {self.parallel_s:.3f}s  ({self.speedup:.2f}x, cold pool)",
+            f"  parallel {self.warm_parallel_s:.3f}s  "
+            f"({self.warm_speedup:.2f}x, warm pool)",
             f"  winner {self.winner} (feasible={self.feasible})",
         ]
         return "\n".join(lines)
@@ -487,12 +636,13 @@ def run_portfolio_bench(
     seed: int = 0,
     n_jobs: Optional[int] = None,
 ) -> PortfolioBenchReport:
-    """Measure one serial and one parallel race on a seeded random graph.
+    """Measure a serial race, then a cold and a warm parallel race.
 
-    The LC bound is ``lc_fraction`` of the instance's AAML lifetime (the
-    repo's standard bound source).  Winner identity between the two modes
-    is asserted — the determinism contract — before any timing is
-    reported.
+    The cold race starts from no shared pool, so it pays the fork; the
+    warm race reuses that pool.  The LC bound is ``lc_fraction`` of the
+    instance's AAML lifetime (the repo's standard bound source).  Winner
+    identity across the three races is asserted — the determinism
+    contract — before any timing is reported.
     """
     from repro.engine.registry import build_tree
     from repro.network.topology import random_graph
@@ -505,27 +655,33 @@ def run_portfolio_bench(
         network, tuple(members), lc=lc, seed=seed, parallel=False
     )
     serial_s = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    parallel = race_builders(
-        network, tuple(members), lc=lc, seed=seed, parallel=True, n_jobs=n_jobs
-    )
-    parallel_s = time.perf_counter() - t1
-
+    _drop_shared_pool()
+    parallel_s: List[float] = []
     serial_winner = select_winner(serial, lc=lc)
-    parallel_winner = select_winner(parallel, lc=lc)
-    if serial_winner.tree != parallel_winner.tree:
-        raise AssertionError(
-            "portfolio determinism violated: serial winner "
-            f"{serial_winner.member} != parallel winner {parallel_winner.member}"
+    for _ in range(2):
+        t1 = time.perf_counter()
+        parallel = race_builders(
+            network, tuple(members), lc=lc, seed=seed, parallel=True, n_jobs=n_jobs
         )
+        parallel_s.append(time.perf_counter() - t1)
+        parallel_winner = select_winner(parallel, lc=lc)
+        if serial_winner.tree != parallel_winner.tree:
+            raise AssertionError(
+                "portfolio determinism violated: serial winner "
+                f"{serial_winner.member} != parallel winner "
+                f"{parallel_winner.member}"
+            )
+    cold_s, warm_s = parallel_s
     return PortfolioBenchReport(
         n_nodes=n_nodes,
         members=tuple(members),
         winner=serial_winner.member,
         feasible=serial_winner.feasible,
         serial_s=serial_s,
-        parallel_s=parallel_s,
-        speedup=serial_s / max(parallel_s, 1e-9),
+        parallel_s=cold_s,
+        speedup=serial_s / max(cold_s, 1e-9),
+        warm_parallel_s=warm_s,
+        warm_speedup=serial_s / max(warm_s, 1e-9),
         serial_builds_per_s=len(members) / max(serial_s, 1e-9),
         statuses={o.member: o.status for o in serial},
         timestamp=time.time(),

@@ -71,6 +71,7 @@ DEFAULT_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
     ),
     "repro-bench-portfolio": (
         MetricSpec("speedup", higher_is_better=True),
+        MetricSpec("warm_speedup", higher_is_better=True),
         MetricSpec("serial_builds_per_s", higher_is_better=True),
     ),
     "repro-bench-ira": (

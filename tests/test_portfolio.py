@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
+import threading
 import time
 
 import pytest
 
+import repro.engine.portfolio as portfolio_module
 import repro.engine.registry as registry_module
 from repro.engine.portfolio import (
     DEFAULT_MEMBERS,
@@ -25,6 +28,7 @@ from repro.engine.registry import build_tree, tree_builder
 from repro.network.topology import random_graph
 from repro.obs import instrument
 from repro.obs.benchdiff import append_trajectory
+from repro.utils.rng import as_rng
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -156,6 +160,25 @@ class TestSerialRace:
             race_builders(net, ("mst",), n_jobs=0, parallel=False)
 
 
+class TestProcessBoundary:
+    def test_live_generator_in_params_is_rejected_naming_the_member(self, net):
+        rng = as_rng(0)
+        with pytest.raises(ValueError, match="'random_tree'.*Generator"):
+            race_builders(
+                net,
+                ("mst", "random_tree"),
+                member_params={"random_tree": {"rng": rng}},
+                parallel=True,
+            )
+        with pytest.raises(ValueError, match="'mst'"):
+            race_builders(
+                net,
+                ("mst",),
+                member_params={"mst": {"extra": {"nested": [1, rng]}}},
+                n_jobs=1,
+            )
+
+
 class TestSelectWinner:
     def _outcome(self, member, order, **kw):
         defaults = dict(status="ok", elapsed_s=0.0, feasible=True, cost=1.0)
@@ -245,6 +268,130 @@ class TestParallelRace:
         # per-member trees match bitwise too, not just the winner
         for s, p in zip(serial, parallel):
             assert s.tree == p.tree
+
+
+def _new_children(before):
+    return [p for p in multiprocessing.active_children() if p.pid not in before]
+
+
+def _race_in_child(net, queue):
+    outcomes = race_builders(net, ("mst", "bfs"), n_jobs=2)
+    queue.put(
+        (
+            [o.status for o in outcomes],
+            portfolio_module._SHARED.pid,
+            os.getpid(),
+            len(portfolio_module._INHERITED),
+        )
+    )
+
+
+@pytest.fixture
+def fresh_pool():
+    """Start and end the test without a shared race pool."""
+    portfolio_module._drop_shared_pool()
+    before = {p.pid for p in multiprocessing.active_children()}
+    yield before
+    portfolio_module._drop_shared_pool()
+
+
+@fork_only
+class TestSharedPool:
+    def test_parallel_races_share_one_pool(self, net, fresh_pool):
+        pools = set()
+        for _ in range(20):
+            outcomes = race_builders(net, ("mst", "bfs", "spt"), n_jobs=2)
+            assert [o.status for o in outcomes] == ["ok"] * 3
+            assert len(_new_children(fresh_pool)) <= 2
+            pools.add(id(portfolio_module._SHARED.executor))
+        assert len(pools) == 1
+
+    def test_timed_out_member_does_not_outlive_its_race(
+        self, net, sleeping_builder, fresh_pool
+    ):
+        outcomes = race_builders(net, ("mst", sleeping_builder), budget_s=1.0)
+        assert [o.status for o in outcomes] == ["ok", "timeout"]
+        time.sleep(0.5)
+        assert _new_children(fresh_pool) == []
+        outcomes = race_builders(net, ("mst", "bfs"), budget_s=5.0)
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+
+    def test_other_threads_race_survives_a_timeout(
+        self, net, sleeping_builder, fresh_pool
+    ):
+        @tree_builder("_pf_slow", knobs={})
+        def _slow(network):
+            time.sleep(1.5)
+            from repro.core.local_search import bfs_tree
+
+            return bfs_tree(network)
+
+        results = {}
+
+        def race(key, members, budget_s):
+            results[key] = race_builders(net, members, budget_s=budget_s)
+
+        threads = [
+            threading.Thread(
+                target=race, args=("timed_out", ("mst", sleeping_builder), 1.0)
+            ),
+            threading.Thread(target=race, args=("slow", ("mst", "_pf_slow"), 5.0)),
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+                time.sleep(0.3)  # the first race holds the shared pool
+            for thread in threads:
+                thread.join()
+        finally:
+            registry_module._REGISTRY.pop("_pf_slow", None)
+        # The timed-out race kills only the pool it raced on.
+        assert [o.status for o in results["timed_out"]] == ["ok", "timeout"]
+        assert [o.status for o in results["slow"]] == ["ok", "ok"]
+
+    def test_builder_registered_after_the_pool_forked_is_raceable(
+        self, net, fresh_pool
+    ):
+        race_builders(net, ("mst", "bfs"), n_jobs=2)
+        forked = portfolio_module._SHARED.executor
+
+        @tree_builder("_pf_late", knobs={})
+        def _late(network):
+            from repro.core.local_search import bfs_tree
+
+            return bfs_tree(network)
+
+        try:
+            outcomes = race_builders(net, ("mst", "_pf_late"), n_jobs=2)
+        finally:
+            registry_module._REGISTRY.pop("_pf_late", None)
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        assert portfolio_module._SHARED.executor is not forked
+
+    def test_forked_child_does_not_reuse_the_parent_pool(self, net, fresh_pool):
+        race_builders(net, ("mst", "bfs"), n_jobs=2)
+        parent_pool = portfolio_module._SHARED
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_race_in_child, args=(net, queue))
+        child.start()
+        try:
+            statuses, pool_pid, child_pid, inherited = queue.get(timeout=60)
+            # The child's own pool is shut down at its exit; a leftover
+            # idle worker would keep this join waiting.
+            child.join(timeout=60)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert statuses == ["ok", "ok"]
+        assert pool_pid == child_pid != os.getpid()
+        assert inherited == 1
+        assert portfolio_module._SHARED is parent_pool
+        outcomes = race_builders(net, ("mst", "bfs"), n_jobs=2)
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        assert portfolio_module._SHARED is parent_pool
 
 
 class TestBuildPortfolioTree:
@@ -372,7 +519,9 @@ class TestPortfolioBench:
         )
         assert report.winner == "mst"
         assert report.speedup > 0
+        assert report.warm_parallel_s > 0 and report.warm_speedup > 0
         assert "portfolio bench" in report.render()
+        assert "warm pool" in report.render()
 
         out = tmp_path / "BENCH_portfolio.json"
         doc = _append(out, report)
@@ -395,6 +544,7 @@ class TestPortfolioBench:
 
         names = [m.name for m in DEFAULT_METRICS["repro-bench-portfolio"]]
         assert "speedup" in names
+        assert "warm_speedup" in names
 
 
 class TestCli:
