@@ -245,9 +245,13 @@ class IterativeRelaxation:
                 "ira.start", n=n, lc=spec.lc, inflation=label, edges=len(active_edges)
             )
 
+        # Per-node values the loop tests every iteration, computed once.
+        lp_bound = {v: spec.lp_degree_bound(net, v) for v in w}
+        degree_cap = spec.satisfied_degree_caps(net, w)
+
         while w:
             iterations += 1
-            bounds = {v: spec.lp_degree_bound(net, v) for v in w}
+            bounds = {v: lp_bound[v] for v in w}
             solution = (
                 None
                 if previous is None
@@ -275,11 +279,7 @@ class IterativeRelaxation:
             active_edges = support
 
             degrees = solution.support_degrees(n, self.support_eps)
-            droppable = [
-                v
-                for v in sorted(w)
-                if spec.satisfied_by_degree(net, v, int(degrees[v]))
-            ]
+            droppable = [v for v in sorted(w) if int(degrees[v]) <= degree_cap[v]]
             for v in droppable:
                 w.discard(v)
 
@@ -288,7 +288,7 @@ class IterativeRelaxation:
                 # extreme points; force the least-binding constraint out.
                 victim = min(
                     w,
-                    key=lambda v: degrees[v] - spec.lp_degree_bound(net, v),
+                    key=lambda v: degrees[v] - lp_bound[v],
                 )
                 w.discard(victim)
                 forced.append(victim)

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterable
+
+import numpy as np
 
 from repro.network.model import Network
 from repro.utils.validation import check_positive
@@ -132,6 +134,32 @@ class LifetimeSpec:
             lifetime_with_children(network, node, n_children)
             >= self.lc * (1.0 - 1e-12)
         )
+
+    def satisfied_degree_caps(
+        self, network: Network, nodes: Iterable[int]
+    ) -> Dict[int, int]:
+        """Per node, the largest degree :meth:`satisfied_by_degree` accepts.
+
+        ``-1`` marks a node no degree satisfies.  Eq. 1's lifetime falls as
+        children are added, and each float step of it is monotone, so the
+        test holds for exactly the degrees up to the cap.  One numpy pass
+        over every children count a simple graph allows (``0 .. n-1``),
+        with the float operations of :meth:`satisfied_by_degree`, so a
+        comparison with the cap decides exactly as the test does.
+        """
+        nodes = list(nodes)
+        energies = network.initial_energies[nodes]
+        children = np.arange(network.n, dtype=float)
+        lifetimes = network.energy_model.lifetime_rounds_unchecked(
+            energies[:, None], children[None, :]
+        )
+        # Satisfied children counts form a prefix; its length minus one is
+        # the largest count, -1 when even no children fails.
+        most = (lifetimes >= self.lc * (1.0 - 1e-12)).sum(axis=1) - 1
+        return {
+            v: int(c) + (0 if c < 0 or v == network.sink else 1)
+            for v, c in zip(nodes, most.tolist())
+        }
 
     def tree_feasible_degree(self, network: Network, node: int) -> int:
         """Largest integer tree degree of *node* that still meets ``LC``."""

@@ -59,6 +59,20 @@ probe (or ``subtour_violation``'s re-check) each sum ``O(k^2)`` (resp.
 screen only decides which roots to probe.  Above the cap every root is
 probed, since ``2^k`` outgrows ``k`` max-flows.
 
+Resuming the probes.  Root ``r``'s network is one network plus the arc
+``s -> r``.  The oracle solves that network once with no root arc open and
+starts each probe from a copy of its residual capacities.  The base flow
+uses no root arc, so it is feasible in every root's network, and Dinic
+augments it to a maximum flow there (the probe's value counts it).  The
+nodes reachable from ``s`` in the residual graph of *any* maximum flow form
+the inclusion-minimal minimum cut, so a resumed probe returns the same
+source side as a probe from zero, and the cut list, order included, does
+not change; only a flow value within round-off of ``1 - tolerance`` could
+decide differently.  The base solve needs no cutoff: with no root forced
+in, its cut with source side ``{s} | S`` costs ``f(S) - offset`` for every
+``S``, the empty set included, so its flow is at most ``f({}) - offset =
+-offset``, below the probes' cutoff ``1 - tolerance - offset``.
+
 The paper invokes exactly this machinery via Theorem 1 (ellipsoid +
 separation oracle); in practice cutting planes over HiGHS converge in a few
 rounds on these instance sizes.
@@ -68,13 +82,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.obs import OBS
 from repro.utils.maxflow import DinicMaxFlow
-from repro.utils.unionfind import UnionFind
 
 __all__ = ["find_violated_subtours", "subtour_violation"]
 
@@ -122,7 +135,7 @@ def _union_bits(k: int) -> np.ndarray:
 
 
 def _screen(
-    members: List[Set[int]],
+    members: List[List[int]],
     inside: List[float],
     cross: Dict[Tuple[int, int], float],
     threshold: float,
@@ -174,20 +187,36 @@ def find_violated_subtours(
         return []
 
     # Groups: components of the x_e >= 1 edges (exact, no tolerance; see
-    # the module docstring for why this keeps the oracle exact).
+    # the module docstring for why this keeps the oracle exact).  Union-find
+    # links every root under the smaller one, so a node's parent is never
+    # larger than the node and one ascending pass numbers the groups by
+    # their smallest node.
     support: List[Tuple[int, int, float]] = []
-    groups = UnionFind(range(n))
+    parent = list(range(n))
     for (u, v), val in zip(edges, x.tolist()):
         if val > 0.0:
             support.append((u, v, val))
             if val >= 1.0:
-                groups.union(u, v)
-    members = groups.sets()
-    k = len(members)
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
+                if u < v:
+                    parent[v] = u
+                elif v < u:
+                    parent[u] = v
+    members: List[List[int]] = []
     group_of = [0] * n
-    for g, group in enumerate(members):
-        for v in group:
-            group_of[v] = g
+    for v in range(n):
+        if parent[v] == v:
+            group_of[v] = len(members)
+            members.append([v])
+        else:
+            group_of[v] = group_of[parent[v]]
+            members[group_of[v]].append(v)
+    k = len(members)
 
     # Per group: x(E(G)) and x(delta(G)); cross-group x summed per pair.
     inside = [0.0] * k
@@ -215,7 +244,7 @@ def find_violated_subtours(
     if roots and k <= SCREEN_MAX_GROUPS:
         roots = _screen(members, inside, cross, 1.0 - tolerance + SCREEN_MARGIN)
 
-    probes = 0
+    probes = paths = 0
     if roots:
         node_weight = [
             len(group) - inside[g] - boundary[g] / 2.0
@@ -240,13 +269,17 @@ def find_violated_subtours(
         # A root's probe only matters below this flow (f_min >= 1
         # otherwise), so augmentation can stop early at the threshold.
         cutoff = 1.0 - tolerance - offset_base
+        # Every probe resumes from the maximum flow with no root arc open
+        # (see the module docstring); that flow stays below the cutoff.
+        base = net.solve(source, sink)
+        paths = base.augmenting_paths
 
         for root in roots:
             probes += 1
-            net.reset_flow()
+            net.reset_flow(base)
             net.set_capacity(root_arcs[root], _BIG)
             result = net.solve(source, sink, cutoff=cutoff)
-            net.set_capacity(root_arcs[root], 0.0)
+            paths += result.augmenting_paths
             if offset_base + result.flow_value >= 1.0 - tolerance:
                 continue
             subset = frozenset(
@@ -269,6 +302,7 @@ def find_violated_subtours(
         reg = OBS.registry
         reg.counter("separation.calls").inc()
         reg.counter("separation.root_probes").inc(probes)
+        reg.counter("separation.augmenting_paths").inc(paths)
         reg.counter("separation.violated_sets").inc(len(result_sets))
         if result_sets:
             OBS.tracer.event(

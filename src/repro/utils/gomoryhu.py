@@ -16,7 +16,9 @@ analysis tooling.
 
 Implementation: Gusfield's simplification of the Gomory–Hu construction
 (no vertex contraction needed), on top of the same Dinic solver the
-separation oracle uses.
+separation oracle uses: one network, its flow reset before each of the
+``n - 1`` solves.  The solver's search is iterative, so long paths of
+vertices need no deep recursion.
 """
 
 from __future__ import annotations
@@ -101,11 +103,11 @@ def build_gomory_hu_tree(
 
     parent = [0] * n
     weight = [0.0] * n
+    net = DinicMaxFlow(max(n, 2))
+    for a, b, cap in edges:
+        net.add_edge(a, b, cap, cap)
     for v in range(1, n):
-        net = DinicMaxFlow(max(n, 2))
-        for a, b, cap in edges:
-            if a != b:
-                net.add_edge(a, b, cap, cap)
+        net.reset_flow()
         result = net.solve(v, parent[v])
         weight[v] = result.flow_value
         source_side = result.source_side

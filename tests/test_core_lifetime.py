@@ -1,6 +1,9 @@
 """Tests for repro.core.lifetime (bounds, L' inflation, LifetimeSpec)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lifetime import (
     LifetimeSpec,
@@ -116,3 +119,28 @@ class TestLifetimeSpec:
         # Absurdly long lifetime -> bound clamps at 0.
         spec = LifetimeSpec.uninflated(net, 1e12)
         assert spec.tree_feasible_degree(net, 1) == 0
+
+    @given(
+        energies=st.lists(st.floats(1.0, 5000.0), min_size=2, max_size=12),
+        children=st.integers(0, 12),
+        nudge=st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_satisfied_degree_caps_decide_as_the_test(self, energies, children, nudge):
+        # LC on (or one ulp beside) the lifetime of some node at some
+        # children count, so caps sit right at the comparison's boundary.
+        n = len(energies)
+        net = Network(n, initial_energy=np.array(energies))
+        node = children % n
+        lc = lifetime_with_children(net, node, children)
+        lc = float(np.nextafter(lc, np.inf if nudge > 0 else 0.0)) if nudge else lc
+        spec = LifetimeSpec.uninflated(net, lc)
+        caps = spec.satisfied_degree_caps(net, range(n))
+        assert sorted(caps) == list(range(n))
+        for v in range(n):
+            for degree in range(n):
+                assert (degree <= caps[v]) == spec.satisfied_by_degree(net, v, degree)
+
+    def test_satisfied_degree_caps_mark_hopeless_nodes(self, net):
+        spec = LifetimeSpec.uninflated(net, 1e12)
+        assert spec.satisfied_degree_caps(net, [0, 2]) == {0: -1, 2: -1}

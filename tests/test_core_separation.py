@@ -17,6 +17,7 @@ from repro.core.separation import (
     subtour_violation,
 )
 from repro.obs import instrument
+from repro.utils.maxflow import DinicMaxFlow
 from tests.test_core_lp import ORACLE_INPUTS
 
 
@@ -244,9 +245,9 @@ _TIES = (0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0)
 
 
 @st.composite
-def _tied_points(draw):
-    """A graph on n <= 12 nodes with x mixing exact ties and uniform values."""
-    n = draw(st.integers(2, SCREEN_MAX_GROUPS))
+def _tied_points(draw, max_n=SCREEN_MAX_GROUPS):
+    """A graph on n <= max_n nodes with x mixing exact ties and uniform values."""
+    n = draw(st.integers(2, max_n))
     value = st.one_of(
         st.sampled_from(_TIES), st.floats(0.0, 1.0, allow_nan=False)
     )
@@ -291,3 +292,58 @@ class TestRootScreen:
         assert screened_session.registry.counter_value(
             probes
         ) < full_session.registry.counter_value(probes)
+
+
+class _FromZero(DinicMaxFlow):
+    """Solves every probe on a fresh copy of the network, from zero flow."""
+
+    def solve(self, source, sink, *, cutoff=None):
+        fresh = DinicMaxFlow(self.n)
+        for arc in range(0, len(self._to), 2):
+            fresh.add_edge(
+                self._to[arc ^ 1],
+                self._to[arc],
+                self._initial_cap[arc],
+                self._initial_cap[arc ^ 1],
+            )
+        return fresh.solve(source, sink, cutoff=cutoff)
+
+
+class TestResumedProbes:
+    """Probes resumed from the no-root base flow find what fresh probes find."""
+
+    @given(
+        point=_tied_points(max_n=SCREEN_MAX_GROUPS + 4),
+        max_sets=st.sampled_from([1, 3, 10]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_resumed_probes_return_what_fresh_probes_return(self, point, max_sets):
+        n, edges, x = point
+        resumed = find_violated_subtours(n, edges, x, max_sets=max_sets)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(separation_module, "DinicMaxFlow", _FromZero)
+            fresh = find_violated_subtours(n, edges, x, max_sets=max_sets)
+        assert resumed == fresh
+
+    def test_base_flow_shortens_the_probes(self):
+        # Node 3 has x(delta(3)) = 2.3 > 2, a negative node weight, so the
+        # base solve pushes flow from the source through it.  Every probe
+        # then resumes from that flow instead of pushing it again.
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
+        x = np.array([0.5, 0.5, 0.5, 0.5, 0.9, 0.9, 0.9])
+        counts = []
+        for network in (DinicMaxFlow, _FromZero):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(separation_module, "DinicMaxFlow", network)
+                with instrument() as session:
+                    found = find_violated_subtours(6, edges, x)
+            assert found == [frozenset({3, 4, 5}), frozenset({2, 3, 4, 5})]
+            counts.append(
+                [
+                    session.registry.counter_value(f"separation.{name}")
+                    for name in ("root_probes", "augmenting_paths")
+                ]
+            )
+        # Same probes; the base solve's paths plus the probes' own: 15
+        # against 19 when every probe starts from zero.
+        assert counts == [[4, 15], [4, 19]]

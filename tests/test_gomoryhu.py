@@ -1,6 +1,7 @@
 """Tests for repro.utils.gomoryhu, cross-validated against networkx."""
 
 import itertools
+import sys
 
 import networkx as nx
 import pytest
@@ -49,6 +50,16 @@ class TestSmallGraphs:
         edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]
         tree = build_gomory_hu_tree(4, edges)
         assert len(tree.edges()) == 3
+
+    def test_path_longer_than_the_recursion_limit(self):
+        # The path 0, 2, 3, ..., n-1, 1 puts every flow's sink at the far end
+        # of a level graph deeper than Python's recursion limit.
+        n = sys.getrecursionlimit() + 100
+        order = [0, *range(2, n), 1]
+        edges = [(a, b, 1.0 if a == 0 else 2.0) for a, b in zip(order, order[1:])]
+        tree = build_gomory_hu_tree(n, edges)
+        assert tree.min_cut_value(0, 1) == 1.0
+        assert tree.min_cut_value(1, 2) == 2.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
