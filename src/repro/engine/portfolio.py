@@ -52,13 +52,12 @@ from dataclasses import dataclass, field
 from multiprocessing.util import Finalize
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 import repro.engine.registry as registry_module
 from repro.core.errors import MRLCError
 from repro.core.tree import AggregationTree
 from repro.network.model import Network
 from repro.obs import OBS
+from repro.utils.rng import reject_generators
 
 __all__ = [
     "DEFAULT_MEMBERS",
@@ -221,25 +220,6 @@ def _bind_outcome(
         lifetime=lifetime,
         feasible=lc is None or tree.meets_lifetime(lc),
     )
-
-
-def _reject_generators(member: str, value: Any) -> None:
-    """Raise if a live ``numpy.random.Generator`` sits anywhere in *value*.
-
-    A pickled generator forks its stream: the worker would draw from a
-    copy while the caller's state stays put.  Members take integer seeds.
-    """
-    if isinstance(value, np.random.Generator):
-        raise ValueError(
-            f"member {member!r}: a numpy.random.Generator cannot cross the "
-            "process boundary; pass an integer seed instead"
-        )
-    if isinstance(value, Mapping):
-        value = value.values()
-    elif not isinstance(value, (list, tuple, set, frozenset)):
-        return
-    for item in value:
-        _reject_generators(member, item)
 
 
 @dataclass(frozen=True)
@@ -416,7 +396,7 @@ def race_builders(
             rows[name] = _race_one(network, name, params)
     else:
         for name, params in zip(members, configs):
-            _reject_generators(name, params)
+            reject_generators(params, f"member {name!r}")
         workers = n_jobs if n_jobs is not None else len(members)
         lease = (
             _race_pool(max(1, min(workers, len(members))))

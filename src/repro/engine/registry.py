@@ -28,6 +28,7 @@ lazily on first lookup, so importing the registry costs nothing.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
@@ -177,10 +178,36 @@ def _ensure_defaults() -> None:
         import repro.engine.builders  # noqa: F401
 
 
+def _check_signature(name: str, fn: Callable[..., Any]) -> None:
+    """Raise ``TypeError`` unless *fn* can be called as ``fn(network, **config)``.
+
+    ``network`` must be the only positional parameter: config knobs are
+    keyword-only, so a knob can never bind a position by accident.
+    """
+    params = inspect.signature(fn).parameters.values()
+    positional = [
+        p.name
+        for p in params
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
+    if positional != ["network"] or any(p.kind is p.VAR_POSITIONAL for p in params):
+        raise TypeError(
+            f"builder {name!r}: {getattr(fn, '__qualname__', fn)!s} must take "
+            "'network' as its only positional parameter, with every config "
+            "knob keyword-only (after '*'); RegisteredBuilder.build calls "
+            f"fn(network, **config), got positional {positional}"
+        )
+
+
 def register_builder(builder: RegisteredBuilder) -> RegisteredBuilder:
-    """Add *builder* to the registry; duplicate names are an error."""
+    """Add *builder* to the registry.
+
+    Raises ``ValueError`` on a duplicate name and ``TypeError`` when the
+    function's signature is not ``fn(network, *, knob=...)``.
+    """
     if builder.name in _REGISTRY:
         raise ValueError(f"builder {builder.name!r} is already registered")
+    _check_signature(builder.name, builder.fn)
     _REGISTRY[builder.name] = builder
     return builder
 

@@ -30,6 +30,8 @@ import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.utils.rng import reject_generators
+
 __all__ = [
     "ParallelBuildError",
     "default_workers",
@@ -118,7 +120,9 @@ def parallel_build(
     schedule-independent exactly like :func:`parallel_map`.
 
     ``executor`` reuses a caller-owned worker pool (see
-    :func:`parallel_map`) instead of spawning one per call.
+    :func:`parallel_map`) instead of spawning one per call.  On that pool
+    path a live ``numpy.random.Generator`` in *config* or in
+    *network_factory*'s closure raises ``ValueError``.
 
     Returns the :class:`repro.engine.BuildResult` list in trial order.
     """
@@ -146,7 +150,9 @@ def parallel_map(
     Args:
         func: Index -> result; must be picklable (a module-level function or
             functools.partial of one) and must derive all randomness from
-            the index, so results are order- and schedule-independent.
+            the index, so results are order- and schedule-independent.  On
+            the pool path a live ``numpy.random.Generator`` in *func* (its
+            partial arguments, closure or defaults) raises ``ValueError``.
         n_items: Number of items.
         n_jobs: Process count; ``None`` or ``1`` runs serially (``None``
             stays serial to keep the default path dependency-free;
@@ -181,6 +187,7 @@ def parallel_map(
 
     if executor is None and (n_jobs is None or n_jobs == 1):
         return [func(i) for i in range(n_items)]
+    reject_generators(func, "parallel_map")
 
     workers = min(n_jobs if n_jobs is not None else default_workers(), n_items)
     if chunk_size is None:

@@ -7,7 +7,7 @@ Usage::
     repro lint --format json src/    # machine-readable report
     repro lint --select REP101 src/  # run one rule
     repro lint --ignore REP101 src/  # skip one rule
-    repro lint --explain REP108      # rule doc, rationale, fix pattern
+    repro lint --explain REP109      # rule doc, rationale, fix pattern
     repro lint --list-rules          # rule table
 
 Exit codes: 0 clean, 1 findings, 2 usage error.
@@ -32,9 +32,7 @@ def build_lint_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "Static analysis for the reproduction: per-file invariants (RNG "
-            "discipline, obs guarding) plus whole-program passes "
-            "(builder-registry contract, async blocking reachability, await "
-            "races, process-boundary RNG discipline)."
+            "discipline, obs guarding, await-point races)."
         ),
     )
     parser.add_argument(

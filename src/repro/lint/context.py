@@ -1,13 +1,7 @@
-"""Parsed-file and whole-project context handed to lint rules.
+"""The parsed-file context handed to lint rules, plus shared AST helpers.
 
-Two layers live here:
-
-* :class:`FileContext` — one parsed source file.
-* :class:`Project` — all files of one lint run plus memoized cross-file
-  lookups.  The lookups are backed by :class:`~repro.lint.graph.ModuleSummary`
-  digests extracted once per file, so cross-file rules (builder-registry
-  wiring, import resolution, the interprocedural passes) read from
-  summaries rather than re-walking ASTs.
+Every rule reads one :class:`FileContext` — one parsed source file — and
+nothing else: no rule looks across files.
 """
 
 from __future__ import annotations
@@ -16,13 +10,9 @@ import ast
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import List, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.lint.effects import EffectAnalysis
-    from repro.lint.graph import CallGraph, ModuleSummary
-
-__all__ = ["FileContext", "Project", "module_name_for"]
+__all__ = ["FileContext", "dotted_chain", "module_name_for"]
 
 #: Top of the package tree: paths are mapped to dotted module names by
 #: locating this component, so fixtures in temp dirs lint identically.
@@ -52,6 +42,19 @@ def module_name_for(path: Path) -> Optional[str]:
     return ".".join(module_parts)
 
 
+def dotted_chain(node: ast.expr) -> str:
+    """``a.b.c`` for a Name/Attribute chain, else ``""``."""
+    parts: List[str] = []
+    current = node
+    while isinstance(current, ast.Attribute):
+        parts.append(current.attr)
+        current = current.value
+    if not isinstance(current, ast.Name):
+        return ""
+    parts.append(current.id)
+    return ".".join(reversed(parts))
+
+
 def _display_path(path: Path) -> str:
     """Path as reported: cwd-relative posix when possible."""
     resolved = path.resolve()
@@ -66,18 +69,14 @@ class FileContext:
     """One parsed source file.
 
     Attributes:
-        path: The file on disk.
         display_path: Normalized path used in reports.
         module: Dotted module name, or ``None`` outside the package tree.
-        is_package: Whether the file is a package ``__init__.py``.
         lines: The source text split into physical lines.
         tree: The parsed AST.
     """
 
-    path: Path
     display_path: str
     module: Optional[str]
-    is_package: bool
     lines: List[str]
     tree: ast.Module
 
@@ -90,10 +89,8 @@ class FileContext:
         """
         source = path.read_bytes().decode("utf-8")
         return cls(
-            path=path,
             display_path=_display_path(path),
             module=module_name_for(path),
-            is_package=path.name == "__init__.py",
             lines=source.splitlines(),
             tree=ast.parse(source, filename=str(path)),
         )
@@ -106,83 +103,3 @@ class FileContext:
             self.module == pkg or self.module.startswith(pkg + ".")
             for pkg in packages
         )
-
-
-class Project:
-    """All files of one lint run plus memoized cross-file lookups.
-
-    Cross-file queries read from per-module summaries, extracted from the
-    AST on first use (:meth:`summary`).  The whole-program structures —
-    call graph and effect analysis — are built once per run from those
-    summaries and shared by every interprocedural rule.
-    """
-
-    def __init__(self, files: List[FileContext]) -> None:
-        self.files = files
-        self.modules: Dict[str, FileContext] = {
-            ctx.module: ctx for ctx in files if ctx.module is not None
-        }
-        self._summaries: Dict[str, "ModuleSummary"] = {}
-        self._builders: Optional[Dict[str, List[Tuple[str, int]]]] = None
-        self._call_graph: Optional["CallGraph"] = None
-        self._effects: Optional["EffectAnalysis"] = None
-
-    # -- summaries ------------------------------------------------------
-
-    def summary(self, ctx: FileContext) -> "ModuleSummary":
-        """The module summary for *ctx*, extracted on first use."""
-        cached = self._summaries.get(ctx.display_path)
-        if cached is None:
-            from repro.lint.graph import extract_summary
-
-            cached = extract_summary(ctx)
-            self._summaries[ctx.display_path] = cached
-        return cached
-
-    def module_summary(self, module: str) -> Optional["ModuleSummary"]:
-        """Summary of a dotted *module* name, or ``None`` if not in this run."""
-        ctx = self.modules.get(module)
-        if ctx is None:
-            return None
-        return self.summary(ctx)
-
-    # -- symbol-table queries -------------------------------------------
-
-    def name_loads(self, module: str) -> Optional[Set[str]]:
-        """Every ``Name`` referenced anywhere in *module* (any context)."""
-        summary = self.module_summary(module)
-        if summary is None:
-            return None
-        return set(summary.name_loads)
-
-    def tree_builder_registrations(self) -> Dict[str, List[Tuple[str, int]]]:
-        """Map of ``@tree_builder`` name literal → [(display_path, line), ...]."""
-        if self._builders is None:
-            registrations: Dict[str, List[Tuple[str, int]]] = {}
-            for ctx in self.files:
-                summary = self.summary(ctx)
-                for fn in summary.functions:
-                    if fn.builder_name is not None:
-                        registrations.setdefault(fn.builder_name, []).append(
-                            (ctx.display_path, fn.lineno)
-                        )
-            self._builders = registrations
-        return self._builders
-
-    # -- whole-program analyses -----------------------------------------
-
-    def call_graph(self) -> "CallGraph":
-        """The name-resolved call graph (built once per run)."""
-        if self._call_graph is None:
-            from repro.lint.graph import build_call_graph
-
-            self._call_graph = build_call_graph(self)
-        return self._call_graph
-
-    def effect_analysis(self) -> "EffectAnalysis":
-        """The fixpoint effect analysis over the call graph (once per run)."""
-        if self._effects is None:
-            from repro.lint.effects import analyze_effects
-
-            self._effects = analyze_effects(self.call_graph())
-        return self._effects

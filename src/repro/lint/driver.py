@@ -1,12 +1,9 @@
 """Lint driver: one pass that parses every file, runs every rule, reports.
 
-:func:`build_project` parses every file under the given paths into one
-:class:`~repro.lint.context.Project`; files that cannot be read or parsed
-become ``REP000`` findings and the rest are still linted.
-:func:`run_rules` then visits each file with every selected rule.  Rules
-that need cross-file state (builder wiring, the interprocedural
-REP108–REP110 passes) read it through the project's module
-summaries, call graph, and effect analysis, each built once per run.
+:func:`parse_files` parses every file under the given paths; files that
+cannot be read or parsed become ``REP000`` findings and the rest are
+still linted.  :func:`run_rules` then visits each file with every selected
+rule.  Every rule reads only the file it visits.
 
 Suppression is comment-based::
 
@@ -27,26 +24,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.lint.context import FileContext, Project
+from repro.lint.context import FileContext
 from repro.lint.findings import Finding
 from repro.lint.registry import LintRule, all_rules, get_rule
 
 __all__ = [
     "LintResult",
     "PARSE_ERROR_RULE",
-    "build_project",
     "lint_paths",
+    "parse_files",
     "run_rules",
     "select_rules",
 ]
@@ -112,13 +100,13 @@ def _parse_error_finding(path: Path, exc: Exception) -> Finding:
     )
 
 
-def build_project(
+def parse_files(
     paths: Sequence[Union[str, Path]],
-) -> Tuple[Project, List[Finding]]:
-    """Parse every file under *paths* into one :class:`Project`.
+) -> Tuple[List[FileContext], List[Finding]]:
+    """Parse every file under *paths*; returns ``(contexts, parse_errors)``.
 
     Files that cannot be read as UTF-8 or do not parse become ``REP000``
-    findings and are left out of the project; the rest are still linted.
+    findings and are left out; the rest are still linted.
     """
     contexts: List[FileContext] = []
     parse_errors: List[Finding] = []
@@ -127,7 +115,7 @@ def build_project(
             contexts.append(FileContext.parse(file_path))
         except (OSError, UnicodeDecodeError, SyntaxError) as exc:
             parse_errors.append(_parse_error_finding(file_path, exc))
-    return Project(contexts), parse_errors
+    return contexts, parse_errors
 
 
 def select_rules(
@@ -175,15 +163,15 @@ def _suppressed(
 
 
 def run_rules(
-    project: Project, rules: Sequence[LintRule]
+    contexts: Sequence[FileContext], rules: Sequence[LintRule]
 ) -> Tuple[List[Finding], int]:
     """Run *rules* over every file; returns ``(findings, suppressed_count)``."""
     findings: List[Finding] = []
     suppressed = 0
-    for ctx in project.files:
+    for ctx in contexts:
         file_ignores = _file_ignores(ctx)
         for rule in rules:
-            for node, message in rule.check(ctx, project):
+            for node, message in rule.check(ctx):
                 line = getattr(node, "lineno", 1)
                 col = getattr(node, "col_offset", 0)
                 if _suppressed(ctx, file_ignores, rule.id, line):
@@ -210,12 +198,12 @@ def lint_paths(
 ) -> LintResult:
     """Lint *paths* with the selected rules — the library entry point."""
     rules = select_rules(select=select, ignore=ignore)
-    project, parse_errors = build_project(paths)
-    findings, suppressed = run_rules(project, rules)
+    contexts, parse_errors = parse_files(paths)
+    findings, suppressed = run_rules(contexts, rules)
     return LintResult(
         findings=findings,
         suppressed=suppressed,
-        checked_files=len(project.files),
+        checked_files=len(contexts),
         rules_run=tuple(rule.id for rule in rules),
         parse_errors=parse_errors,
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-__all__ = ["Finding", "Loc"]
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,3 @@ class Finding:
             "message": self.message,
         }
 
-
-@dataclass(frozen=True)
-class Loc:
-    """A bare source location a rule may yield instead of an AST node.
-
-    Summary-based rules work from module digests, not live ASTs; the
-    driver only reads ``lineno``/``col_offset`` off whatever a rule
-    yields, so this stand-in slots in transparently.
-    """
-
-    lineno: int
-    col_offset: int = 0

@@ -3,9 +3,10 @@
 Mirrors the tree-builder registry's shape (:mod:`repro.engine.registry`):
 rules self-register at decoration time, the stock rule modules are imported
 lazily on first lookup, and consumers address rules by their stable string
-id.  A rule is a generator over ``(ast_node, message)`` pairs; the driver
-stamps rule id, file, and location onto each yielded pair to form
-:class:`~repro.lint.findings.Finding` objects.
+id.  A rule is ``check(ctx)``: a generator over ``(ast_node, message)``
+pairs for one parsed file; the driver stamps rule id, file, and location
+onto each yielded pair to form :class:`~repro.lint.findings.Finding`
+objects.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.lint.context import FileContext, Project
+    from repro.lint.context import FileContext
 
 __all__ = [
     "LintRule",
@@ -28,10 +29,8 @@ __all__ = [
 ]
 
 #: A rule implementation: yields ``(node, message)`` for each violation in
-#: *ctx*; *project* provides cross-file context (symbol tables, registries).
-RuleCheck = Callable[
-    ["FileContext", "Project"], Iterable[Tuple[ast.AST, str]]
-]
+#: *ctx*, reading that one file only.
+RuleCheck = Callable[["FileContext"], Iterable[Tuple[ast.AST, str]]]
 
 
 class UnknownRuleError(KeyError):
@@ -67,29 +66,23 @@ def _ensure_defaults() -> None:
         import repro.lint.rules  # noqa: F401
 
 
-def lint_rule(
-    rule_id: str,
-    summary: Optional[str] = None,
-) -> Callable[[RuleCheck], RuleCheck]:
+def lint_rule(rule_id: str) -> Callable[[RuleCheck], RuleCheck]:
     """Decorator registering *fn* as the checker for *rule_id*.
 
-    ``summary`` defaults to the first line of the checker's docstring;
-    the full docstring is kept as the rule's ``doc`` (the ``--explain``
-    text).  Duplicate ids are an error: rule ids are the suppression
-    vocabulary and must stay unambiguous.
+    The first line of the checker's docstring is the rule's summary; the
+    full docstring is kept as the rule's ``doc`` (the ``--explain`` text).
+    Duplicate ids are an error: rule ids are the suppression vocabulary
+    and must stay unambiguous.
     """
 
     def decorator(fn: RuleCheck) -> RuleCheck:
         if rule_id in _RULES:
             raise ValueError(f"lint rule {rule_id!r} is already registered")
         full_doc = inspect.cleandoc(fn.__doc__ or "")
-        one_line = summary
-        if one_line is None:
-            doc_lines = full_doc.splitlines()
-            one_line = doc_lines[0] if doc_lines else rule_id
+        doc_lines = full_doc.splitlines()
         _RULES[rule_id] = LintRule(
             id=rule_id,
-            summary=one_line,
+            summary=doc_lines[0] if doc_lines else rule_id,
             check=fn,
             doc=full_doc,
         )

@@ -1,113 +1,185 @@
-"""REP108/REP109 — asyncio safety: blocking reachability and await races.
+"""REP109 — no read-modify-write of ``self`` attributes across an ``await``.
 
 The serve plane (:mod:`repro.serve`) runs every request on one event
-loop; :mod:`repro.obs.top` polls it.  Two failure modes are invisible to
-per-file linting because they live in the *call structure*:
+loop.  An async method that reads ``self.<attr>``, suspends at an
+``await``, then writes ``self.<attr>`` from the stale read loses any
+update another task made in between: last-write-wins silently drops it.
 
-* REP108 — an ``async def`` that (transitively, through ordinary sync
-  helpers) reaches a blocking primitive: ``time.sleep``, socket/DNS
-  calls, ``subprocess``, file IO.  One such call stalls every in-flight
-  request.  Awaited calls are exempt (awaiting suspends), and the
-  ``blocks`` effect deliberately does not propagate out of async callees
-  — their own blocking calls are their own finding.  Shipping a blocking
-  function *as an argument* to ``run_in_executor`` is the sanctioned
-  pattern and creates no call edge, so it never trips the rule.
-* REP109 — an await-point read-modify-write race: an async method reads
-  ``self.<attr>``, suspends at an ``await``, then writes ``self.<attr>``
-  from the stale read.  Between the read and the write any other task may
-  run and move the attribute; last-write-wins then silently drops the
-  concurrent update.  The scan works on the summary's evaluation-ordered
-  event stream, so ``self.x += 1`` (read and write with no suspension
-  between) is clean while ``self.x += await g()`` and staged
-  read → ``await`` → write sequences are flagged.  Calls to same-class
-  ``self.helper()`` methods that write the attribute count as writes.
+The rule walks each ``async`` method of a class in evaluation order,
+recording reads and writes of ``self.<attr>``, awaits, and calls to
+same-class ``self.helper()`` methods (which count as writes of every
+attribute the helper assigns).  For an assignment the value side,
+awaits included, comes before the store, so ``self.x += 1`` (read and
+write with no suspension between) is clean while ``self.x += await g()``
+and staged read → ``await`` → write sequences are flagged.  Nested defs
+and lambdas are other scopes and are not walked.
+
+Whether an ``async def`` blocks the loop is not a lint rule: the test
+suite runs every ``asyncio.run`` in debug mode and fails a test whose
+loop stalls (``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
-from repro.lint.context import FileContext, Project
-from repro.lint.effects import BLOCKS, is_blocking_chain
-from repro.lint.findings import Loc
-from repro.lint.graph import FunctionSummary
+from repro.lint.context import FileContext, dotted_chain
 from repro.lint.registry import lint_rule
 
-__all__ = ["check_async_blocking", "check_await_races"]
+__all__ = ["check_await_races"]
 
-_Yield = Tuple[Union[ast.AST, Loc], str]
-
-
-@lint_rule("REP108")
-def check_async_blocking(
-    ctx: FileContext, project: Project
-) -> Iterator[_Yield]:
-    """async functions must not reach blocking calls (time.sleep/socket/subprocess/file IO)
-
-    Rationale: the serve plane multiplexes every request onto one event
-    loop.  A blocking primitive anywhere in an ``async def``'s sync call
-    chain — even three helpers deep — freezes all of them at once, and
-    the per-file rules cannot see through the helpers.
-
-    Fix pattern: ship the blocking work to an executor
-    (``await loop.run_in_executor(pool, blocking_fn, ...)``) or use the
-    async equivalent (``await asyncio.sleep(...)``); passing the blocking
-    function as an executor argument is exactly the sanctioned shape and
-    is not flagged.
-    """
-    summary = project.summary(ctx)
-    if summary.module is None:
-        return
-    graph = project.call_graph()
-    effects = project.effect_analysis()
-    for fn in summary.functions:
-        if not fn.is_async:
-            continue
-        node_id = f"{summary.module}:{fn.qualname}"
-        for rc in graph.calls.get(node_id, ()):
-            if rc.site.awaited:
-                continue
-            loc = Loc(rc.site.lineno, rc.site.col)
-            if is_blocking_chain(rc.site.chain, rc.canonical):
-                name = rc.canonical or rc.site.chain
-                yield (
-                    loc,
-                    f"blocking call {name}() inside async function "
-                    f"{fn.name}(); it stalls the event loop — use the async "
-                    "equivalent or run_in_executor",
-                )
-                continue
-            if rc.target is None:
-                continue
-            callee = graph.nodes[rc.target].summary
-            if callee.is_async:
-                continue
-            if effects.has_effect(rc.target, BLOCKS):
-                witness = effects.witness(rc.target, BLOCKS)
-                yield (
-                    loc,
-                    f"async function {fn.name}() reaches a blocking call "
-                    f"through {witness}; move the blocking work behind "
-                    "run_in_executor or an async equivalent",
-                )
+_Def = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+#: ``(kind, attr, node)``: kind is ``read``/``write``/``await``/``call``
+#: (a ``self.<attr>()`` call); *node* locates a finding.
+_Event = Tuple[str, str, ast.AST]
+_Yield = Tuple[ast.AST, str]
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _self_method_writes(
-    summary_functions: Tuple[FunctionSummary, ...], class_name: str
-) -> Dict[str, Tuple[str, ...]]:
-    """Method name → self attributes it writes, for one class."""
-    return {
-        fn.name: fn.self_attr_writes
-        for fn in summary_functions
-        if fn.parent_class == class_name and not fn.nested
-    }
+def _child_stmts(node: ast.AST) -> Iterator[ast.stmt]:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.stmt):
+            yield child
+        elif isinstance(child, (ast.ExceptHandler, ast.match_case)):
+            yield from child.body
+
+
+def _defs(body: Sequence[ast.stmt], kinds: Tuple[Type[ast.AST], ...]) -> Iterator[ast.AST]:
+    """Nodes of *kinds* defined in *body*, through compound statements only."""
+    for node in body:
+        if isinstance(node, kinds):
+            yield node
+        elif not isinstance(node, _SCOPES):
+            yield from _defs(list(_child_stmts(node)), kinds)
+
+
+def _self_attr(node: ast.expr) -> Optional[str]:
+    """``attr`` when *node* is ``self.<attr>``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+class _Events:
+    """Events of one function body in evaluation order."""
+
+    def __init__(self) -> None:
+        self.events: List[_Event] = []
+
+    def stmts(self, body: Sequence[ast.stmt]) -> None:
+        for node in body:
+            self.stmt(node)
+
+    def stmt(self, node: ast.stmt) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:  # the body is another scope
+                self.expr(deco)
+        elif isinstance(node, ast.ClassDef):
+            self.stmts(node.body)
+        elif isinstance(node, ast.Assign):
+            self.expr(node.value)
+            for target in node.targets:
+                self.store(target, node)
+        elif isinstance(node, ast.AugAssign):
+            # Load target, evaluate value, store target: a real read-await-write.
+            attr = _self_attr(node.target)
+            if attr is not None:
+                self.events.append(("read", attr, node))
+            self.expr(node.value)
+            self.store(node.target, node)
+        elif isinstance(node, ast.AnnAssign):
+            if node.value is not None:
+                self.expr(node.value)
+            self.store(node.target, node)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            self.expr(node.iter)
+            self.store(node.target, node)
+            self.stmts(node.body)
+            self.stmts(node.orelse)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                self.expr(item.context_expr)
+                if item.optional_vars is not None:
+                    self.store(item.optional_vars, node)
+            self.stmts(node.body)
+        elif isinstance(node, ast.Match):
+            self.expr(node.subject)
+            for case in node.cases:
+                self.stmts(case.body)
+        else:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.expr):
+                    self.expr(child)
+                elif isinstance(child, ast.stmt):
+                    self.stmt(child)
+                elif isinstance(child, ast.ExceptHandler):
+                    self.stmts(child.body)
+
+    def store(self, target: ast.expr, at: ast.AST) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self.store(element, at)
+        elif isinstance(target, ast.Starred):
+            self.store(target.value, at)
+        elif isinstance(target, ast.Subscript):
+            self.expr(target.value)
+            self.expr(target.slice)
+        elif isinstance(target, ast.Attribute):
+            attr = _self_attr(target)
+            if attr is not None:
+                self.events.append(("write", attr, at))
+            self.expr(target.value)  # self.a.b = x reads self.a
+
+    def expr(self, node: ast.expr) -> None:
+        if isinstance(node, ast.Await):
+            self.expr(node.value)
+            self.events.append(("await", "", node))
+        elif isinstance(node, ast.Call):
+            self.call(node)
+        elif isinstance(node, ast.Lambda):
+            return
+        elif isinstance(node, ast.Attribute):
+            attr = _self_attr(node)
+            if attr is not None and isinstance(node.ctx, ast.Load):
+                self.events.append(("read", attr, node))
+            self.expr(node.value)
+        else:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.expr):
+                    self.expr(child)
+                elif isinstance(child, ast.comprehension):
+                    self.expr(child.iter)
+                    self.store(child.target, child.target)
+                    for cond in child.ifs:
+                        self.expr(cond)
+
+    def call(self, node: ast.Call) -> None:
+        parts = dotted_chain(node.func).split(".")
+        if parts == [""]:
+            self.expr(node.func)
+        elif parts[0] == "self" and len(parts) >= 3:
+            self.events.append(("read", parts[1], node))  # self.a.m() reads self.a
+        elif parts[0] == "self" and len(parts) == 2:
+            self.events.append(("call", parts[1], node))
+        for arg in node.args:
+            self.expr(arg)
+        for kw in node.keywords:
+            self.expr(kw.value)
+
+
+def _events(fn: _Def) -> List[_Event]:
+    walker = _Events()
+    walker.stmts(fn.body)
+    return walker.events
 
 
 @lint_rule("REP109")
-def check_await_races(
-    ctx: FileContext, project: Project
-) -> Iterator[_Yield]:
+def check_await_races(ctx: FileContext) -> Iterator[_Yield]:
     """async methods must not write self attributes from reads staled by an await
 
     Rationale: between a read of ``self.<attr>`` and an ``await``-suspended
@@ -121,63 +193,47 @@ def check_await_races(
     writing, fold the update into one suspension-free statement, or guard
     the read-modify-write with an ``asyncio.Lock``.
     """
-    summary = project.summary(ctx)
-    for cls_sum in summary.classes:
-        if not cls_sum.has_async_method:
+    classes = [c for c in _defs(ctx.tree.body, (ast.ClassDef,)) if isinstance(c, ast.ClassDef)]
+    for cls in classes:
+        methods = [
+            (fn, _events(fn))
+            for fn in _defs(cls.body, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        if not any(isinstance(fn, ast.AsyncFunctionDef) for fn, _ in methods):
             continue
-        method_writes = _self_method_writes(summary.functions, cls_sum.name)
-        for fn in summary.methods_of(cls_sum.name):
-            if not fn.is_async:
-                continue
-            # last_read[attr] = (event index of latest read, awaits seen so far)
-            last_read: Dict[str, Tuple[int, int]] = {}
-            awaits_seen = 0
-            for idx, event in enumerate(fn.events):
-                if event.kind == "await":
-                    awaits_seen += 1
-                elif event.kind == "read":
-                    last_read[event.detail] = (idx, awaits_seen)
-                elif event.kind == "call":
-                    # self.helper() that writes attrs acts as a write point.
-                    chain = event.detail
-                    if chain.startswith("self.") and chain.count(".") == 1:
-                        helper = chain.split(".", 1)[1]
-                        for attr in method_writes.get(helper, ()):
-                            stale = _stale_read(last_read, attr, awaits_seen)
-                            if stale is not None:
-                                yield _race_finding(
-                                    fn, attr, stale, event.lineno, event.col
-                                )
-                                last_read.pop(attr, None)
-                elif event.kind == "write":
-                    stale = _stale_read(last_read, event.detail, awaits_seen)
-                    if stale is not None:
-                        yield _race_finding(
-                            fn, event.detail, stale, event.lineno, event.col
-                        )
-                    last_read.pop(event.detail, None)
+        writes: Dict[str, List[str]] = {
+            fn.name: sorted({attr for kind, attr, _ in events if kind == "write"})
+            for fn, events in methods
+        }
+        for fn, events in methods:
+            if isinstance(fn, ast.AsyncFunctionDef):
+                yield from _races(fn, events, writes)
 
 
-def _stale_read(
-    last_read: Dict[str, Tuple[int, int]], attr: str, awaits_seen: int
-) -> Optional[int]:
-    """Awaits between the latest read of *attr* and now, if any read exists."""
-    entry = last_read.get(attr)
-    if entry is None:
-        return None
-    _, awaits_at_read = entry
-    crossed = awaits_seen - awaits_at_read
-    return crossed if crossed > 0 else None
-
-
-def _race_finding(
-    fn: FunctionSummary, attr: str, crossed: int, lineno: int, col: int
-) -> _Yield:
-    plural = "s" if crossed > 1 else ""
-    return (
-        Loc(lineno, col),
-        f"await-point read-modify-write race in async method {fn.name}(): "
-        f"self.{attr} is written from a read that crossed {crossed} await "
-        f"point{plural}; re-read after the await, make the update "
-        "suspension-free, or hold an asyncio.Lock",
-    )
+def _races(
+    fn: ast.AsyncFunctionDef, events: List[_Event], writes: Dict[str, List[str]]
+) -> Iterator[_Yield]:
+    """Writes of ``self.<attr>`` whose latest read crossed an await."""
+    read_at: Dict[str, int] = {}  # attr -> awaits seen at its latest read
+    awaits = 0
+    for kind, attr, node in events:
+        if kind == "await":
+            awaits += 1
+            continue
+        if kind == "read":
+            read_at[attr] = awaits
+            continue
+        # A write, or a self.helper() call writing whatever the helper assigns.
+        for name in [attr] if kind == "write" else writes.get(attr, []):
+            crossed = awaits - read_at.get(name, awaits)
+            if kind == "write" or crossed > 0:
+                read_at.pop(name, None)
+            if crossed > 0:
+                yield (
+                    node,
+                    f"await-point read-modify-write race in async method {fn.name}(): "
+                    f"self.{name} is written from a read that crossed {crossed} await "
+                    f"point{'s' if crossed > 1 else ''}; re-read after the await, make "
+                    "the update suspension-free, or hold an asyncio.Lock",
+                )

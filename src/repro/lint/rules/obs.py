@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set, Tuple
 
-from repro.lint.context import FileContext, Project
+from repro.lint.context import FileContext
 from repro.lint.registry import lint_rule
 
 __all__ = ["HOT_PACKAGES", "check_obs_guard"]
@@ -88,9 +88,7 @@ def _test_guards(test: ast.expr, aliases: Set[str]) -> bool:
 
 
 @lint_rule("REP102")
-def check_obs_guard(
-    ctx: FileContext, project: Project
-) -> Iterator[Tuple[ast.AST, str]]:
+def check_obs_guard(ctx: FileContext) -> Iterator[Tuple[ast.AST, str]]:
     """OBS.registry/OBS.tracer use in hot-path code outside an OBS.enabled guard"""
     if not ctx.in_package(*HOT_PACKAGES):
         return

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set, Tuple
 
-from repro.lint.context import FileContext, Project
+from repro.lint.context import FileContext, dotted_chain
 from repro.lint.registry import lint_rule
 
 __all__ = ["ALLOWED_NUMPY_RANDOM_NAMES", "check_rng_discipline"]
@@ -48,23 +48,8 @@ _EXEMPT_MODULES = frozenset({"repro.utils.rng"})
 _FIX_HINT = "route randomness through repro.utils.rng.as_rng/spawn_rngs"
 
 
-def _dotted_chain(node: ast.expr) -> str:
-    """``a.b.c`` for a Name/Attribute chain, else ``""``."""
-    parts = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return ""
-    parts.append(current.id)
-    return ".".join(reversed(parts))
-
-
 @lint_rule("REP101")
-def check_rng_discipline(
-    ctx: FileContext, project: Project
-) -> Iterator[Tuple[ast.AST, str]]:
+def check_rng_discipline(ctx: FileContext) -> Iterator[Tuple[ast.AST, str]]:
     """bare random/np.random use outside utils/rng.py breaks seeded determinism"""
     if ctx.module in _EXEMPT_MODULES:
         return
@@ -116,7 +101,7 @@ def check_rng_discipline(
     for node in ast.walk(ctx.tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
-        chain = _dotted_chain(node.func)
+        chain = dotted_chain(node.func)
         if not chain or "." not in chain:
             continue
         base, _, attr = chain.rpartition(".")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Union
+from typing import Any, Dict, Mapping, Union
 
 import numpy as np
 
@@ -72,12 +72,18 @@ def network_to_dict(network: Network) -> Dict:
     }
 
 
-def network_from_dict(data: Dict) -> Network:
+def network_from_dict(data: Any) -> Network:
     """Rebuild a network from :func:`network_to_dict` output.
 
-    Raises ``ValueError`` on wrong format tag, unsupported version, or
-    structurally invalid content (delegated to the Network validators).
+    Raises ``ValueError`` on a document that is not a mapping, a wrong
+    format tag, an unsupported version, or structurally invalid content
+    (delegated to the Network validators).
     """
+    if not isinstance(data, Mapping):
+        raise ValueError(
+            f"a {_NETWORK_FORMAT} document must be a JSON object, "
+            f"got {type(data).__name__}"
+        )
     if data.get("format") != _NETWORK_FORMAT:
         raise ValueError(
             f"not a {_NETWORK_FORMAT} document (format={data.get('format')!r})"

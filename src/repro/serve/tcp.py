@@ -160,7 +160,9 @@ async def _handle_connection(
                 doc = json.loads(text)
                 if not isinstance(doc, dict):
                     raise ValueError("request must be a JSON object")
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
+                # RecursionError: nesting deeper than the decoder's stack.
+                # The whole line was read, so the framing is intact.
                 reply: Dict[str, Any] = encode_error(
                     ServeError(f"bad JSON line: {exc}")
                 )

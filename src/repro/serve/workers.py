@@ -54,6 +54,7 @@ from repro.experiments.parallel import default_workers
 from repro.network.model import Network
 from repro.obs.spanctx import SpanContext
 from repro.serve.cache import WarmStructures
+from repro.utils.rng import reject_generators
 
 __all__ = ["ShardOutcome", "WorkItem", "WorkerPool", "POOL_MODES"]
 
@@ -236,11 +237,18 @@ class WorkerPool:
     async def run_shard(
         self, warm: WarmStructures, items: Sequence[WorkItem]
     ) -> List[ShardOutcome]:
-        """Execute *items* (all on *warm*'s topology) in this pool."""
+        """Execute *items* (all on *warm*'s topology) in this pool.
+
+        Outside inline mode the items' params go to another thread or
+        process, so a live ``numpy.random.Generator`` in them raises
+        ``ValueError``.
+        """
         if not items:
             return []
         if self.mode == "inline":
             return _build_shard_local(warm.network, items)
+        for item in items:
+            reject_generators(item.params, f"build {item.builder!r}")
         loop = asyncio.get_running_loop()
         if self.mode == "thread":
             return await loop.run_in_executor(

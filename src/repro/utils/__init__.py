@@ -15,7 +15,13 @@ The submodules here are dependency-free substrates:
 from repro.utils.ascii_chart import bar_chart, line_chart
 from repro.utils.gomoryhu import GomoryHuTree, build_gomory_hu_tree
 from repro.utils.maxflow import DinicMaxFlow, MaxFlowResult
-from repro.utils.rng import SeedLike, as_rng, spawn_rngs, stable_hash_seed
+from repro.utils.rng import (
+    SeedLike,
+    as_rng,
+    reject_generators,
+    spawn_rngs,
+    stable_hash_seed,
+)
 from repro.utils.tables import format_table
 from repro.utils.unionfind import UnionFind
 from repro.utils.validation import (
@@ -42,6 +48,7 @@ __all__ = [
     "check_probability",
     "build_gomory_hu_tree",
     "format_table",
+    "reject_generators",
     "spawn_rngs",
     "stable_hash_seed",
 ]

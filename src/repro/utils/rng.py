@@ -9,17 +9,27 @@ draws.
 
 This is the only module allowed to construct generators directly; everywhere
 else, ``repro lint`` (rule REP101) bans bare ``random``/``np.random`` usage.
+:func:`reject_generators` guards every process boundary: a live generator
+pickled into a worker forks its stream.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+import functools
+import types
+from typing import Any, List, Mapping, Set, Union
 
 import numpy as np
 
 SeedLike = Union[None, int, np.integer, np.random.Generator, np.random.SeedSequence]
 
-__all__ = ["SeedLike", "as_rng", "spawn_rngs", "stable_hash_seed"]
+__all__ = [
+    "SeedLike",
+    "as_rng",
+    "reject_generators",
+    "spawn_rngs",
+    "stable_hash_seed",
+]
 
 #: Exclusive upper bound for seed material drawn when deriving child streams.
 _SEED_BOUND = 2**63 - 1
@@ -53,19 +63,29 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     )
 
 
+class _SpawnedGenerator(np.random.Generator):
+    """A child stream from :func:`spawn_rngs`, derived to be handed off.
+
+    It draws exactly what ``np.random.default_rng`` on the same seed
+    material draws; the type only tells :func:`reject_generators` that no
+    caller stream is forked by sending it to a worker.
+    """
+
+
 def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
     """Derive *count* statistically independent generators from *seed*.
 
     Used by experiment sweeps that run many trials in a loop: each trial gets
     its own stream so that changing the number of trials does not perturb the
-    draws of earlier trials.
+    draws of earlier trials.  The streams may cross a process boundary
+    (:func:`reject_generators` lets them through).
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     if isinstance(seed, np.random.Generator):
         # Derive children by drawing fresh seed material from the stream.
         return [
-            np.random.default_rng(int(seed.integers(0, _SEED_BOUND)))
+            _SpawnedGenerator(np.random.PCG64(int(seed.integers(0, _SEED_BOUND))))
             for _ in range(count)
         ]
     if isinstance(seed, np.random.SeedSequence):
@@ -81,7 +101,54 @@ def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
             "seed must be None, an int, a numpy Generator, or a SeedSequence; "
             f"got {type(seed).__name__}"
         )
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
+    return [_SpawnedGenerator(np.random.PCG64(child)) for child in seq.spawn(count)]
+
+
+def reject_generators(value: object, where: str) -> None:
+    """Raise ``ValueError`` if a live ``numpy.random.Generator`` is in *value*.
+
+    Called wherever work is handed to another thread or process.  A pickled
+    generator forks its stream: the worker draws from a copy while the
+    caller's state stays put, so two places draw the same numbers and the
+    result depends on where the work ran.  Integer seeds and
+    :func:`spawn_rngs` streams pass.
+
+    The search looks inside mappings (values), lists, tuples, sets,
+    ``functools.partial`` objects (function, args, keywords) and plain
+    functions (closure cells and defaults), each object once, so a closure
+    that refers to itself terminates.  *where* names the boundary in the
+    error message.
+    """
+    stack: List[Any] = [value]
+    seen: Set[int] = set()
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.random.Generator):
+            if isinstance(item, _SpawnedGenerator):
+                continue
+            raise ValueError(
+                f"{where}: a numpy.random.Generator cannot cross the process "
+                "boundary; pass an integer seed or a spawn_rngs() stream instead"
+            )
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, Mapping):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+        elif isinstance(item, functools.partial):
+            stack.append(item.func)
+            stack.extend(item.args)
+            stack.extend(item.keywords.values())
+        elif isinstance(item, types.FunctionType):
+            for cell in item.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a cell not yet bound
+                    continue
+            stack.extend(item.__defaults__ or ())
+            stack.extend((item.__kwdefaults__ or {}).values())
 
 
 def stable_hash_seed(*parts: Union[int, str]) -> int:

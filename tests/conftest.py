@@ -3,15 +3,83 @@
 Expensive fixtures (the DFL instance, its AAML baseline) are session-scoped
 and treated as read-only by tests; anything that mutates a network builds
 its own copy.
+
+Every test runs under :func:`asyncio_stall_guard`: each ``asyncio.run``
+gets a debug-mode loop, and a callback or task step that holds the loop
+for :data:`STALL_THRESHOLD_S` or longer fails the test.  That is how the
+suite keeps blocking calls (``time.sleep``, sync socket or file IO) out of
+the serve plane's coroutines, however many sync helpers deep they sit.
 """
 
 from __future__ import annotations
+
+import asyncio
+import logging
+from typing import Any, List
 
 import pytest
 
 from repro.baselines import build_aaml_tree
 from repro.network import Network, dfl_network, random_graph
 
+#: A loop callback or task step running this long (seconds) is a stall.
+STALL_THRESHOLD_S = 0.5
+
+
+class _StallLog(logging.Handler):
+    """Collects asyncio's debug-mode ``Executing <handle> took N seconds``."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.stalls: List[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        if message.startswith("Executing ") and " took " in message:
+            self.stalls.append(message)
+
+    def check(self) -> None:
+        """Fail the running test if the event loop stalled since last check."""
+        stalls, self.stalls = self.stalls, []
+        if stalls:
+            pytest.fail(
+                f"event loop blocked for >= {STALL_THRESHOLD_S} s; move the "
+                "blocking call behind run_in_executor or use its async "
+                "equivalent:\n" + "\n".join(stalls),
+                pytrace=False,
+            )
+
+
+class _DebugLoopPolicy(asyncio.DefaultEventLoopPolicy):
+    """New loops run in debug mode with the stall threshold as their limit."""
+
+    def new_event_loop(self) -> asyncio.AbstractEventLoop:
+        loop = super().new_event_loop()
+        loop.set_debug(True)
+        loop.slow_callback_duration = STALL_THRESHOLD_S
+        return loop
+
+
+@pytest.fixture(autouse=True)
+def asyncio_stall_guard(monkeypatch):
+    """Run every ``asyncio.run`` in debug mode; fail the test on a stall."""
+    real_run = asyncio.run
+
+    def debug_run(main: Any, *, debug: Any = None, **kwargs: Any) -> Any:
+        return real_run(main, debug=True, **kwargs)
+
+    log = _StallLog()
+    logger = logging.getLogger("asyncio")
+    policy = asyncio.get_event_loop_policy()
+    asyncio.set_event_loop_policy(_DebugLoopPolicy())
+    monkeypatch.setattr(asyncio, "run", debug_run)
+    logger.addHandler(log)
+    try:
+        yield log
+    finally:
+        logger.removeHandler(log)
+        asyncio.set_event_loop_policy(policy)
+    log.check()
 
 
 @pytest.fixture(params=["object", "numpy"])

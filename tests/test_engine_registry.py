@@ -1,6 +1,14 @@
 """Builder registry: names, knobs, BuildResult shape, CLI listing."""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
+
+import repro.baselines
+import repro.core
+import repro.engine.builders
 
 from repro.core.tree import AggregationTree
 from repro.engine import (
@@ -117,6 +125,33 @@ def test_registry_rejects_duplicate_names():
 
     finally:
         registry_module._REGISTRY.pop("_test_dup", None)
+
+
+def unregistered_entry_points(modules, registered):
+    """Public ``build_*`` functions defined in *modules* but not in *registered*.
+
+    A function counts as registered when *registered* (the stock
+    registration module) holds that same object under its name.
+    """
+    return sorted(
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if name.startswith("build_")
+        and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+        and getattr(registered, name, None) is not obj
+    )
+
+
+def test_every_public_build_function_is_registered():
+    modules = [
+        importlib.import_module(info.name)
+        for package in (repro.core, repro.baselines)
+        for info in pkgutil.walk_packages(package.__path__, package.__name__ + ".")
+    ]
+    assert len(modules) > 10
+    assert unregistered_entry_points(modules, repro.engine.builders) == []
 
 
 def test_cli_builders_subcommand_lists_everything(capsys):

@@ -13,7 +13,7 @@ from tests.lint_utils import write_tree
 
 CLEAN = {"repro/ok.py": "def f():\n    return 1\n"}
 DIRTY = {"repro/bad.py": "import random\n"}
-KEPT_RULES = ["REP101", "REP102", "REP104", "REP108", "REP109", "REP110"]
+KEPT_RULES = ["REP101", "REP102", "REP109"]
 
 
 class TestExitCodes:
@@ -47,6 +47,12 @@ class TestExitCodes:
             ["--explain", "REP107"],
             ["--select", "REP105"],
             ["--ignore", "REP112"],
+            ["--select", "REP104"],
+            ["--explain", "REP108"],
+            ["--select", "REP110"],
+            ["--explain", "REP104"],
+            ["--select", "REP108"],
+            ["--explain", "REP110"],
         ],
     )
     def test_deleted_rules_are_usage_errors(self, tmp_path, flags):
@@ -112,9 +118,9 @@ class TestJsonFormat:
 
 class TestExplain:
     def test_explain_prints_rationale_and_fix(self, capsys):
-        assert lint_main(["--explain", "REP108"]) == 0
+        assert lint_main(["--explain", "REP109"]) == 0
         out = capsys.readouterr().out
-        assert "REP108" in out
+        assert "REP109" in out
         assert "Rationale" in out and "Fix pattern" in out
 
     def test_explain_unknown_rule_is_usage_error(self):

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.lint import PARSE_ERROR_RULE, lint_paths
-from repro.lint.driver import build_project, iter_python_files
+from repro.lint.driver import iter_python_files, parse_files
 from repro.lint.report import render_json, render_text
 
 from tests.lint_utils import lint_sources, rule_ids, write_tree
@@ -96,9 +96,9 @@ class TestParseErrors:
         assert result.all_findings[0].path.endswith("bad.py")
         assert result.checked_files == 1
 
-        project, parse_errors = build_project([tmp_path / "src"])
+        contexts, parse_errors = parse_files([tmp_path / "src"])
         assert rule_ids(parse_errors) == [PARSE_ERROR_RULE]
-        assert [ctx.module for ctx in project.files] == ["repro.ok"]
+        assert [ctx.module for ctx in contexts] == ["repro.ok"]
 
 
 class TestFileCollection:

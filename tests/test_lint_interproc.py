@@ -1,76 +1,148 @@
-"""Interprocedural rules REP108–REP110: positive and negative fixtures.
+"""The interprocedural contracts REP108–REP110: positive and negative fixtures.
 
-Every rule gets at least one fixture that must fire and one that must
-stay silent — the silent cases encode the sanctioned patterns
-(``run_in_executor`` offloading, monotonic counters, ``spawn_rngs``
-handoff, duck-typed private fast paths).
+REP109 (await-point races) is still a lint rule.  REP108 and REP110 are
+runtime checks now, and their fixtures run against those checks:
+
+* REP108 (an ``async def`` must not block the loop) is the suite-wide
+  stall guard in ``tests/conftest.py``: every ``asyncio.run`` gets a
+  debug-mode loop, and a step holding it for ``STALL_THRESHOLD_S`` fails
+  the test.  The blocking fixtures hold it for 1 s, twice the threshold.
+* REP110 (no live ``Generator`` crosses a process boundary) is
+  :func:`repro.utils.rng.reject_generators`, called by ``parallel_map``
+  (and so ``parallel_build``), ``WorkerPool.run_shard`` outside inline
+  mode, and ``race_builders``.
+
+Every contract keeps at least one fixture that must fire and one that
+must stay silent — the silent cases encode the sanctioned patterns
+(``run_in_executor`` offloading, ``asyncio.sleep``, monotonic counters,
+integer seeds, ``spawn_rngs`` handoff).
 """
 
 from __future__ import annotations
 
+import asyncio
+import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+
+import pytest
+
+from repro.experiments.parallel import parallel_build, parallel_map
+from repro.network.topology import random_graph
+from repro.serve.cache import WarmStructures
+from repro.serve.workers import WorkerPool, WorkItem
+from repro.utils.rng import as_rng, spawn_rngs
+
 from tests.lint_utils import lint_sources, rule_ids
+
+#: Long enough to cross the stall threshold with a 2x margin.
+BLOCK_S = 1.0
+
+
+def _task(i, seed):
+    return int(as_rng(seed).integers(0, 100)) + i
+
+
+def _net_factory(seed, i):
+    return random_graph(6, 0.8, seed=seed)
+
+
+def _boundaries(make_func, make_factory, params):
+    """Hand the same work to each pool boundary; yields ``(name, thunk)``."""
+    yield "parallel_map", lambda: parallel_map(make_func(), 2, n_jobs=2)
+    yield "parallel_build", lambda: parallel_build(
+        "random_tree", make_factory(), 2, config=params, n_jobs=2
+    )
+
+    def run_shard():
+        warm = WarmStructures("fp", random_graph(6, 0.8, seed=1))
+        item = WorkItem(key="k", builder="random_tree", params=params)
+        with WorkerPool("process", n_workers=1) as pool:
+            return asyncio.run(pool.run_shard(warm, [item]))
+
+    yield "WorkerPool.run_shard", run_shard
+
+
+def _assert_every_boundary_rejects(make_func, make_factory, params):
+    for name, thunk in _boundaries(make_func, make_factory, params):
+        with pytest.raises(ValueError, match="Generator cannot cross"):
+            thunk()
+            pytest.fail(f"{name} accepted a live Generator")
+
+
+def _assert_every_boundary_accepts(func, factory, params):
+    """Same boundaries with thread workers: the guard runs, nothing forks."""
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        assert len(parallel_map(func, 2, executor=executor)) == 2
+        results = parallel_build(
+            "random_tree", factory, 2, config=params, executor=executor
+        )
+        assert len(results) == 2
+    warm = WarmStructures("fp", random_graph(6, 0.8, seed=1))
+    item = WorkItem(key="k", builder="random_tree", params=params)
+    with WorkerPool("thread", n_workers=1) as pool:
+        (outcome,) = asyncio.run(pool.run_shard(warm, [item]))
+    assert outcome.error is None
 
 
 class TestRep108AsyncBlocking:
-    def test_direct_blocking_call_in_async_def_fires(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/mod.py": (
-                "import time\n"
-                "async def handler():\n"
-                "    time.sleep(1)\n"
-            ),
-        }, select=["REP108"])
-        assert set(rule_ids(findings)) == {"REP108"}
-        assert "time.sleep" in findings[0].message
+    def test_direct_blocking_call_in_async_def_fires(self, asyncio_stall_guard):
+        async def handler():
+            time.sleep(BLOCK_S)
 
-    def test_blocking_reachable_through_sync_helper_fires(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/mod.py": (
-                "import time\n"
-                "def settle():\n"
-                "    time.sleep(0.1)\n"
-                "async def handler():\n"
-                "    settle()\n"
-            ),
-        }, select=["REP108"])
-        assert set(rule_ids(findings)) == {"REP108"}
-        # The message carries the witness chain so the fix is obvious.
-        assert "settle" in findings[0].message
+        asyncio.run(handler())
+        assert len(asyncio_stall_guard.stalls) == 1
+        assert "handler()" in asyncio_stall_guard.stalls[0]
+        with pytest.raises(pytest.fail.Exception, match="event loop blocked"):
+            asyncio_stall_guard.check()
 
-    def test_sync_function_blocking_is_fine(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/mod.py": (
-                "import time\n"
-                "def worker():\n"
-                "    time.sleep(1)\n"
-            ),
-        }, select=["REP108"])
-        assert findings == []
+    def test_blocking_reachable_through_sync_helper_fires(
+        self, asyncio_stall_guard
+    ):
+        def settle():
+            time.sleep(BLOCK_S)
 
-    def test_run_in_executor_offload_is_sanctioned(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/mod.py": (
-                "import time\n"
-                "def blocking_io():\n"
-                "    time.sleep(1)\n"
-                "async def handler(loop):\n"
-                "    await loop.run_in_executor(None, blocking_io)\n"
-            ),
-        }, select=["REP108"])
-        assert findings == []
+        async def handler():
+            settle()
 
-    def test_awaiting_async_callee_that_blocks_flags_callee_only(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/mod.py": (
-                "import time\n"
-                "async def bad():\n"
-                "    time.sleep(1)\n"
-                "async def caller():\n"
-                "    await bad()\n"
-            ),
-        }, select=["REP108"])
-        assert len(findings) == 1
-        assert findings[0].line == 3
+        asyncio.run(handler())
+        with pytest.raises(pytest.fail.Exception, match="run_in_executor"):
+            asyncio_stall_guard.check()
+
+    def test_sync_function_blocking_is_fine(self, asyncio_stall_guard):
+        def worker():
+            time.sleep(BLOCK_S)
+
+        worker()  # no event loop is running, so nothing stalls
+        assert asyncio_stall_guard.stalls == []
+
+    def test_run_in_executor_offload_is_sanctioned(self, asyncio_stall_guard):
+        def blocking_io():
+            time.sleep(BLOCK_S)
+
+        async def handler():
+            loop = asyncio.get_running_loop()
+            await asyncio.gather(
+                loop.run_in_executor(None, blocking_io),
+                asyncio.sleep(BLOCK_S),
+            )
+
+        asyncio.run(handler())
+        assert asyncio_stall_guard.stalls == []
+
+    def test_awaiting_async_callee_that_blocks_flags_callee_only(
+        self, asyncio_stall_guard
+    ):
+        # The blocking step is reported once, not once per awaiting frame.
+        async def bad():
+            time.sleep(BLOCK_S)
+
+        async def caller():
+            await bad()
+
+        asyncio.run(caller())
+        assert len(asyncio_stall_guard.stalls) == 1
+        asyncio_stall_guard.stalls.clear()
 
 
 class TestRep109AwaitRaces:
@@ -131,70 +203,64 @@ class TestRep109AwaitRaces:
 
 
 class TestRep110RngBoundary:
-    def test_live_rng_argument_across_submit_fires(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/mod.py": (
-                "def task(r, n):\n"
-                "    pass\n"
-                "def run(pool, rng):\n"
-                "    pool.submit(task, rng, 4)\n"
-            ),
-        }, select=["REP110"])
-        assert set(rule_ids(findings)) == {"REP110"}
-        assert "spawn_rngs" in findings[0].message
+    def test_live_rng_argument_across_submit_fires(self):
+        rng = as_rng(0)
+        _assert_every_boundary_rejects(
+            lambda: partial(_task, seed=rng),
+            lambda: partial(_net_factory, rng),
+            {"seed": rng},
+        )
 
-    def test_lambda_closing_over_rng_fires(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/mod.py": (
-                "async def run(loop, rng):\n"
-                "    await loop.run_in_executor(None, lambda: rng.random())\n"
-            ),
-        }, select=["REP110"])
-        assert set(rule_ids(findings)) == {"REP110"}
+    def test_lambda_closing_over_rng_fires(self):
+        rng = as_rng(0)
+        _assert_every_boundary_rejects(
+            lambda: (lambda i: rng.random()),
+            lambda: (lambda i: random_graph(6, 0.8, seed=rng)),
+            {"draw": lambda: rng.random()},
+        )
 
-    def test_named_function_capturing_rng_fires(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/mod.py": (
-                "def run(executor, rng):\n"
-                "    def job():\n"
-                "        return rng.random()\n"
-                "    executor.submit(job)\n"
-            ),
-        }, select=["REP110"])
-        assert set(rule_ids(findings)) == {"REP110"}
+    def test_named_function_capturing_rng_fires(self):
+        rng = as_rng(0)
 
-    def test_seed_handoff_is_sanctioned(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/mod.py": (
-                "def task(seed):\n"
-                "    pass\n"
-                "def run(pool, seeds):\n"
-                "    for seed in seeds:\n"
-                "        pool.submit(task, seed)\n"
-            ),
-        }, select=["REP110"])
-        assert findings == []
+        def job(i):
+            return rng.random() + job_count(i)
 
-    def test_spawn_rngs_result_is_sanctioned(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/mod.py": (
-                "from repro.core.rng import spawn_rngs\n"
-                "def task(stream):\n"
-                "    pass\n"
-                "def run(pool, rng):\n"
-                "    pool.submit(task, spawn_rngs(rng, 1)[0])\n"
-            ),
-        }, select=["REP110"])
-        assert findings == []
+        def job_count(i):  # a closure that refers to itself terminates
+            return 0 if i <= 0 else job_count(i - 1)
+
+        def factory(i):
+            return random_graph(6, 0.8, seed=rng)
+
+        _assert_every_boundary_rejects(
+            lambda: job, lambda: factory, {"draw": job}
+        )
+
+    def test_seed_handoff_is_sanctioned(self):
+        _assert_every_boundary_accepts(
+            partial(_task, seed=7), partial(_net_factory, 7), {"seed": 7}
+        )
+
+    def test_spawn_rngs_result_is_sanctioned(self):
+        rng = as_rng(0)
+        task_stream, net_stream, build_stream = spawn_rngs(rng, 3)
+        _assert_every_boundary_accepts(
+            partial(_task, seed=task_stream),
+            partial(_net_factory, net_stream),
+            {"seed": build_stream},
+        )
 
 
 class TestSuppression:
     def test_inline_ignore_silences_interprocedural_finding(self, tmp_path):
         findings = lint_sources(tmp_path, {
             "repro/mod.py": (
-                "import time\n"
-                "async def handler():\n"
-                "    time.sleep(0.001)  # repro: ignore[REP108] startup settle\n"
+                "class Server:\n"
+                "    async def handle(self):\n"
+                "        pending = self.count\n"
+                "        await self.flush()\n"
+                "        self.count = pending + 1  # repro: ignore[REP109] single task\n"
+                "    async def flush(self):\n"
+                "        pass\n"
             ),
-        }, select=["REP108"])
+        }, select=["REP109"])
         assert findings == []

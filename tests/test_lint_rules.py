@@ -8,9 +8,15 @@ realistic dotted names.
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
+from repro.engine import registry as registry_module
+from repro.engine.registry import tree_builder
+
 from tests.lint_utils import lint_sources, rule_ids
+from tests.test_engine_registry import unregistered_entry_points
 
 
 class TestREP101RngDiscipline:
@@ -138,79 +144,73 @@ class TestREP102ObsGuard:
         )
 
 
-BUILDERS_OK = (
-    "from repro.engine.registry import tree_builder\n"
-    "from repro.baselines.fancy import build_fancy_tree\n"
-    "@tree_builder('fancy')\n"
-    "def _build_fancy(network, *, knob=1):\n"
-    "    return build_fancy_tree(network, knob=knob)\n"
-)
-
-
 class TestREP104BuilderContract:
-    def test_unregistered_entry_point_flagged(self, tmp_path):
-        files = {
-            "repro/baselines/fancy.py": "def build_fancy_tree(network):\n    return None\n",
-            "repro/engine/builders.py": "# no registrations\n",
-        }
-        findings = lint_sources(tmp_path, files)
-        assert rule_ids(findings) == ["REP104"]
-        assert "build_fancy_tree" in findings[0].message
+    """REP104's fixtures, run against the checks that replaced the rule.
 
-    def test_registered_entry_point_allowed(self, tmp_path):
-        files = {
-            "repro/baselines/fancy.py": "def build_fancy_tree(network, *, knob=1):\n    return None\n",
-            "repro/engine/builders.py": BUILDERS_OK,
-        }
-        assert lint_sources(tmp_path, files) == []
+    ``register_builder`` rejects a bad signature (``TypeError``) or a
+    duplicate name (``ValueError``) at registration, and
+    ``tests/test_engine_registry.py`` walks ``repro.core`` and
+    ``repro.baselines`` for public ``build_*`` functions the stock
+    registration module does not import.
+    """
 
-    def test_private_helpers_not_required(self, tmp_path):
-        files = {
-            "repro/core/helper.py": "def _build_scratch_tree(network):\n    return None\n",
-            "repro/engine/builders.py": "# empty\n",
-        }
-        assert lint_sources(tmp_path, files) == []
+    @staticmethod
+    def fancy_module(source):
+        module = types.ModuleType("repro.baselines.fancy")
+        exec(source, module.__dict__)
+        return module
 
-    def test_missing_registration_module_skips_check(self, tmp_path):
-        files = {
-            "repro/baselines/fancy.py": "def build_fancy_tree(network):\n    return None\n"
-        }
-        assert lint_sources(tmp_path, files) == []
+    def test_unregistered_entry_point_flagged(self):
+        module = self.fancy_module("def build_fancy_tree(network):\n    return None\n")
+        assert unregistered_entry_points([module], types.SimpleNamespace()) == [
+            "repro.baselines.fancy.build_fancy_tree"
+        ]
 
-    def test_bad_first_parameter_flagged(self, tmp_path):
-        source = (
-            "from repro.engine.registry import tree_builder\n"
-            "@tree_builder('x')\n"
-            "def _build_x(graph, *, knob=1):\n"
-            "    return None\n"
+    def test_registered_entry_point_allowed(self):
+        module = self.fancy_module(
+            "def build_fancy_tree(network, *, knob=1):\n    return None\n"
         )
-        findings = lint_sources(tmp_path, {"repro/plugins.py": source})
-        assert rule_ids(findings) == ["REP104"]
-        assert "'network'" in findings[0].message
+        registered = types.SimpleNamespace(build_fancy_tree=module.build_fancy_tree)
+        assert unregistered_entry_points([module], registered) == []
 
-    def test_extra_positional_flagged(self, tmp_path):
-        source = (
-            "from repro.engine.registry import tree_builder\n"
-            "@tree_builder('x')\n"
-            "def _build_x(network, depth):\n"
-            "    return None\n"
-        )
-        findings = lint_sources(tmp_path, {"repro/plugins.py": source})
-        assert rule_ids(findings) == ["REP104"]
-        assert "keyword-only" in findings[0].message
+    def test_private_helpers_not_required(self):
+        module = self.fancy_module("def _build_scratch_tree(network):\n    return None\n")
+        assert unregistered_entry_points([module], types.SimpleNamespace()) == []
 
-    def test_duplicate_names_flagged_at_both_sites(self, tmp_path):
-        source = (
-            "from repro.engine.registry import tree_builder\n"
-            "@tree_builder('dup')\n"
-            "def _a(network):\n"
-            "    return None\n"
-            "@tree_builder('dup')\n"
-            "def _b(network):\n"
-            "    return None\n"
-        )
-        findings = lint_sources(tmp_path, {"repro/plugins.py": source})
-        assert rule_ids(findings) == ["REP104", "REP104"]
+    def test_bad_first_parameter_flagged(self):
+        def _build_x(graph, *, knob=1):
+            return None
+
+        with pytest.raises(TypeError, match="'network'"):
+            tree_builder("_rep104_x")(_build_x)
+        assert "_rep104_x" not in registry_module._REGISTRY
+
+    def test_extra_positional_flagged(self):
+        def _build_x(network, depth):
+            return None
+
+        def _build_y(network, *extra):
+            return None
+
+        for fn in (_build_x, _build_y):
+            with pytest.raises(TypeError, match="keyword-only"):
+                tree_builder("_rep104_x")(fn)
+        assert "_rep104_x" not in registry_module._REGISTRY
+
+    def test_duplicate_names_flagged_at_both_sites(self):
+        def _a(network):
+            return None
+
+        def _b(network):
+            return None
+
+        tree_builder("_rep104_dup")(_a)
+        try:
+            with pytest.raises(ValueError, match="already registered"):
+                tree_builder("_rep104_dup")(_b)
+            assert registry_module._REGISTRY["_rep104_dup"].fn is _a
+        finally:
+            registry_module._REGISTRY.pop("_rep104_dup", None)
 
 
 #: One REP101 and one REP102 finding when placed in a hot package.

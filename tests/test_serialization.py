@@ -56,6 +56,11 @@ class TestNetworkRoundTrip:
         with pytest.raises(ValueError, match="format"):
             network_from_dict({"format": "something-else"})
 
+    @pytest.mark.parametrize("doc", [[1, 2], "x", 5, None])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            network_from_dict(doc)
+
     def test_wrong_version_rejected(self, tiny_network):
         doc = network_to_dict(tiny_network)
         doc["version"] = 99

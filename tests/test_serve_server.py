@@ -378,6 +378,56 @@ class TestTcpTransport:
         assert ping["ok"] is True
 
 
+    @staticmethod
+    async def _exchange(server, lines):
+        """Send *lines* on one connection; one reply each, then a ping."""
+        tcp = await start_tcp_server(server, port=0)
+        port = tcp.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        replies = []
+        for line in lines + [b'{"op": "ping", "id": "tail"}']:
+            writer.write(line + b"\n")
+            await writer.drain()
+            replies.append(json.loads(await reader.readline()))
+        writer.close()
+        await writer.wait_closed()
+        tcp.close()
+        await tcp.wait_closed()
+        return replies
+
+    def test_deeply_nested_json_line_gets_one_error_reply(self):
+        async def run():
+            async with TreeServer() as server:
+                return await self._exchange(server, [b"[" * 100_000])
+
+        error, ping = asyncio.run(run())
+        assert error["ok"] is False and error["kind"] == "bad-request"
+        assert "bad JSON line" in error["error"]
+        assert ping == {"ok": True, "op": "ping", "id": "tail"}
+
+    def test_non_object_network_document_is_a_bad_request(self):
+        lines = [
+            json.dumps(doc).encode()
+            for network in ([1, 2], "x", 5)
+            for doc in (
+                {"op": "register", "network": network},
+                {"op": "build", "builder": "mst", "network": network},
+            )
+        ]
+
+        async def run():
+            async with TreeServer() as server:
+                return await self._exchange(server, lines)
+
+        *errors, ping = asyncio.run(run())
+        assert len(errors) == 6
+        for error in errors:
+            assert error["ok"] is False and error["kind"] == "bad-request"
+            assert "bad network document" in error["error"]
+            assert "must be a JSON object" in error["error"]
+        assert ping["ok"] is True
+
+
 class TestServeCli:
     def test_bench_subcommand_prints_report(self, capsys):
         exit_code = serve_main(

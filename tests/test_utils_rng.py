@@ -1,9 +1,12 @@
 """Tests for repro.utils.rng."""
 
+import functools
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_rng, spawn_rngs, stable_hash_seed
+from repro.utils.rng import as_rng, reject_generators, spawn_rngs, stable_hash_seed
 
 
 class TestAsRng:
@@ -66,6 +69,89 @@ class TestSpawnRngs:
         gens = spawn_rngs(np.random.default_rng(0), 3)
         assert len(gens) == 3
         assert all(isinstance(g, np.random.Generator) for g in gens)
+
+
+    def test_streams_draw_what_default_rng_draws(self):
+        # The handoff type marks the streams; their draws are unchanged.
+        children = np.random.SeedSequence(7).spawn(3)
+        for stream, child in zip(spawn_rngs(7, 3), children):
+            assert np.array_equal(stream.random(5), as_rng(child).random(5))
+        source, replay = as_rng(4), as_rng(4)
+        for stream in spawn_rngs(source, 2):
+            seed = int(replay.integers(0, 2**63 - 1))
+            assert np.array_equal(stream.random(5), as_rng(seed).random(5))
+
+    def test_streams_pickle_as_plain_generators(self):
+        (stream,) = spawn_rngs(3, 1)
+        copy = pickle.loads(pickle.dumps(stream))
+        assert type(copy) is np.random.Generator
+        assert np.array_equal(copy.random(4), stream.random(4))
+
+
+class TestRejectGenerators:
+    def test_live_generator_anywhere_is_rejected(self):
+        rng = as_rng(0)
+
+        def captures(i):
+            return rng.random() + i
+
+        def defaults(i, stream=rng):
+            return i
+
+        def kw_defaults(i, *, stream=rng):
+            return i
+
+        for value in (
+            rng,
+            {"outer": [1, ({"seed": rng},)]},
+            {rng},
+            functools.partial(print, rng),
+            functools.partial(print, end=rng),
+            functools.partial(functools.partial(print), captures),
+            lambda: rng.random(),
+            captures,
+            defaults,
+            kw_defaults,
+        ):
+            with pytest.raises(ValueError, match="where: a numpy.random.Generator"):
+                reject_generators(value, "where")
+
+    def test_seeds_and_spawned_streams_pass(self):
+        streams = spawn_rngs(as_rng(0), 2)
+        for value in (
+            None,
+            7,
+            "seed",
+            np.random.SeedSequence(3),
+            streams,
+            {"seed": 3, "stream": streams[0]},
+            functools.partial(print, streams[1], end=5),
+            lambda i: as_rng(i).random(),
+        ):
+            reject_generators(value, "where")
+
+    def test_self_referencing_closure_terminates(self):
+        def make(rng):
+            def walk(i):
+                return walk(i - 1) if i else rng
+
+            return walk
+
+        reject_generators(make(5), "where")
+        with pytest.raises(ValueError):
+            reject_generators(make(as_rng(1)), "where")
+
+    def test_unbound_closure_cell_is_skipped(self):
+        def outer():
+            def inner():
+                return later
+
+            reject_generators(inner, "where")  # `later` is not bound yet
+            later = as_rng(0)
+            return inner
+
+        with pytest.raises(ValueError):
+            reject_generators(outer(), "where")
 
 
 class TestStableHashSeed:
