@@ -22,19 +22,15 @@ Guarantees the tests pin:
   (-lifetime, cost, member order).  With no timeouts the serial and
   parallel races therefore pick bitwise-identical winners.
 * **Pickle-clean parallelism** — members cross the process boundary as
-  registry *names* plus JSON-able params (the same discipline as
-  :func:`repro.experiments.parallel.parallel_build`), and results come
-  back as plain parent maps that are re-bound to the caller's network, so
-  winner metrics are bitwise identical to an in-process build.  A live
+  registry *names* plus JSON-able params through
+  :mod:`repro.engine.pool`'s one remote-build path, and results come back
+  as plain parent maps re-bound to the caller's network, so winner
+  metrics are bitwise identical to an in-process build.  A live
   ``numpy.random.Generator`` in member params is rejected before submit.
-* **One shared pool** — parallel races run on one lazily created,
-  module-level process pool that outlives the race, so a race pays no
-  fork or reap.  The pool is recreated when the worker count, the builder
-  registry (workers look members up by name), or the process (a forked
-  child never drives its parent's pool) changed, or when it broke.  A
-  race that times out kills the pool's workers and drops the pool, so no
-  member outlives its race.  A borrowed executor (e.g.
-  ``WorkerPool.executor``) is still honoured and never shut down.
+* **One shared pool** — parallel races lease :mod:`repro.engine.pool`'s
+  shared process pool (sweeps lease the same one), so a race pays no fork
+  or reap.  A race that times out kills the pool's workers, so no member
+  outlives its race.
 
 Per-member seeds are derived with :func:`repro.utils.rng.stable_hash_seed`
 from the portfolio seed and the member *name*, so they do not depend on
@@ -43,18 +39,22 @@ member order or execution schedule.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
-from multiprocessing.util import Finalize
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-import repro.engine.registry as registry_module
 from repro.core.errors import MRLCError
 from repro.core.tree import AggregationTree
+from repro.engine.pool import (
+    Built,
+    attempt_build,
+    bind_row,
+    drop_shared_pool,
+    kill_pool,
+    lease,
+    remote_build,
+)
 from repro.network.model import Network
 from repro.obs import OBS
 from repro.utils.rng import reject_generators
@@ -175,40 +175,15 @@ def member_configs(
     return configs
 
 
-def _race_one(
-    network: Network, member: str, params: Dict[str, Any]
-) -> Tuple[str, Optional[Dict[int, int]], float, Optional[str]]:
-    """Build one member; wire-friendly ``(member, parents, elapsed, error)``.
-
-    Runs inside worker processes, so it must stay module-level picklable
-    and must never raise for a builder failure — the error string is the
-    isolation boundary.
-    """
-    from repro.engine.registry import build_tree
-
-    start = time.perf_counter()
-    try:
-        result = build_tree(member, network, **params)
-        return (member, dict(result.tree.parents), result.elapsed_s, None)
-    except Exception as exc:  # noqa: BLE001 — isolated per member
-        detail = f"{type(exc).__name__}: {exc}"
-        return (member, None, time.perf_counter() - start, detail)
-
-
-def _bind_outcome(
-    network: Network,
-    member: str,
-    order: int,
-    row: Tuple[str, Optional[Dict[int, int]], float, Optional[str]],
-    lc: Optional[float],
+def _outcome(
+    member: str, order: int, built: Built, lc: Optional[float]
 ) -> MemberOutcome:
-    _, parents, elapsed, error = row
-    if parents is None:
+    result, error, elapsed = built
+    if result is None:
         return MemberOutcome(
             member=member, order=order, status="error", elapsed_s=elapsed, error=error
         )
-    tree = AggregationTree(network, parents)
-    lifetime = tree.lifetime()
+    tree = result.tree
     return MemberOutcome(
         member=member,
         order=order,
@@ -217,114 +192,9 @@ def _bind_outcome(
         tree=tree,
         cost=tree.cost(),
         reliability=tree.reliability(),
-        lifetime=lifetime,
+        lifetime=tree.lifetime(),
         feasible=lc is None or tree.meets_lifetime(lc),
     )
-
-
-@dataclass(frozen=True)
-class _SharedPool:
-    """The module-level race pool and what its workers were forked with."""
-
-    executor: ProcessPoolExecutor
-    workers: int
-    #: The registry at creation (builders compare by identity; holding
-    #: them keeps their identities from being reused by replacements).
-    registry: Dict[str, Any]
-    pid: int
-
-
-_SHARED: Optional[_SharedPool] = None
-#: Held by the one race using the shared pool; a concurrent race (from
-#: another thread) races on a private pool instead.
-_SHARED_LOCK = threading.Lock()
-#: The process that registered the exit hook for its shared pool.
-_EXIT_HOOK_PID: Optional[int] = None
-#: Pools inherited across ``fork()``.  They are never used or collected:
-#: collecting one would signal the parent's pool through a shared pipe.
-_INHERITED: List[_SharedPool] = []
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate *pool*'s worker processes, reap them, and shut it down."""
-    processes = list((pool._processes or {}).values())
-    for proc in processes:
-        proc.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in processes:
-        proc.join()
-
-
-def _own_shared() -> Optional[_SharedPool]:
-    """The shared pool if this process created it (an inherited one is parked)."""
-    shared = _SHARED
-    if shared is not None and shared.pid != os.getpid():
-        _INHERITED.append(shared)
-        return None
-    return shared
-
-
-def _shared_pool(workers: int) -> ProcessPoolExecutor:
-    """The shared race pool, recreated when it no longer fits this race."""
-    global _SHARED, _EXIT_HOOK_PID
-    registry = dict(registry_module._REGISTRY)
-    shared = _own_shared()
-    if shared is not None and (
-        shared.workers != workers
-        or shared.executor._broken
-        or shared.executor._shutdown_thread
-        or shared.registry != registry
-    ):
-        _kill_pool(shared.executor)
-        shared = None
-    if shared is None:
-        shared = _SharedPool(
-            ProcessPoolExecutor(max_workers=workers), workers, registry, os.getpid()
-        )
-        _SHARED = shared
-        if _EXIT_HOOK_PID != shared.pid:
-            # multiprocessing runs this at interpreter exit, and also where
-            # atexit never runs: a worker process's exit, which would
-            # otherwise wait forever on this pool's idle workers.
-            _EXIT_HOOK_PID = shared.pid
-            Finalize(None, _drop_shared_pool, exitpriority=0)
-    return shared.executor
-
-
-def _drop_shared_pool() -> None:
-    """Kill the shared pool's workers; the next parallel race forks anew.
-
-    Call it only while no race runs (at exit, or between bench races).
-    """
-    global _SHARED
-    shared, _SHARED = _own_shared(), None
-    if shared is not None:
-        _kill_pool(shared.executor)
-
-
-@contextmanager
-def _race_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
-    """Lend the shared pool for one race; kill it if the race raises.
-
-    While another thread races on the shared pool, lend a private pool
-    instead, killed after the race, so no race kills another's members.
-    """
-    if not _SHARED_LOCK.acquire(blocking=False):
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            yield pool
-        finally:
-            _kill_pool(pool)
-        return
-    try:
-        pool = _shared_pool(workers)
-        try:
-            yield pool
-        except BaseException:
-            _kill_pool(pool)
-            raise
-    finally:
-        _SHARED_LOCK.release()
 
 
 def race_builders(
@@ -337,7 +207,6 @@ def race_builders(
     member_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
     parallel: Optional[bool] = None,
     n_jobs: Optional[int] = None,
-    executor: Optional[Executor] = None,
 ) -> List[MemberOutcome]:
     """Race *members* on *network*; outcomes come back in member order.
 
@@ -354,16 +223,11 @@ def race_builders(
         seed: Portfolio seed; member seeds derive from it by name.
         member_params: Per-member config overrides, keyed by member name.
         parallel: Force the execution mode.  Default (``None``): parallel
-            iff a budget or an explicit ``n_jobs``/``executor`` asks for
-            it — a budget is only enforceable mid-build across processes.
+            iff a budget or an explicit ``n_jobs`` asks for it — a budget
+            is only enforceable mid-build across processes.
         n_jobs: Worker process count for the parallel race.  Default: one
             per member — anything less lets a hanging member starve the
             queued ones, which breaks the isolation guarantee.
-        executor: Borrowed process pool (e.g. ``WorkerPool.executor``)
-            used instead of the shared pool; not shut down on return, and
-            a timed-out member's worker is left running.  Note a *thread*
-            pool cannot isolate a hanging member — pass a process pool
-            when budgets matter.
 
     Raises:
         UnknownBuilderError: A member name is not registered.
@@ -378,35 +242,26 @@ def race_builders(
     if n_jobs is not None and n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if parallel is None:
-        parallel = (
-            budget_s is not None or n_jobs is not None or executor is not None
-        )
+        parallel = budget_s is not None or n_jobs is not None
 
+    config_of = dict(zip(members, configs))
     deadline = None if budget_s is None else time.perf_counter() + budget_s
-    rows: Dict[str, Tuple[str, Optional[Dict[int, int]], float, Optional[str]]] = {}
+    built: Dict[str, Built] = {}
     crashed: Dict[str, str] = {}
-    timed_out: List[str] = []
-    skipped: List[str] = []
+    timed_out: Set[str] = set()
 
     if not parallel:
-        for name, params in zip(members, configs):
-            if deadline is not None and time.perf_counter() >= deadline:
-                skipped.append(name)
-                continue
-            rows[name] = _race_one(network, name, params)
+        for name, params in config_of.items():
+            if deadline is None or time.perf_counter() < deadline:
+                built[name] = attempt_build(network, name, params)
     else:
-        for name, params in zip(members, configs):
+        for name, params in config_of.items():
             reject_generators(params, f"member {name!r}")
         workers = n_jobs if n_jobs is not None else len(members)
-        lease = (
-            _race_pool(max(1, min(workers, len(members))))
-            if executor is None
-            else nullcontext(executor)
-        )
-        with lease as pool:
+        with lease(max(1, min(workers, len(members)))) as pool:
             futures = {
-                pool.submit(_race_one, network, name, params): name
-                for name, params in zip(members, configs)
+                pool.submit(remote_build, network, name, params): name
+                for name, params in config_of.items()
             }
             pending = set(futures)
             while pending:
@@ -427,31 +282,29 @@ def race_builders(
                         # unpicklable payloads, ...).
                         crashed[name] = f"{type(exc).__name__}: {exc}"
                     else:
-                        rows[name] = fut.result()
-            timed_out = sorted(
-                futures[fut] for fut in pending if futures[fut] not in crashed
-            )
+                        built[name] = bind_row(
+                            network, name, config_of[name], fut.result()
+                        )
+            timed_out = {futures[fut] for fut in pending}
             for fut in pending:
                 fut.cancel()
-            if pending and executor is None:
+            if pending:
                 # A hung member must not outlive its race: kill every
                 # worker; the next race forks a fresh pool.
-                _kill_pool(pool)
+                kill_pool(pool)
 
     outcomes: List[MemberOutcome] = []
     for order, name in enumerate(members):
-        if name in rows:
-            outcomes.append(_bind_outcome(network, name, order, rows[name], lc))
+        if name in built:
+            outcome = _outcome(name, order, built[name], lc)
         elif name in crashed:
-            outcomes.append(
-                MemberOutcome(
-                    member=name, order=order, status="crashed", error=crashed[name]
-                )
+            outcome = MemberOutcome(
+                member=name, order=order, status="crashed", error=crashed[name]
             )
-        elif name in timed_out:
-            outcomes.append(MemberOutcome(member=name, order=order, status="timeout"))
         else:
-            outcomes.append(MemberOutcome(member=name, order=order, status="skipped"))
+            status = "timeout" if name in timed_out else "skipped"
+            outcome = MemberOutcome(member=name, order=order, status=status)
+        outcomes.append(outcome)
 
     if OBS.enabled:
         reg = OBS.registry
@@ -507,7 +360,6 @@ def build_portfolio_tree(
     member_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
     parallel: Optional[bool] = None,
     n_jobs: Optional[int] = None,
-    executor: Optional[Executor] = None,
 ) -> Tuple[AggregationTree, Dict[str, Any]]:
     """Race a member set and return ``(winning tree, portfolio meta)``.
 
@@ -528,7 +380,6 @@ def build_portfolio_tree(
         member_params=member_params,
         parallel=parallel,
         n_jobs=n_jobs,
-        executor=executor,
     )
     winner = select_winner(outcomes, lc=lc)
     if OBS.enabled:
@@ -635,7 +486,7 @@ def run_portfolio_bench(
         network, tuple(members), lc=lc, seed=seed, parallel=False
     )
     serial_s = time.perf_counter() - t0
-    _drop_shared_pool()
+    drop_shared_pool()
     parallel_s: List[float] = []
     serial_winner = select_winner(serial, lc=lc)
     for _ in range(2):

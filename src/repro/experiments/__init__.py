@@ -25,11 +25,7 @@ regenerate the full figures.  Fig. 4 (the toy reliability example) lives in
 """
 
 from repro.experiments.fig1_packets import Fig1Result, run_fig1
-from repro.experiments.parallel import (
-    ParallelBuildError,
-    default_workers,
-    parallel_map,
-)
+from repro.experiments.parallel import default_workers, parallel_map
 from repro.experiments.fig2_distance import Fig2Result, run_fig2
 from repro.experiments.fig3_energy import Fig3Result, run_fig3
 from repro.experiments.fig7_dfl import Fig7Entry, Fig7Result, run_fig7
@@ -98,7 +94,6 @@ __all__ = [
     "Fig9Result",
     "Fig10Result",
     "LatencyEntry",
-    "ParallelBuildError",
     "RandomGraphTrial",
     "default_workers",
     "parallel_map",

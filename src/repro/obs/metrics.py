@@ -16,7 +16,7 @@ a no-op.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -26,6 +26,7 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "metric_key",
+    "nearest_rank",
 ]
 
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -41,6 +42,13 @@ def metric_key(name: str, labels: Dict[str, Any]) -> str:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
+
+
+def nearest_rank(values: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile of non-empty *values* (``0 <= p <= 100``)."""
+    ordered = sorted(values)
+    rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
+    return ordered[rank]
 
 
 class Counter:
@@ -110,9 +118,7 @@ class Histogram:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         if not self.values:
             raise ValueError(f"histogram {self.name!r} has no observations")
-        ordered = sorted(self.values)
-        rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        return nearest_rank(self.values, p)
 
     def summary(self) -> Dict[str, float]:
         """count / sum / min / p50 / p90 / p99 / max — the scannable digest.

@@ -41,14 +41,15 @@ def _add_pool_options(parser: argparse.ArgumentParser) -> None:
         "--mode",
         choices=POOL_MODES,
         default="inline",
-        help="worker pool mode (default inline; 'process' shards across "
-        "CPU cores)",
+        help="worker pool mode: 'inline' (default) builds on the event "
+        "loop; 'process' shards across CPU cores in a server-lifetime "
+        "process pool",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker count for thread/process modes (default: cores - 1)",
+        help="worker processes for --mode process (default: cores - 1)",
     )
     parser.add_argument(
         "--batch-size",

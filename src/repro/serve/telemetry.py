@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.obs import OBS
 from repro.obs.export import TimeSeriesRing
+from repro.obs.metrics import nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.serve.server import TreeServer
@@ -125,17 +126,6 @@ class ServeTelemetry:
     # ------------------------------------------------------------------
     # Metrics side
     # ------------------------------------------------------------------
-    @staticmethod
-    def _percentile(values: List[float], p: float) -> Optional[float]:
-        """Nearest-rank percentile of merged raw observations."""
-        if not values:
-            return None
-        ordered = sorted(values)
-        rank = max(
-            0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1)))
-        )
-        return ordered[rank]
-
     def sample_once(self, t: Optional[float] = None) -> None:
         """Append one sample to every ring that has data right now."""
         server = self._server
@@ -165,12 +155,12 @@ class ServeTelemetry:
                     if hist.name == hist_name
                     for v in hist.values
                 ]
+                if not merged:
+                    continue
                 for p, suffix in ((50.0, "p50"), (99.0, "p99")):
-                    value = self._percentile(merged, p)
-                    if value is not None:
-                        self.rings[f"{stage}_{suffix}_ms"].sample(
-                            t, 1000.0 * value
-                        )
+                    self.rings[f"{stage}_{suffix}_ms"].sample(
+                        t, 1000.0 * nearest_rank(merged, p)
+                    )
 
     async def run(self) -> None:
         """The sampling loop; cancelled by the server's ``aclose``."""

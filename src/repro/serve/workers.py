@@ -1,31 +1,24 @@
 """Worker pool: where batched build shards actually execute.
 
-Three modes, one async-facing API (:meth:`WorkerPool.run_shard`):
+Two modes, one async-facing API (:meth:`WorkerPool.run_shard`):
 
 * ``inline`` — builds run synchronously on the event-loop thread.  Zero
   concurrency, zero pickling, perfectly deterministic scheduling; the mode
   tests and small servers use.
-* ``thread`` — builds run on a shared :class:`ThreadPoolExecutor`.  The
-  event loop stays responsive while a build computes; CPU parallelism is
-  still GIL-bound, so this mode is for latency, not throughput.
-* ``process`` — shards are shipped to a shared
-  :class:`ProcessPoolExecutor` (the sharded, "as fast as the hardware
-  allows" mode).  Work items travel as ``(key, builder, params)`` triples
-  next to the topology's pickled payload; each worker process keeps a
-  fingerprint-keyed decode memo so a hot topology is unpickled once per
-  worker, not once per shard.
+* ``process`` — shards are shipped to a :class:`ProcessPoolExecutor`
+  (the sharded, "as fast as the hardware allows" mode).  Work items
+  travel as ``(builder, params)`` pairs next to the topology's pickled
+  payload; each worker process keeps a fingerprint-keyed decode memo so
+  a hot topology is unpickled once per worker, not once per shard.
 
-The executor is created once and reused for the server's lifetime — the
-same discipline :func:`repro.experiments.parallel.parallel_map` supports
-via its ``executor`` argument, and :attr:`WorkerPool.executor` exposes the
-underlying pool so sweep code can share the very same workers.
-
-Worker-side results cross the process boundary as plain parent maps plus
-meta dicts; the server re-binds them to its own ``Network`` object, which
-reproduces the identical tree (same parents over the same links ⇒ same
-cost/reliability/lifetime floats).  ``BuildResult.raw`` does not survive
-the boundary (solver internals are not worth pickling) and is ``None`` for
-process-built responses.
+The executor is created once and reused for the server's lifetime.  It is
+not :mod:`repro.engine.pool`'s shared pool: a timed-out portfolio race
+kills that pool's workers, and a server's in-flight shards must not die
+with them.  Both modes build through :mod:`repro.engine.pool`'s one
+remote-build path, so a failed build reads ``"ExcType: message"`` in
+either mode, and a process-built tree is re-bound to the server's own
+``Network`` by :func:`~repro.engine.pool.bind_row` (bitwise the same
+tree; ``BuildResult.raw`` is ``None``).
 
 Tracing crosses the boundary the same way: a :class:`WorkItem` may carry
 the originating request's serialized span context
@@ -42,15 +35,19 @@ from __future__ import annotations
 import asyncio
 import pickle
 import time
-import traceback
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.tree import AggregationTree
-from repro.engine import BuildResult, build_tree
-from repro.experiments.parallel import default_workers
+from repro.engine import BuildResult
+from repro.engine.pool import (
+    BuildRow,
+    attempt_build,
+    bind_row,
+    default_workers,
+    remote_build,
+)
 from repro.network.model import Network
 from repro.obs.spanctx import SpanContext
 from repro.serve.cache import WarmStructures
@@ -59,7 +56,7 @@ from repro.utils.rng import reject_generators
 __all__ = ["ShardOutcome", "WorkItem", "WorkerPool", "POOL_MODES"]
 
 #: Supported pool modes, in increasing order of machinery.
-POOL_MODES = ("inline", "thread", "process")
+POOL_MODES = ("inline", "process")
 
 
 @dataclass(frozen=True)
@@ -106,24 +103,8 @@ def _child_span(
 
 def _build_one(network: Network, item: WorkItem) -> ShardOutcome:
     start = time.perf_counter() if item.span is not None else 0.0
-    try:
-        result = build_tree(item.builder, network, **dict(item.params))
-        return ShardOutcome(
-            key=item.key, result=result, span=_child_span(item.span, start)
-        )
-    except Exception as exc:  # noqa: BLE001 — reported per item, not fatal
-        return ShardOutcome(
-            key=item.key,
-            result=None,
-            error=f"{type(exc).__name__}: {exc}",
-            span=_child_span(item.span, start),
-        )
-
-
-def _build_shard_local(
-    network: Network, items: Sequence[WorkItem]
-) -> List[ShardOutcome]:
-    return [_build_one(network, item) for item in items]
+    result, error, _ = attempt_build(network, item.builder, item.params)
+    return ShardOutcome(item.key, result, error, _child_span(item.span, start))
 
 
 # ----------------------------------------------------------------------
@@ -148,17 +129,10 @@ def _worker_network(fingerprint: str, payload: bytes) -> Network:
     return network
 
 
-#: One remote work item on the wire: (key, builder, params, parent span ctx).
-_WireItem = Tuple[str, str, Dict[str, Any], Optional[Dict[str, str]]]
-#: One remote outcome on the wire: (key, parents, meta, elapsed_s, error, span).
-_WireRow = Tuple[
-    str,
-    Optional[Dict[int, int]],
-    Dict[str, Any],
-    float,
-    Optional[str],
-    Optional[Dict[str, Any]],
-]
+#: One remote work item on the wire: (builder, params, parent span ctx).
+_WireItem = Tuple[str, Dict[str, Any], Optional[Dict[str, str]]]
+#: One remote outcome on the wire, in item order: (build row, worker span).
+_WireRow = Tuple[BuildRow, Optional[Dict[str, Any]]]
 
 
 def _build_shard_remote(
@@ -166,68 +140,32 @@ def _build_shard_remote(
 ) -> List[_WireRow]:
     """Run one shard inside a worker process.
 
-    Returns wire-friendly tuples ``(key, parents, meta, elapsed_s, error,
-    span)`` — no ``AggregationTree``/``Network`` objects travel back, only
-    the parent map the server re-binds locally plus the worker-measured
+    No ``AggregationTree``/``Network`` objects travel back, only each
+    item's :data:`~repro.engine.pool.BuildRow` plus the worker-measured
     build span (``None`` when the item carried no trace context).
     """
     network = _worker_network(fingerprint, payload)
     out: List[_WireRow] = []
-    for key, builder, params, parent_span in items:
+    for builder, params, parent_span in items:
         start = time.perf_counter() if parent_span is not None else 0.0
-        try:
-            result = build_tree(builder, network, **params)
-            span = _child_span(parent_span, start)
-            out.append(
-                (
-                    key,
-                    dict(result.tree.parents),
-                    dict(result.meta),
-                    result.elapsed_s,
-                    None,
-                    span,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 — reported per item
-            detail = f"{type(exc).__name__}: {exc}"
-            if not str(exc):
-                detail = f"{type(exc).__name__}: {traceback.format_exc(limit=1)}"
-            out.append((key, None, {}, 0.0, detail, _child_span(parent_span, start)))
+        row = remote_build(network, builder, params)
+        out.append((row, _child_span(parent_span, start)))
     return out
 
 
 class WorkerPool:
     """A reusable executor with an async shard-execution front end."""
 
-    def __init__(
-        self, mode: str = "inline", n_workers: Optional[int] = None
-    ) -> None:
+    def __init__(self, mode: str = "inline", n_workers: Optional[int] = None) -> None:
         if mode not in POOL_MODES:
-            raise ValueError(
-                f"mode must be one of {POOL_MODES}, got {mode!r}"
-            )
+            raise ValueError(f"mode must be one of {POOL_MODES}, got {mode!r}")
         if n_workers is not None and n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.mode = mode
-        self.n_workers = (
-            1 if mode == "inline" else (n_workers or default_workers())
-        )
-        self._executor: Optional[Executor] = None
-        if mode == "thread":
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.n_workers, thread_name_prefix="repro-serve"
-            )
-        elif mode == "process":
+        self.n_workers = 1 if mode == "inline" else (n_workers or default_workers())
+        self._executor: Optional[ProcessPoolExecutor] = None
+        if mode == "process":
             self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
-
-    @property
-    def executor(self) -> Optional[Executor]:
-        """The long-lived executor (``None`` in inline mode).
-
-        Exposed so other layers reuse the same workers, e.g.
-        ``parallel_map(..., executor=pool.executor)``.
-        """
-        return self._executor
 
     @property
     def parallelism(self) -> int:
@@ -239,28 +177,17 @@ class WorkerPool:
     ) -> List[ShardOutcome]:
         """Execute *items* (all on *warm*'s topology) in this pool.
 
-        Outside inline mode the items' params go to another thread or
-        process, so a live ``numpy.random.Generator`` in them raises
-        ``ValueError``.
+        In process mode the items' params go to another process, so a
+        live ``numpy.random.Generator`` in them raises ``ValueError``.
         """
         if not items:
             return []
         if self.mode == "inline":
-            return _build_shard_local(warm.network, items)
+            return [_build_one(warm.network, item) for item in items]
         for item in items:
             reject_generators(item.params, f"build {item.builder!r}")
         loop = asyncio.get_running_loop()
-        if self.mode == "thread":
-            return await loop.run_in_executor(
-                self._executor,
-                _build_shard_local,
-                warm.network,
-                list(items),
-            )
-        wire_items = [
-            (item.key, item.builder, dict(item.params), item.span)
-            for item in items
-        ]
+        wire_items = [(item.builder, dict(item.params), item.span) for item in items]
         rows = await loop.run_in_executor(
             self._executor,
             _build_shard_remote,
@@ -269,29 +196,9 @@ class WorkerPool:
             wire_items,
         )
         outcomes: List[ShardOutcome] = []
-        by_key = {item.key: item for item in items}
-        for key, parents, meta, elapsed, error, span in rows:
-            if parents is None:
-                outcomes.append(
-                    ShardOutcome(key=key, result=None, error=error, span=span)
-                )
-                continue
-            item = by_key[key]
-            tree = AggregationTree(warm.network, parents)
-            outcomes.append(
-                ShardOutcome(
-                    key=key,
-                    result=BuildResult(
-                        builder=item.builder,
-                        tree=tree,
-                        params=dict(item.params),
-                        meta=meta,
-                        raw=None,
-                        elapsed_s=elapsed,
-                    ),
-                    span=span,
-                )
-            )
+        for item, (row, span) in zip(items, rows):
+            result, error, _ = bind_row(warm.network, item.builder, item.params, row)
+            outcomes.append(ShardOutcome(item.key, result, error, span))
         return outcomes
 
     def close(self) -> None:

@@ -165,18 +165,20 @@ def test_cli_builders_subcommand_lists_everything(capsys):
 
 
 def test_parallel_build_matches_serial():
-    from repro.experiments.parallel import parallel_build
+    from functools import partial
 
-    results = parallel_build(
-        "mst", _registry_test_network, 4, config={"root": None}
+    from repro.experiments.parallel import parallel_map
+
+    results = parallel_map(
+        partial(_registry_test_build, "mst", {"root": None}), 4, n_jobs=2
     )
     assert [r.builder for r in results] == ["mst"] * 4
-    again = parallel_build("mst", _registry_test_network, 4)
-    assert [r.tree.parents for r in results] == [r.tree.parents for r in again]
+    serial = parallel_map(partial(_registry_test_build, "mst", {}), 4)
+    assert [r.tree.parents for r in results] == [r.tree.parents for r in serial]
     with pytest.raises(UnknownBuilderError):
-        parallel_build("bogus", _registry_test_network, 2)
+        parallel_map(partial(_registry_test_build, "bogus", {}), 2, n_jobs=2)
 
 
-def _registry_test_network(index):
-    """Module-level factory so parallel_build's work items can pickle."""
-    return random_graph(10, 0.8, seed=1000 + index)
+def _registry_test_build(name, config, index):
+    """Module-level trial so parallel_map's work items can pickle."""
+    return build_tree(name, random_graph(10, 0.8, seed=1000 + index), **config)

@@ -8,9 +8,10 @@ runtime checks now, and their fixtures run against those checks:
   debug-mode loop, and a step holding it for ``STALL_THRESHOLD_S`` fails
   the test.  The blocking fixtures hold it for 1 s, twice the threshold.
 * REP110 (no live ``Generator`` crosses a process boundary) is
-  :func:`repro.utils.rng.reject_generators`, called by ``parallel_map``
-  (and so ``parallel_build``), ``WorkerPool.run_shard`` outside inline
-  mode, and ``race_builders``.
+  :func:`repro.utils.rng.reject_generators`, called by ``parallel_map``,
+  ``race_builders`` and ``WorkerPool("process").run_shard``.  The
+  accepting fixtures run each boundary on real process pools at tiny
+  sizes.
 
 Every contract keeps at least one fixture that must fire and one that
 must stay silent — the silent cases encode the sanctioned patterns
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import pytest
 
-from repro.experiments.parallel import parallel_build, parallel_map
+from repro.engine import race_builders
+from repro.experiments.parallel import parallel_map
 from repro.network.topology import random_graph
 from repro.serve.cache import WarmStructures
 from repro.serve.workers import WorkerPool, WorkItem
@@ -43,46 +44,41 @@ def _task(i, seed):
     return int(as_rng(seed).integers(0, 100)) + i
 
 
-def _net_factory(seed, i):
-    return random_graph(6, 0.8, seed=seed)
+def _boundaries(func, params):
+    """Hand the same work to each process boundary; yields ``(name, thunk)``."""
+    net = random_graph(6, 0.8, seed=1)
+    yield "parallel_map", lambda: parallel_map(func, 2, n_jobs=2)
 
+    def race():
+        (outcome,) = race_builders(
+            net, ("random_tree",), member_params={"random_tree": params}, n_jobs=1
+        )
+        return outcome.status, outcome.error
 
-def _boundaries(make_func, make_factory, params):
-    """Hand the same work to each pool boundary; yields ``(name, thunk)``."""
-    yield "parallel_map", lambda: parallel_map(make_func(), 2, n_jobs=2)
-    yield "parallel_build", lambda: parallel_build(
-        "random_tree", make_factory(), 2, config=params, n_jobs=2
-    )
+    yield "race_builders", race
 
     def run_shard():
-        warm = WarmStructures("fp", random_graph(6, 0.8, seed=1))
         item = WorkItem(key="k", builder="random_tree", params=params)
         with WorkerPool("process", n_workers=1) as pool:
-            return asyncio.run(pool.run_shard(warm, [item]))
+            (outcome,) = asyncio.run(pool.run_shard(WarmStructures("fp", net), [item]))
+        return outcome.result is not None, outcome.error
 
     yield "WorkerPool.run_shard", run_shard
 
 
-def _assert_every_boundary_rejects(make_func, make_factory, params):
-    for name, thunk in _boundaries(make_func, make_factory, params):
+def _assert_every_boundary_rejects(func, params):
+    for name, thunk in _boundaries(func, params):
         with pytest.raises(ValueError, match="Generator cannot cross"):
             thunk()
             pytest.fail(f"{name} accepted a live Generator")
 
 
-def _assert_every_boundary_accepts(func, factory, params):
-    """Same boundaries with thread workers: the guard runs, nothing forks."""
-    with ThreadPoolExecutor(max_workers=2) as executor:
-        assert len(parallel_map(func, 2, executor=executor)) == 2
-        results = parallel_build(
-            "random_tree", factory, 2, config=params, executor=executor
-        )
-        assert len(results) == 2
-    warm = WarmStructures("fp", random_graph(6, 0.8, seed=1))
-    item = WorkItem(key="k", builder="random_tree", params=params)
-    with WorkerPool("thread", n_workers=1) as pool:
-        (outcome,) = asyncio.run(pool.run_shard(warm, [item]))
-    assert outcome.error is None
+def _assert_every_boundary_accepts(func, params):
+    """Same boundaries, same work: each runs it in a worker process."""
+    results = dict(_boundaries(func, params))
+    assert len(results["parallel_map"]()) == 2
+    assert results["race_builders"]() == ("ok", None)
+    assert results["WorkerPool.run_shard"]() == (True, None)
 
 
 class TestRep108AsyncBlocking:
@@ -205,18 +201,12 @@ class TestRep109AwaitRaces:
 class TestRep110RngBoundary:
     def test_live_rng_argument_across_submit_fires(self):
         rng = as_rng(0)
-        _assert_every_boundary_rejects(
-            lambda: partial(_task, seed=rng),
-            lambda: partial(_net_factory, rng),
-            {"seed": rng},
-        )
+        _assert_every_boundary_rejects(partial(_task, seed=rng), {"seed": rng})
 
     def test_lambda_closing_over_rng_fires(self):
         rng = as_rng(0)
         _assert_every_boundary_rejects(
-            lambda: (lambda i: rng.random()),
-            lambda: (lambda i: random_graph(6, 0.8, seed=rng)),
-            {"draw": lambda: rng.random()},
+            lambda i: rng.random(), {"draw": lambda: rng.random()}
         )
 
     def test_named_function_capturing_rng_fires(self):
@@ -228,25 +218,16 @@ class TestRep110RngBoundary:
         def job_count(i):  # a closure that refers to itself terminates
             return 0 if i <= 0 else job_count(i - 1)
 
-        def factory(i):
-            return random_graph(6, 0.8, seed=rng)
-
-        _assert_every_boundary_rejects(
-            lambda: job, lambda: factory, {"draw": job}
-        )
+        _assert_every_boundary_rejects(job, {"draw": job})
 
     def test_seed_handoff_is_sanctioned(self):
-        _assert_every_boundary_accepts(
-            partial(_task, seed=7), partial(_net_factory, 7), {"seed": 7}
-        )
+        _assert_every_boundary_accepts(partial(_task, seed=7), {"seed": 7})
 
     def test_spawn_rngs_result_is_sanctioned(self):
         rng = as_rng(0)
-        task_stream, net_stream, build_stream = spawn_rngs(rng, 3)
+        task_stream, build_stream = spawn_rngs(rng, 2)
         _assert_every_boundary_accepts(
-            partial(_task, seed=task_stream),
-            partial(_net_factory, net_stream),
-            {"seed": build_stream},
+            partial(_task, seed=task_stream), {"seed": build_stream}
         )
 
 

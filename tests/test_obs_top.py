@@ -33,7 +33,7 @@ def canned_stats() -> dict:
         "built": 7,
         "hit_rate": 0.417,
         "rejected": 1,
-        "pool_mode": "thread",
+        "pool_mode": "process",
         "pool_workers": 4,
         "queue_depth": 2,
         "inflight": 3,
@@ -60,7 +60,7 @@ class TestRenderDashboard:
             },
         }
         frame = render_dashboard(canned_stats(), metrics)
-        assert "requests 12" in frame and "pool thread×4" in frame
+        assert "requests 12" in frame and "pool process×4" in frame
         assert "queue_depth" in frame and "telemetry" in frame
         assert "BURNING" in frame
         assert "serve.requests{builder=mst}" in frame

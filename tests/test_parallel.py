@@ -1,16 +1,15 @@
 """Tests for repro.experiments.parallel."""
 
-import math
+import multiprocessing
 import os
+import time
 
 import pytest
 
 from repro.experiments.fig8_same_energy import run_fig8
 from repro.experiments.parallel import (
     MIN_ITEMS_FOR_POOL,
-    ParallelBuildError,
     default_workers,
-    parallel_build,
     parallel_map,
 )
 
@@ -23,10 +22,14 @@ def _worker_pid(i: int) -> int:
     return os.getpid()
 
 
-def _trial_network(i: int):
-    from repro.network.topology import random_graph
+def _slow_pid(i: int) -> int:
+    # Long enough that both workers take items from a chunk_size=1 sweep.
+    time.sleep(0.05)
+    return os.getpid()
 
-    return random_graph(12, 0.5, seed=1000 + i)
+
+def _reciprocal(i: int) -> float:
+    return 1 / i
 
 
 class TestParallelMap:
@@ -81,38 +84,6 @@ class TestParallelMap:
         assert default_workers() >= 1
 
 
-class TestParallelBuildError:
-    def test_names_builder_and_trial(self):
-        # delay_bounded requires max_depth; omitting it fails every trial,
-        # and the wrapper must say which builder/trial died.
-        with pytest.raises(ParallelBuildError) as excinfo:
-            parallel_build("delay_bounded", _trial_network, 3)
-        assert excinfo.value.builder == "delay_bounded"
-        assert excinfo.value.index == 0
-        assert "builder 'delay_bounded' failed on trial 0" in str(excinfo.value)
-        assert "max_depth" in str(excinfo.value)
-
-    def test_crosses_the_process_boundary_intact(self):
-        with pytest.raises(ParallelBuildError) as excinfo:
-            parallel_build("delay_bounded", _trial_network, 4, n_jobs=2)
-        assert excinfo.value.builder == "delay_bounded"
-        assert "failed on trial" in str(excinfo.value)
-
-    def test_original_exception_is_the_cause(self):
-        with pytest.raises(ParallelBuildError) as excinfo:
-            parallel_build("delay_bounded", _trial_network, 2)
-        assert isinstance(excinfo.value.__cause__, TypeError)
-
-    def test_pickle_roundtrip(self):
-        import pickle
-
-        err = ParallelBuildError("ira", 7, "TypeError: boom")
-        back = pickle.loads(pickle.dumps(err))
-        assert back.builder == "ira"
-        assert back.index == 7
-        assert str(back) == str(err)
-
-
 class TestParallelExperiments:
     def test_fig8_parallel_bitwise_identical(self):
         serial = run_fig8(n_trials=10, n_jobs=1)
@@ -122,46 +93,41 @@ class TestParallelExperiments:
         assert [t.lc for t in serial.trials] == [t.lc for t in parallel.trials]
 
 
-class TestExecutorReuse:
-    """A caller-owned pool amortizes worker startup across many sweeps."""
+class TestPoolReuse:
+    """Sweeps lease the shared pool: its workers outlive each call."""
 
-    def test_borrowed_executor_matches_serial(self):
-        from concurrent.futures import ProcessPoolExecutor
+    def test_consecutive_sweeps_run_on_the_same_workers(self):
+        first = parallel_map(_slow_pid, 8, n_jobs=2, chunk_size=1)
+        second = parallel_map(_slow_pid, 8, n_jobs=2, chunk_size=1)
+        assert len(set(first)) == 2
+        assert set(second) == set(first)
+        assert os.getpid() not in first
 
+    def test_race_with_the_same_worker_count_reuses_the_sweep_workers(self):
+        from repro.engine import race_builders
+        from repro.network.topology import random_graph
+
+        pids = set(parallel_map(_slow_pid, 8, n_jobs=2, chunk_size=1))
+        before = {p.pid for p in multiprocessing.active_children()}
+        outcomes = race_builders(
+            random_graph(12, 0.5, seed=3), ("mst", "bfs"), n_jobs=2
+        )
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        # The sweep's workers are still alive and the race forked no other.
+        after = {p.pid for p in multiprocessing.active_children()}
+        assert pids <= after <= before
+
+    def test_reused_pool_matches_serial(self):
         serial = parallel_map(_square, 40, n_jobs=1)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            first = parallel_map(_square, 40, executor=pool)
-            second = parallel_map(_square, 40, executor=pool)
-            # The pool must survive both calls (borrowed, never shut down).
-            assert pool.submit(_square, 6).result() == 36
-        assert first == serial
-        assert second == serial
+        assert parallel_map(_square, 40, n_jobs=2) == serial
+        assert parallel_map(_square, 40, n_jobs=2, chunk_size=3) == serial
 
-    def test_borrowed_executor_actually_runs_in_workers(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pids = parallel_map(_worker_pid, MIN_ITEMS_FOR_POOL + 2, executor=pool)
-        assert os.getpid() not in pids
-
-    def test_executor_with_small_input_still_uses_pool(self):
-        # An explicit executor overrides the serial-below-threshold shortcut.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pids = parallel_map(_worker_pid, 3, executor=pool)
-        assert len(pids) == 3
-        assert os.getpid() not in pids
-
-    def test_parallel_build_accepts_executor(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.experiments.parallel import parallel_build
-
-        serial = parallel_build("mst", _trial_network, 4, n_jobs=1)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled = parallel_build("mst", _trial_network, 4, executor=pool)
-        assert [r.tree.parents for r in pooled] == [
-            r.tree.parents for r in serial
-        ]
-        assert [r.cost for r in pooled] == [r.cost for r in serial]
+    def test_failing_sweep_kills_its_workers(self):
+        pids = set(parallel_map(_slow_pid, 8, n_jobs=2, chunk_size=1))
+        with pytest.raises(ZeroDivisionError):
+            parallel_map(_reciprocal, 4, n_jobs=2)
+        # The executor's own thread may still be reaping a killed worker.
+        time.sleep(0.5)
+        alive = {p.pid for p in multiprocessing.active_children()}
+        assert not alive & pids
+        assert parallel_map(_square, 4, n_jobs=2) == [0, 1, 4, 9]

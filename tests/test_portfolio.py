@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-import repro.engine.portfolio as portfolio_module
+import repro.engine.pool as pool_module
 import repro.engine.registry as registry_module
 from repro.engine.portfolio import (
     DEFAULT_MEMBERS,
@@ -279,9 +279,9 @@ def _race_in_child(net, queue):
     queue.put(
         (
             [o.status for o in outcomes],
-            portfolio_module._SHARED.pid,
+            pool_module._SHARED.pid,
             os.getpid(),
-            len(portfolio_module._INHERITED),
+            len(pool_module._INHERITED),
         )
     )
 
@@ -289,10 +289,10 @@ def _race_in_child(net, queue):
 @pytest.fixture
 def fresh_pool():
     """Start and end the test without a shared race pool."""
-    portfolio_module._drop_shared_pool()
+    pool_module.drop_shared_pool()
     before = {p.pid for p in multiprocessing.active_children()}
     yield before
-    portfolio_module._drop_shared_pool()
+    pool_module.drop_shared_pool()
 
 
 @fork_only
@@ -303,7 +303,7 @@ class TestSharedPool:
             outcomes = race_builders(net, ("mst", "bfs", "spt"), n_jobs=2)
             assert [o.status for o in outcomes] == ["ok"] * 3
             assert len(_new_children(fresh_pool)) <= 2
-            pools.add(id(portfolio_module._SHARED.executor))
+            pools.add(id(pool_module._SHARED.executor))
         assert len(pools) == 1
 
     def test_timed_out_member_does_not_outlive_its_race(
@@ -353,7 +353,7 @@ class TestSharedPool:
         self, net, fresh_pool
     ):
         race_builders(net, ("mst", "bfs"), n_jobs=2)
-        forked = portfolio_module._SHARED.executor
+        forked = pool_module._SHARED.executor
 
         @tree_builder("_pf_late", knobs={})
         def _late(network):
@@ -366,11 +366,11 @@ class TestSharedPool:
         finally:
             registry_module._REGISTRY.pop("_pf_late", None)
         assert [o.status for o in outcomes] == ["ok", "ok"]
-        assert portfolio_module._SHARED.executor is not forked
+        assert pool_module._SHARED.executor is not forked
 
     def test_forked_child_does_not_reuse_the_parent_pool(self, net, fresh_pool):
         race_builders(net, ("mst", "bfs"), n_jobs=2)
-        parent_pool = portfolio_module._SHARED
+        parent_pool = pool_module._SHARED
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(target=_race_in_child, args=(net, queue))
@@ -388,10 +388,10 @@ class TestSharedPool:
         assert statuses == ["ok", "ok"]
         assert pool_pid == child_pid != os.getpid()
         assert inherited == 1
-        assert portfolio_module._SHARED is parent_pool
+        assert pool_module._SHARED is parent_pool
         outcomes = race_builders(net, ("mst", "bfs"), n_jobs=2)
         assert [o.status for o in outcomes] == ["ok", "ok"]
-        assert portfolio_module._SHARED is parent_pool
+        assert pool_module._SHARED is parent_pool
 
 
 class TestBuildPortfolioTree:
