@@ -1,6 +1,6 @@
 """Core-bench smoke: the array-native compute paths beat the loops.
 
-A scaled-down in-CI version of ``repro bench-core`` (whose full-size runs
+A scaled-down in-CI version of ``repro bench core`` (whose full-size runs
 feed ``BENCH_core.json``): asserts the vectorized round simulator and
 TreeState's bulk cost and lifetime scans produce *identical* results to
 the historical scalar loops and are faster at bench-smoke sizes.  Absolute thresholds are
@@ -10,11 +10,7 @@ ratio, which the trajectory file tracks across PRs instead.
 
 from __future__ import annotations
 
-from repro.engine.bench import (
-    BENCH_CORE_FORMAT,
-    BENCH_CORE_VERSION,
-    run_core_bench,
-)
+from repro.engine.bench import CORE_BENCH, run_core_bench
 from repro.obs.benchdiff import append_trajectory, diff_trajectory_file
 
 
@@ -39,8 +35,8 @@ def test_core_bench_speedups_and_identity(tmp_path):
     # document and find no regression between back-to-back runs.
     out = tmp_path / "BENCH_core.json"
     run = report.to_doc()
-    doc = append_trajectory(out, BENCH_CORE_FORMAT, BENCH_CORE_VERSION, run)
-    assert doc["format"] == BENCH_CORE_FORMAT
-    append_trajectory(out, BENCH_CORE_FORMAT, BENCH_CORE_VERSION, run)
+    doc = append_trajectory(out, CORE_BENCH.format, CORE_BENCH.version, run)
+    assert doc["format"] == CORE_BENCH.format
+    append_trajectory(out, CORE_BENCH.format, CORE_BENCH.version, run)
     diff = diff_trajectory_file(out)
     assert not diff.regressed, diff.render()

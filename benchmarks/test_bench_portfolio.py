@@ -1,6 +1,6 @@
-"""Benches for the portfolio meta-builder (repro.engine.portfolio).
+"""Benches for the portfolio meta-builder (repro.engine.bench_portfolio).
 
-Each bench runs :func:`repro.engine.portfolio.run_portfolio_bench` — one
+Each bench runs :func:`repro.engine.bench_portfolio.run_portfolio_bench` — one
 serial and one parallel race over the same member set — and asserts the
 contract the trajectory file (``BENCH_portfolio.json``) pins:
 
@@ -22,12 +22,8 @@ import json
 
 import pytest
 
-from repro.engine.portfolio import (
-    BENCH_PORTFOLIO_FORMAT,
-    BENCH_PORTFOLIO_VERSION,
-    DEFAULT_MEMBERS,
-    run_portfolio_bench,
-)
+from repro.engine.bench_portfolio import PORTFOLIO_BENCH, run_portfolio_bench
+from repro.engine.portfolio import DEFAULT_MEMBERS
 from repro.obs.benchdiff import append_trajectory
 
 
@@ -54,11 +50,11 @@ class TestTrajectoryFile:
         path = tmp_path / "BENCH_portfolio.json"
         for _ in range(2):
             append_trajectory(
-                path, BENCH_PORTFOLIO_FORMAT, BENCH_PORTFOLIO_VERSION, report.to_doc()
+                path, PORTFOLIO_BENCH.format, PORTFOLIO_BENCH.version, report.to_doc()
             )
         doc = json.loads(path.read_text())
-        assert doc["format"] == BENCH_PORTFOLIO_FORMAT
-        assert doc["version"] == BENCH_PORTFOLIO_VERSION
+        assert doc["format"] == PORTFOLIO_BENCH.format
+        assert doc["version"] == PORTFOLIO_BENCH.version
         assert len(doc["runs"]) == 2
         for run in doc["runs"]:
             assert run["winner"] == "mst"

@@ -22,8 +22,7 @@ import json
 import pytest
 
 from repro.obs.benchdiff import append_trajectory
-from repro.serve import run_serve_bench
-from repro.serve.bench import BENCH_FORMAT, BENCH_VERSION
+from repro.serve.bench import SERVE_BENCH, run_serve_bench
 
 BUILDERS = ("mst", "spt", "bfs", "random_tree")
 
@@ -99,10 +98,12 @@ class TestTrajectoryFile:
         )
         path = tmp_path / "BENCH_serve.json"
         for _ in range(2):
-            append_trajectory(path, BENCH_FORMAT, BENCH_VERSION, report.to_doc())
+            append_trajectory(
+                path, SERVE_BENCH.format, SERVE_BENCH.version, report.to_doc()
+            )
         doc = json.loads(path.read_text())
-        assert doc["format"] == BENCH_FORMAT
-        assert doc["version"] == BENCH_VERSION
+        assert doc["format"] == SERVE_BENCH.format
+        assert doc["version"] == SERVE_BENCH.version
         assert len(doc["runs"]) == 2
         for run in doc["runs"]:
             assert run["n_nodes"] == 100

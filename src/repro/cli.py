@@ -8,19 +8,19 @@ Usage (installed as ``mrlc`` or via ``python -m repro``)::
     mrlc fig8 --output r.json # archive the raw result as JSON
     mrlc fig11 --rounds 50    # churn experiment (prints Figs. 11-13 series)
     mrlc all --quick          # every figure at reduced scale
-    mrlc obs ira --nodes 50   # instrumented run (see repro.obs.cli)
+    mrlc obs build ira        # instrumented run (see repro.obs.cli)
     mrlc builders             # list registered tree builders + knobs
     mrlc lint src/            # repo-invariant checker (see repro.lint.cli)
     mrlc serve run            # tree-serving daemon (see repro.serve.cli)
-    mrlc serve bench          # synthetic load against the serving layer
     mrlc ext-portfolio        # portfolio tournament win-rate table
-    mrlc bench-portfolio      # serial-vs-parallel portfolio race benchmark
-    mrlc bench-ira            # IRA build time and work counts at n=120..300
+    mrlc bench core --ci      # trajectory bench: core|ira|portfolio|serve
 
 Output is the plain-text table of the same rows/series the paper's figure
-plots (costs in the paper's −1000·log2 q units).  The ``obs`` subcommand
-(also installed as ``repro obs``) dispatches to the instrumentation layer's
-own CLI before the figure parser runs.
+plots (costs in the paper's −1000·log2 q units).  The ``obs``, ``lint``,
+``serve`` and ``bench`` subcommands (also installed as ``repro ...``)
+dispatch to their own parsers before the figure parser runs.  Each
+``bench`` is declared once, as a :class:`~repro.obs.benchdiff.BenchRecord`
+beside its runner.
 """
 
 from __future__ import annotations
@@ -203,152 +203,39 @@ def _builders_main() -> int:
     return 0
 
 
-def _bench_core_main(argv: List[str]) -> int:
-    """Run the core-compute benchmark (``repro bench-core [--out PATH]``)."""
-    import argparse
+def _bench_main(argv: List[str]) -> int:
+    """Run one trajectory bench (``repro bench NAME [--ci] [--out PATH]``)."""
+    from repro.obs.benchdiff import append_trajectory, bench_records
 
+    records = bench_records()
     parser = argparse.ArgumentParser(
-        prog="repro bench-core",
-        description="Benchmark the array-native compute core (vectorized "
-        "round simulation + TreeState's bulk cost and lifetime move scans) "
-        "against the historical scalar loops; correctness is asserted, not "
-        "sampled.",
+        prog="repro bench",
+        description="Run one bench's fixed workload, print its report, and "
+        "optionally append it to a BENCH_*.json trajectory for `repro obs "
+        "bench-diff`.  A failed correctness check exits 1.",
     )
     parser.add_argument(
-        "--rounds",
-        type=int,
-        default=None,
-        help="simulated rounds for the round-sim half (default 200)",
+        "name", choices=sorted(records), help="which bench (docs/performance.md)"
     )
+    with_ci = ", ".join(r.name for r in records.values() if r.ci_params is not None)
     parser.add_argument(
         "--ci",
         action="store_true",
-        help="use CI smoke sizes (40x40 round-sim grid, 26x26 search grid) "
-        "so the loop baselines finish in seconds; the lifetime ascent keeps "
-        "its n=300 graph",
+        help=f"the smaller CI size where the bench has one ({with_ci})",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="workload seed (default 0)"
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="append the report to this BENCH_core.json trajectory file",
+        "--out", default=None, help="append the run to this trajectory file"
     )
     args = parser.parse_args(argv)
-    from repro.engine.bench import BENCH_CORE_FORMAT, BENCH_CORE_VERSION, run_core_bench
-    from repro.obs.benchdiff import append_trajectory
-
-    kwargs = {"seed": args.seed}
-    if args.ci:
-        kwargs.update(
-            round_grid=40, rounds=100, search_grid=26, search_max_moves=30
-        )
-    if args.rounds is not None:
-        kwargs["rounds"] = args.rounds
-    report = run_core_bench(**kwargs)
+    record = records[args.name]
+    try:
+        report = record.measure(ci=args.ci)
+    except AssertionError as exc:
+        print(f"repro bench {record.name}: correctness check failed: {exc}")
+        return 1
     print(report.render())
     if args.out:
-        append_trajectory(
-            args.out, BENCH_CORE_FORMAT, BENCH_CORE_VERSION, report.to_doc()
-        )
-        print(f"[appended run to {args.out}]")
-    return 0
-
-
-def _bench_portfolio_main(argv: List[str]) -> int:
-    """Run the portfolio-race benchmark (``repro bench-portfolio [--out PATH]``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench-portfolio",
-        description="Benchmark the portfolio meta-builder: one serial race "
-        "and two parallel races (cold pool, then warm) over the default "
-        "member set; winner identity across the races is asserted, not "
-        "sampled.",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=None, help="instance size (default 60)"
-    )
-    parser.add_argument(
-        "--members",
-        default=None,
-        help="comma-separated member builder names (default: heuristic set)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the parallel race (default: one per member)",
-    )
-    parser.add_argument(
-        "--ci",
-        action="store_true",
-        help="use CI smoke size (24 nodes) so the race finishes in seconds",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="workload seed (default 0)"
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="append the report to this BENCH_portfolio.json trajectory file",
-    )
-    args = parser.parse_args(argv)
-    from repro.engine.portfolio import (
-        BENCH_PORTFOLIO_FORMAT,
-        BENCH_PORTFOLIO_VERSION,
-        run_portfolio_bench,
-    )
-    from repro.obs.benchdiff import append_trajectory
-
-    kwargs = {"seed": args.seed, "n_jobs": args.jobs}
-    if args.ci:
-        kwargs["n_nodes"] = 24
-    if args.nodes is not None:
-        kwargs["n_nodes"] = args.nodes
-    if args.members:
-        kwargs["members"] = tuple(
-            name.strip() for name in args.members.split(",") if name.strip()
-        )
-    report = run_portfolio_bench(**kwargs)
-    print(report.render())
-    if args.out:
-        append_trajectory(
-            args.out, BENCH_PORTFOLIO_FORMAT, BENCH_PORTFOLIO_VERSION, report.to_doc()
-        )
-        print(f"[appended run to {args.out}]")
-    return 0
-
-
-def _bench_ira_main(argv: List[str]) -> int:
-    """Run the IRA benchmark (``repro bench-ira [--out PATH]``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench-ira",
-        description="Benchmark IRA builds on random_graph(n, p, seed=1) at "
-        "n=120, 200 and 300 (LC = half the AAML lifetime): wall time plus "
-        "separation calls, root probes, HiGHS calls and simplex iterations; "
-        "the n=120 tree cost is asserted against its pin.",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="append the report to this BENCH_ira.json trajectory file",
-    )
-    args = parser.parse_args(argv)
-    from repro.engine.bench_ira import (
-        BENCH_IRA_FORMAT,
-        BENCH_IRA_VERSION,
-        run_ira_bench,
-    )
-    from repro.obs.benchdiff import append_trajectory
-
-    report = run_ira_bench()
-    print(report.render())
-    if args.out:
-        append_trajectory(args.out, BENCH_IRA_FORMAT, BENCH_IRA_VERSION, report.to_doc())
+        append_trajectory(args.out, record.format, record.version, report.to_doc())
         print(f"[appended run to {args.out}]")
     return 0
 
@@ -357,16 +244,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench-core":
-        # Core-compute benchmark, a sibling of `serve bench` for the
-        # engine/simulation layer.
-        return _bench_core_main(argv[1:])
-    if argv and argv[0] == "bench-portfolio":
-        # Portfolio-race benchmark, same family as bench-core.
-        return _bench_portfolio_main(argv[1:])
-    if argv and argv[0] == "bench-ira":
-        # IRA build benchmark at scale, same family as bench-core.
-        return _bench_ira_main(argv[1:])
+    if argv and argv[0] == "bench":
+        return _bench_main(argv[1:])
     if argv and argv[0] == "obs":
         # Instrumented runs live in their own sub-CLI so the figure parser
         # stays a plain positional-choice interface.

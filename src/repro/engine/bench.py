@@ -19,10 +19,11 @@ Three measurements, each over a workload the acceptance bar names:
   historical scalar scan, both from the BFS tree of
   ``random_graph(300, 0.07, seed=1)``.  Trees and move counts must match.
 
-``repro bench-core`` runs all three and can append the report to a
-``BENCH_core.json`` trajectory (same shape as ``BENCH_serve.json``), which
-``repro obs bench-diff`` then gates — the cross-PR regression sentinel for
-the compute core.  See ``docs/performance.md``.
+``repro bench core`` runs all three (``--ci``: smaller grids) and can
+append the report to a ``BENCH_core.json`` trajectory, which ``repro obs
+bench-diff`` then gates on the three speedups (:data:`CORE_BENCH`) — the
+cross-PR regression sentinel for the compute core.  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -41,17 +42,15 @@ from repro.core.tree import AggregationTree
 from repro.engine.registry import build_tree
 from repro.engine.treestate import NO_GAIN, TreeState, lifetime_delta_better
 from repro.network.topology import grid_graph, random_graph
+from repro.obs.benchdiff import BenchRecord, MetricSpec
 from repro.simulation.rounds import AggregationSimulator
 from repro.utils.rng import as_rng
 
 __all__ = [
-    "BENCH_CORE_FORMAT",
+    "CORE_BENCH",
     "CoreBenchReport",
     "run_core_bench",
 ]
-
-BENCH_CORE_FORMAT = "repro-bench-core"
-BENCH_CORE_VERSION = 1
 
 #: Default workload sizes — the smallest the acceptance bar admits
 #: (round simulation at n ≥ 5000, local search at n ≥ 2000).
@@ -308,3 +307,20 @@ def run_core_bench(
         lifetime_ascent_speedup=ascent_reference_s / max(ascent_bulk_s, 1e-9),
         timestamp=time.time(),
     )
+
+
+CORE_BENCH = BenchRecord(
+    name="core",
+    format="repro-bench-core",
+    version=1,
+    metrics=(
+        MetricSpec("round_sim_speedup"),
+        MetricSpec("local_search_speedup"),
+        MetricSpec("lifetime_ascent_speedup"),
+    ),
+    # The ascent's graph is fixed, so its size does not tell runs apart.
+    workload=("round_sim_nodes", "round_sim_rounds", "search_nodes", "search_max_moves"),
+    run=run_core_bench,
+    # The loop baselines finish in seconds; the ascent keeps its n=300 graph.
+    ci_params={"round_grid": 40, "rounds": 100, "search_grid": 26, "search_max_moves": 30},
+)

@@ -1,6 +1,6 @@
 """IRA benchmark: end-to-end build time at scale and the work behind it.
 
-``repro bench-ira`` builds IRA on ``random_graph(n, p, seed=1)`` with
+``repro bench ira`` builds IRA on ``random_graph(n, p, seed=1)`` with
 ``LC`` half the AAML lifetime, at n = 120, 200 and 300.  Each build runs
 under :func:`~repro.obs.instrument`, so next to its wall time the report
 carries the counts that explain it: separation-oracle calls, Dinic root
@@ -9,8 +9,8 @@ pinned (the CI separation smoke pins the same build), so a speedup cannot
 be bought with a different tree.
 
 The report appends to a ``BENCH_ira.json`` trajectory, which
-``repro obs bench-diff`` gates on the per-size seconds.  See
-``docs/performance.md`` §6.
+``repro obs bench-diff`` gates on the per-size seconds
+(:data:`IRA_BENCH`).  See ``docs/performance.md`` §6.
 """
 
 from __future__ import annotations
@@ -23,17 +23,14 @@ from repro.core.ira import build_ira_tree
 from repro.engine.registry import build_tree
 from repro.network.topology import random_graph
 from repro.obs import instrument
+from repro.obs.benchdiff import BenchRecord, MetricSpec
 
 __all__ = [
-    "BENCH_IRA_FORMAT",
-    "BENCH_IRA_VERSION",
+    "IRA_BENCH",
     "IraBenchReport",
     "IraBenchRow",
     "run_ira_bench",
 ]
-
-BENCH_IRA_FORMAT = "repro-bench-ira"
-BENCH_IRA_VERSION = 1
 
 #: ``(nodes, link probability)`` per benchmarked size.
 IRA_SIZES: Tuple[Tuple[int, float], ...] = ((120, 0.15), (200, 0.1), (300, 0.07))
@@ -42,6 +39,11 @@ IRA_SEED = 1
 LC_FRACTION = 0.5
 #: Pinned tree cost per size; the build must reproduce it.
 PINNED_COSTS: Dict[int, float] = {120: 0.4064623716163171}
+
+
+def row_key(nodes: int, field: str) -> str:
+    """Run-doc key of one size's *field*: ``n120_seconds``."""
+    return f"n{nodes}_{field}"
 
 
 @dataclass(frozen=True)
@@ -60,18 +62,18 @@ class IraBenchRow:
 
 @dataclass(frozen=True)
 class IraBenchReport:
-    """One bench-ira run: a row per size."""
+    """One `repro bench ira` run: a row per size."""
 
     rows: Tuple[IraBenchRow, ...]
     timestamp: float
 
     def to_doc(self) -> Dict[str, Any]:
-        """Flat run document: ``n<size>_<field>`` keys plus ``total_s``."""
+        """Flat run document: :func:`row_key` keys plus ``total_s``."""
         doc: Dict[str, Any] = {}
         for row in self.rows:
             for name, value in asdict(row).items():
                 if name != "nodes":
-                    doc[f"n{row.nodes}_{name}"] = value
+                    doc[row_key(row.nodes, name)] = value
         doc["total_s"] = sum(row.seconds for row in self.rows)
         doc["timestamp"] = self.timestamp
         return doc
@@ -125,3 +127,17 @@ def run_ira_bench(
             )
         )
     return IraBenchReport(rows=tuple(rows), timestamp=time.time())
+
+
+IRA_BENCH = BenchRecord(
+    name="ira",
+    format="repro-bench-ira",
+    version=1,
+    metrics=tuple(
+        MetricSpec(row_key(nodes, "seconds"), higher_is_better=False)
+        for nodes, _ in IRA_SIZES
+    ),
+    # Each size's link count stands for its graph: random_graph(n, p, seed=1).
+    workload=tuple(row_key(nodes, "edges") for nodes, _ in IRA_SIZES),
+    run=run_ira_bench,
+)

@@ -140,13 +140,21 @@ _INHERITED: List[_SharedPool] = []
 
 
 def kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate *pool*'s worker processes, reap them, and shut it down."""
+    """Terminate *pool*'s worker processes, reap them, and shut it down.
+
+    Returns once every killed process reports an exit code, so
+    ``multiprocessing.active_children()`` no longer lists it.  The pool's
+    manager thread may reap a process first; the ``join`` that loses that
+    ``waitpid`` race returns before the winner has stored the exit code.
+    """
     processes = list((pool._processes or {}).values())
     for proc in processes:
         proc.terminate()
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in processes:
         proc.join()
+        while proc.exitcode is None:
+            time.sleep(0.001)
 
 
 def _own_shared() -> Optional[_SharedPool]:

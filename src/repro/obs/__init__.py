@@ -33,7 +33,7 @@ Enable it with :func:`instrument`::
     session.tracer.write_jsonl("trace.jsonl") # structured trace
     session.manifest.write("manifest.json")   # reproducibility record
 
-or from the command line: ``repro obs ira --nodes 50 --seed 1``
+or from the command line: ``repro obs build ira --nodes 50 --seed 1``
 (see :mod:`repro.obs.cli` and ``docs/observability.md``).
 """
 

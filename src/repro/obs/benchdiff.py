@@ -1,17 +1,21 @@
 """``BENCH_*.json`` regression sentinel: compare the newest run to history.
 
-The ROADMAP's benchmark trajectories (``BENCH_serve.json``,
-``BENCH_core.json``, ``BENCH_ira.json``, ...; any
-``{"format": "repro-bench-*", "runs": [...]}`` document tomorrow) are
-append-only logs of measured performance across PRs.  Until now they were
-written but never read; this module is the reader — and the ratchet.
+Each trajectory bench (``repro bench core|ira|portfolio|serve``) declares
+one :class:`BenchRecord` next to its runner: the trajectory format and
+version, the metrics the sentinel gates and their direction, the run-doc
+fields that identify the workload, and the fixed workload itself (plus a
+smaller CI size where CI runs one).  :func:`bench_records` collects them;
+``repro bench`` runs them and this module reads their gated metrics.
+The trajectories (``BENCH_serve.json``, ``BENCH_core.json``, ...) are
+append-only ``{"format": "repro-bench-*", "runs": [...]}`` logs of
+measured performance across PRs.
 
 :func:`diff_trajectory` compares the newest run's metrics against a
-baseline window (the median of up to *window* immediately preceding
-runs; medians shrug off one noisy CI run where a mean would not) and
-flags any metric that moved in its bad direction by more than
-*threshold* (a relative fraction — ``0.5`` means "flag a >50% drop of a
-higher-is-better metric").  ``repro obs bench-diff`` wraps it as a CLI
+baseline window (the median of up to *window* immediately preceding runs
+*of the same workload*; medians shrug off one noisy CI run where a mean
+would not) and flags any metric that moved in its bad direction by more
+than *threshold* (a relative fraction — ``0.5`` means "flag a >50% drop of
+a higher-is-better metric").  ``repro obs bench-diff`` wraps it as a CLI
 that exits nonzero on regression, which is what CI gates on.
 
 Wall-clock benchmarks are noisy across machines, so the defaults are
@@ -25,16 +29,17 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "BenchDiff",
+    "BenchRecord",
     "MetricDiff",
     "MetricSpec",
-    "DEFAULT_METRICS",
     "append_trajectory",
+    "bench_records",
     "diff_trajectory",
     "diff_trajectory_file",
     "load_trajectory",
@@ -55,31 +60,50 @@ class MetricSpec:
     higher_is_better: bool = True
 
 
-#: What to watch per trajectory format.  ``divergent`` is deliberately
-#: absent: correctness is asserted exactly (see the CI serve smoke), not
-#: thresholded.
-DEFAULT_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
-    "repro-bench-serve": (
-        MetricSpec("warm_rps", higher_is_better=True),
-        MetricSpec("cold_rps", higher_is_better=True),
-        MetricSpec("hit_rate", higher_is_better=True),
-    ),
-    "repro-bench-core": (
-        MetricSpec("round_sim_speedup", higher_is_better=True),
-        MetricSpec("local_search_speedup", higher_is_better=True),
-        MetricSpec("lifetime_ascent_speedup", higher_is_better=True),
-    ),
-    "repro-bench-portfolio": (
-        MetricSpec("speedup", higher_is_better=True),
-        MetricSpec("warm_speedup", higher_is_better=True),
-        MetricSpec("serial_builds_per_s", higher_is_better=True),
-    ),
-    "repro-bench-ira": (
-        MetricSpec("n120_seconds", higher_is_better=False),
-        MetricSpec("n200_seconds", higher_is_better=False),
-        MetricSpec("n300_seconds", higher_is_better=False),
-    ),
-}
+@dataclass(frozen=True)
+class BenchRecord:
+    """One trajectory bench, declared once beside its runner.
+
+    Attributes:
+        name: ``repro bench NAME``.
+        format / version: What the bench's ``BENCH_*.json`` carries.
+        metrics: What the sentinel gates.  Correctness (identical trees,
+            pinned costs, zero divergent responses) is asserted inside the
+            runner, never thresholded.
+        workload: Run-doc fields that identify the workload; only runs
+            that agree on all of them are compared.
+        run: The bench's runner; it returns a report with ``render()`` and
+            ``to_doc()``, and raises ``AssertionError`` when a correctness
+            check fails.
+        params: *run*'s arguments for the committed trajectory's workload.
+        ci_params: Smaller arguments for CI, where CI runs a smaller size.
+    """
+
+    name: str
+    format: str
+    version: int
+    metrics: Tuple[MetricSpec, ...]
+    workload: Tuple[str, ...]
+    run: Callable[..., Any]
+    params: Mapping[str, Any] = field(default_factory=dict)
+    ci_params: Optional[Mapping[str, Any]] = None
+
+    def measure(self, *, ci: bool = False) -> Any:
+        """Run the fixed workload (the CI size if *ci* and there is one)."""
+        params = self.ci_params if ci and self.ci_params is not None else self.params
+        return self.run(**params)
+
+
+def bench_records() -> Dict[str, BenchRecord]:
+    """Every trajectory bench, by name."""
+    # Deferred: the bench modules import this one for the record types.
+    from repro.engine.bench import CORE_BENCH
+    from repro.engine.bench_ira import IRA_BENCH
+    from repro.engine.bench_portfolio import PORTFOLIO_BENCH
+    from repro.serve.bench import SERVE_BENCH
+
+    records = (CORE_BENCH, IRA_BENCH, PORTFOLIO_BENCH, SERVE_BENCH)
+    return {record.name: record for record in records}
 
 
 @dataclass(frozen=True)
@@ -124,7 +148,7 @@ class BenchDiff:
             return f"{header}: SKIPPED ({self.skipped_reason})"
         lines = [
             f"{header}: newest of {self.n_runs} runs vs median of "
-            f"previous {self.window} (threshold {self.threshold:.0%})"
+            f"previous {self.window} of its workload (threshold {self.threshold:.0%})"
         ]
         for m in self.metrics:
             verdict = "REGRESSED" if m.regressed else "ok"
@@ -205,9 +229,11 @@ def diff_trajectory(
 ) -> BenchDiff:
     """Compare *doc*'s newest run against the median of the prior window.
 
-    With fewer than two runs (or an unknown format and no explicit
-    *metrics*) the diff is *skipped*, not failed: a brand-new trajectory
-    file has no history to regress against.
+    The gated metrics are *metrics*, else those of the :class:`BenchRecord`
+    that writes *doc*'s format.  The window holds only earlier runs whose
+    record workload fields equal the newest run's.  With no such run (or
+    an unknown format and no explicit *metrics*) the diff is *skipped*,
+    not failed: a brand-new workload has no history to regress against.
     """
     if not 0 < threshold:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -227,19 +253,27 @@ def diff_trajectory(
             skipped_reason=reason,
         )
 
-    if metrics is None:
-        specs = DEFAULT_METRICS.get(fmt)
-        if specs is None:
-            return skipped(
-                f"no default metrics for format {fmt!r}; pass --metrics"
-            )
-    else:
+    record = next((r for r in bench_records().values() if r.format == fmt), None)
+    if metrics is not None:
         specs = tuple(metrics)
+    elif record is not None:
+        specs = record.metrics
+    else:
+        return skipped(f"no bench record for format {fmt!r}; pass --metrics")
     if len(runs) < 2:
         return skipped(f"needs >= 2 runs for a baseline, has {len(runs)}")
 
     newest = runs[-1]
-    history = runs[-1 - window : -1]
+    workload = {name: newest.get(name) for name in (record.workload if record else ())}
+    same = [
+        run
+        for run in runs[:-1]
+        if all(run.get(name) == value for name, value in workload.items())
+    ]
+    if not same:
+        described = ", ".join(f"{name}={value}" for name, value in workload.items())
+        return skipped(f"no earlier run of the newest run's workload ({described})")
+    history = same[-window:]
     diffs: List[MetricDiff] = []
     new_metrics: List[str] = []
     for spec in specs:
@@ -269,7 +303,7 @@ def diff_trajectory(
         path=path,
         format=fmt,
         n_runs=len(runs),
-        window=min(window, len(history)),
+        window=len(history),
         threshold=threshold,
         metrics=tuple(diffs),
         new_metrics=tuple(new_metrics),

@@ -2,20 +2,20 @@
 
 Examples::
 
-    repro obs ira --nodes 50 --seed 1          # instrumented IRA build
-    repro obs aaml --nodes 30 --seed 2         # instrumented AAML build
-    repro obs build rasmalai --nodes 30        # any registered builder
+    repro obs build ira --nodes 50 --seed 1    # instrumented IRA build
+    repro obs build aaml --nodes 30 --seed 2   # any registered builder
     repro obs churn --rounds 20                # protocol churn on the DFL net
     repro obs faults --drop-rate 0.2           # churn under control-plane faults
     repro obs rounds --nodes 20 --rounds 200   # aggregation-round simulation
     repro obs fig fig3                         # any figure experiment
-    repro obs ira --nodes 20 --dump-trace      # print the JSONL trace
+    repro obs build ira --dump-trace           # print the JSONL trace
     repro obs top --port 8731                  # live serve dashboard
     repro obs bench-diff BENCH_serve.json      # benchmark regression gate
 
 All tree construction goes through the builder registry
 (:mod:`repro.engine.registry`); ``repro builders`` lists the names the
-``build`` subcommand accepts.
+``build`` subcommand accepts.  A builder with an ``lc`` knob gets
+``LC = L_AAML / --lc-divisor`` (default 2).
 
 Every run prints the metrics tables (counters / gauges / histograms with
 p50/p90/max bars) and writes three artifacts under ``--out`` (default
@@ -30,7 +30,7 @@ import argparse
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.metrics import metric_key
-from repro.obs.runtime import OBS, ObsSession, instrument
+from repro.obs.runtime import ObsSession, instrument
 from repro.utils.ascii_chart import histogram_summary
 
 __all__ = ["obs_main", "build_obs_parser"]
@@ -99,22 +99,6 @@ def build_obs_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("ira", "instrumented IRA build on a random graph"),
-        ("aaml", "instrumented AAML build on a random graph"),
-        ("mst", "instrumented MST build on a random graph"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_graph_options(p)
-        _add_output_options(p)
-        if name == "ira":
-            p.add_argument(
-                "--lc-divisor",
-                type=float,
-                default=2.0,
-                help="LC = L_AAML / divisor (default 2.0)",
-            )
 
     p = sub.add_parser(
         "build", help="instrumented build of any registered tree builder"
@@ -264,7 +248,7 @@ def build_obs_parser() -> argparse.ArgumentParser:
         "--metrics",
         default=None,
         help="comma-separated metric names to watch (prefix with '-' for "
-        "lower-is-better), overriding the format's defaults",
+        "lower-is-better), overriding the bench record's gated metrics",
     )
 
     return parser
@@ -292,30 +276,6 @@ def _positive(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     prob = getattr(args, "link_prob", 0.5)
     if not 0.0 < prob <= 1.0:
         parser.error("--link-prob must be in (0, 1]")
-
-
-def _run_builder(args: argparse.Namespace) -> Dict[str, object]:
-    from repro.engine import build_tree
-    from repro.network.topology import random_graph
-
-    net = random_graph(args.nodes, args.link_prob, seed=args.seed)
-    if args.command == "mst":
-        result = build_tree("mst", net)
-        return {"cost": result.cost, "reliability": result.reliability}
-    aaml = build_tree("aaml", net)
-    if args.command == "aaml":
-        return {"cost": aaml.cost, "lifetime": aaml.lifetime}
-    lc = aaml.lifetime / args.lc_divisor
-    result = build_tree("ira", net, lc=lc)
-    return {
-        "cost": result.cost,
-        "lc": lc,
-        "iterations": result.meta["iterations"],
-        "lp_solves": result.meta["lp_solves"],
-        "simplex_iterations": int(OBS.registry.total("lp.simplex_iterations")),
-        "lp_reused": result.meta["lp_reused"],
-        "lifetime_satisfied": result.meta["lifetime_satisfied"],
-    }
 
 
 def _run_named_build(args: argparse.Namespace) -> Dict[str, object]:
@@ -470,9 +430,6 @@ def _report(session: ObsSession, args: argparse.Namespace) -> None:
 
 
 _RUNNERS: Dict[str, Callable[[argparse.Namespace], Dict[str, object]]] = {
-    "ira": _run_builder,
-    "aaml": _run_builder,
-    "mst": _run_builder,
     "build": _run_named_build,
     "rounds": _run_rounds,
     "churn": _run_churn,

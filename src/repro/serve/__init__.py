@@ -23,12 +23,12 @@ In-process usage::
         response.cache_info.hit     # False the first time, True after
 
 Over the wire: ``repro serve run`` starts the JSON-lines TCP front end
-(:mod:`repro.serve.tcp`), and ``repro serve bench`` drives the synthetic
-repeat-query workload whose reports feed ``BENCH_serve.json``.  The full
-architecture is documented in ``docs/serving.md``.
+(:mod:`repro.serve.tcp`).  ``repro bench serve`` drives the synthetic
+repeat-query workload of :mod:`repro.serve.bench`, whose reports feed
+``BENCH_serve.json``.  The full architecture is documented in
+``docs/serving.md``.
 """
 
-from repro.serve.bench import BenchReport, run_serve_bench
 from repro.serve.cache import ResultCache, StructureCache, WarmStructures
 from repro.serve.request import (
     BuildRequest,
@@ -46,7 +46,6 @@ from repro.serve.telemetry import ServeTelemetry, TraceBuffer
 from repro.serve.workers import POOL_MODES, ShardOutcome, WorkItem, WorkerPool
 
 __all__ = [
-    "BenchReport",
     "BuildRequest",
     "BuildResponse",
     "CacheInfo",
@@ -68,5 +67,4 @@ __all__ = [
     "effective_params",
     "make_response",
     "request_key",
-    "run_serve_bench",
 ]

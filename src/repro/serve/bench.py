@@ -14,13 +14,14 @@ build-throughput number and a warm served-from-cache number.  With
 ``verify=True`` every unique request is additionally rebuilt cold through
 :func:`repro.engine.build_tree` (no server, no cache) and compared
 bitwise — parents and exact metric ``repr``s — against the served
-response; any mismatch counts as *divergent* and fails the bench
-assertions downstream.
+response; any mismatch counts as *divergent* and fails the run with an
+``AssertionError``.
 
-``repro serve bench --out BENCH_serve.json`` appends the report to a
-trajectory file (one JSON document, a ``runs`` list) so throughput
-regressions are visible across PRs; ``benchmarks/test_bench_serve.py``
-pins the n=100–500 numbers.
+``repro bench serve --out BENCH_serve.json`` runs the workload of
+:data:`SERVE_BENCH` (n=100, 2 topologies, 96 requests) and appends the
+report to a trajectory file (one JSON document, a ``runs`` list) so
+throughput regressions are visible across PRs;
+``benchmarks/test_bench_serve.py`` pins the n=100–500 numbers.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.core.local_search import bfs_tree
 from repro.engine import build_tree, get_builder
 from repro.network.model import Network
 from repro.network.topology import random_graph
+from repro.obs.benchdiff import BenchRecord, MetricSpec
 from repro.serve.request import BuildRequest, BuildResponse
 from repro.serve.server import ServeConfig, TreeServer
 from repro.serve.workers import WorkerPool
@@ -41,6 +43,7 @@ from repro.utils.rng import as_rng
 
 __all__ = [
     "BenchReport",
+    "SERVE_BENCH",
     "make_workload",
     "run_serve_bench",
 ]
@@ -49,9 +52,6 @@ __all__ = [
 #: n=500, and between them they cover deterministic, seeded, lc-bounded,
 #: and depth-bounded request shapes.
 DEFAULT_BENCH_BUILDERS = ("mst", "spt", "bfs", "random_tree")
-
-BENCH_FORMAT = "repro-bench-serve"
-BENCH_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -273,6 +273,10 @@ def run_serve_bench(
     ``repeats`` is the total number of times each unique request is issued
     (1 cold + ``repeats - 1`` warm), so the expected hit rate is
     ``1 - 1/repeats`` — ≥ 90% from ``repeats=10`` up.
+
+    Raises:
+        AssertionError: With ``verify``, a served response differs from its
+            cold rebuild.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -306,6 +310,10 @@ def run_serve_bench(
 
     stats, served, cold_elapsed, warm_elapsed = asyncio.run(_drive())
     divergent = _verify_against_cold(served, unique) if verify else 0
+    if divergent:
+        raise AssertionError(
+            f"{divergent} of {len(unique)} served responses differ from a cold build"
+        )
     return BenchReport(
         n_nodes=n_nodes,
         n_topologies=n_topologies,
@@ -325,3 +333,21 @@ def run_serve_bench(
         pool_workers=int(stats["pool_workers"]),
         timestamp=time.time(),
     )
+
+
+SERVE_BENCH = BenchRecord(
+    name="serve",
+    format="repro-bench-serve",
+    version=1,
+    metrics=(MetricSpec("warm_rps"), MetricSpec("cold_rps"), MetricSpec("hit_rate")),
+    workload=(
+        "n_nodes",
+        "n_topologies",
+        "builders",
+        "total_requests",
+        "pool_mode",
+        "pool_workers",
+    ),
+    run=run_serve_bench,
+    params={"n_nodes": 100, "n_topologies": 2, "repeats": 12},
+)

@@ -1,4 +1,4 @@
-"""Tests for repro.engine.bench_ira (the ``repro bench-ira`` writer)."""
+"""Tests for repro.engine.bench_ira (the ``repro bench ira`` writer)."""
 
 import json
 
@@ -6,8 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.engine.bench_ira import (
-    BENCH_IRA_FORMAT,
-    BENCH_IRA_VERSION,
+    IRA_BENCH,
     IRA_SIZES,
     PINNED_COSTS,
     IraBenchReport,
@@ -15,11 +14,12 @@ from repro.engine.bench_ira import (
     run_ira_bench,
 )
 from repro.obs.benchdiff import (
-    DEFAULT_METRICS,
     MetricSpec,
     append_trajectory,
     diff_trajectory_file,
 )
+
+FORMAT, VERSION = IRA_BENCH.format, IRA_BENCH.version
 
 
 def _row(nodes, seconds):
@@ -48,8 +48,8 @@ def test_n120_build_is_pinned_and_counted(tmp_path):
 
     out = tmp_path / "BENCH_ira.json"
     for _ in range(2):
-        doc = append_trajectory(out, BENCH_IRA_FORMAT, BENCH_IRA_VERSION, report.to_doc())
-    assert doc["format"] == BENCH_IRA_FORMAT and len(doc["runs"]) == 2
+        doc = append_trajectory(out, FORMAT, VERSION, report.to_doc())
+    assert doc["format"] == FORMAT and len(doc["runs"]) == 2
     assert doc["runs"][0]["n120_root_probes"] == row.root_probes
     diff = diff_trajectory_file(
         out, metrics=[MetricSpec("n120_seconds", higher_is_better=False)]
@@ -62,14 +62,14 @@ def test_sentinel_gates_every_size_by_default(tmp_path, capsys):
         IraBenchReport(rows=tuple(_row(n, s) for n, _ in IRA_SIZES), timestamp=0.0)
         for s in (1.0, 1.1, 3.0)
     ]
-    names = {spec.name for spec in DEFAULT_METRICS[BENCH_IRA_FORMAT]}
+    names = {spec.name for spec in IRA_BENCH.metrics}
     assert names == {f"n{n}_seconds" for n, _ in IRA_SIZES}
     assert names <= set(runs[0].to_doc())
     out = tmp_path / "BENCH_ira.json"
     for run in runs[:2]:
-        append_trajectory(out, BENCH_IRA_FORMAT, BENCH_IRA_VERSION, run.to_doc())
+        append_trajectory(out, FORMAT, VERSION, run.to_doc())
     assert main(["obs", "bench-diff", str(out)]) == 0
-    append_trajectory(out, BENCH_IRA_FORMAT, BENCH_IRA_VERSION, runs[2].to_doc())
+    append_trajectory(out, FORMAT, VERSION, runs[2].to_doc())
     assert main(["obs", "bench-diff", str(out)]) != 0  # 3x slower regresses
     assert "REGRESSED" in capsys.readouterr().out
     assert json.loads(out.read_text())["runs"][2]["total_s"] == pytest.approx(9.0)

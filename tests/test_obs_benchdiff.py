@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import shutil
 
 import pytest
 
@@ -169,6 +171,53 @@ class TestDiffTrajectory:
             diff_trajectory(serve_doc(1.0, 2.0), threshold=0)
         with pytest.raises(ValueError, match="window"):
             diff_trajectory(serve_doc(1.0, 2.0), window=0)
+
+
+def sized_serve_doc(*runs: tuple) -> dict:
+    """A repro-bench-serve trajectory of ``(n_nodes, warm_rps)`` runs."""
+    doc = serve_doc(*(rps for _, rps in runs))
+    for run, (n_nodes, _) in zip(doc["runs"], runs):
+        run["n_nodes"] = n_nodes
+    return doc
+
+
+class TestSameWorkloadBaseline:
+    """Only earlier runs of the newest run's workload form the baseline."""
+
+    def test_committed_serve_trajectory(self, tmp_path):
+        # BENCH_serve.json holds runs at n=100, 300 and 500; its newest run
+        # is n=100, so the baseline is the one earlier n=100 run.
+        path = tmp_path / "BENCH_serve.json"
+        shutil.copy(pathlib.Path(__file__).parent.parent / "BENCH_serve.json", path)
+        diff = diff_trajectory_file(path)
+        assert diff.skipped_reason is None and diff.window == 1
+        metrics = {m.name: m for m in diff.metrics}
+        warm, cold = metrics["warm_rps"], metrics["cold_rps"]
+        assert warm.baseline == pytest.approx(3527.1, abs=0.1)
+        assert warm.change == pytest.approx(-0.091, abs=0.001)
+        assert cold.newest == pytest.approx(503.1, abs=0.1)
+        assert cold.baseline == pytest.approx(607.2, abs=0.1)
+        assert cold.change == pytest.approx(-0.171, abs=0.001)
+        assert not diff.regressed
+
+    def test_other_workloads_stay_out_of_the_window(self):
+        doc = sized_serve_doc((100, 100.0), (300, 10.0), (100, 110.0), (300, 12.0), (100, 50.0))
+        diff = diff_trajectory(doc, window=5)
+        warm = next(m for m in diff.metrics if m.name == "warm_rps")
+        assert (diff.window, warm.baseline) == (2, 105.0)
+        assert warm.change == pytest.approx(-55.0 / 105.0) and warm.regressed
+
+    def test_no_earlier_run_of_the_workload_is_skipped(self):
+        diff = diff_trajectory(sized_serve_doc((100, 100.0), (300, 1.0)))
+        assert not diff.regressed
+        assert "no earlier run" in diff.skipped_reason
+        assert "n_nodes=300" in diff.skipped_reason
+        assert "SKIPPED" in diff.render()
+
+    def test_explicit_metrics_keep_the_record_workload(self):
+        doc = sized_serve_doc((100, 100.0), (300, 1.0), (300, 1.0))
+        diff = diff_trajectory(doc, metrics=[MetricSpec("warm_rps")])
+        assert [m.baseline for m in diff.metrics] == [1.0]
 
 
 class TestDiffTrajectoryFile:

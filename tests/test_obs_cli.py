@@ -14,11 +14,11 @@ from repro.obs.runtime import is_enabled
 class TestDispatch:
     def test_main_routes_obs_to_sub_cli(self, capsys, tmp_path):
         code = main(
-            ["obs", "ira", "--nodes", "10", "--seed", "1", "--no-write"]
+            ["obs", "build", "ira", "--nodes", "10", "--seed", "1", "--no-write"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "[obs ira]" in out
+        assert "[obs build] builder=ira" in out
 
     def test_figure_commands_still_work(self, capsys):
         assert main(["fig3"]) == 0
@@ -26,6 +26,8 @@ class TestDispatch:
 
 
 class TestObsIra:
+    """``repro obs build ira``: LC = L_AAML / --lc-divisor (default 2)."""
+
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
         out_dir = tmp_path_factory.mktemp("obs")
@@ -35,7 +37,7 @@ class TestObsIra:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = obs_main(
-                ["ira", "--nodes", "12", "--seed", "1", "--out", str(out_dir)]
+                ["build", "ira", "--nodes", "12", "--seed", "1", "--out", str(out_dir)]
             )
         return code, buf.getvalue(), out_dir
 
@@ -44,7 +46,9 @@ class TestObsIra:
         assert code == 0
         assert "iterations=" in out and "lp_solves=" in out
         assert "lp_reused=" in out
-        assert "simplex_iterations=" in out
+        assert "lifetime_satisfied=True" in out
+        # The metrics table carries the simplex work.
+        assert "lp.simplex_iterations" in out
 
     def test_counters_nonzero_in_output(self, run):
         _, out, _ = run
@@ -90,7 +94,7 @@ class TestOtherSubcommands:
 
     def test_dump_trace(self, capsys):
         code = obs_main(
-            ["aaml", "--nodes", "8", "--seed", "3", "--no-write", "--dump-trace"]
+            ["build", "aaml", "--nodes", "8", "--seed", "3", "--no-write", "--dump-trace"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -101,9 +105,9 @@ class TestValidation:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["ira", "--nodes", "0"],
-            ["ira", "--lc-divisor", "0"],
-            ["ira", "--link-prob", "1.5"],
+            ["build", "ira", "--nodes", "0"],
+            ["build", "ira", "--lc-divisor", "0"],
+            ["build", "ira", "--link-prob", "1.5"],
             ["rounds", "--rounds", "-3"],
         ],
     )
@@ -115,14 +119,16 @@ class TestValidation:
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             obs_main([])
+        # `repro obs build NAME` replaced the per-builder subcommands.
+        for name in ("ira", "aaml", "mst"):
+            with pytest.raises(SystemExit):
+                obs_main([name, "--no-write"])
 
     def test_parser_knows_all_subcommands(self):
         parser = build_obs_parser()
         help_text = parser.format_help()
         for name in (
-            "ira",
-            "aaml",
-            "mst",
+            "build",
             "rounds",
             "churn",
             "fig",

@@ -126,8 +126,6 @@ class TestPoolReuse:
         pids = set(parallel_map(_slow_pid, 8, n_jobs=2, chunk_size=1))
         with pytest.raises(ZeroDivisionError):
             parallel_map(_reciprocal, 4, n_jobs=2)
-        # The executor's own thread may still be reaping a killed worker.
-        time.sleep(0.5)
         alive = {p.pid for p in multiprocessing.active_children()}
         assert not alive & pids
         assert parallel_map(_square, 4, n_jobs=2) == [0, 1, 4, 9]

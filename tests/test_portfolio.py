@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import multiprocessing
 import os
 import threading
@@ -12,16 +13,14 @@ import pytest
 
 import repro.engine.pool as pool_module
 import repro.engine.registry as registry_module
+from repro.engine.bench_portfolio import PORTFOLIO_BENCH, run_portfolio_bench
 from repro.engine.portfolio import (
     DEFAULT_MEMBERS,
     MemberOutcome,
-    BENCH_PORTFOLIO_FORMAT,
-    BENCH_PORTFOLIO_VERSION,
     PortfolioError,
     build_portfolio_tree,
     member_configs,
     race_builders,
-    run_portfolio_bench,
     select_winner,
 )
 from repro.engine.registry import build_tree, tree_builder
@@ -311,7 +310,6 @@ class TestSharedPool:
     ):
         outcomes = race_builders(net, ("mst", sleeping_builder), budget_s=1.0)
         assert [o.status for o in outcomes] == ["ok", "timeout"]
-        time.sleep(0.5)
         assert _new_children(fresh_pool) == []
         outcomes = race_builders(net, ("mst", "bfs"), budget_s=5.0)
         assert [o.status for o in outcomes] == ["ok", "ok"]
@@ -420,8 +418,6 @@ class TestBuildPortfolioTree:
         assert tree is not None
 
     def test_meta_is_json_serializable(self, net):
-        import json
-
         result = build_tree(
             "portfolio", net, members=["mst", "bfs"], parallel=False
         )
@@ -508,7 +504,7 @@ class TestServeIntegration:
 
 def _append(path, report):
     return append_trajectory(
-        path, BENCH_PORTFOLIO_FORMAT, BENCH_PORTFOLIO_VERSION, report.to_doc()
+        path, PORTFOLIO_BENCH.format, PORTFOLIO_BENCH.version, report.to_doc()
     )
 
 
@@ -528,8 +524,6 @@ class TestPortfolioBench:
         assert doc["format"] == "repro-bench-portfolio"
         assert doc["runs"][0]["winner"] == "mst"
         _append(out, report)
-        import json
-
         assert len(json.loads(out.read_text())["runs"]) == 2
 
     def test_trajectory_rejects_foreign_format(self, tmp_path):
@@ -540,9 +534,7 @@ class TestPortfolioBench:
             _append(out, report)
 
     def test_bench_diff_knows_portfolio_format(self):
-        from repro.obs.benchdiff import DEFAULT_METRICS
-
-        names = [m.name for m in DEFAULT_METRICS["repro-bench-portfolio"]]
+        names = [m.name for m in PORTFOLIO_BENCH.metrics]
         assert "speedup" in names
         assert "warm_speedup" in names
 
@@ -552,20 +544,10 @@ class TestCli:
         from repro.cli import main
 
         out = tmp_path / "BENCH_portfolio.json"
-        code = main(
-            [
-                "bench-portfolio",
-                "--nodes",
-                "12",
-                "--members",
-                "mst,bfs",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+        assert main(["bench", "portfolio", "--ci", "--out", str(out)]) == 0
         assert "portfolio bench" in capsys.readouterr().out
-        assert out.exists()
+        (run,) = json.loads(out.read_text())["runs"]
+        assert (run["n_nodes"], run["members"]) == (24, list(DEFAULT_MEMBERS))
 
     def test_ext_portfolio_in_command_table(self):
         from repro.cli import _COMMANDS

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.network.model import Network
 from repro.network.serialization import network_to_dict
 from repro.network.topology import random_graph
@@ -431,81 +432,57 @@ class TestTcpTransport:
 
 class TestServeCli:
     def test_bench_subcommand_prints_report(self, capsys):
-        exit_code = serve_main(
-            [
-                "bench",
-                "--nodes",
-                "16",
-                "--topologies",
-                "2",
-                "--repeats",
-                "5",
-                "--builders",
-                "mst,spt",
-            ]
-        )
+        # The serve bench runs its one workload as `repro bench serve`.
+        assert main(["bench", "serve"]) == 0
         out = capsys.readouterr().out
-        assert exit_code == 0
+        assert "serve bench: n=100 nodes × 2 topologies" in out
         assert "hit rate" in out
         assert "divergent       0" in out
 
     def test_bench_out_appends_trajectory(self, tmp_path, capsys):
         target = tmp_path / "BENCH_serve.json"
-        argv = [
-            "bench",
-            "--nodes",
-            "12",
-            "--topologies",
-            "1",
-            "--repeats",
-            "3",
-            "--builders",
-            "mst",
-            "--out",
-            str(target),
-        ]
-        assert serve_main(argv) == 0
-        assert serve_main(argv) == 0
+        argv = ["bench", "serve", "--out", str(target)]
+        assert main(argv) == 0
+        assert main(argv) == 0
         capsys.readouterr()
         doc = json.loads(target.read_text())
         assert doc["format"] == "repro-bench-serve"
         assert len(doc["runs"]) == 2
-        assert doc["runs"][0]["divergent"] == 0
-        assert doc["runs"][0]["hit_rate"] >= 0.6
+        run = doc["runs"][0]
+        assert (run["n_nodes"], run["n_topologies"], run["total_requests"]) == (100, 2, 96)
+        assert (run["pool_mode"], run["divergent"]) == ("inline", 0)
+        assert run["hit_rate"] >= 0.9
 
     def test_main_cli_dispatches_serve(self, capsys):
-        from repro.cli import main
-
-        exit_code = main(
-            [
-                "serve",
-                "bench",
-                "--nodes",
-                "12",
-                "--topologies",
-                "1",
-                "--repeats",
-                "3",
-                "--builders",
-                "bfs",
-            ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "run", "--batch-size", "0"])
+        assert excinfo.value.code == 2
+        assert "repro serve: error: --batch-size must be positive" in (
+            capsys.readouterr().err
         )
-        assert exit_code == 0
-        assert "serve bench" in capsys.readouterr().out
 
-    def test_bench_rejects_bad_arguments(self):
+    def test_bench_rejects_bad_arguments(self, capsys):
+        # `repro serve bench` and its flags are gone; `repro bench serve`
+        # takes only --ci and --out.
+        for argv in (
+            ["serve", "bench"],
+            ["bench", "serve", "--nodes", "16"],
+            ["bench", "serve", "--mode", "process"],
+            ["bench", "nonsense"],
+            ["serve", "nonsense"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
         with pytest.raises(SystemExit):
-            serve_main(["bench", "--repeats", "0"])
-        with pytest.raises(SystemExit):
-            serve_main(["bench", "--workers", "0"])
-        with pytest.raises(SystemExit):
-            serve_main(["nonsense"])
+            serve_main(["run", "--workers", "0"])
 
     @pytest.mark.parametrize("command", ["run", "bench"])
     def test_backend_flag_is_gone(self, command, capsys):
         # One TreeState engine: there is no engine to choose.
+        argv = {"run": ["serve", "run"], "bench": ["bench", "serve"]}[command]
         with pytest.raises(SystemExit) as excinfo:
-            serve_main([command, "--backend", "numpy"])
+            main(argv + ["--backend", "numpy"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
