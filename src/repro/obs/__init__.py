@@ -41,7 +41,6 @@ from repro.obs.export import (
     TimeSeriesRing,
     parse_prometheus,
     prometheus_name,
-    render_json,
     render_prometheus,
 )
 from repro.obs.manifest import RunManifest, collect_manifest, git_revision
@@ -88,6 +87,5 @@ __all__ = [
     "parse_prometheus",
     "prometheus_name",
     "read_jsonl",
-    "render_json",
     "render_prometheus",
 ]

@@ -150,14 +150,16 @@ class BenchDiff:
             f"{header}: newest of {self.n_runs} runs vs median of "
             f"previous {self.window} of its workload (threshold {self.threshold:.0%})"
         ]
+        names = [m.name for m in self.metrics] + list(self.new_metrics)
+        width = max(map(len, names), default=0)
         for m in self.metrics:
             verdict = "REGRESSED" if m.regressed else "ok"
             lines.append(
-                f"  {m.name:<12} {m.newest:>12.4g}  baseline {m.baseline:>12.4g}"
+                f"  {m.name:<{width}} {m.newest:>12.4g}  baseline {m.baseline:>12.4g}"
                 f"  change {m.change:+8.1%}  {verdict}"
             )
         for name in self.new_metrics:
-            lines.append(f"  {name:<12} new: no baseline in the window yet")
+            lines.append(f"  {name:<{width}} new: no baseline in the window yet")
         return "\n".join(lines)
 
 

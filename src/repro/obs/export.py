@@ -2,15 +2,13 @@
 
 PR 2's registry was built for one-shot experiment runs: record, finish,
 snapshot.  A long-running server needs the other direction — *live*
-export a scraper or dashboard can poll.  This module renders a
-:class:`~repro.obs.metrics.MetricsRegistry` in two wire formats:
-
-* :func:`render_prometheus` — the Prometheus text exposition format
-  (``# TYPE`` headers, sanitized names, label sets, quantile series for
-  histograms), so any standard scraper ingests the server's metrics;
-* :func:`render_json` — a JSON document with full histogram summaries
-  (count/sum/min/p50/p90/p99/max), the shape the ``metrics`` TCP op and
-  ``repro obs top`` consume.
+export a scraper or dashboard can poll.  :func:`render_prometheus`
+renders a :class:`~repro.obs.metrics.MetricsRegistry` in the Prometheus
+text exposition format (``# TYPE`` headers, sanitized names, label sets,
+quantile series for histograms), so any standard scraper ingests the
+server's metrics.  The JSON form is the registry's own
+:meth:`~repro.obs.metrics.MetricsRegistry.snapshot` (full histogram
+summaries), the shape the ``metrics`` TCP op and ``repro obs top`` consume.
 
 :func:`parse_prometheus` is the minimal inverse (sample lines back into
 ``{name{labels}: value}``); CI's export smoke uses it to assert the text
@@ -37,7 +35,6 @@ __all__ = [
     "parse_prometheus",
     "parse_prometheus_labels",
     "prometheus_name",
-    "render_json",
     "render_prometheus",
     "unescape_label_value",
 ]
@@ -182,16 +179,6 @@ def parse_prometheus_labels(label_text: str) -> Dict[str, str]:
         key: unescape_label_value(value)
         for key, value in _LABEL_PAIR.findall(label_text)
     }
-
-
-def render_json(registry: MetricsRegistry) -> Dict[str, Any]:
-    """JSON-ready snapshot: the registry dump plus per-histogram summaries.
-
-    Identical to :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` —
-    re-exported here so both exporter formats are importable from one
-    module and the TCP ``metrics`` op has a single provider.
-    """
-    return registry.snapshot()
 
 
 class TimeSeriesRing:

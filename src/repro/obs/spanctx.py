@@ -14,7 +14,8 @@ Contexts are plain string triples, so they serialize to dicts
 (:meth:`SpanContext.to_dict`) and survive pickling across the serve
 layer's process workers — a worker's build span carries the submitting
 request's ``trace_id`` and re-attaches to its trace when the shard result
-returns (:meth:`repro.obs.trace.Tracer.add_span`).
+returns (the server keeps it in its
+:class:`~repro.serve.telemetry.TraceBuffer`).
 
 The *ambient* context is tracked in a :class:`contextvars.ContextVar`, so
 interleaved asyncio tasks each see their own current span and nested

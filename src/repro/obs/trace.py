@@ -17,7 +17,7 @@ and grep well:
   (:mod:`repro.obs.spanctx`): every span belongs to a trace, knows its own
   id, and points at its parent span, so a request's spans reassemble into
   a tree even when they interleave across asyncio tasks or arrive from
-  another process (:meth:`Tracer.add_span`).
+  another process.
 
 The wall-clock epoch of ``t == 0`` is recorded once in the header line
 (``kind == "trace_start"``) so traces can be correlated across processes.
@@ -35,21 +35,28 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.obs.spanctx import SpanContext, activate_span, current_span
 
-__all__ = ["TraceEvent", "Tracer", "NullTracer", "NULL_TRACER", "read_jsonl"]
+__all__ = ["TraceEvent", "Tracer", "NullTracer", "NULL_TRACER", "json_safe", "read_jsonl"]
+
+_JSON_SCALARS = (str, int, float, bool)
 
 
-def _json_safe(value: Any) -> Any:
-    """Coerce a field value to something ``json.dumps`` accepts."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
+def json_safe(value: Any) -> Any:
+    """Coerce *value* to plain JSON types for ``json.dumps``.
+
+    Numpy scalars and arrays become Python scalars and lists via
+    ``.tolist()``, tuples and sets become lists, dict keys become strings,
+    and anything else its ``str``.
+    """
+    if value is None or type(value) in _JSON_SCALARS:
         return value
     if isinstance(value, (list, tuple, set, frozenset)):
-        return [_json_safe(v) for v in value]
+        return [json_safe(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    try:  # numpy scalars expose item() without importing numpy here
-        return value.item()
+        return {str(k): json_safe(v) for k, v in value.items()}
+    try:  # numpy scalars and arrays, without importing numpy here
+        return value.tolist()
     except AttributeError:
-        return str(value)
+        return value if isinstance(value, _JSON_SCALARS) else str(value)
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,8 @@ class TraceEvent:
     span_id: Optional[str] = None
     parent_id: Optional[str] = None
 
-    def to_json(self) -> str:
+    def to_doc(self) -> Dict[str, Any]:
+        """The record as a JSON-ready dict (one JSONL line, unserialized)."""
         doc: Dict[str, Any] = {"t": round(self.t, 9), "name": self.name, "kind": self.kind}
         if self.dur is not None:
             doc["dur"] = round(self.dur, 9)
@@ -87,8 +95,11 @@ class TraceEvent:
         if self.parent_id is not None:
             doc["parent"] = self.parent_id
         if self.fields:
-            doc["fields"] = {k: _json_safe(v) for k, v in self.fields.items()}
-        return json.dumps(doc, sort_keys=True)
+            doc["fields"] = {k: json_safe(v) for k, v in self.fields.items()}
+        return doc
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), sort_keys=True)
 
 
 class Tracer:
@@ -106,7 +117,8 @@ class Tracer:
             )
         ]
 
-    def _now(self) -> float:
+    def now(self) -> float:
+        """Seconds since this tracer's epoch."""
         return time.perf_counter() - self._t0
 
     def event(self, name: str, **fields: Any) -> None:
@@ -120,7 +132,7 @@ class Tracer:
             TraceEvent(
                 name=name,
                 kind="event",
-                t=self._now(),
+                t=self.now(),
                 fields=fields,
                 trace_id=ambient.trace_id if ambient is not None else None,
                 parent_id=ambient.span_id if ambient is not None else None,
@@ -148,7 +160,7 @@ class Tracer:
         """
         base = parent if parent is not None else current_span()
         context = base.child() if base is not None else SpanContext.root()
-        start = self._now()
+        start = self.now()
         payload = dict(fields)
         try:
             with activate_span(context):
@@ -162,45 +174,13 @@ class Tracer:
                     name=name,
                     kind="span",
                     t=start,
-                    dur=self._now() - start,
+                    dur=self.now() - start,
                     fields=payload,
                     trace_id=context.trace_id,
                     span_id=context.span_id,
                     parent_id=context.parent_id,
                 )
             )
-
-    def add_span(
-        self,
-        name: str,
-        *,
-        dur: float,
-        context: SpanContext,
-        t: Optional[float] = None,
-        **fields: Any,
-    ) -> TraceEvent:
-        """Re-attach an externally measured span to this trace.
-
-        The serve layer uses this to splice a worker process's build span
-        (measured worker-side with ``perf_counter``, shipped back with the
-        shard result as a serialized :class:`~repro.obs.spanctx.
-        SpanContext`) into the originating request's trace.  *t* defaults
-        to "it just finished": now minus *dur*, clamped at the epoch.
-        """
-        if t is None:
-            t = max(0.0, self._now() - dur)
-        event = TraceEvent(
-            name=name,
-            kind="span",
-            t=t,
-            dur=dur,
-            fields=fields,
-            trace_id=context.trace_id,
-            span_id=context.span_id,
-            parent_id=context.parent_id,
-        )
-        self.events.append(event)
-        return event
 
     def to_jsonl(self) -> str:
         """The full trace as JSON-lines text (trailing newline included)."""
@@ -230,17 +210,6 @@ class NullTracer(Tracer):
         **fields: Any,
     ) -> Iterator[Dict[str, Any]]:
         yield {}
-
-    def add_span(
-        self,
-        name: str,
-        *,
-        dur: float,
-        context: SpanContext,
-        t: Optional[float] = None,
-        **fields: Any,
-    ) -> TraceEvent:
-        return TraceEvent(name=name, kind="span", t=t or 0.0, dur=dur)
 
     def to_jsonl(self) -> str:
         return ""

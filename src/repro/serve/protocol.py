@@ -53,8 +53,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.network.serialization import network_from_dict, tree_to_dict
-import numpy as np
-
+from repro.obs.trace import json_safe
 from repro.serve.request import (
     BuildRequest,
     BuildResponse,
@@ -68,21 +67,6 @@ __all__ = [
     "encode_error",
     "encode_response",
 ]
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce builder meta values to plain JSON types for the wire."""
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
 
 
 def decode_build_request(doc: Dict[str, Any]) -> BuildRequest:
@@ -128,7 +112,7 @@ def encode_response(
         "fingerprint": info.fingerprint,
         "key": info.key,
         "cache": {"hit": info.hit, "source": info.source},
-        "metrics": {k: _jsonable(v) for k, v in response.metrics.items()},
+        "metrics": {k: json_safe(v) for k, v in response.metrics.items()},
         "tree": tree_to_dict(response.tree),
     }
     if response.trace_id is not None:

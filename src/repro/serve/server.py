@@ -44,8 +44,9 @@ additionally gets a trace of its own: a ``serve.request`` root span, a
 a process worker, whose span context travels out on the
 :class:`~repro.serve.workers.WorkItem` and back on the
 :class:`~repro.serve.workers.ShardOutcome` (see
-:mod:`repro.obs.spanctx`).  Completed traces land in the server's
-:class:`~repro.serve.telemetry.TraceBuffer`, and the response carries
+:mod:`repro.obs.spanctx`).  The server's
+:class:`~repro.serve.telemetry.TraceBuffer` is the one store of these
+spans (the session tracer does not keep them), and the response carries
 ``trace_id`` so a client can fetch them via the ``trace`` TCP op.
 
 Independent of instrumentation, :class:`ServeConfig` may declare
@@ -66,6 +67,7 @@ from repro.network.model import Network
 from repro.obs import OBS
 from repro.obs.slo import SLO, SLOTracker
 from repro.obs.spanctx import SpanContext, activate_span
+from repro.obs.trace import TraceEvent
 from repro.serve.cache import ResultCache, StructureCache, WarmStructures
 from repro.serve.request import (
     BuildRequest,
@@ -80,6 +82,11 @@ from repro.serve.telemetry import ServeTelemetry
 from repro.serve.workers import ShardOutcome, WorkItem, WorkerPool
 
 __all__ = ["ServeConfig", "TreeServer", "make_response"]
+
+#: Capacity of the content-addressed result store.
+RESULT_CACHE_SIZE = 4096
+#: Capacity (in topologies) of the warm-structure store.
+STRUCTURE_CACHE_SIZE = 256
 
 
 def make_response(
@@ -118,7 +125,7 @@ def make_response(
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Scheduler and cache knobs.
+    """Scheduler knobs.
 
     Attributes:
         batch_size: Max requests per micro-batch.
@@ -126,27 +133,16 @@ class ServeConfig:
             first request of a batch arrives (0 disables waiting).
         max_pending: Admission ceiling on requests queued or building;
             submissions beyond it raise ``ServerOverloadedError``.
-        result_cache_size: Capacity of the content-addressed result store.
-        structure_cache_size: Capacity (in topologies) of the warm store.
-        precheck_connectivity: Refuse requests on disconnected topologies
-            at admission instead of failing inside every builder.
         slos: Declared :class:`~repro.obs.slo.SLO` objectives; an empty
             tuple (the default) disables SLO accounting entirely.
         snapshot_interval_s: Cadence of the telemetry sampling loop.
-        telemetry_capacity: Samples kept per telemetry time-series ring.
-        trace_capacity: Completed request traces kept for the ``trace`` op.
     """
 
     batch_size: int = 16
     batch_window_s: float = 0.002
     max_pending: int = 1024
-    result_cache_size: int = 4096
-    structure_cache_size: int = 256
-    precheck_connectivity: bool = True
     slos: Tuple[SLO, ...] = ()
     snapshot_interval_s: float = 1.0
-    telemetry_capacity: int = 256
-    trace_capacity: int = 512
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -157,8 +153,6 @@ class ServeConfig:
             raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
         if self.snapshot_interval_s <= 0:
             raise ValueError("snapshot_interval_s must be positive")
-        if self.telemetry_capacity < 1 or self.trace_capacity < 1:
-            raise ValueError("telemetry/trace capacities must be >= 1")
 
 
 @dataclass
@@ -200,8 +194,8 @@ class TreeServer:
         self.config = config or ServeConfig()
         self._pool = pool if pool is not None else WorkerPool(mode="inline")
         self._owns_pool = pool is None
-        self.results = ResultCache(self.config.result_cache_size)
-        self.structures = StructureCache(self.config.structure_cache_size)
+        self.results = ResultCache(RESULT_CACHE_SIZE)
+        self.structures = StructureCache(STRUCTURE_CACHE_SIZE)
         self._queue: "asyncio.Queue[_Pending]" = asyncio.Queue()
         self._inflight: Dict[str, _Pending] = {}
         self._batcher: Optional["asyncio.Task[None]"] = None
@@ -209,10 +203,7 @@ class TreeServer:
         self._closed = False
         self.slo = SLOTracker(self.config.slos)
         self.telemetry = ServeTelemetry(
-            self,
-            interval_s=self.config.snapshot_interval_s,
-            capacity=self.config.telemetry_capacity,
-            trace_capacity=self.config.trace_capacity,
+            self, interval_s=self.config.snapshot_interval_s
         )
         # Monotonic stats (cheap ints; obs mirrors them when enabled).
         self.requests = 0
@@ -348,6 +339,7 @@ class TreeServer:
             fingerprint = self.structures.fingerprint_of(request.network)
         warm = self.structures.get_or_create(fingerprint, request.network)
         key = request_key(fingerprint, request.builder, params)
+        trace_id = ctx.trace_id if ctx is not None else None
 
         self.requests += 1
         if OBS.enabled:
@@ -359,8 +351,8 @@ class TreeServer:
         if cached is not None:
             if OBS.enabled:
                 OBS.registry.counter("serve.cache_hits", tier="result").inc()
-            return self._respond(
-                cached, fingerprint, key, hit=True, source="result", ctx=ctx
+            return make_response(
+                cached, fingerprint, key, hit=True, source="result", trace_id=trace_id
             )
 
         pending = self._inflight.get(key)
@@ -369,8 +361,8 @@ class TreeServer:
             if OBS.enabled:
                 OBS.registry.counter("serve.cache_hits", tier="inflight").inc()
             result = await asyncio.shield(pending.future)
-            return self._respond(
-                result, fingerprint, key, hit=True, source="inflight", ctx=ctx
+            return make_response(
+                result, fingerprint, key, hit=True, source="inflight", trace_id=trace_id
             )
 
         # Admission control: bound queued + building work.
@@ -382,7 +374,7 @@ class TreeServer:
                 f"{len(self._inflight)} requests pending "
                 f"(max_pending={self.config.max_pending}); retry later"
             )
-        if self.config.precheck_connectivity and not warm.is_connected():
+        if not warm.is_connected():
             raise ServeError(
                 "topology is disconnected; no spanning aggregation tree exists"
             )
@@ -392,7 +384,6 @@ class TreeServer:
             key=key,
             warm=warm,
             item=WorkItem(
-                key=key,
                 builder=request.builder,
                 params=params,
                 span=ctx.to_dict() if ctx is not None else None,
@@ -407,8 +398,8 @@ class TreeServer:
             OBS.registry.gauge("serve.queue_depth").set(self._queue.qsize())
             OBS.registry.gauge("serve.inflight").set(len(self._inflight))
         result = await asyncio.shield(entry.future)
-        return self._respond(
-            result, fingerprint, key, hit=False, source="built", ctx=ctx
+        return make_response(
+            result, fingerprint, key, hit=False, source="built", trace_id=trace_id
         )
 
     async def submit_many(
@@ -429,7 +420,7 @@ class TreeServer:
 
     def trace_spans(self, trace_id: str) -> Optional[List[Dict[str, Any]]]:
         """Spans recorded for one request trace (``None`` if unknown)."""
-        return self.telemetry.trace(trace_id)
+        return self.telemetry.traces.get(trace_id)
 
     def stats(self) -> Dict[str, Any]:
         """One flat snapshot of scheduler + cache + budget health."""
@@ -462,41 +453,23 @@ class TreeServer:
         ctx: SpanContext,
         **fields: Any,
     ) -> None:
-        """Splice one externally measured span into tracer + trace buffer."""
-        if OBS.enabled:
-            event = OBS.tracer.add_span(name, dur=dur, context=ctx, **fields)
-            doc: Dict[str, Any] = {
-                "name": name,
-                "kind": "span",
-                "t": event.t,
-                "dur": dur,
-                "trace": ctx.trace_id,
-                "span": ctx.span_id,
-            }
-            if ctx.parent_id is not None:
-                doc["parent"] = ctx.parent_id
-            if fields:
-                doc["fields"] = dict(fields)
-            self.telemetry.record_trace_span(ctx.trace_id, doc)
+        """Keep one span that just finished, measured here or in a worker.
 
-    def _respond(
-        self,
-        result: BuildResult,
-        fingerprint: str,
-        key: str,
-        *,
-        hit: bool,
-        source: str,
-        ctx: Optional[SpanContext] = None,
-    ) -> BuildResponse:
-        return make_response(
-            result,
-            fingerprint,
-            key,
-            hit=hit,
-            source=source,
-            trace_id=ctx.trace_id if ctx is not None else None,
-        )
+        The span goes to the trace buffer only; its ``t`` is on the
+        session tracer's clock (now minus *dur*, clamped at the epoch).
+        """
+        if OBS.enabled:
+            event = TraceEvent(
+                name=name,
+                kind="span",
+                t=max(0.0, OBS.tracer.now() - dur),
+                dur=dur,
+                fields=fields,
+                trace_id=ctx.trace_id,
+                span_id=ctx.span_id,
+                parent_id=ctx.parent_id,
+            )
+            self.telemetry.traces.add(ctx.trace_id, event.to_doc())
 
     async def _collect_batch(self) -> List[_Pending]:
         """Block for the first request, then drain stragglers briefly."""
@@ -580,11 +553,9 @@ class TreeServer:
     def _settle_shard(
         self, members: List[_Pending], outcomes: List[ShardOutcome]
     ) -> None:
-        by_key = {outcome.key: outcome for outcome in outcomes}
-        for pending in members:
+        for pending, outcome in zip(members, outcomes):
             self._inflight.pop(pending.key, None)
-            outcome = by_key.get(pending.key)
-            if OBS.enabled and outcome is not None and outcome.span is not None:
+            if OBS.enabled and outcome.span is not None:
                 # Splice the worker-measured build span (possibly minted in
                 # another process) back into the originating request trace.
                 self._record_span(
@@ -597,11 +568,7 @@ class TreeServer:
                 )
             if pending.future.done():
                 continue
-            if outcome is None:
-                pending.future.set_exception(
-                    ServeError(f"worker returned no outcome for {pending.key[:16]}…")
-                )
-            elif outcome.result is None:
+            if outcome.result is None:
                 pending.future.set_exception(
                     ServeError(f"build failed: {outcome.error}")
                 )

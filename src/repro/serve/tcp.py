@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional
 
 from repro.network.serialization import network_from_dict
 from repro.obs import OBS
-from repro.obs.export import render_json, render_prometheus
+from repro.obs.export import render_prometheus
 from repro.serve.protocol import (
     decode_build_request,
     encode_error,
@@ -105,7 +105,7 @@ async def _dispatch(
             reply["series"] = server.telemetry.series_doc()
             if OBS.enabled:
                 reply["enabled"] = True
-                reply["metrics"] = render_json(OBS.registry)
+                reply["metrics"] = OBS.registry.snapshot()
         return reply
     if op == "trace":
         trace_id = doc.get("trace")

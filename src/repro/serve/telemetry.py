@@ -11,10 +11,10 @@ history*:
   ``serve.request_seconds`` / ``serve.build_seconds`` histograms.  The
   ``metrics`` TCP op and ``repro obs top`` read these rings.
 * :class:`TraceBuffer` — a bounded LRU of completed request traces keyed
-  by trace id.  The server appends every span it records (request root,
-  queue wait, worker build) here as well as to the active tracer, so a
-  TCP client can fetch one request's span tree with the ``trace`` op
-  moments after getting its response.
+  by trace id.  It is the one store of a served request's spans (request
+  root, queue wait, worker build): the server keeps them here and not in
+  the session tracer, so a TCP client can fetch one request's span tree
+  with the ``trace`` op moments after getting its response.
 
 Both are server state, not instrumentation: the sampler task always runs
 (one wake-up per ``snapshot_interval_s``, entirely off the request path)
@@ -38,6 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 __all__ = ["ServeTelemetry", "TraceBuffer"]
 
+#: Samples kept per telemetry time-series ring.
+TELEMETRY_CAPACITY = 256
+#: Completed request traces kept for the ``trace`` op.
+TRACE_CAPACITY = 512
+
 
 class TraceBuffer:
     """Bounded store of completed request traces (span docs by trace id).
@@ -47,7 +52,7 @@ class TraceBuffer:
     hundred requests' traces, never an unbounded log.
     """
 
-    def __init__(self, capacity: int = 512) -> None:
+    def __init__(self, capacity: int = TRACE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -92,40 +97,19 @@ _STAGE_HISTOGRAMS = {
 class ServeTelemetry:
     """The server's sampling loop and its ring-buffered time series."""
 
-    def __init__(
-        self,
-        server: "TreeServer",
-        *,
-        interval_s: float = 1.0,
-        capacity: int = 256,
-        trace_capacity: int = 512,
-    ) -> None:
+    def __init__(self, server: "TreeServer", *, interval_s: float = 1.0) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
         self._server = server
         self.interval_s = interval_s
         self.rings: Dict[str, TimeSeriesRing] = {
-            name: TimeSeriesRing(name, capacity)
+            name: TimeSeriesRing(name, TELEMETRY_CAPACITY)
             for name in _STATS_SERIES + _LATENCY_SERIES
         }
-        self.traces = TraceBuffer(trace_capacity)
+        self.traces = TraceBuffer()
         self.samples = 0
         self._last_requests: Optional[tuple] = None
 
-    # ------------------------------------------------------------------
-    # Trace side
-    # ------------------------------------------------------------------
-    def record_trace_span(self, trace_id: str, span_doc: Dict[str, Any]) -> None:
-        """Store one span doc under its request trace."""
-        self.traces.add(trace_id, span_doc)
-
-    def trace(self, trace_id: str) -> Optional[List[Dict[str, Any]]]:
-        """Fetch one request's recorded spans (``None`` if unknown)."""
-        return self.traces.get(trace_id)
-
-    # ------------------------------------------------------------------
-    # Metrics side
-    # ------------------------------------------------------------------
     def sample_once(self, t: Optional[float] = None) -> None:
         """Append one sample to every ring that has data right now."""
         server = self._server

@@ -26,8 +26,12 @@ the originating request's serialized span context
 child span id — its process-unique prefix guarantees no collision with
 server-side ids — times the build with ``perf_counter``, and ships
 ``{"ctx": ..., "dur": ...}`` back on the :class:`ShardOutcome`; the
-server splices it into the request trace with ``Tracer.add_span``.  With
-observability off the context is ``None`` and no clock is read.
+server keeps it with the request's other spans in its
+:class:`~repro.serve.telemetry.TraceBuffer`.  With observability off the
+context is ``None`` and no clock is read.
+
+A shard's outcomes come back in item order, one per item, so nothing on
+an item or an outcome names the request it belongs to.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ POOL_MODES = ("inline", "process")
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One queued build: the request key plus what the builder needs.
+    """One queued build: what the builder needs.
 
     ``span`` is the originating request's serialized span context
     (``None`` when the server has observability off); it travels with
@@ -69,7 +73,6 @@ class WorkItem:
     trace.
     """
 
-    key: str
     builder: str
     params: Mapping[str, Any]
     span: Optional[Dict[str, str]] = None
@@ -85,7 +88,6 @@ class ShardOutcome:
     It is attached to error outcomes too: failed builds take time.
     """
 
-    key: str
     result: Optional[BuildResult]
     error: Optional[str] = None
     span: Optional[Dict[str, Any]] = None
@@ -104,7 +106,7 @@ def _child_span(
 def _build_one(network: Network, item: WorkItem) -> ShardOutcome:
     start = time.perf_counter() if item.span is not None else 0.0
     result, error, _ = attempt_build(network, item.builder, item.params)
-    return ShardOutcome(item.key, result, error, _child_span(item.span, start))
+    return ShardOutcome(result, error, _child_span(item.span, start))
 
 
 # ----------------------------------------------------------------------
@@ -177,8 +179,9 @@ class WorkerPool:
     ) -> List[ShardOutcome]:
         """Execute *items* (all on *warm*'s topology) in this pool.
 
-        In process mode the items' params go to another process, so a
-        live ``numpy.random.Generator`` in them raises ``ValueError``.
+        Returns one outcome per item, in item order.  In process mode the
+        items' params go to another process, so a live
+        ``numpy.random.Generator`` in them raises ``ValueError``.
         """
         if not items:
             return []
@@ -196,9 +199,9 @@ class WorkerPool:
             wire_items,
         )
         outcomes: List[ShardOutcome] = []
-        for item, (row, span) in zip(items, rows):
+        for item, (row, span) in zip(items, rows, strict=True):
             result, error, _ = bind_row(warm.network, item.builder, item.params, row)
-            outcomes.append(ShardOutcome(item.key, result, error, span))
+            outcomes.append(ShardOutcome(result, error, span))
         return outcomes
 
     def close(self) -> None:

@@ -32,7 +32,7 @@ def _error_texts(builder, params):
     """The error each caller reports for one failing build, keyed by caller."""
     net = random_graph(8, 0.6, seed=4)
     warm = WarmStructures("fp", net)
-    item = WorkItem(key="k", builder=builder, params=params)
+    item = WorkItem(builder=builder, params=params)
     texts = {}
     (shard,) = asyncio.run(WorkerPool("inline").run_shard(warm, [item]))
     texts["inline"] = shard.error

@@ -58,7 +58,7 @@ def _boundaries(func, params):
     yield "race_builders", race
 
     def run_shard():
-        item = WorkItem(key="k", builder="random_tree", params=params)
+        item = WorkItem(builder="random_tree", params=params)
         with WorkerPool("process", n_workers=1) as pool:
             (outcome,) = asyncio.run(pool.run_shard(WarmStructures("fp", net), [item]))
         return outcome.result is not None, outcome.error

@@ -102,6 +102,21 @@ class TestDiffTrajectory:
         )
         assert diff.regressed
 
+    def test_value_columns_line_up_for_long_names(self):
+        names = (
+            "round_sim_speedup",
+            "local_search_speedup",
+            "lifetime_ascent_speedup",
+        )
+        runs = [{name: 2.0 for name in names}, {name: 2.5 for name in names}]
+        diff = diff_trajectory(
+            {"format": "mystery", "runs": runs},
+            metrics=[MetricSpec(name) for name in names],
+        )
+        rows = diff.render().splitlines()[1:]
+        assert [row.split()[0] for row in rows] == list(names)
+        assert len({row.index("baseline") for row in rows}) == 1
+
     def test_steady_trajectory_is_healthy(self):
         diff = diff_trajectory(serve_doc(100.0, 105.0, 98.0, 102.0))
         assert diff.skipped_reason is None

@@ -15,7 +15,6 @@ from repro.obs.export import (
     parse_prometheus,
     parse_prometheus_labels,
     prometheus_name,
-    render_json,
     render_prometheus,
     unescape_label_value,
 )
@@ -97,11 +96,9 @@ class TestParsePrometheus:
         )
 
 
-class TestRenderJson:
-    def test_matches_registry_snapshot_and_is_json_safe(self):
-        reg = populated_registry()
-        doc = render_json(reg)
-        assert doc == reg.snapshot()
+class TestJsonSnapshot:
+    def test_registry_snapshot_is_json_safe(self):
+        doc = populated_registry().snapshot()
         json.dumps(doc)  # must not raise
         hist = doc["histograms"]["serve.build_seconds{builder=mst}"]
         assert hist["count"] == 5 and "p99" in hist

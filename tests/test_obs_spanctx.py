@@ -19,7 +19,9 @@ from repro.obs.spanctx import (
     new_span_id,
     new_trace_id,
 )
+from repro.obs import instrument
 from repro.obs.trace import Tracer, read_jsonl
+from repro.serve import TreeServer
 
 
 class TestIds:
@@ -147,23 +149,27 @@ class TestConcurrentSpanIntegrity:
 
 
 class TestCrossProcessReattach:
-    def test_add_span_splices_shipped_context(self):
-        tracer = Tracer()
+    """The server keeps a span measured elsewhere under its shipped ids."""
+
+    def test_server_span_keeps_shipped_context(self):
+        server = TreeServer()
         root = SpanContext.root()
         # Simulate the worker side: rebuild from the wire doc, mint a child.
         shipped = SpanContext.from_dict(root.to_dict())
         child = shipped.child()
-        event = tracer.add_span(
-            "serve.build", dur=0.25, context=child, builder="mst"
-        )
-        assert event.trace_id == root.trace_id
-        assert event.parent_id == root.span_id
-        assert event.dur == 0.25
-        assert tracer.events[-1] is event
+        with instrument():
+            server._record_span("serve.build", 0.25, child, builder="mst")
+        (doc,) = server.trace_spans(root.trace_id)
+        assert doc["trace"] == root.trace_id
+        assert doc["parent"] == root.span_id
+        assert doc["span"] == child.span_id
+        assert doc["dur"] == 0.25
+        assert doc["fields"] == {"builder": "mst"}
 
-    def test_add_span_default_time_clamped(self):
-        tracer = Tracer()
-        event = tracer.add_span(
-            "x", dur=1e9, context=SpanContext.root()
-        )
-        assert event.t == 0.0
+    def test_server_span_time_clamped_at_epoch(self):
+        server = TreeServer()
+        context = SpanContext.root()
+        with instrument():
+            server._record_span("x", 1e9, context)
+        (doc,) = server.trace_spans(context.trace_id)
+        assert doc["t"] == 0.0

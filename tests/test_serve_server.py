@@ -239,6 +239,23 @@ class TestObsIntegration:
         assert counters.get("serve.builds{builder=mst}") == 1
         assert any(k.startswith("serve.batch_size") for k in snapshot["histograms"])
 
+    def test_cache_hits_leave_the_session_tracer_alone(self):
+        # The server's trace buffer is the one store of request spans.
+        net = random_graph(12, 0.5, seed=8)
+
+        async def run(tracer):
+            async with TreeServer() as server:
+                await server.submit(BuildRequest("mst", network=net))
+                before = len(tracer.events)
+                for _ in range(1000):
+                    response = await server.submit(BuildRequest("mst", network=net))
+                    assert response.cache_info.source == "result"
+                return before, len(tracer.events)
+
+        with instrument(params={"test": "serve"}) as session:
+            before, after = asyncio.run(run(session.tracer))
+        assert after == before
+
     def test_uninstrumented_serving_records_nothing(self):
         net = random_graph(12, 0.5, seed=9)
 

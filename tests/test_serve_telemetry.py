@@ -126,7 +126,7 @@ class TestServeTelemetrySampling:
     def test_snapshot_and_series_doc_shape(self):
         telemetry = ServeTelemetry(_StubServer(), interval_s=2.0)
         telemetry.sample_once(t=1.0)
-        telemetry.record_trace_span("t-x", {"name": "serve.request"})
+        telemetry.traces.add("t-x", {"name": "serve.request"})
         snap = telemetry.snapshot()
         assert snap["interval_s"] == 2.0
         assert snap["samples"] == 1
