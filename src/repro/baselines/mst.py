@@ -9,7 +9,7 @@ is simultaneously the maximum-reliability *unconstrained* aggregation tree.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.errors import DisconnectedNetworkError
 from repro.core.tree import AggregationTree
@@ -18,7 +18,7 @@ from repro.network.model import Network
 __all__ = ["build_mst_tree", "mst_cost"]
 
 
-def build_mst_tree(network: Network, *, root: Optional[int] = None) -> AggregationTree:
+def build_mst_tree(network: Network) -> AggregationTree:
     """Minimum-cost spanning tree via Prim's algorithm, rooted at the sink.
 
     "It initializes a tree with the root node. Then it grows the tree by one
@@ -30,7 +30,7 @@ def build_mst_tree(network: Network, *, root: Optional[int] = None) -> Aggregati
     Raises:
         DisconnectedNetworkError: The network has no spanning tree.
     """
-    start = network.sink if root is None else root
+    start = network.sink
     n = network.n
     if n == 1:
         return AggregationTree(network, {})

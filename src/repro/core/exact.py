@@ -96,7 +96,6 @@ def solve_mrlc_exact(
     lc: Optional[float] = None,
     *,
     constrain_sink: bool = True,
-    time_limit_s: Optional[float] = None,
 ) -> ExactResult:
     """Solve MRLC to optimality on *network* (exponential time; keep n small).
 
@@ -106,12 +105,13 @@ def solve_mrlc_exact(
             (whose optimum is the MST — useful for validation).
         constrain_sink: Whether the sink's lifetime is bounded too
             (matching :class:`~repro.core.ira.IterativeRelaxation`).
-        time_limit_s: Optional per-MILP time limit handed to HiGHS.
 
     Raises:
         DisconnectedNetworkError: No spanning tree exists.
         InfeasibleLifetimeError: No tree meets ``lc``.
-        LPSolverError: HiGHS failed or the lazy loop exceeded its cap.
+        LPSolverError: HiGHS did not prove a MILP optimal (a time or
+            iteration limit with an incumbent included) or the lazy loop
+            exceeded its cap.
     """
     if not network.is_connected():
         raise DisconnectedNetworkError(
@@ -153,9 +153,6 @@ def solve_mrlc_exact(
             )
 
     cuts: List[FrozenSet[int]] = []
-    options = {}
-    if time_limit_s is not None:
-        options["time_limit"] = float(time_limit_s)
 
     milp_solves = 0
     for _ in range(MAX_MILP_ROUNDS):
@@ -173,15 +170,18 @@ def solve_mrlc_exact(
             constraints=cut_constraints,
             bounds=Bounds(0.0, 1.0),
             integrality=np.ones(n_vars),
-            options=options,
         )
         milp_solves += 1
         if result.status == 2:  # infeasible
             raise InfeasibleLifetimeError(
                 f"no data aggregation tree meets LC={lc}"
             )
-        if result.x is None:
-            raise LPSolverError(f"HiGHS MILP failed: {result.message}")
+        if result.status != 0:
+            # Only a proven optimum may be returned as one: a limit's
+            # incumbent ``x`` is feasible but not optimal.
+            raise LPSolverError(
+                f"HiGHS MILP status {result.status}: {result.message}"
+            )
 
         chosen = [edges[i] for i in range(n_vars) if result.x[i] > 0.5]
         violated = _integral_subtours(n, chosen)

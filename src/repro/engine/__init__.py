@@ -9,7 +9,7 @@ Two pieces that every optimizer and every consumer share:
   descents (``best_cost_reparent``) and the lifetime ascent
   (``best_lifetime_reparent``), and ``freeze()`` back to the immutable
   :class:`~repro.core.tree.AggregationTree`.
-* :mod:`repro.engine.registry` — the :class:`TreeBuilder` registry mapping
+* :mod:`repro.engine.registry` — the builder registry mapping
   canonical names (``"ira"``, ``"exact"``, ``"local_search"``, ``"mst"``,
   ``"spt"``, ``"random_tree"``, ``"aaml"``, ``"rasmalai"``,
   ``"delay_bounded"``, ``"bfs"``) to builder functions; experiments, the
@@ -35,7 +35,6 @@ from repro.engine.portfolio import (
 from repro.engine.registry import (
     BuildResult,
     RegisteredBuilder,
-    TreeBuilder,
     UnknownBuilderError,
     available_builders,
     build_tree,
@@ -59,7 +58,6 @@ __all__ = [
     "NO_GAIN",
     "PortfolioError",
     "RegisteredBuilder",
-    "TreeBuilder",
     "TreeState",
     "UnknownBuilderError",
     "available_builders",

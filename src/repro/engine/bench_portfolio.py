@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.engine.pool import drop_shared_pool
 from repro.engine.portfolio import DEFAULT_MEMBERS, race_builders, select_winner
@@ -91,7 +91,6 @@ def run_portfolio_bench(
     members: Sequence[str] = DEFAULT_MEMBERS,
     lc_fraction: float = 0.5,
     seed: int = 0,
-    n_jobs: Optional[int] = None,
 ) -> PortfolioBenchReport:
     """Measure a serial race, then a cold and a warm parallel race.
 
@@ -105,9 +104,7 @@ def run_portfolio_bench(
     lc = lc_fraction * build_tree("aaml", network).lifetime
 
     t0 = time.perf_counter()
-    serial = race_builders(
-        network, tuple(members), lc=lc, seed=seed, parallel=False
-    )
+    serial = race_builders(network, tuple(members), lc=lc, seed=seed)
     serial_s = time.perf_counter() - t0
     drop_shared_pool()
     parallel_s: List[float] = []
@@ -115,7 +112,7 @@ def run_portfolio_bench(
     for _ in range(2):
         t1 = time.perf_counter()
         parallel = race_builders(
-            network, tuple(members), lc=lc, seed=seed, parallel=True, n_jobs=n_jobs
+            network, tuple(members), lc=lc, seed=seed, n_jobs=len(members)
         )
         parallel_s.append(time.perf_counter() - t1)
         parallel_winner = select_winner(parallel, lc=lc)

@@ -2,8 +2,10 @@
 
 Importing this module populates the registry (:mod:`repro.engine.registry`
 does so lazily on first lookup).  Each builder wraps the underlying
-``build_*`` function, normalizes its result to ``(tree, meta, raw)``, and
-documents its config knobs for ``repro builders``.
+``build_*`` function, returns its tree with a meta dict, and documents its
+config knobs for ``repro builders``.  A builder takes only the knobs some
+caller sets; the library functions keep their other tuning parameters at
+their defaults here.
 
 Canonical names::
 
@@ -26,15 +28,15 @@ Canonical names::
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.baselines.aaml import MAX_ITERATIONS, build_aaml_tree
+from repro.baselines.aaml import build_aaml_tree
 from repro.baselines.convergecast import build_convergecast_tree
 from repro.baselines.delay_bounded import build_delay_bounded_tree
 from repro.baselines.kuo_energy import build_kuo_energy_tree
 from repro.baselines.mst import build_mst_tree
 from repro.baselines.random_tree import build_random_tree
-from repro.baselines.rasmalai import DEFAULT_PATIENCE, build_rasmalai_tree
+from repro.baselines.rasmalai import build_rasmalai_tree
 from repro.baselines.spt import build_spt_tree
 from repro.baselines.virmani import build_clmt_tree, build_dlmt_tree
 from repro.core.exact import solve_mrlc_exact
@@ -55,17 +57,11 @@ __all__: list = []
     "ira",
     knobs={
         "lc": "required network lifetime LC in aggregation rounds (required)",
-        "constrain_sink": "whether the sink joins W (default True)",
-        "inflation": "'auto' | 'paper' | 'none' — Algorithm 1 line-3 bound",
     },
 )
-def _build_ira(
-    network: Network, *, lc: float, constrain_sink: bool = True, inflation: str = "auto"
-):
+def _build_ira(network: Network, *, lc: float):
     """IRA (Algorithm 1): max-reliability aggregation tree meeting LC."""
-    result = build_ira_tree(
-        network, lc, constrain_sink=constrain_sink, inflation=inflation
-    )
+    result = build_ira_tree(network, lc)
     meta = {
         "lc": result.spec.lc,
         "iterations": result.iterations,
@@ -76,119 +72,83 @@ def _build_ira(
         "lifetime_satisfied": result.lifetime_satisfied,
         "inflation_used": result.inflation_used,
     }
-    return result.tree, meta, result
+    return result.tree, meta
 
 
 @tree_builder(
     "exact",
     knobs={
         "lc": "lifetime bound (None solves the unconstrained problem = MST)",
-        "constrain_sink": "whether the sink's lifetime is bounded too",
-        "time_limit_s": "MILP wall-clock limit in seconds",
     },
 )
-def _build_exact(
-    network: Network,
-    *,
-    lc: Optional[float] = None,
-    constrain_sink: bool = True,
-    time_limit_s: Optional[float] = None,
-):
+def _build_exact(network: Network, *, lc: Optional[float] = None):
     """Exact MILP optimum of MRLC (exponential time; keep n small)."""
-    result = solve_mrlc_exact(
-        network, lc, constrain_sink=constrain_sink, time_limit_s=time_limit_s
-    )
+    result = solve_mrlc_exact(network, lc)
     meta = {
         "cost": result.cost,
         "milp_solves": result.milp_solves,
         "cuts": len(result.cuts),
     }
-    return result.tree, meta, result
+    return result.tree, meta
 
 
 @tree_builder(
     "local_search",
     knobs={
         "lc": "required network lifetime LC in aggregation rounds (required)",
-        "max_moves": "safety cap on accepted moves per search stage",
     },
 )
-def _build_local_search(network: Network, *, lc: float, max_moves: int = 100_000):
+def _build_local_search(network: Network, *, lc: float):
     """LP-free MRLC heuristic: lifetime ascent, then cost descent under LC's caps."""
     from repro.core.errors import InfeasibleLifetimeError
 
-    lifted, ascent_moves = maximize_lifetime(bfs_tree(network), max_moves=max_moves)
+    lifted, ascent_moves = maximize_lifetime(bfs_tree(network))
     if not lifted.meets_lifetime(lc):
         raise InfeasibleLifetimeError(
             f"local search cannot reach LC={lc}: best bottleneck lifetime "
             f"{lifted.lifetime():.6g}"
         )
     caps = LifetimeSpec.uninflated(network, lc).children_caps(network)
-    polished = polish_under_caps(lifted, caps, max_moves=max_moves)
+    polished = polish_under_caps(lifted, caps)
     meta = {"ascent_moves": ascent_moves, "lifetime": polished.lifetime()}
     return polished, meta
 
 
-@tree_builder(
-    "aaml",
-    knobs={
-        "max_iterations": "safety cap on accepted ascent moves",
-    },
-)
-def _build_aaml(network: Network, *, max_iterations: int = MAX_ITERATIONS):
+@tree_builder("aaml")
+def _build_aaml(network: Network):
     """AAML baseline: lexicographic bottleneck-lifetime local search."""
-    result = build_aaml_tree(network, max_iterations=max_iterations)
+    result = build_aaml_tree(network)
     meta = {"lifetime": result.lifetime, "iterations": result.iterations}
-    return result.tree, meta, result
+    return result.tree, meta
 
 
 @tree_builder(
     "rasmalai",
     knobs={
         "seed": "randomness for node/child/parent picks",
-        "max_switches": "hard cap on accepted switches",
-        "patience": "consecutive rejections before convergence",
     },
 )
-def _build_rasmalai(
-    network: Network,
-    *,
-    seed=None,
-    max_switches: int = 10_000,
-    patience: int = DEFAULT_PATIENCE,
-):
+def _build_rasmalai(network: Network, *, seed=None):
     """RaSMaLai baseline: randomized bottleneck switching for lifetime."""
-    result = build_rasmalai_tree(
-        network, seed=seed, max_switches=max_switches, patience=patience
-    )
+    result = build_rasmalai_tree(network, seed=seed)
     meta = {
         "lifetime": result.lifetime,
         "switches": result.switches,
         "attempts": result.attempts,
     }
-    return result.tree, meta, result
+    return result.tree, meta
 
 
-@tree_builder(
-    "mst",
-    knobs={
-        "root": "grow from this node instead of the sink",
-    },
-)
-def _build_mst(network: Network, *, root: Optional[int] = None):
+@tree_builder("mst")
+def _build_mst(network: Network):
     """Prim minimum-cost spanning tree — the unconstrained reliability optimum."""
-    return build_mst_tree(network, root=root)
+    return build_mst_tree(network)
 
 
-@tree_builder(
-    "spt",
-    knobs={
-        "hop_metric": "use hop count instead of -log q as the path metric",
-    },
-)
-def _build_spt(network: Network, *, hop_metric: bool = False):
+@tree_builder("spt")
+def _build_spt(network: Network):
     """Dijkstra shortest-path tree from the sink."""
-    return build_spt_tree(network, hop_metric=hop_metric)
+    return build_spt_tree(network)
 
 
 @tree_builder(
@@ -206,22 +166,21 @@ def _build_random(network: Network, *, seed=None):
     "delay_bounded",
     knobs={
         "max_depth": "hop/latency bound every node must stay within (required)",
-        "max_moves": "safety cap on cost-descent moves",
     },
 )
-def _build_delay_bounded(network: Network, *, max_depth: int, max_moves: int = 100_000):
+def _build_delay_bounded(network: Network, *, max_depth: int):
     """Depth-capped cheapest tree (delay-bounded collection baseline)."""
-    tree = build_delay_bounded_tree(network, max_depth, max_moves=max_moves)
+    tree = build_delay_bounded_tree(network, max_depth)
     return tree, {"depth": max(tree.depth(v) for v in range(tree.n))}
 
 
-@tree_builder("bfs", knobs={})
+@tree_builder("bfs")
 def _build_bfs(network: Network):
     """Breadth-first (shortest-hop) spanning tree — the canonical start point."""
     return bfs_tree(network)
 
 
-@tree_builder("min_energy", knobs={})
+@tree_builder("min_energy")
 def _build_min_energy(network: Network):
     """Minimum-energy-path tree (Kuo–Lin–Tsai approximation, arXiv:1402.6457)."""
     result = build_kuo_energy_tree(network)
@@ -229,36 +188,31 @@ def _build_min_energy(network: Network):
         "tree_energy_j": result.tree_energy_j,
         "max_path_energy_j": result.max_path_energy_j,
     }
-    return result.tree, meta, result
+    return result.tree, meta
 
 
-@tree_builder("clmt", knobs={})
+@tree_builder("clmt")
 def _build_clmt(network: Network):
     """Centralized lifetime-maximizing tree (Virmani & Jain, arXiv:1301.4988)."""
     result = build_clmt_tree(network)
     meta = {"lifetime": result.lifetime, "attachments": result.attachments}
-    return result.tree, meta, result
+    return result.tree, meta
 
 
-@tree_builder("dlmt", knobs={})
+@tree_builder("dlmt")
 def _build_dlmt(network: Network):
     """Decentralized lifetime-maximizing tree (Virmani & Jain, arXiv:1301.4551)."""
     result = build_dlmt_tree(network)
     meta = {"lifetime": result.lifetime, "attachments": result.attachments}
-    return result.tree, meta, result
+    return result.tree, meta
 
 
-@tree_builder(
-    "convergecast",
-    knobs={
-        "max_moves": "safety cap on accepted reparent moves",
-    },
-)
-def _build_convergecast(network: Network, *, max_moves: int = 100_000):
+@tree_builder("convergecast")
+def _build_convergecast(network: Network):
     """Max-lifetime convergecast tree (John et al., arXiv:1910.09793)."""
-    result = build_convergecast_tree(network, max_moves=max_moves)
+    result = build_convergecast_tree(network)
     meta = {"convergecast_lifetime": result.lifetime, "moves": result.moves}
-    return result.tree, meta, result
+    return result.tree, meta
 
 
 @tree_builder(
@@ -268,8 +222,6 @@ def _build_convergecast(network: Network, *, max_moves: int = 100_000):
         "members": "registry builder names to race (default: heuristic set)",
         "budget_s": "wall-clock budget in seconds (optional)",
         "seed": "portfolio seed; member seeds derive from it by name",
-        "member_params": "per-member config overrides {name: {knob: value}}",
-        "parallel": "force parallel/serial racing (default: auto)",
         "n_jobs": "worker processes for the parallel race",
     },
 )
@@ -280,20 +232,11 @@ def _build_portfolio(
     members: Optional[Sequence[str]] = None,
     budget_s: Optional[float] = None,
     seed: Optional[int] = None,
-    member_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    parallel: Optional[bool] = None,
     n_jobs: Optional[int] = None,
 ):
     """Race a member set under a wall-clock budget; keep the best LC-feasible tree."""
     from repro.engine.portfolio import build_portfolio_tree
 
     return build_portfolio_tree(
-        network,
-        lc=lc,
-        members=members,
-        budget_s=budget_s,
-        seed=seed,
-        member_params=member_params,
-        parallel=parallel,
-        n_jobs=n_jobs,
+        network, lc=lc, members=members, budget_s=budget_s, seed=seed, n_jobs=n_jobs
     )

@@ -14,7 +14,7 @@
   In a worker, :func:`remote_build` ships the result back as a parent map
   (:data:`BuildRow`), and :func:`bind_row` re-binds it to the caller's
   ``Network``: the same parents over the same links give the identical
-  tree.  ``BuildResult.raw`` (solver internals) does not cross.
+  tree.
 
 The serving layer's ``WorkerPool("process")`` keeps its own
 server-lifetime executor (a timed-out race kills this pool's workers;
@@ -105,7 +105,6 @@ def bind_row(
         tree=AggregationTree(network, parents),
         params=dict(params),
         meta=meta,
-        raw=None,
         elapsed_s=elapsed,
     )
     return Built(result, None, elapsed)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import MRLCError
 from repro.core.tree import AggregationTree
@@ -80,7 +80,7 @@ DEFAULT_MEMBERS: Tuple[str, ...] = (
 )
 
 #: Outcome statuses a member can end a race with.
-MEMBER_STATUSES = ("ok", "error", "timeout", "skipped", "crashed")
+MEMBER_STATUSES = ("ok", "error", "timeout", "crashed")
 
 
 class PortfolioError(MRLCError):
@@ -97,9 +97,9 @@ class MemberOutcome:
             tie-breaker).
         status: One of :data:`MEMBER_STATUSES`.  ``crashed`` means the
             worker process died (its exception surfaced outside the
-            builder wrapper); ``skipped`` means the serial race's budget
-            was exhausted before this member started.
-        elapsed_s: Wall-clock build time (0 for skipped members).
+            builder wrapper); ``timeout`` means it was still running at
+            the race's deadline.
+        elapsed_s: Wall-clock build time (0 for timed-out members).
         tree: The built tree re-bound to the caller's network (``None``
             unless ``status == "ok"``).
         error: ``"ExcType: message"`` for error/crashed members.
@@ -142,10 +142,9 @@ def member_configs(
     """Resolve per-member config dicts (and fail fast on unknown members).
 
     ``lc`` and ``seed`` are merged into each member's params iff the
-    builder declares the knob (the same sugar the serving layer applies to
-    :class:`~repro.serve.request.BuildRequest`); explicit entries in
-    ``member_params[name]`` always win.  Seeds are derived per member name
-    so they are independent of member order and execution schedule.
+    builder declares the knob; explicit entries in ``member_params[name]``
+    always win.  Seeds are derived per member name so they are independent
+    of member order and execution schedule.
     """
     from repro.engine.registry import get_builder
     from repro.utils.rng import stable_hash_seed
@@ -202,7 +201,6 @@ def race_builders(
     budget_s: Optional[float] = None,
     seed: Optional[int] = None,
     member_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    parallel: Optional[bool] = None,
     n_jobs: Optional[int] = None,
 ) -> List[MemberOutcome]:
     """Race *members* on *network*; outcomes come back in member order.
@@ -212,19 +210,16 @@ def race_builders(
         members: Registry builder names (unique; resolved up-front).
         lc: Lifetime bound feasibility is judged against; merged into the
             params of members that declare an ``lc`` knob.
-        budget_s: Wall-clock budget.  In a parallel race, members still
-            running at the deadline are recorded as ``timeout`` and, on
-            the shared pool, every worker is killed; in a serial race the
-            budget is checked between members and the remainder is
-            ``skipped``.
+        budget_s: Wall-clock budget.  Members still running at the
+            deadline are recorded as ``timeout`` and every worker of the
+            pool they ran on is killed.
         seed: Portfolio seed; member seeds derive from it by name.
         member_params: Per-member config overrides, keyed by member name.
-        parallel: Force the execution mode.  Default (``None``): parallel
-            iff a budget or an explicit ``n_jobs`` asks for it — a budget
-            is only enforceable mid-build across processes.
-        n_jobs: Worker process count for the parallel race.  Default: one
-            per member — anything less lets a hanging member starve the
-            queued ones, which breaks the isolation guarantee.
+        n_jobs: Worker process count.  The race runs in worker processes
+            iff ``budget_s`` or ``n_jobs`` is given (a budget is only
+            enforceable mid-build across processes); with a budget alone,
+            one worker per member — anything less lets a hanging member
+            starve the queued ones, which breaks the isolation guarantee.
 
     Raises:
         UnknownBuilderError: A member name is not registered.
@@ -238,19 +233,16 @@ def race_builders(
         raise ValueError(f"budget_s must be positive, got {budget_s}")
     if n_jobs is not None and n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if parallel is None:
-        parallel = budget_s is not None or n_jobs is not None
+    parallel = budget_s is not None or n_jobs is not None
 
     config_of = dict(zip(members, configs))
     deadline = None if budget_s is None else time.perf_counter() + budget_s
     built: Dict[str, Built] = {}
     crashed: Dict[str, str] = {}
-    timed_out: Set[str] = set()
 
     if not parallel:
         for name, params in config_of.items():
-            if deadline is None or time.perf_counter() < deadline:
-                built[name] = attempt_build(network, name, params)
+            built[name] = attempt_build(network, name, params)
     else:
         for name, params in config_of.items():
             reject_generators(params, f"member {name!r}")
@@ -282,7 +274,6 @@ def race_builders(
                         built[name] = bind_row(
                             network, name, config_of[name], fut.result()
                         )
-            timed_out = {futures[fut] for fut in pending}
             for fut in pending:
                 fut.cancel()
             if pending:
@@ -299,8 +290,7 @@ def race_builders(
                 member=name, order=order, status="crashed", error=crashed[name]
             )
         else:
-            status = "timeout" if name in timed_out else "skipped"
-            outcome = MemberOutcome(member=name, order=order, status=status)
+            outcome = MemberOutcome(member=name, order=order, status="timeout")
         outcomes.append(outcome)
 
     if OBS.enabled:
@@ -354,8 +344,6 @@ def build_portfolio_tree(
     members: Optional[Sequence[str]] = None,
     budget_s: Optional[float] = None,
     seed: Optional[int] = None,
-    member_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    parallel: Optional[bool] = None,
     n_jobs: Optional[int] = None,
 ) -> Tuple[AggregationTree, Dict[str, Any]]:
     """Race a member set and return ``(winning tree, portfolio meta)``.
@@ -369,14 +357,7 @@ def build_portfolio_tree(
     """
     member_list = tuple(members if members is not None else DEFAULT_MEMBERS)
     outcomes = race_builders(
-        network,
-        member_list,
-        lc=lc,
-        budget_s=budget_s,
-        seed=seed,
-        member_params=member_params,
-        parallel=parallel,
-        n_jobs=n_jobs,
+        network, member_list, lc=lc, budget_s=budget_s, seed=seed, n_jobs=n_jobs
     )
     winner = select_winner(outcomes, lc=lc)
     if OBS.enabled:

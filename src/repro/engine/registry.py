@@ -31,7 +31,7 @@ from __future__ import annotations
 import inspect
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.tree import AggregationTree
 from repro.network.model import Network
@@ -40,7 +40,6 @@ from repro.obs import OBS
 __all__ = [
     "BuildResult",
     "RegisteredBuilder",
-    "TreeBuilder",
     "UnknownBuilderError",
     "available_builders",
     "build_tree",
@@ -64,8 +63,6 @@ class BuildResult:
         params: The config knobs the caller passed (post-defaulting happens
             inside the builder; this records the *request*).
         meta: Builder-specific metadata (iterations, LP solves, lifetime...).
-        raw: The builder's original result object (e.g. ``IRAResult``), when
-            it returns more than a tree; ``None`` otherwise.
         elapsed_s: Wall-clock build time in seconds.
     """
 
@@ -73,7 +70,6 @@ class BuildResult:
     tree: AggregationTree
     params: Dict[str, Any] = field(default_factory=dict)
     meta: Dict[str, Any] = field(default_factory=dict)
-    raw: Any = None
     elapsed_s: float = 0.0
 
     @property
@@ -92,27 +88,14 @@ class BuildResult:
         return self.tree.lifetime()
 
 
-@runtime_checkable
-class TreeBuilder(Protocol):
-    """What the registry stores: a named, documented tree constructor."""
-
-    name: str
-    summary: str
-    knobs: Mapping[str, str]
-
-    def build(self, network: Network, **config: Any) -> BuildResult:
-        """Construct a tree on *network* with the given config knobs."""
-        ...
-
-
 @dataclass(frozen=True, eq=False)
 class RegisteredBuilder:
     """A registered builder: wraps the raw function with normalization + obs.
 
-    The wrapped function may return an :class:`AggregationTree`, a
-    ``(tree, meta)`` or ``(tree, meta, raw)`` tuple, or a full
-    :class:`BuildResult`; ``build`` normalizes all of them and stamps the
-    name, params, and elapsed time.
+    The wrapped function returns an :class:`AggregationTree` or a
+    ``(tree, meta)`` pair; ``build`` stamps the name, params, and elapsed
+    time.  ``knobs`` names exactly the function's keyword-only parameters
+    (:func:`register_builder` checks it).
     """
 
     name: str
@@ -125,23 +108,12 @@ class RegisteredBuilder:
         out = self.fn(network, **config)
         elapsed = time.perf_counter() - start
         meta: Dict[str, Any] = {}
-        raw: Any = None
-        if isinstance(out, BuildResult):
-            tree, meta, raw = out.tree, dict(out.meta), out.raw
-        elif isinstance(out, AggregationTree):
-            tree = out
-        elif isinstance(out, tuple) and len(out) in (2, 3):
-            tree, meta = out[0], dict(out[1])
-            raw = out[2] if len(out) == 3 else None
-        else:
+        if isinstance(out, tuple) and len(out) == 2:
+            out, meta = out[0], dict(out[1])
+        if not isinstance(out, AggregationTree):
             raise TypeError(
                 f"builder {self.name!r} returned {type(out).__name__}; expected "
-                "AggregationTree, (tree, meta[, raw]), or BuildResult"
-            )
-        if not isinstance(tree, AggregationTree):
-            raise TypeError(
-                f"builder {self.name!r} produced {type(tree).__name__}, "
-                "not an AggregationTree"
+                "an AggregationTree or a (tree, meta) pair"
             )
         if OBS.enabled:
             reg = OBS.registry
@@ -151,10 +123,9 @@ class RegisteredBuilder:
             )
         return BuildResult(
             builder=self.name,
-            tree=tree,
+            tree=out,
             params=dict(config),
             meta=meta,
-            raw=raw,
             elapsed_s=elapsed,
         )
 
@@ -178,12 +149,15 @@ def _ensure_defaults() -> None:
         import repro.engine.builders  # noqa: F401
 
 
-def _check_signature(name: str, fn: Callable[..., Any]) -> None:
-    """Raise ``TypeError`` unless *fn* can be called as ``fn(network, **config)``.
+def _check_signature(builder: RegisteredBuilder) -> None:
+    """Raise ``TypeError`` unless the builder is ``fn(network, *, <knobs>)``.
 
-    ``network`` must be the only positional parameter: config knobs are
-    keyword-only, so a knob can never bind a position by accident.
+    ``network`` must be the only positional parameter and the keyword-only
+    parameters must be exactly the declared knobs: a knob can never bind a
+    position by accident, and the knob list that ``repro builders``, the
+    docs and serve admission read is the signature itself.
     """
+    fn = builder.fn
     params = inspect.signature(fn).parameters.values()
     positional = [
         p.name
@@ -192,10 +166,16 @@ def _check_signature(name: str, fn: Callable[..., Any]) -> None:
     ]
     if positional != ["network"] or any(p.kind is p.VAR_POSITIONAL for p in params):
         raise TypeError(
-            f"builder {name!r}: {getattr(fn, '__qualname__', fn)!s} must take "
+            f"builder {builder.name!r}: {getattr(fn, '__qualname__', fn)!s} must take "
             "'network' as its only positional parameter, with every config "
             "knob keyword-only (after '*'); RegisteredBuilder.build calls "
             f"fn(network, **config), got positional {positional}"
+        )
+    keyword = sorted(p.name for p in params if p.name != "network")
+    if keyword != sorted(builder.knobs) or any(p.kind is p.VAR_KEYWORD for p in params):
+        raise TypeError(
+            f"builder {builder.name!r}: knobs {sorted(builder.knobs)} must name "
+            f"exactly its keyword-only parameters {keyword}"
         )
 
 
@@ -203,32 +183,27 @@ def register_builder(builder: RegisteredBuilder) -> RegisteredBuilder:
     """Add *builder* to the registry.
 
     Raises ``ValueError`` on a duplicate name and ``TypeError`` when the
-    function's signature is not ``fn(network, *, knob=...)``.
+    function's signature is not ``fn(network, *, <knobs>)``.
     """
     if builder.name in _REGISTRY:
         raise ValueError(f"builder {builder.name!r} is already registered")
-    _check_signature(builder.name, builder.fn)
+    _check_signature(builder)
     _REGISTRY[builder.name] = builder
     return builder
 
 
 def tree_builder(
-    name: str,
-    *,
-    knobs: Optional[Mapping[str, str]] = None,
-    summary: Optional[str] = None,
+    name: str, *, knobs: Optional[Mapping[str, str]] = None
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Decorator registering a builder function under *name*.
 
-    ``knobs`` maps config-knob names to one-line help strings; ``summary``
-    defaults to the first line of the function's docstring.
+    ``knobs`` maps config-knob names to one-line help strings; the summary
+    is the first line of the function's docstring.
     """
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
-        doc = summary
-        if doc is None:
-            doc = (fn.__doc__ or "").strip().splitlines()
-            doc = doc[0] if doc else name
+        doc = (fn.__doc__ or "").strip().splitlines()
+        doc = doc[0] if doc else name
         register_builder(
             RegisteredBuilder(
                 name=name, fn=fn, summary=doc, knobs=dict(knobs or {})

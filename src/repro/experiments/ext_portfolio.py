@@ -173,7 +173,7 @@ def _tournament_trial(
     )
     network = _make_network(topology, n_nodes, seed)
     lc = lc_fraction * build_tree("aaml", network).lifetime
-    outcomes = race_builders(network, members, lc=lc, seed=seed, parallel=False)
+    outcomes = race_builders(network, members, lc=lc, seed=seed)
     winner = select_winner(outcomes, lc=lc)
     return (cell_index, winner.member, winner.feasible)
 

@@ -1,8 +1,8 @@
 """MRLC-as-a-service: the async, cached, sharded tree-serving layer.
 
 ROADMAP item 1: wrap the builder registry in a long-running service.
-Clients submit :class:`BuildRequest` objects (topology + builder + knobs +
-optional LC bound and seed); a :class:`TreeServer` batches compatible
+Clients submit :class:`BuildRequest` objects (topology + builder + its
+knobs, the LC bound and seed among them); a :class:`TreeServer` batches compatible
 requests, shards batches across a reusable :class:`WorkerPool`, and serves
 repeat queries from a two-tier cache — a content-addressed
 :class:`~repro.serve.cache.ResultCache` keyed by
@@ -17,7 +17,7 @@ In-process usage::
 
     async with TreeServer() as server:
         response = await server.submit(
-            BuildRequest("ira", network=net, lc_bound=900_000)
+            BuildRequest("ira", network=net, params={"lc": 900_000})
         )
         response.tree.reliability()
         response.cache_info.hit     # False the first time, True after
@@ -38,7 +38,6 @@ from repro.serve.request import (
     ServerOverloadedError,
     UnknownTopologyError,
     canonical_params_json,
-    effective_params,
     request_key,
 )
 from repro.serve.server import ServeConfig, TreeServer, make_response
@@ -64,7 +63,6 @@ __all__ = [
     "WorkItem",
     "WorkerPool",
     "canonical_params_json",
-    "effective_params",
     "make_response",
     "request_key",
 ]

@@ -139,23 +139,21 @@ class BenchReport:
 
 def _bench_params(
     builder: str, network: Network, topology_index: int, seed: int
-) -> Tuple[Dict[str, Any], Optional[float], Optional[int]]:
-    """(params, lc_bound, seed) making *builder* feasible on *network*."""
+) -> Dict[str, Any]:
+    """Params making *builder* feasible on *network*."""
     knobs = get_builder(builder).knobs
     params: Dict[str, Any] = {}
-    lc_bound: Optional[float] = None
-    request_seed: Optional[int] = None
     if "lc" in knobs:
         # Half the BFS tree's bottleneck lifetime is always reachable.
-        lc_bound = 0.5 * bfs_tree(network).lifetime()
+        params["lc"] = 0.5 * bfs_tree(network).lifetime()
     if "seed" in knobs:
-        request_seed = seed + 7919 * topology_index
+        params["seed"] = seed + 7919 * topology_index
     if "max_depth" in knobs:
         seed_tree = bfs_tree(network)
         params["max_depth"] = max(
             seed_tree.depth(v) for v in range(network.n)
         )
-    return params, lc_bound, request_seed
+    return params
 
 
 def make_workload(
@@ -187,17 +185,9 @@ def make_workload(
     requests: List[BuildRequest] = []
     for index, network in enumerate(networks):
         for builder in builders:
-            params, lc_bound, request_seed = _bench_params(
-                builder, network, index, seed
-            )
+            params = _bench_params(builder, network, index, seed)
             requests.append(
-                BuildRequest(
-                    builder=builder,
-                    network=network,
-                    params=params,
-                    lc_bound=lc_bound,
-                    seed=request_seed,
-                )
+                BuildRequest(builder=builder, network=network, params=params)
             )
     return networks, requests
 
@@ -235,12 +225,12 @@ def _verify_against_cold(
 ) -> int:
     """Rebuild each unique request cold (no server) and count divergence."""
     from repro.network.serialization import topology_fingerprint
-    from repro.serve.request import effective_params, request_key
+    from repro.serve.request import request_key
     from repro.serve.server import make_response
 
     divergent = 0
     for request in requests:
-        params = effective_params(request)
+        params = request.params
         fingerprint = topology_fingerprint(request.network)
         key = request_key(fingerprint, request.builder, params)
         cold = build_tree(request.builder, request.network, **params)

@@ -10,12 +10,16 @@ Each request and response is one JSON document per line.  Operations:
     later builds may reference it by fingerprint only.
 
 ``{"op": "build", "builder": "ira", "network": {...} | null,
-"fingerprint": "..." | null, "params": {...}, "lc": 900000, "seed": 7,
-"id": "anything"}``
+"fingerprint": "..." | null, "params": {"lc": 900000}, "id": "anything"}``
     → ``{"ok": true, "id": ..., "builder": ..., "fingerprint": ...,
     "key": ..., "cache": {"hit": ..., "source": ...}, "metrics": {...},
     "tree": {<repro-tree doc>}}`` — the build itself.  ``id`` is echoed
-    verbatim so clients can pipeline requests on one connection.
+    verbatim so clients can pipeline requests on one connection.  Every
+    knob goes in ``params`` under the builder's knob name; a top-level
+    ``lc`` or ``seed`` is refused.  On a cache miss the server refuses,
+    before queueing, params that do not bind to the builder's knobs
+    (unknown or missing required) and a request to a builder with a
+    ``seed`` knob that carries no seed.
 
 ``{"op": "stats"}``
     → ``{"ok": true, "stats": {...}}`` — the server's
@@ -91,13 +95,14 @@ def decode_build_request(doc: Dict[str, Any]) -> BuildRequest:
     fingerprint = doc.get("fingerprint")
     if fingerprint is not None and not isinstance(fingerprint, str):
         raise ServeError("'fingerprint' must be a string")
+    for knob in ("lc", "seed"):
+        if knob in doc:
+            raise ServeError(
+                f"top-level {knob!r} is not a build field; send it as "
+                f"params[{knob!r}]"
+            )
     return BuildRequest(
-        builder=builder,
-        network=network,
-        params=params,
-        lc_bound=doc.get("lc"),
-        seed=doc.get("seed"),
-        fingerprint=fingerprint,
+        builder=builder, network=network, params=params, fingerprint=fingerprint
     )
 
 

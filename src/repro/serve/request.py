@@ -1,9 +1,12 @@
 """Typed request/response model for the tree-serving layer.
 
 A :class:`BuildRequest` names *what* to build — a topology, a registered
-builder, its config knobs, an optional lifetime bound and seed — and the
-server answers with a :class:`BuildResponse` carrying the tree, its summary
-metrics, and a :class:`CacheInfo` describing where the answer came from.
+builder and its config knobs — and the server answers with a
+:class:`BuildResponse` carrying the tree, its summary metrics, and a
+:class:`CacheInfo` describing where the answer came from.
+
+A request has one spelling: every knob, the lifetime bound ``lc`` and the
+``seed`` included, lives in ``params`` under the builder's own knob name.
 
 Two derived identities make the cache tiers work:
 
@@ -11,15 +14,14 @@ Two derived identities make the cache tiers work:
   topology_fingerprint`) — content address of the network alone, shared by
   every request on that topology regardless of builder or knobs;
 * the **request key** (:func:`request_key`) — SHA-256 over fingerprint +
-  builder name + the canonical JSON of the *effective* params, so
-  ``BuildRequest(..., lc_bound=500)`` and ``BuildRequest(...,
-  params={"lc": 500})`` address the same cache slot and knob ordering
-  never matters.
+  builder name + the canonical JSON of ``params``, so knob ordering and
+  numpy scalar types never split a cache slot.
 
-Builders stay pure functions of ``(network, params, seed)``: the request
-model resolves knob defaults through the registry
-(:mod:`repro.engine.registry`) and refuses seeds or lifetime bounds the
-named builder does not declare, instead of silently dropping them.
+Builders stay pure functions of ``(network, params)``.  On a cache miss
+the server binds ``params`` to the builder's signature before queueing,
+refusing unknown or missing knobs, and refuses a request to a builder
+with a ``seed`` knob that carries no seed (its tree would be one random
+draw pinned under a seedless key).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import Any, Dict, Mapping, Optional
 import numpy as np
 
 from repro.core.tree import AggregationTree
-from repro.engine import get_builder
 from repro.network.model import Network
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "ServerOverloadedError",
     "UnknownTopologyError",
     "canonical_params_json",
-    "effective_params",
     "request_key",
 ]
 
@@ -75,13 +75,9 @@ class BuildRequest:
             *fingerprint* names a topology the server has already seen —
             the wire protocol uses this so clients upload a network once
             and then address it by content hash.
-        params: Builder config knobs (the registry validates them at build
-            time; unknown knobs fail inside the builder).
-        lc_bound: Convenience alias for the paper's lifetime bound; merged
-            into ``params["lc"]`` for builders that declare an ``lc`` knob.
-        seed: Deterministic seed, merged into ``params["seed"]`` for
-            builders that declare one (randomized builders must be replayable
-            for the cache-identity guarantee to hold).
+        params: Builder config knobs by knob name (``{"lc": ...}``,
+            ``{"seed": ...}``, ...); the server binds them to the builder's
+            signature on a cache miss.
         fingerprint: Optional precomputed topology fingerprint; trusted as
             the topology's identity when given, so hot clients fingerprint
             once per topology instead of once per request.
@@ -90,8 +86,6 @@ class BuildRequest:
     builder: str
     network: Optional[Network] = None
     params: Mapping[str, Any] = field(default_factory=dict)
-    lc_bound: Optional[float] = None
-    seed: Optional[int] = None
     fingerprint: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -113,7 +107,7 @@ class CacheInfo:
         source: ``"result"`` (content-addressed store), ``"inflight"``
             (coalesced), or ``"built"`` (cold build this request).
         fingerprint: Topology fingerprint of the request.
-        key: Full request key (fingerprint + builder + effective params).
+        key: Full request key (fingerprint + builder + params).
     """
 
     hit: bool
@@ -193,41 +187,7 @@ def canonical_params_json(params: Mapping[str, Any]) -> str:
     )
 
 
-def effective_params(request: BuildRequest) -> Dict[str, Any]:
-    """Merge ``lc_bound``/``seed`` sugar into the builder's knob namespace.
-
-    Raises :class:`ServeError` when the sugar conflicts with an explicit
-    param or names a knob the builder does not declare — dropping either
-    silently would cache a different build than the client asked for.
-    """
-    builder = get_builder(request.builder)
-    params = dict(request.params)
-    if request.lc_bound is not None:
-        if "lc" not in builder.knobs:
-            raise ServeError(
-                f"builder {request.builder!r} takes no lifetime bound "
-                f"(lc_bound={request.lc_bound!r})"
-            )
-        if "lc" in params:
-            raise ServeError(
-                "request sets both params['lc'] and lc_bound; pass one"
-            )
-        params["lc"] = float(request.lc_bound)
-    if request.seed is not None:
-        if "seed" not in builder.knobs:
-            raise ServeError(
-                f"builder {request.builder!r} is deterministic and takes "
-                f"no seed (seed={request.seed!r})"
-            )
-        if "seed" in params:
-            raise ServeError(
-                "request sets both params['seed'] and seed; pass one"
-            )
-        params["seed"] = int(request.seed)
-    return params
-
-
 def request_key(fingerprint: str, builder: str, params: Mapping[str, Any]) -> str:
-    """Content address of one (topology, builder, effective params) build."""
+    """Content address of one (topology, builder, params) build."""
     material = f"{fingerprint}|{builder}|{canonical_params_json(params)}"
     return hashlib.sha256(material.encode("utf-8")).hexdigest()

@@ -3,16 +3,19 @@
 Request lifecycle (one ``await server.submit(request)``):
 
 1. **Resolve** — the builder name is resolved through the engine registry
-   (fail fast on typos), ``lc_bound``/``seed`` sugar is merged into the
-   effective params, and the topology fingerprint is computed (or taken
+   (fail fast on typos) and the topology fingerprint is computed (or taken
    precomputed / memoized from the structure cache).
 2. **Cache** — the content-addressed result store is probed with the full
    request key; a hit returns immediately (``cache_info.source ==
    "result"``).  Otherwise, if an *identical* request is already queued or
    building, this one coalesces onto its future (``"inflight"``) — the
    build runs once however many clients ask.
-3. **Admission** — if the pending count (queued + building) has reached
-   ``max_pending``, the request is refused with
+3. **Admission** — a miss whose ``params`` do not bind to the builder's
+   signature (an unknown knob, a missing required one), or that asks a
+   builder with a ``seed`` knob without a seed, is refused with
+   :class:`~repro.serve.request.ServeError`.  If the pending count
+   (queued + building) has reached ``max_pending``, the request is
+   refused with
    :class:`~repro.serve.request.ServerOverloadedError` *before* touching
    the queue: backpressure rejects new work, never drops accepted work.
    Disconnected topologies are refused here too (no builder can span
@@ -27,7 +30,7 @@ Request lifecycle (one ``await server.submit(request)``):
    wake every coalesced waiter; per-item build errors become exceptions on
    exactly the futures that asked for them.
 
-Builders remain pure ``(network, params, seed)`` functions, which is the
+Builders remain pure ``(network, params)`` functions, which is the
 whole foundation: identical keys ⇒ identical trees, so serving from cache
 is *bitwise* identical to a cold build (pinned per builder in
 ``tests/test_serve_cache.py``).
@@ -58,11 +61,12 @@ and surfaces burn rates in :meth:`TreeServer.stats`.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.engine import BuildResult, get_builder
+from repro.engine import BuildResult, RegisteredBuilder, get_builder
 from repro.network.model import Network
 from repro.obs import OBS
 from repro.obs.slo import SLO, SLOTracker
@@ -75,7 +79,6 @@ from repro.serve.request import (
     CacheInfo,
     ServeError,
     ServerOverloadedError,
-    effective_params,
     request_key,
 )
 from repro.serve.telemetry import ServeTelemetry
@@ -121,6 +124,27 @@ def make_response(
         ),
         trace_id=trace_id,
     )
+
+
+def _check_params(builder: RegisteredBuilder, params: Mapping[str, Any]) -> None:
+    """Refuse *params* that *builder* cannot serve, without building.
+
+    They must bind to its signature (no unknown knob, every required knob
+    present), and a builder with a ``seed`` knob needs a seed: a seedless
+    randomized build would pin one random draw under a seedless key.
+
+    Raises:
+        ServeError: Naming the builder and what is wrong.
+    """
+    try:
+        inspect.signature(builder.fn).bind(None, **params)
+    except TypeError as exc:
+        raise ServeError(f"builder {builder.name!r}: {exc}") from None
+    if "seed" in builder.knobs and params.get("seed") is None:
+        raise ServeError(
+            f"builder {builder.name!r} takes a seed: a served request "
+            "must carry params['seed']"
+        )
 
 
 @dataclass(frozen=True)
@@ -331,8 +355,8 @@ class TreeServer:
     ) -> BuildResponse:
         if self._batcher is None:
             raise ServeError("server not started; use `async with TreeServer()`")
-        get_builder(request.builder)  # fail fast before any queueing
-        params = effective_params(request)
+        builder = get_builder(request.builder)  # fail fast before any queueing
+        params = request.params
         if request.fingerprint is not None:
             fingerprint = request.fingerprint
         else:
@@ -365,7 +389,9 @@ class TreeServer:
                 result, fingerprint, key, hit=True, source="inflight", trace_id=trace_id
             )
 
-        # Admission control: bound queued + building work.
+        # Admission control: refuse what cannot build, bound queued +
+        # building work.
+        _check_params(builder, params)
         if len(self._inflight) >= self.config.max_pending:
             self.rejected += 1
             if OBS.enabled:

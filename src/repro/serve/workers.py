@@ -18,7 +18,7 @@ with them.  Both modes build through :mod:`repro.engine.pool`'s one
 remote-build path, so a failed build reads ``"ExcType: message"`` in
 either mode, and a process-built tree is re-bound to the server's own
 ``Network`` by :func:`~repro.engine.pool.bind_row` (bitwise the same
-tree; ``BuildResult.raw`` is ``None``).
+tree).
 
 Tracing crosses the boundary the same way: a :class:`WorkItem` may carry
 the originating request's serialized span context

@@ -1,10 +1,17 @@
 """Tests for repro.core.exact (the optimal MILP solver)."""
 
+import types
+
 import pytest
 
 from repro.baselines.aaml import build_aaml_tree
 from repro.baselines.mst import build_mst_tree
-from repro.core.errors import DisconnectedNetworkError, InfeasibleLifetimeError
+import repro.core.exact as exact_module
+from repro.core.errors import (
+    DisconnectedNetworkError,
+    InfeasibleLifetimeError,
+    LPSolverError,
+)
 from repro.core.exact import _integral_subtours, solve_mrlc_exact
 from repro.core.ira import build_ira_tree
 from repro.core.lifetime import lifetime_with_children
@@ -84,6 +91,27 @@ class TestConstrained:
         ira = build_ira_tree(net, aaml.lifetime)
         # Allow a tiny slack for the LP tie-break perturbation.
         assert ira.tree.cost() <= exact.cost * 1.05 + 1e-6
+
+
+class TestSolverStatus:
+    @pytest.mark.parametrize("status", [1, 4])
+    def test_only_a_proven_optimum_is_returned(self, monkeypatch, status):
+        """A limit's incumbent ``x`` is feasible, not optimal: it must raise."""
+        net = random_graph(8, 0.7, seed=3)
+        mst_edges = set(build_mst_tree(net).edges())
+        incumbent = [1.0 if e.key in mst_edges else 0.0 for e in net.edges()]
+        calls = []
+
+        def limited_milp(**kwargs):
+            calls.append(kwargs)
+            return types.SimpleNamespace(
+                status=status, x=incumbent, message="Time limit reached."
+            )
+
+        monkeypatch.setattr(exact_module, "milp", limited_milp)
+        with pytest.raises(LPSolverError, match=f"status {status}"):
+            solve_mrlc_exact(net)
+        assert len(calls) == 1
 
 
 class TestIntegralSubtours:

@@ -39,7 +39,7 @@ def _error_texts(builder, params):
     with WorkerPool("process", n_workers=1) as pool:
         (shard,) = asyncio.run(pool.run_shard(warm, [item]))
     texts["process"] = shard.error
-    for label, kwargs in (("serial race", {"parallel": False}), ("race", {"n_jobs": 1})):
+    for label, kwargs in (("serial race", {}), ("race", {"n_jobs": 1})):
         (outcome,) = race_builders(
             net, (builder,), member_params={builder: params}, **kwargs
         )

@@ -13,7 +13,6 @@ import repro.engine.builders
 from repro.core.tree import AggregationTree
 from repro.engine import (
     BuildResult,
-    TreeBuilder,
     UnknownBuilderError,
     available_builders,
     build_tree,
@@ -21,6 +20,7 @@ from repro.engine import (
     tree_builder,
 )
 from repro.engine import registry as registry_module
+from repro.engine.registry import RegisteredBuilder, register_builder
 from repro.network.dfl import dfl_network
 from repro.network.topology import random_graph
 
@@ -50,7 +50,7 @@ def test_required_builders_registered():
 @pytest.mark.parametrize("name", REQUIRED_NAMES)
 def test_builders_satisfy_protocol(name):
     builder = get_builder(name)
-    assert isinstance(builder, TreeBuilder)
+    assert isinstance(builder, RegisteredBuilder)
     assert builder.name == name
     assert builder.summary  # docstring one-liner
     assert isinstance(builder.knobs, dict)
@@ -89,7 +89,6 @@ def test_build_tree_records_params_and_meta():
     result = build_tree("ira", net, lc=aaml.lifetime / 2.0)
     assert result.params == {"lc": aaml.lifetime / 2.0}
     assert result.meta["lifetime_satisfied"] is True
-    assert result.raw is not None  # the full IRAResult rides along
     assert result.tree.lifetime() >= aaml.lifetime / 2.0 * (1 - 1e-9)
 
 
@@ -125,6 +124,90 @@ def test_registry_rejects_duplicate_names():
 
     finally:
         registry_module._REGISTRY.pop("_test_dup", None)
+
+
+#: The settable knobs of every stock builder: only knobs some caller sets.
+STOCK_KNOBS = {
+    "aaml": [],
+    "bfs": [],
+    "clmt": [],
+    "convergecast": [],
+    "delay_bounded": ["max_depth"],
+    "dlmt": [],
+    "exact": ["lc"],
+    "ira": ["lc"],
+    "local_search": ["lc"],
+    "min_energy": [],
+    "mst": [],
+    "portfolio": ["budget_s", "lc", "members", "n_jobs", "seed"],
+    "random_tree": ["seed"],
+    "rasmalai": ["seed"],
+    "spt": [],
+}
+
+
+def _keyword_only(fn):
+    return sorted(
+        p.name
+        for p in inspect.signature(fn).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    )
+
+
+def test_every_stock_builder_declares_exactly_its_keyword_parameters():
+    assert {name: sorted(get_builder(name).knobs) for name in available_builders()} == (
+        STOCK_KNOBS
+    )
+    for name in available_builders():
+        builder = get_builder(name)
+        assert sorted(builder.knobs) == _keyword_only(builder.fn), name
+
+
+def _undeclared_knob(network, *, depth=4):
+    """Fixture builder whose knob list misses its ``depth`` parameter."""
+    raise NotImplementedError
+
+
+def _phantom_knob(network):
+    """Fixture builder declaring a knob it does not take."""
+    raise NotImplementedError
+
+
+def _open_knobs(network, **config):
+    """Fixture builder taking any keyword at all."""
+    raise NotImplementedError
+
+
+@pytest.mark.parametrize(
+    "fn,knobs",
+    [(_undeclared_knob, {}), (_phantom_knob, {"depth": "d"}), (_open_knobs, {"config": "c"})],
+)
+def test_register_refuses_knobs_that_differ_from_the_signature(fn, knobs):
+    with pytest.raises(TypeError, match="keyword-only"):
+        register_builder(
+            RegisteredBuilder(name="_test_knobs", fn=fn, summary="x", knobs=knobs)
+        )
+    assert "_test_knobs" not in registry_module._REGISTRY
+
+
+@pytest.mark.parametrize("shape", ["triple", "build_result", "parents"])
+def test_build_accepts_only_a_tree_or_a_tree_meta_pair(shape):
+    net = random_graph(8, 0.7, seed=33)
+    tree = build_tree("mst", net).tree
+    out = {
+        "triple": (tree, {}, None),
+        "build_result": BuildResult(builder="x", tree=tree),
+        "parents": dict(tree.parents),
+    }[shape]
+    builder = RegisteredBuilder(
+        name="_test_shape", fn=lambda network: out, summary="x", knobs={}
+    )
+    with pytest.raises(TypeError, match=r"\(tree, meta\) pair"):
+        builder.build(net)
+    pair = RegisteredBuilder(
+        name="_test_pair", fn=lambda network: (tree, {"k": 1}), summary="x", knobs={}
+    )
+    assert pair.build(net).meta == {"k": 1}
 
 
 def unregistered_entry_points(modules, registered):
@@ -170,7 +253,7 @@ def test_parallel_build_matches_serial():
     from repro.experiments.parallel import parallel_map
 
     results = parallel_map(
-        partial(_registry_test_build, "mst", {"root": None}), 4, n_jobs=2
+        partial(_registry_test_build, "mst", {}), 4, n_jobs=2
     )
     assert [r.builder for r in results] == ["mst"] * 4
     serial = parallel_map(partial(_registry_test_build, "mst", {}), 4)

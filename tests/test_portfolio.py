@@ -67,21 +67,6 @@ def sleeping_builder():
     registry_module._REGISTRY.pop("_pf_sleeper", None)
 
 
-@pytest.fixture
-def napping_builder():
-    """A registered builder that sleeps just past the serial test budget."""
-
-    @tree_builder("_pf_napper", knobs={})
-    def _napper(network):
-        time.sleep(0.4)
-        from repro.core.local_search import bfs_tree
-
-        return bfs_tree(network)
-
-    yield "_pf_napper"
-    registry_module._REGISTRY.pop("_pf_napper", None)
-
-
 class TestMemberConfigs:
     def test_lc_and_seed_merge_only_into_declared_knobs(self):
         configs = member_configs(
@@ -121,7 +106,7 @@ class TestMemberConfigs:
 class TestSerialRace:
     def test_outcomes_in_member_order_with_metrics(self, net):
         members = ("mst", "bfs", "clmt")
-        outcomes = race_builders(net, members, parallel=False)
+        outcomes = race_builders(net, members)
         assert [o.member for o in outcomes] == list(members)
         for o in outcomes:
             assert o.status == "ok"
@@ -131,32 +116,21 @@ class TestSerialRace:
 
     def test_feasibility_judged_against_lc(self, net):
         lc = build_tree("aaml", net).lifetime  # the max: only specialists pass
-        outcomes = race_builders(net, ("mst", "clmt"), lc=lc, parallel=False)
+        outcomes = race_builders(net, ("mst", "clmt"), lc=lc)
         by_name = {o.member: o for o in outcomes}
         assert by_name["clmt"].feasible or not by_name["mst"].feasible
 
     def test_member_error_is_isolated(self, net, crashing_builder):
-        outcomes = race_builders(net, ("mst", crashing_builder), parallel=False)
+        outcomes = race_builders(net, ("mst", crashing_builder))
         assert outcomes[0].status == "ok"
         assert outcomes[1].status == "error"
         assert "RuntimeError: portfolio test crash" in outcomes[1].error
 
-    def test_serial_budget_skips_remainder(self, net, napping_builder):
-        # Impossible budget: the first member overruns it, the rest skip.
-        outcomes = race_builders(
-            net,
-            (napping_builder, "mst"),
-            budget_s=0.2,
-            parallel=False,
-        )
-        assert outcomes[0].status == "ok"  # started before the deadline
-        assert outcomes[1].status == "skipped"
-
     def test_bad_arguments(self, net):
         with pytest.raises(ValueError, match="budget_s"):
-            race_builders(net, ("mst",), budget_s=0, parallel=False)
+            race_builders(net, ("mst",), budget_s=0)
         with pytest.raises(ValueError, match="n_jobs"):
-            race_builders(net, ("mst",), n_jobs=0, parallel=False)
+            race_builders(net, ("mst",), n_jobs=0)
 
 
 class TestProcessBoundary:
@@ -167,7 +141,7 @@ class TestProcessBoundary:
                 net,
                 ("mst", "random_tree"),
                 member_params={"random_tree": {"rng": rng}},
-                parallel=True,
+                n_jobs=2,
             )
         with pytest.raises(ValueError, match="'mst'"):
             race_builders(
@@ -250,7 +224,7 @@ class TestParallelRace:
             ("mst", crashing_builder, sleeping_builder, "spt"),
             budget_s=2.0,
         )
-        survivors = race_builders(net, ("mst", "spt"), parallel=False)
+        survivors = race_builders(net, ("mst", "spt"))
         raced_winner = select_winner(raced)
         solo_winner = select_winner(survivors)
         assert raced_winner.member == solo_winner.member
@@ -259,8 +233,8 @@ class TestParallelRace:
     def test_serial_and_parallel_pick_identical_winners(self, net):
         lc = 0.5 * build_tree("aaml", net).lifetime
         members = ("local_search", "clmt", "dlmt", "min_energy")
-        serial = race_builders(net, members, lc=lc, seed=3, parallel=False)
-        parallel = race_builders(net, members, lc=lc, seed=3, parallel=True)
+        serial = race_builders(net, members, lc=lc, seed=3)
+        parallel = race_builders(net, members, lc=lc, seed=3, n_jobs=len(members))
         sw, pw = select_winner(serial, lc=lc), select_winner(parallel, lc=lc)
         assert sw.member == pw.member
         assert sw.tree == pw.tree
@@ -400,7 +374,6 @@ class TestBuildPortfolioTree:
             net,
             lc=lc,
             members=["mst", "clmt", "bfs"],
-            parallel=False,
         )
         meta = result.meta
         assert meta["winner"] in ("mst", "clmt", "bfs")
@@ -413,27 +386,23 @@ class TestBuildPortfolioTree:
         assert result.tree.meets_lifetime(lc)
 
     def test_default_members(self, net):
-        tree, meta = build_portfolio_tree(net, parallel=False)
+        tree, meta = build_portfolio_tree(net)
         assert tuple(meta["members"]) == DEFAULT_MEMBERS
         assert tree is not None
 
     def test_meta_is_json_serializable(self, net):
-        result = build_tree(
-            "portfolio", net, members=["mst", "bfs"], parallel=False
-        )
+        result = build_tree("portfolio", net, members=["mst", "bfs"])
         json.dumps(result.meta)  # must not raise
 
     def test_all_members_failing_raises(self, net, crashing_builder):
         with pytest.raises(PortfolioError, match="portfolio test crash"):
-            build_portfolio_tree(
-                net, members=[crashing_builder], parallel=False
-            )
+            build_portfolio_tree(net, members=[crashing_builder])
 
 
 class TestObsCounters:
     def test_counters_recorded_when_instrumented(self, net):
         with instrument(params={"test": "portfolio"}) as session:
-            build_portfolio_tree(net, members=["mst", "bfs"], parallel=False)
+            build_portfolio_tree(net, members=["mst", "bfs"])
             snapshot = session.registry.snapshot()
         counters = snapshot["counters"]
         assert counters.get("portfolio.races") == 1
@@ -446,7 +415,7 @@ class TestObsCounters:
 
     def test_uninstrumented_race_records_nothing(self, net):
         tree, meta = build_portfolio_tree(
-            net, members=["mst", "bfs"], parallel=False
+            net, members=["mst", "bfs"]
         )  # no instrument(): must not blow up
         assert meta["winner"] == "mst"
 
@@ -463,16 +432,14 @@ class TestServeIntegration:
                     BuildRequest(
                         builder="portfolio",
                         network=net,
-                        lc_bound=1e6,
-                        params={"members": ["mst", "clmt", "bfs"]},
+                        params={"lc": 1e6, "members": ["mst", "clmt", "bfs"], "seed": 4},
                     )
                 )
                 second = await server.submit(
                     BuildRequest(
                         builder="portfolio",
                         network=net,
-                        lc_bound=1e6,
-                        params={"members": ["mst", "clmt", "bfs"]},
+                        params={"lc": 1e6, "members": ["mst", "clmt", "bfs"], "seed": 4},
                     )
                 )
                 return first, second

@@ -3,14 +3,14 @@
 The load-bearing guarantee: a served-from-cache response is **bitwise
 identical** to a cold build — same parents, same exact metric floats — for
 every builder in the registry.  That only holds because builders are pure
-functions of ``(network, params, seed)``; these tests pin it per builder,
+functions of ``(network, params)``; these tests pin it per builder,
 plus the key/fingerprint plumbing that makes the content addressing work.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
 import pytest
 
@@ -24,25 +24,24 @@ from repro.serve import (
     StructureCache,
     TreeServer,
     canonical_params_json,
-    effective_params,
     make_response,
     request_key,
 )
 from repro.serve.bench import _content_signature
 
 
-def _request_config(
-    builder: str, net, seed: int
-) -> Tuple[Dict[str, Any], Optional[float], Optional[int]]:
-    """(params, lc_bound, seed) that make *builder* feasible on *net*."""
+def _request_config(builder: str, net, seed: int) -> Dict[str, Any]:
+    """Params that make *builder* feasible on *net*."""
     knobs = get_builder(builder).knobs
     params: Dict[str, Any] = {}
-    lc_bound = 0.5 * bfs_tree(net).lifetime() if "lc" in knobs else None
-    request_seed = seed if "seed" in knobs else None
+    if "lc" in knobs:
+        params["lc"] = 0.5 * bfs_tree(net).lifetime()
+    if "seed" in knobs:
+        params["seed"] = seed
     if "max_depth" in knobs:
         seed_tree = bfs_tree(net)
         params["max_depth"] = max(seed_tree.depth(v) for v in range(net.n))
-    return params, lc_bound, request_seed
+    return params
 
 
 def _submit_twice(request: BuildRequest):
@@ -60,14 +59,8 @@ class TestServedEqualsCold:
     def test_cache_hit_bitwise_identical_to_cold_build(self, builder):
         # n=10 keeps the exact MILP affordable while exercising real trees.
         net = random_graph(10, 0.6, seed=101)
-        params, lc_bound, seed = _request_config(builder, net, seed=5)
-        request = BuildRequest(
-            builder=builder,
-            network=net,
-            params=params,
-            lc_bound=lc_bound,
-            seed=seed,
-        )
+        params = _request_config(builder, net, seed=5)
+        request = BuildRequest(builder=builder, network=net, params=params)
         first, second = _submit_twice(request)
 
         assert not first.cache_info.hit and first.cache_info.source == "built"
@@ -79,8 +72,7 @@ class TestServedEqualsCold:
         assert second.tree.parents == first.tree.parents
 
         # And both match an offline cold rebuild bitwise (modulo wall time).
-        effective = effective_params(request)
-        cold = build_tree(builder, net, **effective)
+        cold = build_tree(builder, net, **params)
         cold_response = make_response(
             cold,
             first.cache_info.fingerprint,
@@ -108,22 +100,28 @@ class TestServedEqualsCold:
         assert stats["built"] == 1
 
     def test_params_spelling_never_splits_cache_slots(self):
+        import numpy as np
+
         net = random_graph(10, 0.6, seed=11)
         lc = 0.5 * bfs_tree(net).lifetime()
 
         async def run():
             async with TreeServer() as server:
-                via_bound = await server.submit(
-                    BuildRequest("ira", network=net, lc_bound=lc)
+                as_float = await server.submit(
+                    BuildRequest("portfolio", network=net, params={"lc": lc, "seed": 3})
                 )
-                via_params = await server.submit(
-                    BuildRequest("ira", network=net, params={"lc": lc})
+                as_numpy = await server.submit(
+                    BuildRequest(
+                        "portfolio",
+                        network=net,
+                        params={"seed": np.int64(3), "lc": np.float64(lc)},
+                    )
                 )
-                return via_bound, via_params
+                return as_float, as_numpy
 
-        via_bound, via_params = asyncio.run(run())
-        assert via_bound.cache_info.key == via_params.cache_info.key
-        assert via_params.cache_info.hit
+        as_float, as_numpy = asyncio.run(run())
+        assert as_float.cache_info.key == as_numpy.cache_info.key
+        assert as_numpy.cache_info.hit
 
 
 class TestRequestModel:
@@ -131,24 +129,24 @@ class TestRequestModel:
         with pytest.raises(ServeError, match="network or a fingerprint"):
             BuildRequest("mst")
 
-    def test_lc_bound_on_lc_free_builder_is_refused(self):
+    def test_lc_on_lc_free_builder_is_refused(self):
         net = random_graph(8, 0.7, seed=1)
-        with pytest.raises(ServeError, match="takes no lifetime bound"):
-            effective_params(BuildRequest("mst", network=net, lc_bound=10.0))
+        with pytest.raises(ServeError, match="unexpected keyword argument 'lc'"):
+            _submit_twice(BuildRequest("mst", network=net, params={"lc": 10.0}))
 
     def test_seed_on_deterministic_builder_is_refused(self):
         net = random_graph(8, 0.7, seed=1)
-        with pytest.raises(ServeError, match="takes no seed"):
-            effective_params(BuildRequest("mst", network=net, seed=3))
+        with pytest.raises(ServeError, match="unexpected keyword argument 'seed'"):
+            _submit_twice(BuildRequest("mst", network=net, params={"seed": 3}))
 
     def test_conflicting_lc_spellings_are_refused(self):
-        net = random_graph(8, 0.7, seed=1)
-        with pytest.raises(ServeError, match="both"):
-            effective_params(
-                BuildRequest(
-                    "ira", network=net, params={"lc": 5.0}, lc_bound=6.0
-                )
-            )
+        from repro.serve.protocol import decode_build_request
+
+        doc = {"builder": "ira", "fingerprint": "f" * 64, "params": {"lc": 5.0}}
+        with pytest.raises(ServeError, match="params\\['lc'\\]"):
+            decode_build_request({**doc, "lc": 6.0})
+        with pytest.raises(ServeError, match="params\\['seed'\\]"):
+            decode_build_request({**doc, "builder": "random_tree", "seed": 6})
 
     def test_canonical_params_json_is_order_and_dtype_stable(self):
         import numpy as np
@@ -166,10 +164,11 @@ class TestRequestModel:
         keys = {
             request_key("f" * 64, "mst", {}),
             request_key("f" * 64, "spt", {}),
-            request_key("f" * 64, "spt", {"hop_metric": True}),
+            request_key("f" * 64, "random_tree", {"seed": 1}),
+            request_key("f" * 64, "random_tree", {"seed": 2}),
             request_key("e" * 64, "spt", {}),
         }
-        assert len(keys) == 4
+        assert len(keys) == 5
 
 
 class TestResultCacheLRU:
@@ -245,21 +244,12 @@ class TestStructureCache:
 
 
 class TestCacheMetaSurvives:
-    def test_meta_and_raw_survive_inline_cache(self):
+    def test_meta_survives_inline_cache(self):
         net = random_graph(10, 0.6, seed=12)
         lc = 0.5 * bfs_tree(net).lifetime()
-
-        async def run():
-            async with TreeServer() as server:
-                first = await server.submit(
-                    BuildRequest("ira", network=net, lc_bound=lc)
-                )
-                second = await server.submit(
-                    BuildRequest("ira", network=net, lc_bound=lc)
-                )
-                return first, second
-
-        first, second = asyncio.run(run())
+        first, second = _submit_twice(
+            BuildRequest("ira", network=net, params={"lc": lc})
+        )
         assert first.metrics["iterations"] >= 1
         assert second.metrics["iterations"] == first.metrics["iterations"]
         assert isinstance(first.metrics["lifetime"], float)

@@ -176,6 +176,27 @@ class TestScheduler:
         assert isinstance(bad_result, ServeError)
         assert not isinstance(good_result, BaseException)
 
+    @pytest.mark.parametrize(
+        "builder,params,message",
+        [
+            ("mst", {"root": 3}, "unexpected keyword argument 'root'"),
+            ("ira", {}, "missing a required argument: 'lc'"),
+            ("random_tree", {}, "must carry params\\['seed'\\]"),
+            ("portfolio", {"seed": None}, "must carry params\\['seed'\\]"),
+        ],
+    )
+    def test_unbuildable_params_refused_before_queueing(self, builder, params, message):
+        net = random_graph(10, 0.5, seed=8)
+
+        async def run():
+            async with TreeServer() as server:
+                with pytest.raises(ServeError, match=message):
+                    await server.submit(BuildRequest(builder, network=net, params=params))
+                return server.stats()
+
+        stats = asyncio.run(run())
+        assert (stats["built"], stats["batches"], stats["inflight"]) == (0, 0, 0)
+
     def test_min_cut_uses_memoized_structure(self):
         net = random_graph(12, 0.5, seed=6)
 
@@ -197,7 +218,7 @@ class TestPoolModes:
     def test_pooled_results_match_inline(self, mode, workers):
         nets = _nets(3, n=20, p=0.3, seed0=950)
         requests = [BuildRequest("mst", network=net) for net in nets] + [
-            BuildRequest("random_tree", network=nets[0], seed=9)
+            BuildRequest("random_tree", network=nets[0], params={"seed": 9})
         ]
 
         async def run(pool):
@@ -423,6 +444,38 @@ class TestTcpTransport:
         assert error["ok"] is False and error["kind"] == "bad-request"
         assert "bad JSON line" in error["error"]
         assert ping == {"ok": True, "op": "ping", "id": "tail"}
+
+    def test_refused_builds_get_one_bad_request_line_each(self):
+        network = network_to_dict(random_graph(10, 0.5, seed=9))
+        refused = [
+            {"builder": "ira", "params": {"lc": 5.0}, "lc": 5.0},
+            {"builder": "random_tree", "seed": 1},
+            {"builder": "random_tree"},
+            {"builder": "mst", "params": {"root": 3}},
+            {"builder": "ira"},
+        ]
+        lines = [
+            json.dumps({"op": "build", "network": network, "id": i, **doc}).encode()
+            for i, doc in enumerate(refused)
+        ]
+        lines += [
+            b'{"op": "stats"}',
+            json.dumps({"op": "build", "builder": "mst", "network": network}).encode(),
+            b'{"op": "stats"}',
+        ]
+
+        async def run():
+            async with TreeServer() as server:
+                return await self._exchange(server, lines)
+
+        *errors, before, built, after, ping = asyncio.run(run())
+        assert [e["id"] for e in errors] == list(range(len(refused)))
+        for error in errors:
+            assert error["ok"] is False and error["kind"] == "bad-request"
+        assert before["stats"]["built"] == 0
+        assert built["ok"] is True
+        assert after["stats"]["built"] == 1
+        assert ping["ok"] is True
 
     def test_non_object_network_document_is_a_bad_request(self):
         lines = [
