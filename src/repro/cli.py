@@ -10,7 +10,7 @@ Usage (installed as ``mrlc`` or via ``python -m repro``)::
     mrlc all --quick          # every figure at reduced scale
     mrlc obs build ira        # instrumented run (see repro.obs.cli)
     mrlc builders             # list registered tree builders + knobs
-    mrlc lint src/            # repo-invariant checker (see repro.lint.cli)
+    mrlc lint src/            # repo-invariant checker (see repro.lint)
     mrlc serve run            # tree-serving daemon (see repro.serve.cli)
     mrlc ext-portfolio        # portfolio tournament win-rate table
     mrlc bench core --ci      # trajectory bench: core|ira|portfolio|serve
@@ -256,7 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _builders_main()
     if argv and argv[0] == "lint":
         # The invariant checker is its own sub-CLI, like `obs`.
-        from repro.lint.cli import lint_main
+        from repro.lint import lint_main
 
         return lint_main(argv[1:])
     if argv and argv[0] == "serve":

@@ -25,7 +25,6 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.lint.context import FileContext, dotted_chain
-from repro.lint.registry import lint_rule
 
 __all__ = ["check_await_races"]
 
@@ -178,7 +177,6 @@ def _events(fn: _Def) -> List[_Event]:
     return walker.events
 
 
-@lint_rule("REP109")
 def check_await_races(ctx: FileContext) -> Iterator[_Yield]:
     """async methods must not write self attributes from reads staled by an await
 

@@ -27,7 +27,6 @@ import ast
 from typing import Iterator, List, Set, Tuple
 
 from repro.lint.context import FileContext
-from repro.lint.registry import lint_rule
 
 __all__ = ["HOT_PACKAGES", "check_obs_guard"]
 
@@ -87,7 +86,6 @@ def _test_guards(test: ast.expr, aliases: Set[str]) -> bool:
     return False
 
 
-@lint_rule("REP102")
 def check_obs_guard(ctx: FileContext) -> Iterator[Tuple[ast.AST, str]]:
     """OBS.registry/OBS.tracer use in hot-path code outside an OBS.enabled guard"""
     if not ctx.in_package(*HOT_PACKAGES):

@@ -24,7 +24,6 @@ import ast
 from typing import Iterator, Set, Tuple
 
 from repro.lint.context import FileContext, dotted_chain
-from repro.lint.registry import lint_rule
 
 __all__ = ["ALLOWED_NUMPY_RANDOM_NAMES", "check_rng_discipline"]
 
@@ -48,7 +47,6 @@ _EXEMPT_MODULES = frozenset({"repro.utils.rng"})
 _FIX_HINT = "route randomness through repro.utils.rng.as_rng/spawn_rngs"
 
 
-@lint_rule("REP101")
 def check_rng_discipline(ctx: FileContext) -> Iterator[Tuple[ast.AST, str]]:
     """bare random/np.random use outside utils/rng.py breaks seeded determinism"""
     if ctx.module in _EXEMPT_MODULES:

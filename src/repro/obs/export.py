@@ -219,19 +219,6 @@ class TimeSeriesRing:
         """The buffered ``(t, value)`` pairs, oldest first."""
         return list(self._samples)
 
-    def delta_rate(self) -> float:
-        """Per-second rate of change across the window (0 when degenerate).
-
-        For a ring fed a monotonic counter this is the average event rate
-        over the buffered window — e.g. requests/sec from ``requests``.
-        """
-        if len(self._samples) < 2:
-            return 0.0
-        (t0, v0), (t1, v1) = self._samples[0], self._samples[-1]
-        if t1 <= t0:
-            return 0.0
-        return (v1 - v0) / (t1 - t0)
-
     def to_doc(self) -> Dict[str, Any]:
         """JSON form: ``{"name", "capacity", "samples": [[t, v], ...]}``."""
         return {

@@ -18,7 +18,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set
 
 from repro.network.serialization import network_from_dict
 from repro.obs import OBS
@@ -187,12 +187,30 @@ async def start_tcp_server(
     (``srv.sockets[0].getsockname()``).  The caller owns both lifecycles:
     close the asyncio server, then ``await tree_server.aclose()``.
     """
-    return await asyncio.start_server(
-        lambda r, w: _handle_connection(server, r, w),
-        host,
-        port,
-        limit=MAX_LINE_BYTES,
-    )
+    loop = asyncio.get_running_loop()
+    handlers: Set[asyncio.Task[None]] = set()
+
+    def handler_done(task: asyncio.Task[None]) -> None:
+        handlers.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            loop.call_exception_handler(
+                {
+                    "message": "unhandled exception in a serve connection handler",
+                    "exception": task.exception(),
+                    "task": task,
+                }
+            )
+
+    def connected(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        # The handler task is ours, not asyncio's: before Python 3.12 the
+        # task asyncio makes from a returned coroutine logs an error when
+        # it is cancelled, which is how a handler idle in readline() ends
+        # when the loop shuts down.  Cancelled here, it ends quietly.
+        task = loop.create_task(_handle_connection(server, reader, writer))
+        handlers.add(task)
+        task.add_done_callback(handler_done)
+
+    return await asyncio.start_server(connected, host, port, limit=MAX_LINE_BYTES)
 
 
 async def serve_forever(

@@ -22,6 +22,6 @@ def rule_ids(findings: List[Finding]) -> List[str]:
     return [f.rule for f in findings]
 
 
-def lint_sources(tmp_path: Path, files: Dict[str, str], **kwargs) -> List[Finding]:
+def lint_sources(tmp_path: Path, files: Dict[str, str]) -> List[Finding]:
     """Lint a synthetic ``src/repro/...`` tree and return sorted findings."""
-    return lint_paths([write_tree(tmp_path, files)], **kwargs).all_findings
+    return lint_paths([write_tree(tmp_path, files)])

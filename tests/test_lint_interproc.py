@@ -153,7 +153,7 @@ class TestRep109AwaitRaces:
                 "    async def flush(self):\n"
                 "        pass\n"
             ),
-        }, select=["REP109"])
+        })
         assert set(rule_ids(findings)) == {"REP109"}
         assert "count" in findings[0].message
 
@@ -166,7 +166,7 @@ class TestRep109AwaitRaces:
                 "    async def compute(self):\n"
                 "        return 1\n"
             ),
-        }, select=["REP109"])
+        })
         assert set(rule_ids(findings)) == {"REP109"}
 
     def test_monotonic_counter_after_await_is_fine(self, tmp_path):
@@ -179,7 +179,7 @@ class TestRep109AwaitRaces:
                 "    async def flush(self):\n"
                 "        pass\n"
             ),
-        }, select=["REP109"])
+        })
         assert findings == []
 
     def test_reread_after_await_is_fine(self, tmp_path):
@@ -194,7 +194,7 @@ class TestRep109AwaitRaces:
                 "    async def flush(self):\n"
                 "        pass\n"
             ),
-        }, select=["REP109"])
+        })
         assert findings == []
 
 
@@ -229,19 +229,3 @@ class TestRep110RngBoundary:
         _assert_every_boundary_accepts(
             partial(_task, seed=task_stream), {"seed": build_stream}
         )
-
-
-class TestSuppression:
-    def test_inline_ignore_silences_interprocedural_finding(self, tmp_path):
-        findings = lint_sources(tmp_path, {
-            "repro/mod.py": (
-                "class Server:\n"
-                "    async def handle(self):\n"
-                "        pending = self.count\n"
-                "        await self.flush()\n"
-                "        self.count = pending + 1  # repro: ignore[REP109] single task\n"
-                "    async def flush(self):\n"
-                "        pass\n"
-            ),
-        }, select=["REP109"])
-        assert findings == []

@@ -211,30 +211,3 @@ class TestREP104BuilderContract:
             assert registry_module._REGISTRY["_rep104_dup"].fn is _a
         finally:
             registry_module._REGISTRY.pop("_rep104_dup", None)
-
-
-#: One REP101 and one REP102 finding when placed in a hot package.
-TWO_RULE_SOURCE = (
-    "import random\n"
-    "from repro.obs import OBS\n"
-    "def f():\n"
-    "    OBS.tracer.event('x')\n"
-)
-
-
-class TestRuleSelection:
-    def test_select_runs_single_rule(self, tmp_path):
-        files = {"repro/core/algo.py": TWO_RULE_SOURCE}
-        findings = lint_sources(tmp_path, files, select=["REP102"])
-        assert rule_ids(findings) == ["REP102"]
-
-    def test_ignore_removes_rule(self, tmp_path):
-        files = {"repro/core/algo.py": TWO_RULE_SOURCE}
-        findings = lint_sources(tmp_path, files, ignore=["REP101"])
-        assert rule_ids(findings) == ["REP102"]
-
-    def test_unknown_rule_raises(self, tmp_path):
-        from repro.lint import UnknownRuleError
-
-        with pytest.raises(UnknownRuleError):
-            lint_sources(tmp_path, {"repro/a.py": "x = 1\n"}, select=["REP999"])

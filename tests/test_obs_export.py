@@ -122,20 +122,6 @@ class TestTimeSeriesRing:
         ring = TimeSeriesRing("x")
         assert len(ring) == 0
         assert ring.latest() is None
-        assert ring.delta_rate() == 0.0
-
-    def test_delta_rate_over_window(self):
-        ring = TimeSeriesRing("requests")
-        ring.sample(0.0, 100.0)
-        ring.sample(2.0, 150.0)
-        ring.sample(4.0, 200.0)
-        assert ring.delta_rate() == pytest.approx(25.0)
-
-    def test_delta_rate_degenerate_time(self):
-        ring = TimeSeriesRing("x")
-        ring.sample(1.0, 5.0)
-        ring.sample(1.0, 9.0)
-        assert ring.delta_rate() == 0.0
 
     def test_to_doc_shape(self):
         ring = TimeSeriesRing("qd", 8)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import socket
 
 import pytest
 
@@ -417,6 +419,36 @@ class TestTcpTransport:
         assert after == b""  # one reply, then the connection closes
         assert ping["ok"] is True
 
+
+    def test_handler_waiting_in_readline_ends_quietly_at_shutdown(self, caplog):
+        # A raw socket the test closes after the loop is gone keeps the
+        # handler blocked in readline() until asyncio.run cancels it.
+        client = socket.socket()
+        client.setblocking(False)
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            async with TreeServer() as server:
+                tcp = await start_tcp_server(server, port=0)
+                await loop.sock_connect(client, tcp.sockets[0].getsockname())
+                await loop.sock_sendall(client, b'{"op": "ping"}\n')
+                reply = await loop.sock_recv(client, 4096)
+                tcp.close()
+                await tcp.wait_closed()
+            return reply
+
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                reply = asyncio.run(run())
+        finally:
+            client.close()
+        assert json.loads(reply)["ok"] is True
+        errors = [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []
 
     @staticmethod
     async def _exchange(server, lines):
