@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.lint.context import FileContext
+from repro.lint.context import FileContext, display_path_of
 from repro.lint.rules.asyncsafe import check_await_races
 from repro.lint.rules.obs import check_obs_guard
 from repro.lint.rules.rng import check_rng_discipline
@@ -96,7 +96,8 @@ def _lint_file(path: Path) -> Iterator[Finding]:
             line, col, reason = exc.lineno or 1, (exc.offset or 1) - 1, exc.msg
         else:  # unreadable, or not UTF-8
             line, col, reason = 1, 0, str(exc)
-        yield Finding("REP000", str(path), line, col, f"file does not parse: {reason}")
+        message = f"file does not parse: {reason}"
+        yield Finding("REP000", display_path_of(path), line, col, message)
         return
     for rule, check in RULES:
         for node, message in check(ctx):

@@ -55,7 +55,7 @@ def dotted_chain(node: ast.expr) -> str:
     return ".".join(reversed(parts))
 
 
-def _display_path(path: Path) -> str:
+def display_path_of(path: Path) -> str:
     """Path as reported: cwd-relative posix when possible."""
     resolved = path.resolve()
     rel = os.path.relpath(resolved, os.getcwd())
@@ -89,7 +89,7 @@ class FileContext:
         """
         source = path.read_bytes().decode("utf-8")
         return cls(
-            display_path=_display_path(path),
+            display_path=display_path_of(path),
             module=module_name_for(path),
             lines=source.splitlines(),
             tree=ast.parse(source, filename=str(path)),

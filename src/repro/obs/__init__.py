@@ -13,8 +13,9 @@ Three cooperating pieces, all process-local and dependency-free:
 * **Manifests** (:mod:`repro.obs.manifest`) — seed, params, git revision,
   and tool versions, so every run is reproducible and diffable.
 * **Export** (:mod:`repro.obs.export`) — Prometheus-text / JSON renderers
-  over the registry plus bounded time-series rings, feeding the serve
-  layer's ``metrics`` op and the ``repro obs top`` dashboard.
+  over the registry, feeding the serve layer's ``metrics`` op; the
+  ``repro obs top`` dashboard (:mod:`repro.obs.top`) keeps its own
+  history of those replies.
 * **SLOs** (:mod:`repro.obs.slo`) — declared latency/error budgets with
   burn-rate accounting, surfaced by the server's ``stats`` op.
 * **Bench sentinel** (:mod:`repro.obs.benchdiff`) — the ``repro obs
@@ -37,12 +38,7 @@ or from the command line: ``repro obs build ira --nodes 50 --seed 1``
 (see :mod:`repro.obs.cli` and ``docs/observability.md``).
 """
 
-from repro.obs.export import (
-    TimeSeriesRing,
-    parse_prometheus,
-    prometheus_name,
-    render_prometheus,
-)
+from repro.obs.export import parse_prometheus, prometheus_name, render_prometheus
 from repro.obs.manifest import RunManifest, collect_manifest, git_revision
 from repro.obs.metrics import (
     NULL_REGISTRY,
@@ -74,7 +70,6 @@ __all__ = [
     "SLOTracker",
     "SLOWindow",
     "SpanContext",
-    "TimeSeriesRing",
     "TraceEvent",
     "Tracer",
     "activate_span",

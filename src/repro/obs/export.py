@@ -1,4 +1,4 @@
-"""Metrics export: Prometheus text, JSON snapshots, and time-series rings.
+"""Metrics export: Prometheus text and JSON snapshots.
 
 PR 2's registry was built for one-shot experiment runs: record, finish,
 snapshot.  A long-running server needs the other direction — *live*
@@ -14,23 +14,19 @@ summaries), the shape the ``metrics`` TCP op and ``repro obs top`` consume.
 ``{name{labels}: value}``); CI's export smoke uses it to assert the text
 actually parses, and tests use it to round-trip.
 
-:class:`TimeSeriesRing` is the bounded history primitive behind the serve
-layer's snapshot loop (:mod:`repro.serve.telemetry`): a deque of
-``(t, value)`` samples with O(1) append and a fixed memory ceiling, so a
-server that runs for weeks keeps minutes of queryable history instead of
-an unbounded list.
+The export is a point-in-time view: the server keeps no history of it.
+``repro obs top`` (:mod:`repro.obs.top`) keeps a bounded history of its
+own from the replies it polls.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "TimeSeriesRing",
     "escape_label_value",
     "parse_prometheus",
     "parse_prometheus_labels",
@@ -179,50 +175,3 @@ def parse_prometheus_labels(label_text: str) -> Dict[str, str]:
         key: unescape_label_value(value)
         for key, value in _LABEL_PAIR.findall(label_text)
     }
-
-
-class TimeSeriesRing:
-    """Bounded ``(t, value)`` history for one live metric.
-
-    Appending beyond *capacity* drops the oldest sample — the server keeps
-    a sliding window of recent history, never an unbounded log.
-    """
-
-    __slots__ = ("name", "_samples")
-
-    def __init__(self, name: str, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.name = name
-        self._samples: Deque[Tuple[float, float]] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    @property
-    def capacity(self) -> int:
-        return self._samples.maxlen or 0
-
-    def sample(self, t: float, value: float) -> None:
-        """Append one sample (monotonic *t*, from the sampler's clock)."""
-        self._samples.append((float(t), float(value)))
-
-    def latest(self) -> Optional[Tuple[float, float]]:
-        """Most recent ``(t, value)``, or ``None`` when empty."""
-        return self._samples[-1] if self._samples else None
-
-    def values(self) -> List[float]:
-        """The buffered values, oldest first."""
-        return [v for _, v in self._samples]
-
-    def series(self) -> List[Tuple[float, float]]:
-        """The buffered ``(t, value)`` pairs, oldest first."""
-        return list(self._samples)
-
-    def to_doc(self) -> Dict[str, Any]:
-        """JSON form: ``{"name", "capacity", "samples": [[t, v], ...]}``."""
-        return {
-            "name": self.name,
-            "capacity": self.capacity,
-            "samples": [[t, v] for t, v in self._samples],
-        }

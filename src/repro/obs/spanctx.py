@@ -15,7 +15,7 @@ Contexts are plain string triples, so they serialize to dicts
 layer's process workers — a worker's build span carries the submitting
 request's ``trace_id`` and re-attaches to its trace when the shard result
 returns (the server keeps it in its
-:class:`~repro.serve.telemetry.TraceBuffer`).
+:class:`~repro.serve.server.TraceBuffer`).
 
 The *ambient* context is tracked in a :class:`contextvars.ContextVar`, so
 interleaved asyncio tasks each see their own current span and nested

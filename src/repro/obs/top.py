@@ -4,25 +4,38 @@ A deliberately small, stdlib-only client: one persistent TCP connection
 speaking the server's JSON-lines protocol (:mod:`repro.serve.protocol`),
 polling the ``stats`` and ``metrics`` ops every ``--interval`` seconds and
 redrawing one screen of scheduler health — throughput, hit rate, queue
-depth, per-stage latency sparklines from the telemetry rings, and SLO
-budget burn.  ``--once`` renders a single frame without clearing the
-screen (what CI and tests use).
+depth, per-stage latency sparklines, and SLO budget burn.  ``--once``
+renders a single frame without clearing the screen (what CI and tests
+use).
 
-The dashboard is read-only and server-agnostic about instrumentation:
+The server keeps no history: the dashboard keeps its own
+(:class:`TopHistory`), one bounded deque per signal filled from the
+replies it polls, so the sparklines start when it attaches, as with any
+``top``.  It is read-only and server-agnostic about instrumentation:
 against a ``--no-obs`` server the registry section just reports itself
-disabled while the stats/rings keep rendering.
+disabled and the latency rows stay empty, while the stats rows keep
+rendering.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-from typing import Any, Dict, List, Optional
+import time
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-__all__ = ["ServeClient", "render_dashboard", "run_top"]
+__all__ = ["ServeClient", "TopHistory", "render_dashboard", "run_top"]
 
-#: Eight-level block characters for the ring sparklines.
+#: Eight-level block characters for the history sparklines.
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
+#: Frames of history kept per signal.
+HISTORY_FRAMES = 256
+#: Latency histograms with a p50/p99 history row, by row-name prefix.
+_LATENCY_HISTOGRAMS = {
+    "serve.request_seconds": "request",
+    "serve.build_seconds": "build",
+}
 
 
 class ServeClient:
@@ -83,10 +96,60 @@ def _fmt_value(value: Any) -> str:
     return str(value)
 
 
+class TopHistory:
+    """The dashboard's history: one bounded deque of values per signal.
+
+    Each :meth:`record` call appends one frame's samples: queue depth,
+    in-flight count and hit rate from ``stats``; requests/s from the
+    ``requests`` delta since the previous frame; and, when the server is
+    instrumented, each ``serve.request_seconds`` / ``serve.build_seconds``
+    histogram's p50/p99 in ms from the JSON registry snapshot.
+    """
+
+    def __init__(self) -> None:
+        self.series: Dict[str, Deque[float]] = {}
+        self._last_requests: Optional[Tuple[float, float]] = None
+
+    def _append(self, name: str, value: float) -> None:
+        if name not in self.series:
+            self.series[name] = deque(maxlen=HISTORY_FRAMES)
+        self.series[name].append(float(value))
+
+    def record(
+        self, stats: Dict[str, Any], metrics_reply: Dict[str, Any], t: float
+    ) -> None:
+        """Append one frame's samples, taken at monotonic time *t*."""
+        for name in ("queue_depth", "inflight", "hit_rate"):
+            self._append(name, stats.get(name, 0))
+        requests = stats.get("requests", 0)
+        if self._last_requests is not None:
+            t_prev, n_prev = self._last_requests
+            if t > t_prev:
+                self._append("rps", (requests - n_prev) / (t - t_prev))
+        self._last_requests = (t, requests)
+        histograms = (metrics_reply.get("metrics") or {}).get("histograms") or {}
+        for key, summary in histograms.items():
+            name, brace, labels = key.partition("{")
+            stage = _LATENCY_HISTOGRAMS.get(name)
+            if stage is None or not summary.get("count"):
+                continue
+            for p in ("p50", "p99"):
+                self._append(f"{stage}_{p}_ms{brace}{labels}", 1000.0 * summary[p])
+
+
 def render_dashboard(
-    stats: Dict[str, Any], metrics_reply: Dict[str, Any]
+    stats: Dict[str, Any],
+    metrics_reply: Dict[str, Any],
+    history: Optional[TopHistory] = None,
 ) -> str:
-    """One frame of the dashboard from a stats + json-metrics reply pair."""
+    """One frame of the dashboard from a stats + json-metrics reply pair.
+
+    *history* holds the frames so far, this one included; without it the
+    frame is rendered as a history of one sample.
+    """
+    if history is None:
+        history = TopHistory()
+        history.record(stats, metrics_reply, 0.0)
     lines: List[str] = []
     lines.append(
         "repro serve — "
@@ -103,18 +166,14 @@ def render_dashboard(
         f"max_batch {stats.get('max_batch', 0)}"
     )
 
-    series = metrics_reply.get("series") or {}
-    if series:
-        lines.append("")
-        lines.append("telemetry (oldest → newest):")
-        for name in sorted(series):
-            doc = series[name]
-            samples = doc.get("samples") or []
-            values = [v for _, v in samples]
-            latest = f"{values[-1]:.4g}" if values else "—"
-            lines.append(
-                f"  {name:<16} {latest:>10}  {_sparkline(values)}"
-            )
+    lines.append("")
+    lines.append("telemetry (oldest → newest, one sample per frame):")
+    width = max(map(len, history.series), default=0)
+    for name in sorted(history.series):
+        values = list(history.series[name])
+        lines.append(
+            f"  {name:<{width}} {values[-1]:>10.4g}  {_sparkline(values)}"
+        )
 
     slo = stats.get("slo") or {}
     if slo:
@@ -154,13 +213,12 @@ def run_top(
     Returns a process exit code: 0 on a clean run, 1 when the server is
     unreachable or disconnects.
     """
-    import time
-
     try:
         client = ServeClient(host, port)
     except OSError as exc:
         print(f"repro obs top: cannot connect to {host}:{port} ({exc})")
         return 1
+    history = TopHistory()
     frames = 0
     try:
         with client:
@@ -170,9 +228,9 @@ def run_top(
                 if not stats_reply.get("ok") or not metrics_reply.get("ok"):
                     print(f"repro obs top: server error: {stats_reply}")
                     return 1
-                frame = render_dashboard(
-                    stats_reply.get("stats") or {}, metrics_reply
-                )
+                stats = stats_reply.get("stats") or {}
+                history.record(stats, metrics_reply, time.monotonic())
+                frame = render_dashboard(stats, metrics_reply, history)
                 if clear and iterations != 1:
                     print("\x1b[2J\x1b[H", end="")
                 print(frame)

@@ -192,9 +192,14 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """Disabled tracer: records nothing, spans are pass-throughs."""
+    """Disabled tracer: records nothing, spans are pass-throughs.
 
-    def __init__(self) -> None:  # no clock read, no header event
+    It keeps the clock (:meth:`now`), so code that stamps records it
+    stores elsewhere (the serve layer's trace buffer) runs under it.
+    """
+
+    def __init__(self) -> None:  # no header event
+        self._t0 = time.perf_counter()
         self.started_utc = ""
         self.events = []
 

@@ -40,8 +40,7 @@ from repro.serve.request import (
     canonical_params_json,
     request_key,
 )
-from repro.serve.server import ServeConfig, TreeServer, make_response
-from repro.serve.telemetry import ServeTelemetry, TraceBuffer
+from repro.serve.server import ServeConfig, TraceBuffer, TreeServer, make_response
 from repro.serve.workers import POOL_MODES, ShardOutcome, WorkItem, WorkerPool
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "ResultCache",
     "ServeConfig",
     "ServeError",
-    "ServeTelemetry",
     "ServerOverloadedError",
     "ShardOutcome",
     "StructureCache",

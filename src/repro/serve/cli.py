@@ -55,12 +55,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "'build:0.25:0.99:0.999'; repeatable, surfaced in the stats op",
     )
     run.add_argument(
-        "--snapshot-interval",
-        type=float,
-        default=1.0,
-        help="telemetry sampling interval in seconds (default 1.0)",
-    )
-    run.add_argument(
         "--mode",
         choices=POOL_MODES,
         default="inline",
@@ -130,7 +124,7 @@ def _parse_slo(spec: str) -> SLO:
 
 
 def _run_server(args: argparse.Namespace) -> int:
-    from repro.obs import instrument
+    from repro.obs import NullTracer, instrument
     from repro.serve.tcp import serve_forever
 
     try:
@@ -142,7 +136,6 @@ def _run_server(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         max_pending=args.max_pending,
         slos=slos,
-        snapshot_interval_s=args.snapshot_interval,
     )
 
     async def _main() -> None:
@@ -155,8 +148,10 @@ def _run_server(args: argparse.Namespace) -> int:
             asyncio.run(_main())
         else:
             # The instrumentation session makes the metrics/trace ops live
-            # for the whole server lifetime.
-            with instrument(params={"serve": True}):
+            # for the whole server lifetime.  Request spans live in the
+            # server's trace buffer; nothing writes a session trace, so
+            # its tracer keeps no events.
+            with instrument(params={"serve": True}, tracer=NullTracer()):
                 asyncio.run(_main())
     except KeyboardInterrupt:
         print("repro serve: interrupted, shutting down")
@@ -171,6 +166,4 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         value = getattr(args, name)
         if value is not None and value < 1:
             parser.error(f"--{name.replace('_', '-')} must be positive")
-    if args.snapshot_interval <= 0:
-        parser.error("--snapshot-interval must be positive")
     return _run_server(args)

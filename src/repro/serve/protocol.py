@@ -32,11 +32,11 @@ Each request and response is one JSON document per line.  Operations:
 ``{"op": "metrics", "format": "prometheus" | "json"}``
     → ``{"ok": true, "format": "prometheus", "enabled": ..., "body":
     "<exposition text>"}`` or ``{"ok": true, "format": "json",
-    "enabled": ..., "metrics": {...}, "series": {...}}`` — a live export
-    of the server's metrics registry (Prometheus text or JSON snapshot)
-    plus, in JSON form, the telemetry rings.  ``enabled`` is ``false``
-    (and the registry payload empty) when the server runs without an
-    instrumentation session; the time-series rings are served either way.
+    "enabled": ..., "metrics": {...}}`` — a live export of the server's
+    metrics registry (Prometheus text or JSON snapshot).  ``enabled`` is
+    ``false`` (and the registry payload empty) when the server runs
+    without an instrumentation session.  The server keeps no history;
+    ``repro obs top`` keeps its own from successive replies.
 
 ``{"op": "trace", "trace": "<trace_id>"}``
     → ``{"ok": true, "trace": ..., "spans": [...]}`` — the span

@@ -47,10 +47,10 @@ additionally gets a trace of its own: a ``serve.request`` root span, a
 a process worker, whose span context travels out on the
 :class:`~repro.serve.workers.WorkItem` and back on the
 :class:`~repro.serve.workers.ShardOutcome` (see
-:mod:`repro.obs.spanctx`).  The server's
-:class:`~repro.serve.telemetry.TraceBuffer` is the one store of these
-spans (the session tracer does not keep them), and the response carries
-``trace_id`` so a client can fetch them via the ``trace`` TCP op.
+:mod:`repro.obs.spanctx`).  The server's :class:`TraceBuffer` is the one
+store of these spans (the session tracer does not keep them), and the
+response carries ``trace_id`` so a client can fetch them via the
+``trace`` TCP op.
 
 Independent of instrumentation, :class:`ServeConfig` may declare
 :class:`~repro.obs.slo.SLO` objectives; the server then counts every
@@ -63,6 +63,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -81,15 +82,16 @@ from repro.serve.request import (
     ServerOverloadedError,
     request_key,
 )
-from repro.serve.telemetry import ServeTelemetry
 from repro.serve.workers import ShardOutcome, WorkItem, WorkerPool
 
-__all__ = ["ServeConfig", "TreeServer", "make_response"]
+__all__ = ["ServeConfig", "TraceBuffer", "TreeServer", "make_response"]
 
 #: Capacity of the content-addressed result store.
 RESULT_CACHE_SIZE = 4096
 #: Capacity (in topologies) of the warm-structure store.
 STRUCTURE_CACHE_SIZE = 256
+#: Completed request traces kept for the ``trace`` op.
+TRACE_CAPACITY = 512
 
 
 def make_response(
@@ -147,6 +149,43 @@ def _check_params(builder: RegisteredBuilder, params: Mapping[str, Any]) -> None
         )
 
 
+class TraceBuffer:
+    """Bounded store of completed request traces (span docs by trace id).
+
+    It is the one store of a served request's spans (request root, queue
+    wait, worker build), so a TCP client can fetch one request's span tree
+    with the ``trace`` op moments after getting its response.  Append-only
+    per trace; evicts whole least-recently-*written* traces beyond
+    *capacity*, so a long-lived server holds the most recent few hundred
+    requests' traces, never an unbounded log.
+    """
+
+    def __init__(self, capacity: int = TRACE_CAPACITY) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._traces: "OrderedDict[str, List[Dict[str, Any]]]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._traces)
+
+    def add(self, trace_id: str, span_doc: Dict[str, Any]) -> None:
+        """Append one span document to *trace_id*'s trace."""
+        spans = self._traces.get(trace_id)
+        if spans is None:
+            spans = self._traces[trace_id] = []
+            while len(self._traces) > self.capacity:
+                self._traces.popitem(last=False)
+        else:
+            self._traces.move_to_end(trace_id)
+        spans.append(span_doc)
+
+    def get(self, trace_id: str) -> Optional[List[Dict[str, Any]]]:
+        """The spans of *trace_id* in record order, or ``None``."""
+        spans = self._traces.get(trace_id)
+        return list(spans) if spans is not None else None
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Scheduler knobs.
@@ -159,14 +198,12 @@ class ServeConfig:
             submissions beyond it raise ``ServerOverloadedError``.
         slos: Declared :class:`~repro.obs.slo.SLO` objectives; an empty
             tuple (the default) disables SLO accounting entirely.
-        snapshot_interval_s: Cadence of the telemetry sampling loop.
     """
 
     batch_size: int = 16
     batch_window_s: float = 0.002
     max_pending: int = 1024
     slos: Tuple[SLO, ...] = ()
-    snapshot_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -175,8 +212,6 @@ class ServeConfig:
             raise ValueError("batch_window_s must be non-negative")
         if self.max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
-        if self.snapshot_interval_s <= 0:
-            raise ValueError("snapshot_interval_s must be positive")
 
 
 @dataclass
@@ -223,12 +258,8 @@ class TreeServer:
         self._queue: "asyncio.Queue[_Pending]" = asyncio.Queue()
         self._inflight: Dict[str, _Pending] = {}
         self._batcher: Optional["asyncio.Task[None]"] = None
-        self._telemetry_task: Optional["asyncio.Task[None]"] = None
-        self._closed = False
         self.slo = SLOTracker(self.config.slos)
-        self.telemetry = ServeTelemetry(
-            self, interval_s=self.config.snapshot_interval_s
-        )
+        self.traces = TraceBuffer()
         # Monotonic stats (cheap ints; obs mirrors them when enabled).
         self.requests = 0
         self.built = 0
@@ -241,30 +272,22 @@ class TreeServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "TreeServer":
-        """Spawn the batcher and telemetry tasks (idempotent)."""
+        """Spawn the batcher task (idempotent)."""
         if self._batcher is None:
-            self._closed = False
             self._batcher = asyncio.create_task(
                 self._batch_loop(), name="repro-serve-batcher"
-            )
-        if self._telemetry_task is None:
-            self._telemetry_task = asyncio.create_task(
-                self.telemetry.run(), name="repro-serve-telemetry"
             )
         return self
 
     async def aclose(self) -> None:
-        """Drain nothing, cancel the tasks, fail queued requests."""
-        self._closed = True
-        for attr in ("_batcher", "_telemetry_task"):
-            task = getattr(self, attr)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, attr, None)
+        """Drain nothing, cancel the batcher, fail queued requests."""
+        task, self._batcher = self._batcher, None
+        if task is not None:
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
         while not self._queue.empty():
             pending = self._queue.get_nowait()
             if not pending.future.done():
@@ -446,7 +469,7 @@ class TreeServer:
 
     def trace_spans(self, trace_id: str) -> Optional[List[Dict[str, Any]]]:
         """Spans recorded for one request trace (``None`` if unknown)."""
-        return self.telemetry.traces.get(trace_id)
+        return self.traces.get(trace_id)
 
     def stats(self) -> Dict[str, Any]:
         """One flat snapshot of scheduler + cache + budget health."""
@@ -466,7 +489,7 @@ class TreeServer:
             "pool_mode": self._pool.mode,
             "pool_workers": self._pool.n_workers,
             "slo": self.slo.snapshot(),
-            "telemetry": self.telemetry.snapshot(),
+            "traces_buffered": len(self.traces),
         }
 
     # ------------------------------------------------------------------
@@ -495,7 +518,7 @@ class TreeServer:
                 span_id=ctx.span_id,
                 parent_id=ctx.parent_id,
             )
-            self.telemetry.traces.add(ctx.trace_id, event.to_doc())
+            self.traces.add(ctx.trace_id, event.to_doc())
 
     async def _collect_batch(self) -> List[_Pending]:
         """Block for the first request, then drain stragglers briefly."""

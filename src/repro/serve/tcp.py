@@ -102,7 +102,6 @@ async def _dispatch(
                 reply["body"] = render_prometheus(OBS.registry)
         else:
             reply["metrics"] = {}
-            reply["series"] = server.telemetry.series_doc()
             if OBS.enabled:
                 reply["enabled"] = True
                 reply["metrics"] = OBS.registry.snapshot()

@@ -27,7 +27,7 @@ child span id — its process-unique prefix guarantees no collision with
 server-side ids — times the build with ``perf_counter``, and ships
 ``{"ctx": ..., "dur": ...}`` back on the :class:`ShardOutcome`; the
 server keeps it with the request's other spans in its
-:class:`~repro.serve.telemetry.TraceBuffer`.  With observability off the
+:class:`~repro.serve.server.TraceBuffer`.  With observability off the
 context is ``None`` and no clock is read.
 
 A shard's outcomes come back in item order, one per item, so nothing on

@@ -71,6 +71,17 @@ class TestParseErrors:
         assert findings[0].path.endswith("bad.py")
         assert findings[1].path.endswith("ok.py")
 
+    def test_rep000_path_is_cwd_relative_like_rule_findings(
+        self, tmp_path, monkeypatch
+    ):
+        src = write_tree(tmp_path, {"pkg/a.py": "def f(:\n", "pkg/b.py": "import random\n"})
+        monkeypatch.chdir(src)
+        findings = lint_paths(["pkg"])
+        assert [(f.path, f.rule) for f in findings] == [
+            ("pkg/a.py", "REP000"),
+            ("pkg/b.py", "REP101"),
+        ]
+
 
 class TestFileCollection:
     def test_pycache_skipped_and_duplicates_merged(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.export — exposition formats and time-series rings."""
+"""Tests for repro.obs.export — exposition formats."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.export import (
-    TimeSeriesRing,
     escape_label_value,
     parse_prometheus,
     parse_prometheus_labels,
@@ -102,33 +101,6 @@ class TestJsonSnapshot:
         json.dumps(doc)  # must not raise
         hist = doc["histograms"]["serve.build_seconds{builder=mst}"]
         assert hist["count"] == 5 and "p99" in hist
-
-
-class TestTimeSeriesRing:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            TimeSeriesRing("x", 0)
-
-    def test_append_beyond_capacity_drops_oldest(self):
-        ring = TimeSeriesRing("x", 3)
-        for i in range(5):
-            ring.sample(float(i), float(10 * i))
-        assert len(ring) == 3
-        assert ring.values() == [20.0, 30.0, 40.0]
-        assert ring.series()[0] == (2.0, 20.0)
-        assert ring.latest() == (4.0, 40.0)
-
-    def test_empty_ring(self):
-        ring = TimeSeriesRing("x")
-        assert len(ring) == 0
-        assert ring.latest() is None
-
-    def test_to_doc_shape(self):
-        ring = TimeSeriesRing("qd", 8)
-        ring.sample(1.0, 2.0)
-        doc = ring.to_doc()
-        assert doc == {"name": "qd", "capacity": 8, "samples": [[1.0, 2.0]]}
-        json.dumps(doc)  # must not raise
 
 
 class TestLabelEscaping:

@@ -101,6 +101,19 @@ class TestScheduler:
         with pytest.raises(ServeError, match="not started"):
             asyncio.run(server.submit(BuildRequest("mst", network=net)))
 
+    def test_start_runs_only_the_batcher(self):
+        async def run():
+            before = asyncio.all_tasks()
+            server = await TreeServer().start()
+            await server.start()  # idempotent
+            started = asyncio.all_tasks() - before
+            await server.aclose()
+            return started, asyncio.all_tasks() - before
+
+        started, after_close = asyncio.run(run())
+        assert [t.get_name() for t in started] == ["repro-serve-batcher"]
+        assert after_close == set()
+
     def test_close_fails_queued_requests(self):
         net = random_graph(10, 0.5, seed=2)
 

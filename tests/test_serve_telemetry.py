@@ -1,4 +1,4 @@
-"""Telemetry plane end-to-end: tracing, rings, SLOs, and the wire ops.
+"""Telemetry plane end-to-end: tracing, SLOs, and the wire ops.
 
 The acceptance path for the telemetry PR lives here: a TCP client builds a
 tree against an instrumented server backed by a **process** worker pool,
@@ -14,6 +14,8 @@ import json
 
 import pytest
 
+import repro.serve.tcp
+from repro.engine import build_tree
 from repro.network.serialization import network_to_dict
 from repro.network.topology import random_graph
 from repro.obs import OBS, instrument, parse_prometheus
@@ -21,11 +23,11 @@ from repro.obs.slo import SLO
 from repro.serve import (
     BuildRequest,
     ServeConfig,
-    ServeTelemetry,
     TraceBuffer,
     TreeServer,
     WorkerPool,
 )
+from repro.serve.cli import serve_main
 from repro.serve.tcp import start_tcp_server
 
 
@@ -59,82 +61,6 @@ class TestTraceBuffer:
         buf.add("t1", {"name": "a"})
         buf.get("t1").append({"name": "intruder"})
         assert len(buf.get("t1")) == 1
-
-
-class _StubServer:
-    """Just the surface ServeTelemetry samples from."""
-
-    class _Results:
-        hits = 0
-
-    def __init__(self):
-        self.requests = 0
-        self.coalesced = 0
-        self.results = self._Results()
-        self.queue = 0
-        self.inflight = 0
-
-    def queue_depth(self):
-        return self.queue
-
-    def inflight_count(self):
-        return self.inflight
-
-
-class TestServeTelemetrySampling:
-    def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            ServeTelemetry(_StubServer(), interval_s=0)
-
-    def test_sample_fills_stats_rings(self):
-        stub = _StubServer()
-        stub.queue, stub.inflight, stub.requests = 3, 2, 10
-        stub.results.hits = 4
-        telemetry = ServeTelemetry(stub, interval_s=0.5)
-        telemetry.sample_once(t=1.0)
-        assert telemetry.rings["queue_depth"].latest() == (1.0, 3.0)
-        assert telemetry.rings["inflight"].latest() == (1.0, 2.0)
-        assert telemetry.rings["hit_rate"].latest() == (1.0, 0.4)
-        assert len(telemetry.rings["rps"]) == 0  # needs two samples
-
-    def test_rps_from_request_delta(self):
-        stub = _StubServer()
-        telemetry = ServeTelemetry(stub, interval_s=0.5)
-        stub.requests = 10
-        telemetry.sample_once(t=1.0)
-        stub.requests = 30
-        telemetry.sample_once(t=3.0)
-        assert telemetry.rings["rps"].latest() == (3.0, 10.0)
-
-    def test_idle_server_hit_rate_zero(self):
-        telemetry = ServeTelemetry(_StubServer())
-        telemetry.sample_once(t=0.0)
-        assert telemetry.rings["hit_rate"].latest() == (0.0, 0.0)
-
-    def test_latency_rings_need_instrumentation(self):
-        telemetry = ServeTelemetry(_StubServer())
-        telemetry.sample_once(t=1.0)
-        assert len(telemetry.rings["request_p50_ms"]) == 0
-        with instrument(params={"test": "telemetry"}):
-            OBS.registry.histogram(
-                "serve.request_seconds", builder="mst"
-            ).observe(0.2)
-            telemetry.sample_once(t=2.0)
-        assert telemetry.rings["request_p50_ms"].latest() == (2.0, 200.0)
-        assert telemetry.rings["request_p99_ms"].latest() == (2.0, 200.0)
-
-    def test_snapshot_and_series_doc_shape(self):
-        telemetry = ServeTelemetry(_StubServer(), interval_s=2.0)
-        telemetry.sample_once(t=1.0)
-        telemetry.traces.add("t-x", {"name": "serve.request"})
-        snap = telemetry.snapshot()
-        assert snap["interval_s"] == 2.0
-        assert snap["samples"] == 1
-        assert snap["traces_buffered"] == 1
-        assert snap["latest"]["queue_depth"] == 0.0
-        doc = telemetry.series_doc()
-        assert set(doc) == set(telemetry.rings)
-        json.dumps(doc)  # must not raise
 
 
 class TestRequestTracing:
@@ -239,7 +165,7 @@ class TestSloTracking:
 
         stats = asyncio.run(run())
         assert stats["slo"] == {}
-        assert "telemetry" in stats
+        assert stats["traces_buffered"] == 0
 
 
 def _rpc_factory(reader, writer):
@@ -256,10 +182,7 @@ class TestWireOps:
 
     def test_trace_and_metrics_over_tcp_with_process_pool(self):
         net = random_graph(16, 0.4, seed=905)
-        config = ServeConfig(
-            slos=(SLO("stats", latency_budget_s=5.0),),
-            snapshot_interval_s=0.02,
-        )
+        config = ServeConfig(slos=(SLO("stats", latency_budget_s=5.0),))
 
         async def run():
             with WorkerPool(mode="process", n_workers=2) as pool:
@@ -286,7 +209,6 @@ class TestWireOps:
                     as_json = await rpc({"op": "metrics", "format": "json"})
                     bad_fmt = await rpc({"op": "metrics", "format": "xml"})
                     unknown = await rpc({"op": "trace", "trace": "t-unknown"})
-                    await asyncio.sleep(0.06)  # let the sampler tick
                     await rpc({"op": "stats"})  # recorded after its reply...
                     stats = await rpc({"op": "stats"})  # ...so read it back
                     writer.close()
@@ -320,16 +242,18 @@ class TestWireOps:
             k.startswith("repro_serve_build_seconds") for k in samples
         )
 
-        # JSON form: registry snapshot plus the telemetry rings.
+        # JSON form: the registry snapshot, and no server-side history.
         assert as_json["ok"] and as_json["enabled"]
         assert "serve.requests{builder=mst}" in as_json["metrics"]["counters"]
-        assert "queue_depth" in as_json["series"]
+        assert "series" not in as_json
 
         assert not bad_fmt["ok"] and bad_fmt["kind"] == "bad-request"
         assert not unknown["ok"] and "unknown trace id" in unknown["error"]
 
-        # The sampler ticked and the stats op burned the 'stats' SLO.
-        assert stats["stats"]["telemetry"]["samples"] >= 1
+        # The stats op burned the 'stats' SLO; the trace buffer holds the
+        # build's trace.
+        assert "telemetry" not in stats["stats"]
+        assert stats["stats"]["traces_buffered"] == 1
         assert stats["stats"]["slo"]["stats"]["total"] >= 1
 
     def test_disabled_server_serves_rings_but_no_registry(self):
@@ -363,4 +287,52 @@ class TestWireOps:
         assert prom["ok"] and not prom["enabled"] and prom["body"] == ""
         assert as_json["ok"] and not as_json["enabled"]
         assert as_json["metrics"] == {}
-        assert set(as_json["series"])  # rings exist even when disabled
+        assert "series" not in as_json  # the server keeps no history
+
+
+class TestServeRunSession:
+    def test_served_builds_keep_no_session_trace_events(self, monkeypatch):
+        """`repro serve run` keeps request spans, not builder trace events.
+
+        Nothing writes the session trace of a served run, so its tracer
+        keeps no events; the ``trace`` op still answers from the server's
+        trace buffer.
+        """
+        net = random_graph(10, 0.5, seed=907)
+        lifetime = build_tree("aaml", net).lifetime
+        seen: dict = {}
+
+        async def serve_briefly(server, host, port):
+            tcp = await start_tcp_server(server, host, port)
+            bound = tcp.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection(host, bound)
+            rpc = _rpc_factory(reader, writer)
+            registered = await rpc(
+                {"op": "register", "network": network_to_dict(net)}
+            )
+            traces = []
+            for scale in (0.5, 0.6, 0.7):  # three IRA misses
+                built = await rpc(
+                    {
+                        "op": "build",
+                        "builder": "ira",
+                        "fingerprint": registered["fingerprint"],
+                        "params": {"lc": scale * lifetime},
+                    }
+                )
+                assert built["cache"]["source"] == "built", built
+                traces.append(await rpc({"op": "trace", "trace": built["trace"]}))
+            seen["events"] = list(OBS.tracer.events)
+            seen["traces"] = traces
+            writer.close()
+            await writer.wait_closed()
+            tcp.close()
+            await tcp.wait_closed()
+
+        monkeypatch.setattr(repro.serve.tcp, "serve_forever", serve_briefly)
+        assert serve_main(["run", "--port", "0"]) == 0
+        assert seen["events"] == []
+        for trace in seen["traces"]:
+            assert trace["ok"], trace
+            names = {s["name"] for s in trace["spans"]}
+            assert {"serve.request", "serve.queue", "serve.build"} <= names
