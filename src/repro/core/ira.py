@@ -36,6 +36,18 @@ Implementation notes beyond the paper:
   uninflated attempt is checked against the first program of the inflated
   attempt, whose rows are tighter.  The count is
   :attr:`IRAResult.lp_reused`.
+* ``auto`` does not run an uninflated attempt that would repeat the
+  inflated one (:meth:`IterativeRelaxation._would_repeat`): when the
+  inflated attempt emptied ``W`` in one iteration with no forced
+  relaxation, and its first optimum certifies the uninflated first
+  program, that attempt would reuse the same ``x`` and test the same
+  support against the same ``LC`` degree caps, so it would empty ``W`` at
+  once and rebuild the same tree.  ``min`` keeps the first of two equal
+  costs, so the result is the one running both attempts returns.
+* An uninflated attempt that does run starts from the inflated attempt's
+  cut pool: a subtour cut holds for every spanning tree, whatever the
+  lifetime rows, so the extra rows change the cut list but not the
+  (unique) optimum.
 * An attempt keeps one :class:`~repro.core.lp.MRLCLinearProgram`, and so
   one HiGHS model, across its iterations.  Before each later solve,
   :meth:`~repro.core.lp.MRLCLinearProgram.restrict` cuts it down to the
@@ -193,6 +205,8 @@ class IterativeRelaxation:
         # attempt's first program (see module notes).
         first_optimum: List[LPSolution] = []
         for label, spec in attempts:
+            if results and self._would_repeat(results[0], first_optimum[0], spec):
+                break  # it would rebuild the same tree (see module notes)
             try:
                 result = self._run_with_spec(spec, label, first_optimum)
             except InfeasibleLifetimeError as exc:
@@ -206,6 +220,32 @@ class IterativeRelaxation:
             assert last_error is not None
             raise last_error
         return min(valid, key=lambda r: r.tree.cost())
+
+    def _constrained_nodes(self) -> Set[int]:
+        """The initial ``W``: every node, less the sink unless it is bounded."""
+        w = set(self.network.nodes)
+        if not self.constrain_sink:
+            w.discard(self.network.sink)
+        return w
+
+    def _would_repeat(
+        self, result: IRAResult, optimum: LPSolution, spec: LifetimeSpec
+    ) -> bool:
+        """Whether an attempt under *spec* would rebuild *result*'s tree.
+
+        *result* is an earlier attempt and *optimum* its first LP optimum.
+        When that attempt emptied ``W`` in its only iteration without a
+        forced relaxation, and *optimum* certifies the first program under
+        *spec*, the new attempt would reuse the same ``x``, keep the same
+        support, test it against the same ``LC`` degree caps, empty ``W``
+        too, and extract the same minimum spanning tree.
+        """
+        if result.iterations != 1 or result.forced_relaxations:
+            return False
+        net = self.network
+        bounds = {v: spec.lp_degree_bound(net, v) for v in self._constrained_nodes()}
+        edges = [e.key for e in net.edges()]
+        return optimum.still_optimal_for(edges, bounds) is not None
 
     def _run_with_spec(
         self, spec: LifetimeSpec, label: str, first_optimum: List[LPSolution]
@@ -229,10 +269,12 @@ class IterativeRelaxation:
             )
 
         active_edges: List[Tuple[int, int]] = [e.key for e in net.edges()]
-        w: Set[int] = set(net.nodes)
-        if not self.constrain_sink:
-            w.discard(net.sink)
-        cuts: List[FrozenSet[int]] = []
+        w = self._constrained_nodes()
+        # Every subtour cut stays valid under any lifetime rows, so a later
+        # attempt starts from the earlier attempt's cut pool.
+        cuts: List[FrozenSet[int]] = (
+            list(first_optimum[0].cuts) if first_optimum else []
+        )
         iterations = 0
         lp_solves = 0
         lp_reused = 0

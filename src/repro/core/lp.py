@@ -20,9 +20,13 @@ the lifetime rows and carried cuts.  Every cutting-plane round appends only
 its new cuts and re-runs dual simplex from the previous basis
 (:func:`linprog`).  Rows travel as a plain :class:`RowBlock` of the three
 CSR arrays ``addRows`` takes, not a ``scipy.sparse`` matrix it would only
-unpack again.  Presolve stays on for a model's first solve (every warm
-re-solve skips it): switching it off leaves the trees unchanged but costs
-about 10% more dual simplex iterations.  IRA keeps one program for a whole
+unpack again.  A model's first solve starts from a greedy crash basis
+when that basis is provably optimal (:func:`_greedy_basis`): by Lemma 1 the
+first program's optimum is often just the ``n - 1`` cheapest edges, and
+HiGHS, handed a valid basis, skips presolve and confirms it in zero
+iterations.  Otherwise the first solve runs presolve, which switched off
+leaves the trees unchanged but costs about 10% more dual simplex
+iterations; every warm re-solve skips it.  IRA keeps one program for a whole
 attempt: between its iterations :meth:`~MRLCLinearProgram.restrict`
 deletes the ``x_e = 0`` columns (line 6) and the dropped lifetime rows
 (line 8) in place, keeps every cut row, and the next solve starts warm
@@ -41,7 +45,12 @@ from itertools import chain
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import (
+    HighsBasis,
+    HighsBasisStatus,
+    HighsModelStatus,
+    _Highs,
+)
 
 from repro.core.errors import InfeasibleLifetimeError, LPSolverError
 from repro.core.separation import find_violated_subtours
@@ -256,13 +265,21 @@ class RowBlock(NamedTuple):
         return len(self.data)
 
 
-def linprog(model: _Highs, *, A_ub: RowBlock, b_ub: np.ndarray) -> HighsRound:
+def linprog(
+    model: _Highs,
+    *,
+    A_ub: RowBlock,
+    b_ub: np.ndarray,
+    basis: Optional[HighsBasis] = None,
+) -> HighsRound:
     """Append the rows ``A_ub x <= b_ub`` to *model* and re-solve it.
 
     HiGHS extends the previous basis with the new rows' slacks, so every
-    call after the first runs dual simplex warm.  This is the only place
-    HiGHS solves anything.  perfbench's ``lp.highs`` layer wraps this
-    module attribute by name and reads its ``A_ub`` keyword, so keep both.
+    call after the first runs dual simplex warm.  A *basis* over every
+    column and row, the new ones included, replaces it before the solve
+    (:func:`_greedy_basis`).  This is the only place HiGHS solves anything.
+    perfbench's ``lp.highs`` layer wraps this module attribute by name and
+    reads its ``A_ub`` keyword, so keep both.
     """
     n_rows = len(b_ub)
     if n_rows:
@@ -270,6 +287,8 @@ def linprog(model: _Highs, *, A_ub: RowBlock, b_ub: np.ndarray) -> HighsRound:
             n_rows, np.full(n_rows, -np.inf), b_ub, A_ub.nnz,
             A_ub.indptr[:-1], A_ub.indices, A_ub.data,
         )
+    if basis is not None:
+        model.setBasis(basis)
     model.run()
     status = model.getModelStatus()
     info = model.getInfo()
@@ -279,6 +298,56 @@ def linprog(model: _Highs, *, A_ub: RowBlock, b_ub: np.ndarray) -> HighsRound:
     return HighsRound(
         status, x, info.objective_function_value, info.simplex_iteration_count
     )
+
+
+#: HiGHS basis statuses indexed by the integer codes :func:`_greedy_basis`
+#: fills in: 0 at the lower bound, 1 basic, 2 at the upper bound.
+_BASIS_STATUS = np.array(
+    [HighsBasisStatus.kLower, HighsBasisStatus.kBasic, HighsBasisStatus.kUpper],
+    dtype=object,
+)
+
+
+def _greedy_basis(
+    costs: np.ndarray, n: int, rows: RowBlock, rhs: np.ndarray
+) -> Optional[HighsBasis]:
+    """An optimal starting basis for a new model's first solve, or ``None``.
+
+    The model holds the ``[0, 1]`` columns, the spanning row and the first
+    block ``rows x <= rhs`` (lifetime rows and carried cuts).  Order the
+    columns by cost: the ``n - 2`` cheapest sit at their upper bound, the
+    ``(n - 1)``-th is basic, every other column sits at its lower bound,
+    the spanning row is nonbasic and every other row is basic.  The
+    spanning row's dual is then the basic column's cost, so every reduced
+    cost has the sign its bound needs: the basis is dual feasible by the
+    cost order.  Its primal point is the greedy 0/1 point, the ``n - 1``
+    cheapest edges.  When that point meets every row of the block (within
+    :data:`FEASIBILITY_TOL`), the basis is optimal, and when the
+    ``(n - 1)``-th and ``n``-th cheapest costs differ strictly the optimum
+    is unique: HiGHS returns the vertex a cold solve would, with zero
+    iterations and no presolve.  ``None`` when any of this fails, or when
+    fewer than ``n - 1`` columns exist.
+    """
+    m = len(costs)
+    if m < n - 1:
+        return None
+    order = np.argsort(costs, kind="stable")
+    if m > n - 1 and not costs[order[n - 2]] < costs[order[n - 1]]:
+        return None  # a tie at the boundary: the optimum may not be unique
+    greedy = np.zeros(m)
+    greedy[order[: n - 1]] = 1.0
+    # Row activities at the greedy point: differences of a prefix sum.
+    prefix = np.concatenate(([0.0], np.cumsum(greedy[rows.indices])))
+    activity = prefix[rows.indptr[1:]] - prefix[rows.indptr[:-1]]
+    if np.any(activity > rhs + FEASIBILITY_TOL):
+        return None
+    codes = np.zeros(m, dtype=np.intp)
+    codes[order[: n - 2]] = 2
+    codes[order[n - 2]] = 1
+    basis = HighsBasis()
+    basis.col_status = _BASIS_STATUS[codes].tolist()
+    basis.row_status = [HighsBasisStatus.kLower] + [HighsBasisStatus.kBasic] * len(rhs)
+    return basis
 
 
 def _row_block(columns: List[np.ndarray], n_cols: int) -> RowBlock:
@@ -397,14 +466,30 @@ class MRLCLinearProgram:
             )
         return columns
 
+    def _first_block(self) -> Tuple[RowBlock, np.ndarray]:
+        """A new model's rows after the spanning row: the lifetime rows
+        ``x(delta(v)) <= bound_v`` in :attr:`_row_nodes` order (set here),
+        then the carried subtour rows ``x(E(S)) <= |S| - 1``."""
+        self._row_nodes = sorted(self.degree_bounds)
+        rows = _row_block(
+            self._degree_columns() + self._cut_columns(self.cuts), len(self.edges)
+        )
+        rhs = np.array(
+            [self.degree_bounds[v] for v in self._row_nodes]
+            + [len(subset) - 1.0 for subset in self.cuts]
+        )
+        return rows, rhs
+
     def solve(self) -> LPSolution:
         """Run the cutting-plane loop to an extreme-point optimum.
 
         The first call builds the HiGHS model with the lifetime rows and the
-        carried cuts.  A later call, typically after :meth:`restrict`, finds
-        every row already in place and re-runs HiGHS warm on the edited
-        model.  Within a call, each round after the first appends only the
-        new cuts and re-solves from the previous basis.
+        carried cuts, and starts its first round from the greedy crash basis
+        when that basis is optimal (:func:`_greedy_basis`).  A later call,
+        typically after :meth:`restrict`, finds every row already in place
+        and re-runs HiGHS warm on the edited model.  Within a call, each
+        round after the first appends only the new cuts and re-solves from
+        the previous basis.
 
         Raises:
             InfeasibleLifetimeError: The LP is infeasible — no fractional
@@ -424,24 +509,17 @@ class MRLCLinearProgram:
 
         if self._model is None:
             self._model = _new_model(self._costs, self.network.n)
-            self._row_nodes = sorted(self.degree_bounds)
-            # Lifetime rows x(delta(v)) <= bound_v, then the carried subtour
-            # rows x(E(S)) <= |S| - 1.
-            rows = _row_block(
-                self._degree_columns() + self._cut_columns(self.cuts), n_vars
-            )
-            rhs = np.array(
-                [self.degree_bounds[v] for v in self._row_nodes]
-                + [len(subset) - 1.0 for subset in self.cuts]
-            )
+            rows, rhs = self._first_block()
+            basis = _greedy_basis(self._costs, self.network.n, rows, rhs)
         else:
-            rows, rhs = _row_block([], n_vars), np.zeros(0)
+            rows, rhs, basis = _row_block([], n_vars), np.zeros(0), None
         model = self._model
         n_solves = 0
         iterations = 0
         try:
             for _ in range(MAX_CUT_ROUNDS):
-                result = linprog(model, A_ub=rows, b_ub=rhs)
+                result = linprog(model, A_ub=rows, b_ub=rhs, basis=basis)
+                basis = None
                 n_solves += 1
                 iterations += result.simplex_iterations
                 if result.status in _INFEASIBLE:

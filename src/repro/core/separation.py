@@ -71,7 +71,15 @@ not change; only a flow value within round-off of ``1 - tolerance`` could
 decide differently.  The base solve needs no cutoff: with no root forced
 in, its cut with source side ``{s} | S`` costs ``f(S) - offset`` for every
 ``S``, the empty set included, so its flow is at most ``f({}) - offset =
--offset``, below the probes' cutoff ``1 - tolerance - offset``.
+-offset``, below the probes' cutoff ``1 - tolerance - offset``.  The base
+solve is skipped when it cannot pay off, and the probes then start from
+zero flow.  With no negative node weight (``offset = 0``) no arc leaves
+``s`` but the closed root arcs, so the base flow is zero and a resumed
+probe would start from zero anyway.  With one root to probe, nothing
+shares the base flow, so solving it first only moves augmenting paths
+into a second solve.  Either way each probe ends at a maximum flow of its
+own network, whose inclusion-minimal minimum cut is the same whatever
+flow the probe started from, so the cut list does not change.
 
 The paper invokes exactly this machinery via Theorem 1 (ellipsoid +
 separation oracle); in practice cutting planes over HiGHS converge in a few
@@ -157,6 +165,13 @@ def _screen(
     bits = _union_bits(k)
     low = np.einsum("ij,ij->i", bits @ q, bits) > -2.0 * threshold
     return np.flatnonzero(bits[low].any(axis=0)).tolist()
+
+
+def _resume_from_base(n_roots: int, offset: float) -> bool:
+    """Whether *n_roots* probes share a base solve.  With no negative node
+    weight (``offset == 0``) the base flow is zero, and one probe cannot
+    save what solving the base costs (see the module docstring)."""
+    return n_roots > 1 and offset < 0.0
 
 
 def find_violated_subtours(
@@ -269,16 +284,22 @@ def find_violated_subtours(
         # A root's probe only matters below this flow (f_min >= 1
         # otherwise), so augmentation can stop early at the threshold.
         cutoff = 1.0 - tolerance - offset_base
-        # Every probe resumes from the maximum flow with no root arc open
-        # (see the module docstring); that flow stays below the cutoff.
-        base = net.solve(source, sink)
-        paths = base.augmenting_paths
+        # Probes resume from the maximum flow with no root arc open, when
+        # that flow is worth a solve (see the module docstring); it stays
+        # below the cutoff.
+        base = None
+        if _resume_from_base(len(roots), offset_base):
+            base = net.solve(source, sink)
+            paths = base.augmenting_paths
 
         for root in roots:
             probes += 1
             net.reset_flow(base)
             net.set_capacity(root_arcs[root], _BIG)
             result = net.solve(source, sink, cutoff=cutoff)
+            # Close it again: set_capacity also moved the capacity that a
+            # reset to zero flow restores.
+            net.set_capacity(root_arcs[root], 0.0)
             paths += result.augmenting_paths
             if offset_base + result.flow_value >= 1.0 - tolerance:
                 continue

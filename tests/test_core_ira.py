@@ -189,12 +189,58 @@ class TestLPReuse:
         tight = [build_ira_tree(net, lc) for net, lc in inputs[:3]]
         assert sum(r.lp_reused for r in tight) > 0
         # ... and on loose LC the inflated optimum certifies the uninflated
-        # attempt's only program.
+        # attempt's only program, so that attempt, which would rebuild the
+        # same tree, is not run at all.
         with instrument() as session:
             loose = [build_ira_tree(net, lc) for net, lc in inputs[3:]]
-        reused = session.registry.counter_value("ira.lp_reused", inflation="none")
-        assert reused == len(loose)
+        reg = session.registry
+        assert reg.counter_value("ira.iterations", inflation="paper") == len(loose)
+        assert reg.counter_value("ira.iterations", inflation="none") == 0
+        assert all(r.inflation_used == "paper" for r in loose)
         assert all(r.lifetime_satisfied for r in tight + loose)
+
+
+class TestRepeatedAttemptSkipped:
+    """``auto`` skips an uninflated attempt that would repeat the inflated one."""
+
+    @staticmethod
+    def _result(net, lc):
+        with instrument() as session:
+            result = build_ira_tree(net, lc)
+        return result, session.registry.counter_value("ira.iterations", inflation="none")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_skip_returns_the_min_of_both_attempts(self, seed, monkeypatch):
+        net = random_graph(25, 0.6, seed=seed)
+        lc = 0.5 * build_tree("bfs", net).lifetime
+        skipped, skipped_iterations = self._result(net, lc)
+        # The oracle runs both attempts and returns the min of the two.
+        monkeypatch.setattr(IterativeRelaxation, "_would_repeat", lambda *a: False)
+        both, both_iterations = self._result(net, lc)
+        assert skipped_iterations == 0 < both_iterations
+        assert skipped.tree.parents == both.tree.parents
+        assert skipped.tree.cost() == both.tree.cost()
+        for name in (
+            "spec", "iterations", "lp_solves", "lp_reused", "cuts_generated",
+            "forced_relaxations", "lifetime_satisfied", "inflation_used",
+        ):
+            assert getattr(skipped, name) == getattr(both, name), name
+
+    def test_no_skip_when_the_inflated_rows_bind(self):
+        # Half the AAML lifetime under the Fig. 8/9 energies: the inflated
+        # attempt empties W in one iteration, but its optimum sits on a row
+        # the uninflated program loosens, and that attempt builds a cheaper
+        # tree.
+        rng = np.random.default_rng(8)
+        net = random_graph(
+            22, 0.3, initial_energy=rng.uniform(1500.0, 5000.0, size=22), seed=rng
+        )
+        lc = 0.5 * build_aaml_tree(net).lifetime
+        paper = build_ira_tree(net, lc, inflation="paper")
+        assert paper.iterations == 1 and not paper.forced_relaxations
+        result, iterations = self._result(net, lc)
+        assert iterations > 0 and result.inflation_used == "none"
+        assert result.tree.cost() < paper.tree.cost()
 
 
 class TestConstrainSink:

@@ -1,11 +1,15 @@
 """Tests for repro.core.lp (the cutting-plane LP solver)."""
 
 import math
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog as cold_linprog
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import HighsBasisStatus, HighsModelStatus, _Highs
 from scipy.sparse import csr_array
 
 import repro.core.lp as lp_module
@@ -25,6 +29,7 @@ from repro.core.lp import (
     _row_block,
     solve_mrlc_lp,
 )
+from repro.core.separation import subtour_violation
 from repro.core.tree import AggregationTree
 from repro.engine import build_tree
 from repro.network.model import Network
@@ -405,10 +410,10 @@ class TestWarmModelMatchesColdOracle:
         appended = []
         real = lp_module.linprog
 
-        def spy(model, *, A_ub, b_ub):
+        def spy(model, *, A_ub, b_ub, basis=None):
             appended.append(A_ub.shape[0])
             assert A_ub.shape[0] == len(b_ub)
-            return real(model, A_ub=A_ub, b_ub=b_ub)
+            return real(model, A_ub=A_ub, b_ub=b_ub, basis=basis)
 
         monkeypatch.setattr(lp_module, "linprog", spy)
         solution = MRLCLinearProgram(net, [e.key for e in net.edges()], bounds).solve()
@@ -487,15 +492,17 @@ class TestRestrictedModelMatchesFresh:
         appended = []
         real = lp_module.linprog
 
-        def spy(model, *, A_ub, b_ub):
-            appended.append(A_ub.shape[0])
-            return real(model, A_ub=A_ub, b_ub=b_ub)
+        def spy(model, *, A_ub, b_ub, basis=None):
+            appended.append((A_ub.shape[0], basis))
+            return real(model, A_ub=A_ub, b_ub=b_ub, basis=basis)
 
         monkeypatch.setattr(lp_module, "linprog", spy)
         program.restrict(support, bounds)
         assert program.edges == support and program.degree_bounds == bounds
         restricted = program.solve()
-        assert appended[0] == 0  # every row was already in the model
+        # Every row was already in the model, and it re-solves warm from
+        # what is left of its basis, not from a new one.
+        assert appended[0] == (0, None)
 
         fresh = MRLCLinearProgram(net, support, bounds, initial_cuts=first.cuts).solve()
         oracle = _cold_solve(program, restricted)
@@ -521,6 +528,179 @@ class TestRestrictedModelMatchesFresh:
             program.restrict(edges[1:], {1: 2.0})
 
 
+def _greedy_degrees(net):
+    """Node degrees at the greedy point: the ``n - 1`` edges cheapest under
+    the LP's perturbed costs."""
+    ranked = sorted(
+        (_perturbed_cost(net.cost(u, v), u, v), (u, v))
+        for u, v in (e.key for e in net.edges())
+    )
+    return Counter(chain.from_iterable(e for _, e in ranked[: net.n - 1]))
+
+
+def _greedy_start(program):
+    """What ``_greedy_basis`` returns for *program*'s first solve."""
+    rows, rhs = program._first_block()
+    return lp_module._greedy_basis(program._costs, program.network.n, rows, rhs)
+
+
+def _carried_cuts(program, cuts, carry):
+    """The cuts a new program over *program*'s edges carries: none, every
+    other one of *cuts*, or those the greedy point meets (which keep the
+    greedy start)."""
+    if carry == "none":
+        return []
+    if carry == "half":
+        return cuts[::2]
+    order = np.argsort(program._costs, kind="stable")[: program.network.n - 1]
+    greedy = [program.edges[i] for i in order]
+    ones = np.ones(len(greedy))
+    return [s for s in cuts if subtour_violation(s, greedy, ones) <= 0]
+
+
+def _outcome(make_program):
+    """A new program's optimum, or the error type its solve raised."""
+    try:
+        return make_program().solve()
+    except (InfeasibleLifetimeError, LPSolverError) as exc:
+        return type(exc)
+
+
+def _with_and_without_start(make_program):
+    """The outcome of a new program's solve, then that of another new
+    program solved with the greedy start switched off."""
+    started = _outcome(make_program)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "_greedy_basis", lambda *args: None)
+        cold = _outcome(make_program)
+    return started, cold
+
+
+def _assert_same_optimum(started, cold):
+    if isinstance(cold, type):
+        assert started is cold
+        return
+    np.testing.assert_allclose(started.x, cold.x, rtol=0.0, atol=1e-9)
+    assert started.support() == cold.support()
+    assert started.objective == pytest.approx(cold.objective, rel=0.0, abs=1e-9)
+    assert started.cuts == cold.cuts
+
+
+class TestGreedyStart:
+    """A new model's first round starts from the greedy crash basis only
+    when that basis is optimal, and the cut loop ends where it ends without
+    it: same ``x``, support, objective and cut list."""
+
+    @pytest.mark.parametrize("carry", ["none", "half", "met"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_same_optimum_with_and_without_start(self, name, carry):
+        net, spec = ORACLE_INPUTS[name]
+        bounds = {v: spec.lp_degree_bound(net, v) for v in net.nodes}
+        edges = [e.key for e in net.edges()]
+        program = MRLCLinearProgram(net, edges, bounds)
+        carried = _carried_cuts(program, program.solve().cuts, carry)
+        assert carried or carry == "none"
+
+        def make_program():
+            return MRLCLinearProgram(net, edges, bounds, initial_cuts=carried)
+
+        if "half-bfs" in name and carry != "half":
+            assert _greedy_start(make_program()) is not None
+        _assert_same_optimum(*_with_and_without_start(make_program))
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(3, 14),
+        children=st.sampled_from([None, 1, 2, 3]),
+        carry=st.sampled_from(["none", "half", "met"]),
+        tie=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_optimum_on_random_programs(self, seed, n, children, carry, tie):
+        net = random_graph(n, 0.6, seed=seed)
+        edges = [e.key for e in net.edges()]
+        bounds = {}
+        if children is not None:
+            spec = LifetimeSpec.uninflated(net, lifetime_with_children(net, 0, children))
+            bounds = {v: spec.lp_degree_bound(net, v) for v in net.nodes}
+        first = MRLCLinearProgram(net, edges, {})
+        carried = _carried_cuts(first, first.solve().cuts, carry)
+
+        def make_program():
+            program = MRLCLinearProgram(net, edges, bounds, initial_cuts=carried)
+            if tie and len(edges) >= n:
+                # The n-th cheapest cost ties the (n - 1)-th.
+                order = np.argsort(program._costs, kind="stable")
+                program._costs[order[n - 1]] = program._costs[order[n - 2]]
+                assert _greedy_start(program) is None
+            return program
+
+        _assert_same_optimum(*_with_and_without_start(make_program))
+
+    @pytest.mark.parametrize(
+        "name", [name for name in sorted(ORACLE_INPUTS) if "half-bfs" in name]
+    )
+    def test_loose_first_round_takes_no_iterations(self, name, monkeypatch):
+        net, spec = ORACLE_INPUTS[name]
+        bounds = {v: spec.lp_degree_bound(net, v) for v in net.nodes}
+        rounds = []
+        real = lp_module.linprog
+
+        def spy(model, *, A_ub, b_ub, basis=None):
+            result = real(model, A_ub=A_ub, b_ub=b_ub, basis=basis)
+            rounds.append((basis, result.simplex_iterations))
+            return result
+
+        monkeypatch.setattr(lp_module, "linprog", spy)
+        solution = MRLCLinearProgram(net, [e.key for e in net.edges()], bounds).solve()
+        (start, first_iterations), *later = rounds
+        assert start is not None and first_iterations == 0
+        assert all(basis is None for basis, _ in later)
+        assert len(rounds) == solution.n_lp_solves > 1  # the cut loop went on
+
+    def test_start_is_the_greedy_basis(self):
+        net, spec = ORACLE_INPUTS[sorted(ORACLE_INPUTS)[-1]]
+        bounds = {v: spec.lp_degree_bound(net, v) for v in net.nodes}
+        program = MRLCLinearProgram(net, [e.key for e in net.edges()], bounds)
+        basis = _greedy_start(program)
+        statuses = Counter(basis.col_status)
+        assert statuses[HighsBasisStatus.kUpper] == net.n - 2
+        assert statuses[HighsBasisStatus.kBasic] == 1
+        assert statuses[HighsBasisStatus.kLower] == len(program.edges) - (net.n - 1)
+        cheapest = np.argsort(program._costs)[: net.n - 1]
+        assert all(basis.col_status[i] != HighsBasisStatus.kLower for i in cheapest)
+        assert basis.row_status == [HighsBasisStatus.kLower] + [
+            HighsBasisStatus.kBasic
+        ] * len(bounds)
+
+    def test_no_start_for_an_overloaded_greedy_point(self):
+        for name in sorted(ORACLE_INPUTS):
+            if "aaml" in name:  # LC binds: the greedy point overloads a node
+                net, spec = ORACLE_INPUTS[name]
+                bounds = {v: spec.lp_degree_bound(net, v) for v in net.nodes}
+                edges = [e.key for e in net.edges()]
+                assert _greedy_start(MRLCLinearProgram(net, edges, bounds)) is None
+        net = random_graph(12, 0.6, seed=4)
+        edges = [e.key for e in net.edges()]
+        assert _greedy_start(MRLCLinearProgram(net, edges, {})) is not None
+        hub, degree = _greedy_degrees(net).most_common(1)[0]
+        for bound, started in ((degree, True), (degree - 1.0, False)):
+            program = MRLCLinearProgram(net, edges, {hub: bound})
+            assert (_greedy_start(program) is not None) == started
+
+    def test_no_start_for_a_tie_at_the_boundary(self):
+        net = random_graph(12, 0.6, seed=4)
+        program = MRLCLinearProgram(net, [e.key for e in net.edges()], {})
+        order = np.argsort(program._costs, kind="stable")
+        assert _greedy_start(program) is not None
+        # A tie among the n - 1 cheapest leaves the optimum unique ...
+        program._costs[order[net.n - 3]] = program._costs[order[net.n - 2]]
+        assert _greedy_start(program) is not None
+        # ... one across the boundary does not.
+        program._costs[order[net.n - 1]] = program._costs[order[net.n - 2]]
+        assert _greedy_start(program) is None
+
+
 class TestSolverStatuses:
     def test_infeasible_degree_bounds_raise(self):
         net = random_graph(12, 0.6, seed=4)
@@ -535,7 +715,9 @@ class TestSolverStatuses:
         monkeypatch.setattr(
             lp_module,
             "linprog",
-            lambda model, *, A_ub, b_ub: HighsRound(reported, None, math.nan, 0),
+            lambda model, *, A_ub, b_ub, basis=None: HighsRound(
+                reported, None, math.nan, 0
+            ),
         )
         with pytest.raises(InfeasibleLifetimeError):
             solve_mrlc_lp(random_graph(8, 0.6, seed=1), {})
@@ -551,9 +733,15 @@ class TestSolverStatuses:
 
         monkeypatch.setattr(lp_module, "_new_model", capped)
         net = random_graph(12, 0.6, seed=4)
+        # A degree bound the greedy point overloads, so the first solve gets
+        # no optimal starting basis and hits the iteration limit.
+        hub, degree = _greedy_degrees(net).most_common(1)[0]
+        bounds = {hub: degree - 1.0}
+        program = MRLCLinearProgram(net, [e.key for e in net.edges()], bounds)
+        assert _greedy_start(program) is None
         with instrument() as session:
             with pytest.raises(LPSolverError, match="HiGHS failed"):
-                solve_mrlc_lp(net, {})
+                program.solve()
         assert session.registry.counter_value("lp.solves") == 1
 
     def test_cut_round_overrun_records_its_solves(self, monkeypatch):

@@ -233,6 +233,23 @@ class TestShrunkSeparation:
         assert probes == 0
 
 
+def _ira_oracle_points():
+    """Every ``(n, edges, x)`` the oracle is asked about while IRA builds the
+    trees of the LP tests' oracle inputs."""
+    points = []
+    real = lp_module.find_violated_subtours
+
+    def record(n, edges, x, **kwargs):
+        points.append((n, list(edges), np.array(x)))
+        return real(n, edges, x, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "find_violated_subtours", record)
+        for net, spec in ORACLE_INPUTS.values():
+            build_ira_tree(net, spec.lc)
+    return points
+
+
 def _unscreened(n, edges, x, **kwargs):
     """The oracle with the root screen switched off (every root probed)."""
     with pytest.MonkeyPatch.context() as patch:
@@ -270,18 +287,8 @@ class TestRootScreen:
         screened = find_violated_subtours(n, edges, x, max_sets=max_sets)
         assert screened == _unscreened(n, edges, x, max_sets=max_sets)
 
-    def test_screen_on_ira_lp_points(self, monkeypatch):
-        points = []
-        real = lp_module.find_violated_subtours
-
-        def record(n, edges, x, **kwargs):
-            points.append((n, list(edges), np.array(x)))
-            return real(n, edges, x, **kwargs)
-
-        monkeypatch.setattr(lp_module, "find_violated_subtours", record)
-        for net, spec in ORACLE_INPUTS.values():
-            build_ira_tree(net, spec.lc)
-        monkeypatch.undo()
+    def test_screen_on_ira_lp_points(self):
+        points = _ira_oracle_points()
         assert len(points) > 30
         with instrument() as screened_session:
             screened = [find_violated_subtours(*point) for point in points]
@@ -347,3 +354,73 @@ class TestResumedProbes:
         # Same probes; the base solve's paths plus the probes' own: 15
         # against 19 when every probe starts from zero.
         assert counts == [[4, 15], [4, 19]]
+
+
+class _CountingSolves(DinicMaxFlow):
+    """Counts every ``solve``, base solves and probes alike."""
+
+    solves = 0
+
+    def solve(self, source, sink, *, cutoff=None):
+        type(self).solves += 1
+        return super().solve(source, sink, cutoff=cutoff)
+
+
+def _base_forced_and_skipped(points):
+    """The oracle's answers and ``solve`` counts on *points*, first with a
+    base solve in every probing call, then where it pays off only."""
+    runs = []
+    for force in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(separation_module, "DinicMaxFlow", _CountingSolves)
+            patch.setattr(_CountingSolves, "solves", 0)
+            if force:
+                patch.setattr(separation_module, "_resume_from_base", lambda *a: True)
+            found = [find_violated_subtours(*point) for point in points]
+            runs.append((found, _CountingSolves.solves))
+    return runs
+
+
+class TestBaseSolveSkipped:
+    """Where the base solve cannot pay off (zero base flow, or one probe),
+    probes start from zero flow and find what resumed probes find."""
+
+    def test_skipped_base_returns_what_the_forced_base_returns(self):
+        points = _ira_oracle_points()
+        (forced, forced_solves), (skipped, skipped_solves) = _base_forced_and_skipped(
+            points
+        )
+        assert skipped == forced
+        assert skipped_solves < forced_solves
+
+    @given(point=_tied_points(max_n=SCREEN_MAX_GROUPS + 4))
+    @settings(max_examples=200, deadline=None)
+    def test_on_tied_points(self, point):
+        (forced, _), (skipped, _) = _base_forced_and_skipped([point])
+        assert skipped == forced
+
+    def test_one_probe_needs_no_base_solve(self):
+        # The group {0, 1, 2} is violated on its own (x(E) = 2.5) and every
+        # union through another group has f >= 1, so the screen leaves one
+        # root to probe.  Node 3 has x(delta(3)) = 2.7 > 2, a negative node
+        # weight, so the base flow is not zero; still, with one probe the
+        # oracle makes one solve, not a base solve and a probe.
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 5), (3, 6)]
+        x = np.array([1.0, 1.0, 0.5, 0.3, 0.8, 0.8, 0.8])
+        (forced, forced_solves), (skipped, skipped_solves) = _base_forced_and_skipped(
+            [(7, edges, x)]
+        )
+        assert skipped == forced == [[frozenset({0, 1, 2})]]
+        assert (forced_solves, skipped_solves) == (2, 1)
+
+    def test_zero_base_flow_needs_no_base_solve(self):
+        # Groups {0, 1} and {2, 3} have node weights 0.4 >= 0, so the base
+        # flow is zero: the two probes start from zero flow with no base
+        # solve before them.
+        edges = [(0, 1), (2, 3), (1, 2), (0, 3)]
+        x = np.array([1.0, 1.0, 0.6, 0.6])
+        (forced, forced_solves), (skipped, skipped_solves) = _base_forced_and_skipped(
+            [(4, edges, x)]
+        )
+        assert skipped == forced == [[frozenset({0, 1, 2, 3})]]
+        assert (forced_solves, skipped_solves) == (3, 2)
