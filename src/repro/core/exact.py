@@ -16,6 +16,9 @@ an integral solution with the right edge count either is a spanning tree or
 splits into connected components, each of which yields a violated subtour
 constraint directly (no min-cut needed at integral points).
 
+``scipy.optimize`` loads on the first solve, not at import (:func:`milp`):
+it costs ~49 MB and ~0.5 s that ``import repro`` would otherwise pay.
+
 This gives the reproduction something the paper lacks: a measured
 **optimality gap** for IRA (see ``benchmarks/test_bench_optimality.py``).
 
@@ -27,10 +30,9 @@ optimum for the given ``LC``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.errors import (
     DisconnectedNetworkError,
@@ -44,9 +46,24 @@ from repro.utils.unionfind import UnionFind
 
 __all__ = ["ExactResult", "solve_mrlc_exact"]
 
+#: One linear constraint block ``lb <= A x <= ub`` as ``milp`` takes it.
+Constraint = Tuple[np.ndarray, float, Any]
+
 #: Lazy-constraint rounds before giving up; each round removes at least one
 #: component structure, so this is never reached on sane instances.
 MAX_MILP_ROUNDS = 500
+
+
+def milp(**kwargs: Any) -> Any:
+    """``scipy.optimize.milp``, imported on the first call.
+
+    A module-level name, so tests can replace it; constraints travel as
+    ``(A, lb, ub)`` triples and bounds as a pair, which ``milp`` accepts
+    in place of its ``LinearConstraint`` and ``Bounds`` objects.
+    """
+    from scipy.optimize import milp as scipy_milp
+
+    return scipy_milp(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -127,11 +144,9 @@ def solve_mrlc_exact(
     costs = np.array([network.cost(u, v) for u, v in edges])
     n_vars = len(edges)
 
-    constraints: List[LinearConstraint] = []
+    constraints: List[Constraint] = []
     # Spanning equality.
-    constraints.append(
-        LinearConstraint(np.ones((1, n_vars)), n - 1.0, n - 1.0)
-    )
+    constraints.append((np.ones((1, n_vars)), n - 1.0, n - 1.0))
     # Integral degree bounds from the lifetime requirement.
     if lc is not None:
         spec = LifetimeSpec.uninflated(network, lc)
@@ -148,9 +163,7 @@ def solve_mrlc_exact(
             rows.append(row)
             ubs.append(float(bound))
         if rows:
-            constraints.append(
-                LinearConstraint(np.vstack(rows), -np.inf, np.array(ubs))
-            )
+            constraints.append((np.vstack(rows), -np.inf, np.array(ubs)))
 
     cuts: List[FrozenSet[int]] = []
 
@@ -162,13 +175,11 @@ def solve_mrlc_exact(
             for i, (a, b) in enumerate(edges):
                 if a in subset and b in subset:
                     row[i] = 1.0
-            cut_constraints.append(
-                LinearConstraint(row.reshape(1, -1), -np.inf, len(subset) - 1.0)
-            )
+            cut_constraints.append((row.reshape(1, -1), -np.inf, len(subset) - 1.0))
         result = milp(
             c=costs,
             constraints=cut_constraints,
-            bounds=Bounds(0.0, 1.0),
+            bounds=(0.0, 1.0),
             integrality=np.ones(n_vars),
         )
         milp_solves += 1

@@ -15,8 +15,11 @@ constraints is generated lazily by the min-cut separation oracle
 
 Each :class:`MRLCLinearProgram` owns one HiGHS model, built through the
 binding scipy bundles (``scipy.optimize._highspy._core._Highs``) on its first
-:meth:`~MRLCLinearProgram.solve`: one column per edge, the spanning row, then
-the lifetime rows and carried cuts.  Every cutting-plane round appends only
+:meth:`~MRLCLinearProgram.solve`.  The binding itself is imported then
+too, by :func:`load_highs`, not when this module is: it loads all of
+``scipy.optimize``, which only this module and :mod:`repro.core.exact`
+use.  The model has one column per edge, the spanning row, then the
+lifetime rows and carried cuts.  Every cutting-plane round appends only
 its new cuts and re-runs dual simplex from the previous basis
 (:func:`linprog`).  Rows travel as a plain :class:`RowBlock` of the three
 CSR arrays ``addRows`` takes, not a ``scipy.sparse`` matrix it would only
@@ -42,15 +45,19 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from types import ModuleType
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
-from scipy.optimize._highspy._core import (
-    HighsBasis,
-    HighsBasisStatus,
-    HighsModelStatus,
-    _Highs,
-)
 
 from repro.core.errors import InfeasibleLifetimeError, LPSolverError
 from repro.core.separation import find_violated_subtours
@@ -58,7 +65,10 @@ from repro.network.model import Network
 from repro.obs import OBS
 from repro.utils.rng import stable_hash_seed
 
-__all__ = ["LPSolution", "MRLCLinearProgram", "solve_mrlc_lp"]
+if TYPE_CHECKING:
+    from scipy.optimize._highspy._core import HighsBasis, HighsModelStatus, _Highs
+
+__all__ = ["LPSolution", "MRLCLinearProgram", "load_highs", "solve_mrlc_lp"]
 
 #: x values below this are treated as zero when pruning the support.
 SUPPORT_EPS = 1e-7
@@ -79,10 +89,6 @@ JITTER_QUANTUM = PERTURBATION_SCALE / JITTER_LEVELS
 #: the solver may stop on a vertex that is worse by a few jitter steps (its
 #: 1e-7 default is 200 quanta); HiGHS accepts nothing under 1e-10.
 DUAL_FEASIBILITY_TOL = JITTER_QUANTUM / 4
-
-#: Model statuses that mean the program has no feasible point (x is boxed
-#: in [0, 1], so "unbounded or infeasible" is infeasible).
-_INFEASIBLE = (HighsModelStatus.kInfeasible, HighsModelStatus.kUnboundedOrInfeasible)
 
 #: A degree row whose slack at x is at most this counts as tight.
 TIGHT_SLACK = 1e-6
@@ -226,10 +232,31 @@ class HighsRound(NamedTuple):
     simplex_iterations: int
 
 
+@lru_cache(maxsize=None)
+def load_highs() -> ModuleType:
+    """The HiGHS binding scipy bundles, imported on the first call.
+
+    Importing it loads all of ``scipy.optimize`` (~49 MB and ~0.5 s), so
+    this module imports it on its first solve, not at import: ``import
+    repro`` and a server that runs no LP never pay for it.  The inline
+    serve pool calls it in a thread before it runs an LP build.
+    """
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
+def _infeasible(status: HighsModelStatus) -> bool:
+    """Whether *status* means the program has no feasible point (x is boxed
+    in [0, 1], so "unbounded or infeasible" is infeasible)."""
+    statuses = load_highs().HighsModelStatus
+    return status in (statuses.kInfeasible, statuses.kUnboundedOrInfeasible)
+
+
 def _new_model(costs: np.ndarray, n: int) -> _Highs:
     """A HiGHS model over one ``[0, 1]`` column per edge, with the spanning
     row ``x(E(V)) = n - 1`` and no other rows yet."""
-    model = _Highs()
+    model = load_highs()._Highs()
     model.setOptionValue("output_flag", False)
     model.setOptionValue("solver", "simplex")
     model.setOptionValue("simplex_strategy", 1)  # dual -> basic (extreme point)
@@ -292,7 +319,7 @@ def linprog(
     model.run()
     status = model.getModelStatus()
     info = model.getInfo()
-    if status != HighsModelStatus.kOptimal:
+    if status != load_highs().HighsModelStatus.kOptimal:
         return HighsRound(status, None, math.nan, info.simplex_iteration_count)
     x = np.array(model.getSolution().col_value, dtype=float)
     return HighsRound(
@@ -300,12 +327,12 @@ def linprog(
     )
 
 
-#: HiGHS basis statuses indexed by the integer codes :func:`_greedy_basis`
-#: fills in: 0 at the lower bound, 1 basic, 2 at the upper bound.
-_BASIS_STATUS = np.array(
-    [HighsBasisStatus.kLower, HighsBasisStatus.kBasic, HighsBasisStatus.kUpper],
-    dtype=object,
-)
+@lru_cache(maxsize=None)
+def _basis_statuses() -> np.ndarray:
+    """HiGHS basis statuses indexed by the integer codes :func:`_greedy_basis`
+    fills in: 0 at the lower bound, 1 basic, 2 at the upper bound."""
+    status = load_highs().HighsBasisStatus
+    return np.array([status.kLower, status.kBasic, status.kUpper], dtype=object)
 
 
 def _greedy_basis(
@@ -344,9 +371,11 @@ def _greedy_basis(
     codes = np.zeros(m, dtype=np.intp)
     codes[order[: n - 2]] = 2
     codes[order[n - 2]] = 1
-    basis = HighsBasis()
-    basis.col_status = _BASIS_STATUS[codes].tolist()
-    basis.row_status = [HighsBasisStatus.kLower] + [HighsBasisStatus.kBasic] * len(rhs)
+    core = load_highs()
+    basis = core.HighsBasis()
+    basis.col_status = _basis_statuses()[codes].tolist()
+    status = core.HighsBasisStatus
+    basis.row_status = [status.kLower] + [status.kBasic] * len(rhs)
     return basis
 
 
@@ -522,7 +551,7 @@ class MRLCLinearProgram:
                 basis = None
                 n_solves += 1
                 iterations += result.simplex_iterations
-                if result.status in _INFEASIBLE:
+                if _infeasible(result.status):
                     if enabled:
                         OBS.registry.counter("lp.infeasible").inc()
                     raise InfeasibleLifetimeError(

@@ -56,14 +56,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.network.serialization import network_from_dict, tree_to_dict
-from repro.obs.trace import json_safe
+from repro.network.serialization import network_from_dict
 from repro.serve.request import (
     BuildRequest,
     BuildResponse,
     ServeError,
     ServerOverloadedError,
     UnknownTopologyError,
+    reply_body,
 )
 
 __all__ = [
@@ -109,16 +109,27 @@ def decode_build_request(doc: Dict[str, Any]) -> BuildRequest:
 def encode_response(
     response: BuildResponse, request_id: Optional[Any] = None
 ) -> Dict[str, Any]:
-    """Serialize a :class:`BuildResponse` to its wire document."""
+    """Serialize a :class:`BuildResponse` to its wire document.
+
+    A response the server cut from a stored
+    :class:`~repro.serve.request.ReplyBody` is encoded from that body's
+    wire documents, copied, so encoding a hit re-derives nothing.  The
+    served content is the body's: the response's own ``metrics`` dict is
+    the caller's copy.
+    """
     info = response.cache_info
+    body = response.body
+    if body is None:
+        body = reply_body(response.builder, response.tree, response.metrics)
+    metrics, tree = body.wire_copy()
     doc: Dict[str, Any] = {
         "ok": True,
         "builder": response.builder,
         "fingerprint": info.fingerprint,
         "key": info.key,
         "cache": {"hit": info.hit, "source": info.source},
-        "metrics": {k: json_safe(v) for k, v in response.metrics.items()},
-        "tree": tree_to_dict(response.tree),
+        "metrics": metrics,
+        "tree": tree,
     }
     if response.trace_id is not None:
         doc["trace"] = response.trace_id

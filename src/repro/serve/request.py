@@ -17,6 +17,12 @@ Two derived identities make the cache tiers work:
   builder name + the canonical JSON of ``params``, so knob ordering and
   numpy scalar types never split a cache slot.
 
+A finished build is turned into its :class:`ReplyBody` once
+(:func:`reply_body`): the metrics dict, and the wire-ready metrics and
+tree documents.  Every response for that key, the cold one included, is
+cut from the same body, so a hit and a cold build stay byte-identical and
+a hit walks no tree.
+
 Builders stay pure functions of ``(network, params)``.  On a cache miss
 the server binds ``params`` to the builder's signature before queueing,
 refusing unknown or missing knobs, and refuses a request to a builder
@@ -26,25 +32,33 @@ draw pinned under a seedless key).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.tree import AggregationTree
+from repro.engine import BuildResult
 from repro.network.model import Network
+from repro.network.serialization import tree_to_dict
+from repro.obs.trace import json_safe
 
 __all__ = [
     "BuildRequest",
     "BuildResponse",
     "CacheInfo",
+    "ReplyBody",
     "ServeError",
     "ServerOverloadedError",
     "UnknownTopologyError",
     "canonical_params_json",
+    "reply_body",
     "request_key",
+    "result_body",
 ]
 
 
@@ -116,6 +130,114 @@ class CacheInfo:
     key: str
 
 
+#: Metric value types that are immutable, so copies may share them.
+_IMMUTABLE = (type(None), str, int, float, bool)
+
+
+@dataclass(frozen=True)
+class ReplyBody:
+    """Everything a response for one finished build serves, computed once.
+
+    The server keeps one body per :class:`~repro.serve.cache.ResultCache`
+    entry and cuts every response for that key from it (:meth:`metrics_copy`,
+    :meth:`wire_copy`), so a hit runs no ``C(T)`` / ``Q(T)`` / ``L(T)``
+    walk, no ``tree_to_dict`` and no ``json_safe``.  Callers get copies:
+    mutating what a response hands out never changes a later hit.
+
+    Attributes:
+        builder: Registry name that produced the tree.
+        tree: The built (frozen) tree; shared, since it cannot change.
+        metrics: ``cost`` / ``reliability`` / ``lifetime`` / ``elapsed_s``
+            plus the builder's meta entries, as built.
+        wire_metrics: ``metrics`` coerced to plain JSON types.
+        wire_tree: The tree's ``tree_to_dict`` document.
+        nested: Keys of ``metrics`` whose values may be mutable.
+        wire_nested: Keys of ``wire_metrics`` holding lists or dicts.
+    """
+
+    builder: str
+    tree: AggregationTree
+    metrics: Dict[str, Any]
+    wire_metrics: Dict[str, Any]
+    wire_tree: Dict[str, Any]
+    nested: Tuple[str, ...]
+    wire_nested: Tuple[str, ...]
+
+    def metrics_copy(self) -> Dict[str, Any]:
+        """A fresh metrics dict; its mutable values are deep copies."""
+        return _fresh(self.metrics, self.nested)
+
+    def wire_copy(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """Fresh ``(metrics, tree)`` wire documents for one reply."""
+        tree = dict(self.wire_tree)
+        tree["parents"] = dict(tree["parents"])
+        return _fresh(self.wire_metrics, self.wire_nested), tree
+
+
+def _fresh(values: Dict[str, Any], nested: Tuple[str, ...]) -> Dict[str, Any]:
+    out = dict(values)
+    for key in nested:
+        out[key] = _copy(out[key])
+    return out
+
+
+def _copy(value: Any) -> Any:
+    """A deep copy; plain dicts and lists (all a wire document holds) are
+    copied directly, at a third of ``copy.deepcopy``'s cost."""
+    kind = type(value)
+    if kind is dict:
+        return {k: _copy(v) for k, v in value.items()}
+    if kind is list:
+        return [_copy(v) for v in value]
+    if kind in _IMMUTABLE:
+        return value
+    return copy.deepcopy(value)
+
+
+def _mutable_keys(values: Mapping[str, Any]) -> Tuple[str, ...]:
+    return tuple(k for k, v in values.items() if not isinstance(v, _IMMUTABLE))
+
+
+def reply_body(
+    builder: str, tree: AggregationTree, metrics: Dict[str, Any]
+) -> ReplyBody:
+    """The :class:`ReplyBody` serving *metrics* and *tree*.
+
+    *metrics* is owned by the body from here on; pass a dict no one else
+    mutates.
+    """
+    wire_metrics = {str(k): json_safe(v) for k, v in metrics.items()}
+    wire_tree = tree_to_dict(tree)
+    # Interned node labels: every stored body shares one key string per
+    # label, which halves a body at n=500.
+    wire_tree["parents"] = {
+        sys.intern(v): p for v, p in wire_tree["parents"].items()
+    }
+    return ReplyBody(
+        builder=builder,
+        tree=tree,
+        metrics=metrics,
+        wire_metrics=wire_metrics,
+        wire_tree=wire_tree,
+        nested=_mutable_keys(metrics),
+        wire_nested=_mutable_keys(wire_metrics),
+    )
+
+
+def result_body(result: BuildResult) -> ReplyBody:
+    """The :class:`ReplyBody` of a finished build: its three paper metrics
+    (``C(T)``, ``Q(T)``, ``L(T)``), its wall time, then its meta entries."""
+    metrics: Dict[str, Any] = {
+        "cost": result.cost,
+        "reliability": result.reliability,
+        "lifetime": result.lifetime,
+        "elapsed_s": result.elapsed_s,
+    }
+    for name, value in result.meta.items():
+        metrics.setdefault(name, _copy(value))
+    return reply_body(result.builder, result.tree, metrics)
+
+
 @dataclass(frozen=True)
 class BuildResponse:
     """The server's answer to one :class:`BuildRequest`.
@@ -130,6 +252,10 @@ class BuildResponse:
             active; quote it to the ``trace`` TCP op to fetch this
             request's span tree.  ``None`` with observability off.
             Excluded from :meth:`signature` — provenance, not content.
+        body: The stored :class:`ReplyBody` this response was cut from;
+            :func:`~repro.serve.protocol.encode_response` encodes its wire
+            documents instead of re-deriving them.  ``None`` for a response
+            assembled by hand, which is encoded from its own fields.
     """
 
     builder: str
@@ -137,6 +263,7 @@ class BuildResponse:
     metrics: Dict[str, Any]
     cache_info: CacheInfo
     trace_id: Optional[str] = None
+    body: Optional[ReplyBody] = field(default=None, repr=False, compare=False)
 
     def signature(self) -> str:
         """Canonical text form of the *served content* (tree + metrics).

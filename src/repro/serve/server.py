@@ -26,9 +26,12 @@ Request lifecycle (one ``await server.submit(request)``):
    fingerprint and split into shards, which the worker pool executes
    concurrently (processes in ``process`` mode — this is the sharded
    path; see :mod:`repro.serve.workers`).
-5. **Resolve futures** — finished builds populate the result store and
-   wake every coalesced waiter; per-item build errors become exceptions on
-   exactly the futures that asked for them.
+5. **Resolve futures** — each finished build becomes one
+   :class:`~repro.serve.request.ReplyBody` (metrics and wire documents,
+   computed once), which populates the result store and wakes every
+   coalesced waiter; per-item build errors become exceptions on exactly
+   the futures that asked for them.  Every response for a key, the cold
+   one included, is cut from that body.
 
 Builders remain pure ``(network, params)`` functions, which is the
 whole foundation: identical keys ⇒ identical trees, so serving from cache
@@ -78,9 +81,11 @@ from repro.serve.request import (
     BuildRequest,
     BuildResponse,
     CacheInfo,
+    ReplyBody,
     ServeError,
     ServerOverloadedError,
     request_key,
+    result_body,
 )
 from repro.serve.workers import ShardOutcome, WorkItem, WorkerPool
 
@@ -107,24 +112,33 @@ def make_response(
 
     Module-level (not a server method) so offline verifiers — the bench
     driver's divergence check, tests — produce byte-identical response
-    shapes from a cold :func:`repro.engine.build_tree` call.
+    shapes from a cold :func:`repro.engine.build_tree` call: the server
+    cuts its responses from the same :func:`~repro.serve.request.result_body`.
     """
-    metrics: Dict[str, Any] = {
-        "cost": result.cost,
-        "reliability": result.reliability,
-        "lifetime": result.lifetime,
-        "elapsed_s": result.elapsed_s,
-    }
-    for name, value in result.meta.items():
-        metrics.setdefault(name, value)
+    return _respond(
+        result_body(result), fingerprint, key, hit=hit, source=source, trace_id=trace_id
+    )
+
+
+def _respond(
+    body: ReplyBody,
+    fingerprint: str,
+    key: str,
+    *,
+    hit: bool,
+    source: str,
+    trace_id: Optional[str],
+) -> BuildResponse:
+    """One response cut from a stored body: fresh metrics, shared tree."""
     return BuildResponse(
-        builder=result.builder,
-        tree=result.tree,
-        metrics=metrics,
+        builder=body.builder,
+        tree=body.tree,
+        metrics=body.metrics_copy(),
         cache_info=CacheInfo(
             hit=hit, source=source, fingerprint=fingerprint, key=key
         ),
         trace_id=trace_id,
+        body=body,
     )
 
 
@@ -226,7 +240,7 @@ class _Pending:
     key: str
     warm: WarmStructures
     item: WorkItem
-    future: "asyncio.Future[BuildResult]"
+    future: "asyncio.Future[ReplyBody]"
     ctx: Optional[SpanContext] = None
     enqueued_at: float = 0.0
 
@@ -398,7 +412,7 @@ class TreeServer:
         if cached is not None:
             if OBS.enabled:
                 OBS.registry.counter("serve.cache_hits", tier="result").inc()
-            return make_response(
+            return _respond(
                 cached, fingerprint, key, hit=True, source="result", trace_id=trace_id
             )
 
@@ -407,9 +421,9 @@ class TreeServer:
             self.coalesced += 1
             if OBS.enabled:
                 OBS.registry.counter("serve.cache_hits", tier="inflight").inc()
-            result = await asyncio.shield(pending.future)
-            return make_response(
-                result, fingerprint, key, hit=True, source="inflight", trace_id=trace_id
+            body = await asyncio.shield(pending.future)
+            return _respond(
+                body, fingerprint, key, hit=True, source="inflight", trace_id=trace_id
             )
 
         # Admission control: refuse what cannot build, bound queued +
@@ -446,9 +460,9 @@ class TreeServer:
         if OBS.enabled:
             OBS.registry.gauge("serve.queue_depth").set(self._queue.qsize())
             OBS.registry.gauge("serve.inflight").set(len(self._inflight))
-        result = await asyncio.shield(entry.future)
-        return make_response(
-            result, fingerprint, key, hit=False, source="built", trace_id=trace_id
+        body = await asyncio.shield(entry.future)
+        return _respond(
+            body, fingerprint, key, hit=False, source="built", trace_id=trace_id
         )
 
     async def submit_many(
@@ -623,7 +637,8 @@ class TreeServer:
                 )
             else:
                 self.built += 1
-                self.results.put(pending.key, outcome.result)
+                body = result_body(outcome.result)
+                self.results.put(pending.key, body)
                 if OBS.enabled:
                     OBS.registry.counter(
                         "serve.builds", builder=outcome.result.builder
@@ -634,4 +649,4 @@ class TreeServer:
                     OBS.registry.gauge("serve.inflight").set(
                         len(self._inflight)
                     )
-                pending.future.set_result(outcome.result)
+                pending.future.set_result(body)

@@ -4,7 +4,9 @@ Two modes, one async-facing API (:meth:`WorkerPool.run_shard`):
 
 * ``inline`` — builds run synchronously on the event-loop thread.  Zero
   concurrency, zero pickling, perfectly deterministic scheduling; the mode
-  tests and small servers use.
+  tests and small servers use.  A shard holding an LP build
+  (:data:`SOLVER_BUILDERS`) first loads the solver in a thread, so its
+  one-time import does not hold the loop.
 * ``process`` — shards are shipped to a :class:`ProcessPoolExecutor`
   (the sharded, "as fast as the hardware allows" mode).  Work items
   travel as ``(builder, params)`` pairs next to the topology's pickled
@@ -44,6 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.lp import load_highs
 from repro.engine import BuildResult
 from repro.engine.pool import (
     BuildRow,
@@ -58,6 +61,12 @@ from repro.serve.cache import WarmStructures
 from repro.utils.rng import reject_generators
 
 __all__ = ["ShardOutcome", "WorkItem", "WorkerPool", "POOL_MODES"]
+
+#: Builders that solve an LP or MILP.  The first such build in a process
+#: imports ``scipy.optimize`` (~0.5 s), so an inline shard holding one
+#: does that import in a thread first instead of on the event loop.  (A
+#: portfolio told to race ``ira`` in-process still imports it inline.)
+SOLVER_BUILDERS = frozenset({"ira", "exact"})
 
 #: Supported pool modes, in increasing order of machinery.
 POOL_MODES = ("inline", "process")
@@ -186,6 +195,8 @@ class WorkerPool:
         if not items:
             return []
         if self.mode == "inline":
+            if any(item.builder in SOLVER_BUILDERS for item in items):
+                await asyncio.to_thread(load_highs)
             return [_build_one(warm.network, item) for item in items]
         for item in items:
             reject_generators(item.params, f"build {item.builder!r}")

@@ -200,10 +200,15 @@ class TestSameWorkloadBaseline:
     """Only earlier runs of the newest run's workload form the baseline."""
 
     def test_committed_serve_trajectory(self, tmp_path):
-        # BENCH_serve.json holds runs at n=100, 300 and 500; its newest run
-        # is n=100, so the baseline is the one earlier n=100 run.
+        # BENCH_serve.json's first four runs are at n=100, 300, 500 and 100
+        # again; cut there, the newest run is n=100, so the baseline is the
+        # one earlier n=100 run.  Later runs are appended as the code moves.
         path = tmp_path / "BENCH_serve.json"
         shutil.copy(pathlib.Path(__file__).parent.parent / "BENCH_serve.json", path)
+        assert diff_trajectory_file(path).skipped_reason is None
+        doc = json.loads(path.read_text())
+        doc["runs"] = doc["runs"][:4]
+        path.write_text(json.dumps(doc))
         diff = diff_trajectory_file(path)
         assert diff.skipped_reason is None and diff.window == 1
         metrics = {m.name: m for m in diff.metrics}

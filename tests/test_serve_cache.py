@@ -66,8 +66,8 @@ class TestServedEqualsCold:
         assert not first.cache_info.hit and first.cache_info.source == "built"
         assert second.cache_info.hit and second.cache_info.source == "result"
         assert second.cache_info.key == first.cache_info.key
-        # Full signature includes elapsed_s: the cached response re-serves
-        # the very same BuildResult, so even that matches.
+        # Full signature includes elapsed_s: the cached response is cut
+        # from the very same stored body, so even that matches.
         assert second.signature() == first.signature()
         assert second.tree.parents == first.tree.parents
 
@@ -255,8 +255,8 @@ class TestCacheMetaSurvives:
         assert isinstance(first.metrics["lifetime"], float)
 
     def test_build_result_identity_on_hit(self):
-        # The cache returns the stored BuildResult object itself (immutable
-        # trees make that safe); trees on hit are the same object.
+        # Every response is cut from the one stored body, which holds the
+        # built tree itself (immutable trees make that safe).
         net = random_graph(9, 0.6, seed=13)
 
         async def run():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -41,3 +42,10 @@ def test_meta_values_encode_to_plain_json_types():
     assert metrics["nested"] == {"inner": 1.5, "3": False}
     assert metrics["degrees"] == [1, 2, 3]
     assert json.loads(json.dumps(metrics)) == metrics
+
+
+def test_a_response_without_a_stored_body_encodes_from_its_fields():
+    result = build_tree("local_search", random_graph(12, 0.5, seed=2), lc=1.0)
+    response = make_response(result, "fp", "key", hit=True, source="result")
+    by_hand = dataclasses.replace(response, body=None)
+    assert json.dumps(encode_response(by_hand)) == json.dumps(encode_response(response))

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import asyncio
+import collections
+import gc
 import json
 import logging
+import re
 import socket
+import weakref
 
 import pytest
 
+import repro.network.serialization as serialization
+import repro.serve.request as request_module
 from repro.cli import main
+from repro.core.tree import AggregationTree
+from repro.engine import build_tree, get_builder
 from repro.network.model import Network
 from repro.network.serialization import network_to_dict
 from repro.network.topology import random_graph
@@ -24,6 +32,7 @@ from repro.serve import (
     WorkerPool,
 )
 from repro.serve.cli import serve_main
+from repro.serve.protocol import encode_response
 from repro.serve.tcp import start_tcp_server
 
 
@@ -670,3 +679,187 @@ class TestParseSlo:
         assert exit_code == 2
         out = capsys.readouterr().out
         assert "latency budget must be a number" in out
+
+
+#: perfbench's serve mix: every cheap baseline, the related-work builders,
+#: the local search and a portfolio race.
+SERVE_MIX = (
+    "mst",
+    "spt",
+    "bfs",
+    "random_tree",
+    "min_energy",
+    "dlmt",
+    "aaml",
+    "clmt",
+    "rasmalai",
+    "local_search",
+    "portfolio",
+)
+
+
+def _mix_params(builder, lc):
+    knobs = get_builder(builder).knobs
+    params = (
+        {"members": ["local_search", "clmt", "min_energy"]}
+        if builder == "portfolio"
+        else {}
+    )
+    if "lc" in knobs:
+        params["lc"] = lc
+    if "seed" in knobs:
+        params["seed"] = 11
+    return params
+
+
+def _mix_lines(net, fingerprint):
+    lc = 0.5 * build_tree("bfs", net).lifetime
+    return [
+        json.dumps(
+            {
+                "op": "build",
+                "builder": builder,
+                "fingerprint": fingerprint,
+                "params": _mix_params(builder, lc),
+            }
+        ).encode()
+        + b"\n"
+        for builder in SERVE_MIX
+    ]
+
+
+_CACHE_FIELD = re.compile(rb'"cache": \{[^{}]*\}')
+
+
+class TestHitPath:
+    """A hit is cut from the body stored when its build landed."""
+
+    def test_hits_and_waiters_send_the_cold_bytes(self):
+        net = random_graph(30, 8 / 30, seed=4)
+        # The window keeps the second connection's copy of each request
+        # waiting on the first one's build.
+        config = ServeConfig(batch_window_s=0.05)
+
+        async def run():
+            async with TreeServer(config=config) as server:
+                fingerprint = server.register_topology(net)
+                tcp = await start_tcp_server(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                conns = [
+                    await asyncio.open_connection("127.0.0.1", port)
+                    for _ in range(2)
+                ]
+                replies = []
+                for line in _mix_lines(net, fingerprint):
+                    for _, writer in conns:
+                        writer.write(line)
+                    cold, waiter = [await reader.readline() for reader, _ in conns]
+                    conns[0][1].write(line)
+                    hit = await conns[0][0].readline()
+                    replies.append((cold, waiter, hit))
+                for _, writer in conns:
+                    writer.close()
+                    await writer.wait_closed()
+                tcp.close()
+                await tcp.wait_closed()
+                return replies
+
+        for builder, replies in zip(SERVE_MIX, asyncio.run(run())):
+            sources = [json.loads(r)["cache"]["source"] for r in replies]
+            assert sources == ["built", "inflight", "result"], builder
+            blanked = {_CACHE_FIELD.sub(b'"cache": null', r) for r in replies}
+            assert len(blanked) == 1, builder
+
+    def test_hits_recompute_no_metric_and_encode_no_tree(self, monkeypatch):
+        net = random_graph(30, 8 / 30, seed=5)
+        calls = collections.Counter()
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        async def run():
+            async with TreeServer() as server:
+                fingerprint = server.register_topology(net)
+                tcp = await start_tcp_server(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                lines = _mix_lines(net, fingerprint)
+                cold = []
+                for line in lines:
+                    writer.write(line)
+                    cold.append(await reader.readline())
+                for name in ("cost", "reliability", "lifetime"):
+                    spy(AggregationTree, name)
+                spy(request_module, "tree_to_dict")
+                spy(request_module, "json_safe")
+                spy(serialization, "tree_to_dict")
+                for i in range(100):
+                    writer.write(lines[i % len(lines)])
+                    reply = await reader.readline()
+                    assert _CACHE_FIELD.sub(b"", reply) == _CACHE_FIELD.sub(
+                        b"", cold[i % len(lines)]
+                    )
+                writer.close()
+                await writer.wait_closed()
+                tcp.close()
+                await tcp.wait_closed()
+                return server.stats()
+
+        stats = asyncio.run(run())
+        assert stats["result_cache"]["hits"] == 100
+        assert calls == {}
+
+    def test_mutating_a_response_leaves_the_next_hit_unchanged(self):
+        net = random_graph(30, 8 / 30, seed=6)
+        lc = 0.5 * build_tree("bfs", net).lifetime
+        request = BuildRequest(
+            "portfolio", network=net, params=_mix_params("portfolio", lc)
+        )
+
+        async def run():
+            async with TreeServer() as server:
+                cold = await server.submit(request)
+                hit = await server.submit(request)
+                before = json.dumps(encode_response(hit))
+                hit.metrics["cost"] = -1.0
+                hit.metrics["members"]["clmt"]["status"] = "mutated"
+                doc = encode_response(hit)
+                doc["metrics"]["reliability"] = 2.0
+                doc["metrics"]["members"]["mst"] = {}
+                doc["metrics"]["members"]["clmt"]["cost"] = 0.0
+                doc["tree"]["n"] = 0
+                doc["tree"]["parents"]["1"] = 99
+                again = await server.submit(request)
+                return cold, before, again
+
+        cold, before, again = asyncio.run(run())
+        assert again.cache_info.source == "result"
+        assert again.metrics == cold.metrics
+        assert again.metrics["members"]["clmt"]["status"] == "ok"
+        assert json.dumps(encode_response(again)) == before
+
+    def test_evicting_an_entry_drops_its_body(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.server.RESULT_CACHE_SIZE", 1)
+        net = random_graph(14, 0.4, seed=7)
+
+        async def run():
+            async with TreeServer() as server:
+                first = await server.submit(BuildRequest("mst", network=net))
+                body = weakref.ref(first.body)
+                key = first.cache_info.key
+                del first
+                await server.submit(BuildRequest("spt", network=net))
+                gc.collect()
+                return body, key, server
+
+        body, key, server = asyncio.run(run())
+        assert body() is None
+        assert len(server.results) == 1
+        assert server.results.evictions == 1
+        assert server.results.get(key) is None
