@@ -79,6 +79,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+import numpy as np
 
 from repro.core.errors import DisconnectedNetworkError, InfeasibleLifetimeError
 from repro.core.lifetime import LifetimeSpec
@@ -90,10 +91,9 @@ from repro.core.local_search import (
 )
 from repro.core.lp import SUPPORT_EPS, LPSolution, MRLCLinearProgram
 from repro.core.tree import AggregationTree
-from repro.engine.treestate import TreeState, freeze_parents
+from repro.engine.treestate import freeze_parents
 from repro.network.model import Network
 from repro.obs import OBS
-from repro.utils.unionfind import UnionFind
 
 __all__ = ["IRAResult", "IterativeRelaxation", "build_ira_tree"]
 
@@ -243,9 +243,8 @@ class IterativeRelaxation:
         if result.iterations != 1 or result.forced_relaxations:
             return False
         net = self.network
-        bounds = {v: spec.lp_degree_bound(net, v) for v in self._constrained_nodes()}
-        edges = [e.key for e in net.edges()]
-        return optimum.still_optimal_for(edges, bounds) is not None
+        bounds = spec.lp_degree_bounds(net, sorted(self._constrained_nodes()))
+        return optimum.still_optimal_for(net.link_arrays().keys, bounds) is not None
 
     def _run_with_spec(
         self, spec: LifetimeSpec, label: str, first_optimum: List[LPSolution]
@@ -268,7 +267,7 @@ class IterativeRelaxation:
                 inflation_used=label,
             )
 
-        active_edges: List[Tuple[int, int]] = [e.key for e in net.edges()]
+        active_edges: List[Tuple[int, int]] = list(net.link_arrays().keys)
         w = self._constrained_nodes()
         # Every subtour cut stays valid under any lifetime rows, so a later
         # attempt starts from the earlier attempt's cut pool.
@@ -288,83 +287,89 @@ class IterativeRelaxation:
             )
 
         # Per-node values the loop tests every iteration, computed once.
-        lp_bound = {v: spec.lp_degree_bound(net, v) for v in w}
+        lp_bound = spec.lp_degree_bounds(net, sorted(w))
         degree_cap = spec.satisfied_degree_caps(net, w)
 
-        while w:
-            iterations += 1
-            bounds = {v: lp_bound[v] for v in w}
-            solution = (
-                None
-                if previous is None
-                else previous.still_optimal_for(active_edges, bounds)
-            )
-            reused = solution is not None
-            if reused:
-                lp_reused += 1
-            else:
-                if program is None:
-                    program = MRLCLinearProgram(
-                        net, active_edges, bounds, initial_cuts=cuts
-                    )
-                else:
-                    program.restrict(active_edges, bounds)
-                solution = program.solve()  # raises InfeasibleLifetimeError
-                lp_solves += solution.n_lp_solves
-            if not first_optimum:
-                first_optimum.append(solution)
-            previous = solution
-            cuts = solution.cuts
-
-            support = solution.support(self.support_eps)
-            edges_removed = len(active_edges) - len(support)
-            active_edges = support
-
-            degrees = solution.support_degrees(n, self.support_eps)
-            droppable = [v for v in sorted(w) if int(degrees[v]) <= degree_cap[v]]
-            for v in droppable:
-                w.discard(v)
-
-            if not droppable and edges_removed == 0 and w:
-                # Degeneracy safeguard: Theorem 2 promises progress on exact
-                # extreme points; force the least-binding constraint out.
-                victim = min(
-                    w,
-                    key=lambda v: degrees[v] - lp_bound[v],
+        try:
+            while w:
+                iterations += 1
+                bounds = {v: lp_bound[v] for v in w}
+                solution = (
+                    None
+                    if previous is None
+                    else previous.still_optimal_for(active_edges, bounds)
                 )
-                w.discard(victim)
-                forced.append(victim)
-
-            if OBS.enabled:
-                reg = OBS.registry
-                reg.counter("ira.iterations", inflation=label).inc()
-                reg.counter("ira.lp_solves", inflation=label).inc(
-                    solution.n_lp_solves
-                )
+                reused = solution is not None
                 if reused:
-                    reg.counter("ira.lp_reused", inflation=label).inc()
-                reg.counter("ira.edges_removed", inflation=label).inc(
-                    edges_removed
-                )
-                reg.counter("ira.constraints_dropped", inflation=label).inc(
-                    len(droppable)
-                )
-                OBS.tracer.event(
-                    "ira.iteration",
-                    iteration=iterations,
-                    inflation=label,
-                    reused=reused,
-                    objective=solution.objective,
-                    cost_delta=(
-                        solution.objective - prev_objective
-                        if prev_objective is not None
-                        else 0.0
-                    ),
-                    edges_removed=edges_removed,
-                    constraints_dropped=len(droppable),
-                    constrained_remaining=len(w),
-                )
-                prev_objective = solution.objective
+                    lp_reused += 1
+                else:
+                    if program is None:
+                        program = MRLCLinearProgram(
+                            net, active_edges, bounds, initial_cuts=cuts
+                        )
+                    else:
+                        program.restrict(active_edges, bounds)
+                    solution = program.solve()  # raises InfeasibleLifetimeError
+                    lp_solves += solution.n_lp_solves
+                if not first_optimum:
+                    first_optimum.append(solution)
+                previous = solution
+                cuts = solution.cuts
+
+                support = solution.support(self.support_eps)
+                edges_removed = len(active_edges) - len(support)
+                active_edges = support
+
+                degrees = solution.support_degrees(n, self.support_eps)
+                droppable = [v for v in sorted(w) if int(degrees[v]) <= degree_cap[v]]
+                for v in droppable:
+                    w.discard(v)
+
+                if not droppable and edges_removed == 0 and w:
+                    # Degeneracy safeguard: Theorem 2 promises progress on exact
+                    # extreme points; force the least-binding constraint out.
+                    victim = min(
+                        w,
+                        key=lambda v: degrees[v] - lp_bound[v],
+                    )
+                    w.discard(victim)
+                    forced.append(victim)
+
+                if OBS.enabled:
+                    reg = OBS.registry
+                    reg.counter("ira.iterations", inflation=label).inc()
+                    reg.counter("ira.lp_solves", inflation=label).inc(
+                        solution.n_lp_solves
+                    )
+                    if reused:
+                        reg.counter("ira.lp_reused", inflation=label).inc()
+                    reg.counter("ira.edges_removed", inflation=label).inc(
+                        edges_removed
+                    )
+                    reg.counter("ira.constraints_dropped", inflation=label).inc(
+                        len(droppable)
+                    )
+                    OBS.tracer.event(
+                        "ira.iteration",
+                        iteration=iterations,
+                        inflation=label,
+                        reused=reused,
+                        objective=solution.objective,
+                        cost_delta=(
+                            solution.objective - prev_objective
+                            if prev_objective is not None
+                            else 0.0
+                        ),
+                        edges_removed=edges_removed,
+                        constraints_dropped=len(droppable),
+                        constrained_remaining=len(w),
+                    )
+                    prev_objective = solution.objective
+        finally:
+            # The attempt is done with its model: the next program this
+            # thread builds refills it instead of creating one.
+            if program is not None:
+                program.release()
 
         tree = self._min_spanning_tree(active_edges)
         if OBS.enabled and forced:
@@ -442,32 +447,43 @@ class IterativeRelaxation:
         Once ``W`` is empty the program is the Subtour LP, whose optimum is
         the minimum spanning tree of the remaining graph (Lemma 1), so this
         is the exact final extreme point — no numerical rounding involved.
+        Costs come from the network's link snapshot; edges are taken by
+        cost, ties to the smaller key.
         """
-        ordered = sorted(edges, key=lambda e: (self.network.cost(*e), e))
-        uf = UnionFind(range(self.network.n))
-        chosen: List[Tuple[int, int]] = []
-        for u, v in ordered:
-            if uf.union(u, v):
-                chosen.append((u, v))
-        if len(chosen) != self.network.n - 1:
+        net = self.network
+        position = net.edge_index(edges)
+        cost = net.link_arrays().key_cost[position]
+        root = list(range(net.n))  # union-find forest, path halving
+        adj: List[List[int]] = [[] for _ in range(net.n)]
+        chosen = 0
+        for i in np.lexsort((position, cost)).tolist():
+            a, b = edges[i]
+            ra, rb = a, b
+            while root[ra] != ra:
+                root[ra] = root[root[ra]]
+                ra = root[ra]
+            while root[rb] != rb:
+                root[rb] = root[root[rb]]
+                rb = root[rb]
+            if ra != rb:
+                root[ra] = rb
+                adj[a].append(b)
+                adj[b].append(a)
+                chosen += 1
+        if chosen != net.n - 1:
             raise InfeasibleLifetimeError(
                 "surviving edge set no longer spans the network"
             )
-        # Orient away from the sink by incremental attachment; a tree's
-        # orientation is unique, so this matches from_edges exactly.
-        adj: Dict[int, List[int]] = {v: [] for v in self.network.nodes}
-        for u, v in chosen:
-            adj[u].append(v)
-            adj[v].append(u)
-        state = TreeState(self.network)
-        stack = [self.network.sink]
+        # Orient away from the sink; AggregationTree validates the result.
+        parents: Dict[int, int] = {}
+        stack = [net.sink]
         while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not state.is_attached(v):
-                    state.attach(v, u)
-                    stack.append(v)
-        return state.freeze()
+            a = stack.pop()
+            for b in adj[a]:
+                if b != net.sink and b not in parents:
+                    parents[b] = a
+                    stack.append(b)
+        return AggregationTree(net, parents)
 
 
 def build_ira_tree(

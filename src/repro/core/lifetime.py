@@ -120,6 +120,22 @@ class LifetimeSpec:
         """Degree bound enforced inside the LP (uses ``L'``)."""
         return degree_bound(network, node, self.l_prime)
 
+    def lp_degree_bounds(
+        self, network: Network, nodes: Iterable[int]
+    ) -> Dict[int, float]:
+        """:meth:`lp_degree_bound` of every node in *nodes*, in one numpy pass.
+
+        The float operations of :func:`children_bound` and
+        :func:`degree_bound`, elementwise and in the same order, so each
+        value equals the scalar one bitwise.
+        """
+        check_positive(self.l_prime, "lifetime")
+        nodes = list(nodes)
+        model = network.energy_model
+        bounds = (network.initial_energies[nodes] / self.l_prime - model.tx) / model.rx
+        bounds[np.asarray(nodes, dtype=np.int64) != network.sink] += 1.0
+        return dict(zip(nodes, bounds.tolist()))
+
     def satisfied_by_degree(self, network: Network, node: int, degree: int) -> bool:
         """Whether a final tree degree of *degree* keeps ``L(node) >= LC``.
 

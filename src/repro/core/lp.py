@@ -18,8 +18,12 @@ binding scipy bundles (``scipy.optimize._highspy._core._Highs``) on its first
 :meth:`~MRLCLinearProgram.solve`.  The binding itself is imported then
 too, by :func:`load_highs`, not when this module is: it loads all of
 ``scipy.optimize``, which only this module and :mod:`repro.core.exact`
-use.  The model has one column per edge, the spanning row, then the
-lifetime rows and carried cuts.  Every cutting-plane round appends only
+use.  The model has one column per edge, costed off the network's link
+snapshot (:meth:`~repro.network.model.Network.link_arrays`), the spanning
+row, then the lifetime rows and carried cuts.  A finished program hands
+its model to the next program its thread builds
+(:meth:`~MRLCLinearProgram.release`), which clears and refills it instead
+of creating one.  Every cutting-plane round appends only
 its new cuts and re-runs dual simplex from the previous basis
 (:func:`linprog`).  Rows travel as a plain :class:`RowBlock` of the three
 CSR arrays ``addRows`` takes, not a ``scipy.sparse`` matrix it would only
@@ -41,10 +45,11 @@ basic feasible solution), which is what IRA's integrality argument
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, starmap
 from types import ModuleType
 from typing import (
     TYPE_CHECKING,
@@ -76,7 +81,7 @@ SUPPORT_EPS = 1e-7
 #: Cutting-plane rounds before giving up (never reached on sane instances).
 MAX_CUT_ROUNDS = 200
 
-#: Magnitude of the deterministic cost perturbation (see _perturbed_cost).
+#: Magnitude of the deterministic cost perturbation (see _perturbed_costs).
 PERTURBATION_SCALE = 2e-6
 
 #: Distinct jitter factors an edge can draw (see _edge_jitter).
@@ -97,8 +102,10 @@ TIGHT_SLACK = 1e-6
 FEASIBILITY_TOL = 1e-9
 
 
-def _perturbed_cost(cost: float, u: int, v: int) -> float:
-    """Edge cost plus a tiny deterministic, edge-unique perturbation.
+def _perturbed_costs(
+    costs: np.ndarray, edges: Sequence[Tuple[int, int]]
+) -> np.ndarray:
+    """Edge costs plus a tiny deterministic, edge-unique perturbation.
 
     Estimated PRRs produce exact cost ties (beacon counts quantize them) and
     perfect links have cost exactly 0; with many ties the LP optimum is a
@@ -110,10 +117,14 @@ def _perturbed_cost(cost: float, u: int, v: int) -> float:
     between two edges' jitters are multiples of :data:`JITTER_QUANTUM`
     (~4.9e-10), far below them; the model therefore runs with
     :data:`DUAL_FEASIBILITY_TOL`.  The jitter is a pure function of the
-    endpoint labels, so it is stable across IRA iterations and re-runs; all
-    *reported* tree costs use the true edge costs.
+    endpoint labels, in the orientation *edges* gives, so it is stable
+    across IRA iterations and re-runs; all *reported* tree costs use the
+    true edge costs.
     """
-    return cost + PERTURBATION_SCALE * _edge_jitter(u, v)
+    jitter = np.fromiter(
+        starmap(_edge_jitter, edges), dtype=np.float64, count=len(edges)
+    )
+    return costs + PERTURBATION_SCALE * jitter
 
 
 @lru_cache(maxsize=1 << 16)
@@ -136,6 +147,8 @@ class LPSolution:
         n_lp_solves: Number of HiGHS invocations in the cutting-plane loop
             (0 for a solution reused by :meth:`still_optimal_for`).
         degree_bounds: The lifetime rows ``node -> bound`` it is optimal under.
+        endpoints: :attr:`edges` as an ``(m, 2)`` integer array; derived from
+            :attr:`edges` when not given.
     """
 
     edges: List[Tuple[int, int]]
@@ -144,14 +157,20 @@ class LPSolution:
     cuts: List[FrozenSet[int]] = field(default_factory=list)
     n_lp_solves: int = 0
     degree_bounds: Dict[int, float] = field(default_factory=dict)
+    endpoints: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.endpoints is None:
+            self.endpoints = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
 
     def support(self, eps: float = SUPPORT_EPS) -> List[Tuple[int, int]]:
         """Edges with ``x_e > eps`` (the set ``E*`` of the paper)."""
-        return [e for e, val in zip(self.edges, self.x) if val > eps]
+        edges = self.edges
+        return [edges[i] for i in np.flatnonzero(self.x > eps).tolist()]
 
     def _endpoints(self) -> np.ndarray:
         """Edge endpoints interleaved ``u0, v0, u1, v1, ...``."""
-        return np.asarray(self.edges, dtype=np.int64).reshape(-1)
+        return self.endpoints.reshape(-1)
 
     def support_degrees(self, n: int, eps: float = SUPPORT_EPS) -> np.ndarray:
         """Per-node degree within the support ``E*``."""
@@ -186,12 +205,15 @@ class LPSolution:
 
         Then every constraint active at ``x`` is still there, so ``x`` is a
         local and, by convexity, a global optimum; the perturbed costs
-        (:func:`_perturbed_cost`) make it the unique one, so HiGHS would
+        (:func:`_perturbed_costs`) make it the unique one, so HiGHS would
         return this same vertex.  Returns ``None`` when any condition fails.
         """
-        index = {e: i for i, e in enumerate(self.edges)}
+        # Edges match as given: the jitter of (u, v) and of (v, u) differ.
+        index = dict(zip(self.edges, range(len(self.edges))))
         try:
-            kept = [index[e] for e in edges]
+            kept = np.fromiter(
+                map(index.__getitem__, edges), dtype=np.intp, count=len(edges)
+            )
         except KeyError:
             return None  # a new variable could lower the cost
         dropped = np.ones(len(self.edges), dtype=bool)
@@ -204,9 +226,10 @@ class LPSolution:
             objective=self.objective,
             cuts=list(self.cuts),
             degree_bounds=dict(degree_bounds),
+            endpoints=self.endpoints[kept],
         )
         size = 1 + max(chain(degree_bounds, self.degree_bounds), default=-1)
-        degree = reused.fractional_degrees(size)
+        degree = reused.fractional_degrees(size).tolist()
         for v, bound in degree_bounds.items():
             old = self.degree_bounds.get(v)
             loosened = old is not None and bound >= old  # x met the old row
@@ -253,14 +276,29 @@ def _infeasible(status: HighsModelStatus) -> bool:
     return status in (statuses.kInfeasible, statuses.kUnboundedOrInfeasible)
 
 
+#: Per thread, the model of a program that has released it (see
+#: :meth:`MRLCLinearProgram.release`), for the next new model to refill.
+_SPARE = threading.local()
+
+
 def _new_model(costs: np.ndarray, n: int) -> _Highs:
     """A HiGHS model over one ``[0, 1]`` column per edge, with the spanning
-    row ``x(E(V)) = n - 1`` and no other rows yet."""
-    model = load_highs()._Highs()
-    model.setOptionValue("output_flag", False)
-    model.setOptionValue("solver", "simplex")
-    model.setOptionValue("simplex_strategy", 1)  # dual -> basic (extreme point)
-    model.setOptionValue("dual_feasibility_tolerance", DUAL_FEASIBILITY_TOL)
+    row ``x(E(V)) = n - 1`` and no other rows yet.
+
+    It takes this thread's spare model, if one was released, and clears it
+    (options survive ``clearModel``); otherwise it creates one.  A model
+    held by a live program is never a spare, so no two programs share one.
+    """
+    model = getattr(_SPARE, "model", None)
+    if model is None:
+        model = load_highs()._Highs()
+        model.setOptionValue("output_flag", False)
+        model.setOptionValue("solver", "simplex")
+        model.setOptionValue("simplex_strategy", 1)  # dual -> basic (extreme point)
+        model.setOptionValue("dual_feasibility_tolerance", DUAL_FEASIBILITY_TOL)
+    else:
+        _SPARE.model = None
+        model.clearModel()
     m = len(costs)
     model.addCols(
         m, costs, np.zeros(m), np.ones(m), 0,
@@ -318,13 +356,12 @@ def linprog(
         model.setBasis(basis)
     model.run()
     status = model.getModelStatus()
-    info = model.getInfo()
+    # Two scalar reads; getInfo() would copy the whole HighsInfo record.
+    _, iterations = model.getInfoValue("simplex_iteration_count")
     if status != load_highs().HighsModelStatus.kOptimal:
-        return HighsRound(status, None, math.nan, info.simplex_iteration_count)
+        return HighsRound(status, None, math.nan, iterations)
     x = np.array(model.getSolution().col_value, dtype=float)
-    return HighsRound(
-        status, x, info.objective_function_value, info.simplex_iteration_count
-    )
+    return HighsRound(status, x, model.getObjectiveValue(), iterations)
 
 
 @lru_cache(maxsize=None)
@@ -395,9 +432,10 @@ class MRLCLinearProgram:
     """Cutting-plane solver for ``LP(G, L', W)`` over a chosen edge set.
 
     Args:
-        network: Provides edge costs and energies.
-        edges: The active edge set (IRA shrinks it across iterations with
-            :meth:`restrict`).
+        network: Provides edge costs (read from its link snapshot,
+            :meth:`~repro.network.model.Network.link_arrays`) and energies.
+        edges: The active edge set, each edge in either orientation (IRA
+            shrinks it across iterations with :meth:`restrict`).
         degree_bounds: Mapping ``node -> max fractional degree``; only nodes
             present in the mapping are constrained (the set ``W``).
         initial_cuts: Subtour sets carried over from an earlier program
@@ -414,19 +452,30 @@ class MRLCLinearProgram:
     ) -> None:
         self.network = network
         self.edges = [tuple(e) for e in edges]
+        pairs = np.fromiter(
+            chain.from_iterable(self.edges), dtype=np.int64, count=2 * len(self.edges)
+        ).reshape(-1, 2)
+        self._endpoint_u = pairs[:, 0]
+        self._endpoint_v = pairs[:, 1]
         self.degree_bounds = dict(degree_bounds)
         self.cuts: List[FrozenSet[int]] = list(dict.fromkeys(initial_cuts))
-        self._costs = np.array(
-            [_perturbed_cost(network.cost(u, v), u, v) for u, v in self.edges],
-            dtype=float,
-        )
-        self._endpoint_u = np.array([e[0] for e in self.edges], dtype=np.int64)
-        self._endpoint_v = np.array([e[1] for e in self.edges], dtype=np.int64)
+        costs = network.link_arrays().key_cost[network.edge_index(self.edges)]
+        self._costs = _perturbed_costs(costs, self.edges)
         #: The HiGHS model, built by the first solve.
         self._model: Optional[_Highs] = None
         #: Nodes whose lifetime rows sit in the model, in row order (rows
         #: ``1 .. len``, right after the spanning row).
         self._row_nodes: List[int] = []
+
+    def release(self) -> None:
+        """Hand this program's HiGHS model to the next program this thread
+        builds (:func:`_new_model`), which clears and refills it.
+
+        Call it when the program is done.  It stays usable: a later
+        :meth:`solve` builds a new model and starts cold.
+        """
+        if self._model is not None:
+            _SPARE.model, self._model = self._model, None
 
     def restrict(
         self, edges: Sequence[Tuple[int, int]], degree_bounds: Dict[int, float]
@@ -592,6 +641,9 @@ class MRLCLinearProgram:
                         cuts=list(self.cuts),
                         n_lp_solves=n_solves,
                         degree_bounds=dict(self.degree_bounds),
+                        endpoints=np.column_stack(
+                            (self._endpoint_u, self._endpoint_v)
+                        ),
                     )
                 new_cuts = [s for s in dict.fromkeys(violated) if s not in self.cuts]
                 if not new_cuts:
@@ -621,7 +673,7 @@ def solve_mrlc_lp(
 ) -> LPSolution:
     """One-shot convenience wrapper around :class:`MRLCLinearProgram`."""
     if edges is None:
-        edges = [e.key for e in network.edges()]
+        edges = network.link_arrays().keys
     program = MRLCLinearProgram(
         network, edges, degree_bounds, initial_cuts=initial_cuts
     )

@@ -9,6 +9,11 @@ iff every link delivery succeeds, so (Section III-B):
 * cost         ``C(T) = sum(-log q_e) = -log Q(T)``  (Lemma 3)
 * lifetime     ``L(T) = min_v I(v) / (Tx + Rx * Ch_T(v))``  (Eq. 1)
 
+Cost and reliability read each tree edge's ``-log q_e`` and ``q_e`` off the
+network's link snapshot (:meth:`~repro.network.model.Network.link_arrays`)
+and fold them in :meth:`AggregationTree.edges` order; lifetime is Eq. 1 for
+every node in one numpy pass.
+
 The paper's figures plot cost in ``-1000 * log2(q)`` units (recoverable from
 the published cost/reliability pairs, e.g. MST cost 55 ↔ reliability 0.963);
 :data:`PAPER_COST_SCALE` converts natural-log cost to those units.
@@ -21,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.network.model import Network, edge_key
+from repro.network.model import LinkArrays, Network, edge_key
 
 __all__ = ["AggregationTree", "PAPER_COST_SCALE"]
 
@@ -69,11 +74,14 @@ class AggregationTree:
             (conventionally ``-1``).
     """
 
-    __slots__ = ("network", "_parent", "_children")
+    __slots__ = ("network", "_parent", "_children", "_positions")
 
     network: Network
     _parent: np.ndarray
     _children: Tuple[Tuple[int, ...], ...]
+    #: The network's link snapshot and the tree edges' positions in it, set
+    #: by the first metric read against that snapshot.
+    _positions: Optional[Tuple[LinkArrays, np.ndarray]]
 
     def __init__(
         self,
@@ -116,6 +124,7 @@ class AggregationTree:
         object.__setattr__(self, "network", network)
         object.__setattr__(self, "_parent", parent_arr)
         object.__setattr__(self, "_children", tuple(map(tuple, children)))
+        object.__setattr__(self, "_positions", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"AggregationTree is immutable; cannot set {name!r}")
@@ -186,9 +195,8 @@ class AggregationTree:
     @property
     def parents(self) -> Dict[int, int]:
         """Copy of the parent map (non-sink nodes only)."""
-        return {
-            v: int(self._parent[v]) for v in range(self.n) if v != self.sink
-        }
+        sink = self.sink
+        return {v: p for v, p in enumerate(self._parent.tolist()) if v != sink}
 
     def children(self, v: int) -> List[int]:
         """Sorted children of *v*."""
@@ -256,20 +264,41 @@ class AggregationTree:
     # ------------------------------------------------------------------
     # Paper metrics
     # ------------------------------------------------------------------
+    def _link_positions(self) -> Tuple[LinkArrays, np.ndarray]:
+        """The network's link snapshot and the tree edges' positions in it,
+        ascending: the order of :meth:`edges`.
+
+        The positions are kept while the snapshot is current; a link change
+        replaces the snapshot, and the next read finds them again.
+        """
+        links = self.network.link_arrays()
+        if self._positions is None or self._positions[0] is not links:
+            tree = [(v, p) for v, p in enumerate(self._parent.tolist()) if p >= 0]
+            positions = np.sort(self.network.edge_index(tree))
+            object.__setattr__(self, "_positions", (links, positions))
+        return self._positions
+
     def cost(self) -> float:
-        """``C(T) = sum(-log q_e)`` in natural-log units (Eq. 10)."""
-        return sum(self.network.cost(u, v) for u, v in self.edges())
+        """``C(T) = sum(-log q_e)`` in natural-log units (Eq. 10).
+
+        Summed left to right in :meth:`edges` order, off the network's link
+        snapshot.
+        """
+        links, positions = self._link_positions()
+        return sum(links.key_cost[positions].tolist())
 
     def paper_cost(self) -> float:
         """Cost in the paper's plotted units (−1000·log2 q)."""
         return self.cost() * PAPER_COST_SCALE
 
     def reliability(self) -> float:
-        """``Q(T) = prod(q_e)`` — success probability of a full round."""
-        q = 1.0
-        for u, v in self.edges():
-            q *= self.network.prr(u, v)
-        return q
+        """``Q(T) = prod(q_e)`` — success probability of a full round.
+
+        Multiplied left to right in :meth:`edges` order, off the network's
+        link snapshot.
+        """
+        links, positions = self._link_positions()
+        return math.prod(links.key_prr[positions].tolist(), start=1.0)
 
     def node_lifetime(self, v: int) -> float:
         """Eq. 1 lifetime of node *v* in aggregation rounds."""
@@ -278,8 +307,17 @@ class AggregationTree:
         )
 
     def lifetime(self) -> float:
-        """Network lifetime ``L(T) = min_v L(v)`` in aggregation rounds."""
-        return min(self.node_lifetime(v) for v in range(self.n))
+        """Network lifetime ``L(T) = min_v L(v)`` in aggregation rounds.
+
+        Eq. 1 for every node at once, with :meth:`node_lifetime`'s float
+        operations.
+        """
+        children = np.bincount(self._parent[self._parent >= 0], minlength=self.n)
+        network = self.network
+        lifetimes = network.energy_model.lifetime_rounds_unchecked(
+            network.initial_energies, children
+        )
+        return float(lifetimes.min())
 
     def bottleneck(self) -> int:
         """The node realising the minimum lifetime (ties -> smallest id)."""

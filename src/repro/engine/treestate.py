@@ -534,7 +534,8 @@ class TreeState:
         Subtree (cycle) legality is *not* filtered here;
         :meth:`best_cost_reparent` validates lazily.
         """
-        src, dst, cost = self.network.link_arrays()
+        links = self.network.link_arrays()
+        src, dst, cost = links.src, links.dst, links.cost
         on_tree = dst == self._parent[src]
         # Each attached child's current edge cost, read off its tree link.
         edge_cost = np.zeros(self.network.n, dtype=np.float64)
@@ -619,7 +620,8 @@ class TreeState:
         if not self.spanning:
             raise ValueError("bulk move scans require a spanning state")
         network = self.network
-        child, cand, _ = network.link_arrays()
+        links = network.link_arrays()
+        child, cand = links.src, links.dst
         loaded = self._parent[child]  # -1 on the sink's rows, masked below
         life = np.asarray(self._life, dtype=np.float64)
         # Eq. 1 at k - 1 and k + 1.  Every loaded node has a child, so the

@@ -14,23 +14,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import chain
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.network.energy import DEFAULT_BATTERY_J, EnergyModel, TELOSB
 from repro.utils.validation import check_non_negative, check_probability
 
-__all__ = ["Edge", "Network", "edge_key"]
+__all__ = ["Edge", "LinkArrays", "Network", "edge_key"]
 
 #: Smallest PRR treated as a usable link; below this the cost -log(q) blows
 #: up and the link is numerically (and practically) useless.
 MIN_USABLE_PRR = 1e-9
-
-
-#: ``(src, dst, cost)`` arrays of every directed link; see
-#: :meth:`Network.link_arrays`.
-_LinkArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def edge_key(u: int, v: int) -> Tuple[int, int]:
@@ -74,6 +71,28 @@ class Edge:
         if node == self.v:
             return self.u
         raise ValueError(f"node {node} is not an endpoint of edge {self.key}")
+
+
+class LinkArrays(NamedTuple):
+    """The derived link snapshot of one :class:`Network` link set.
+
+    ``src``, ``dst`` and ``cost`` list every directed link; ``keys`` and the
+    ``key_*`` arrays list every undirected link once, in :meth:`Network.edges`
+    order.  See :meth:`Network.link_arrays`.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    cost: np.ndarray
+    #: Canonical ``(u, v)`` keys, ``u < v``, sorted.
+    keys: Tuple[Tuple[int, int], ...]
+    #: ``Edge.cost`` of each key.
+    key_cost: np.ndarray
+    #: ``Edge.prr`` of each key.
+    key_prr: np.ndarray
+    #: Position of each key in :attr:`keys` (what :meth:`Network.edge_index`
+    #: reads).
+    index: Mapping[Tuple[int, int], int]
 
 
 class Network:
@@ -129,7 +148,7 @@ class Network:
 
         self._edges: Dict[Tuple[int, int], Edge] = {}
         self._adj: List[Dict[int, Edge]] = [dict() for _ in range(self.n)]
-        self._links: Optional[_LinkArrays] = None
+        self._links: Optional[LinkArrays] = None
 
     def __getstate__(self) -> Dict[str, object]:
         # The link snapshot is derived data: pickles and copies rebuild it.
@@ -203,37 +222,60 @@ class Network:
         self._check_node(node)
         return sorted(self._adj[node])
 
-    def link_arrays(self) -> _LinkArrays:
-        """``(src, dst, cost)`` of every directed link, built once per link set.
+    def link_arrays(self) -> LinkArrays:
+        """Every link as read-only arrays, built once per link set.
 
-        Rows run in (src ascending, dst ascending) order, the order of a
-        scalar ``for v in nodes: for u in neighbors(v)`` scan.  ``cost``
-        holds the scalar ``math.log`` values of :meth:`cost` (``np.log``
-        need not round like libm), so bulk scans over it stay bitwise equal
-        to scalar ones.  :meth:`add_link`, :meth:`remove_link` and
-        :meth:`set_prr` drop the snapshot; the arrays are read-only.  A
-        search that reads them must not change links while it runs — true
-        for every builder; the churn simulator changes PRRs only between
-        builds.
+        The directed rows (``src``, ``dst``, ``cost``) run in (src
+        ascending, dst ascending) order, the order of a scalar ``for v in
+        nodes: for u in neighbors(v)`` scan.  The undirected view is the
+        rows with ``src < dst``: ``keys`` in :meth:`edges` order, with each
+        link's cost and PRR, and ``index`` from each key to its position
+        (:meth:`edge_index`).  Costs are the
+        scalar ``math.log`` values of :attr:`Edge.cost` (``np.log`` need not
+        round like libm), so bulk reads of them stay bitwise equal to
+        :meth:`cost` and :meth:`prr`.  :meth:`add_link`, :meth:`remove_link`
+        and :meth:`set_prr` drop the snapshot; pickles and copies leave it
+        out.  A search that reads it must not change links while it runs —
+        true for every builder; the churn simulator changes PRRs only
+        between builds.
         """
         if self._links is None:
-            src: List[int] = []
-            dst: List[int] = []
-            cost: List[float] = []
-            for v in range(self.n):
-                for u in sorted(self._adj[v]):
-                    src.append(v)
-                    dst.append(u)
-                    cost.append(self._adj[v][u].cost)
-            links = (
-                np.asarray(src, dtype=np.int64),
-                np.asarray(dst, dtype=np.int64),
-                np.asarray(cost, dtype=np.float64),
+            keys = sorted(self._edges)
+            edges = [self._edges[key] for key in keys]
+            key_cost = np.array([edge.cost for edge in edges], dtype=np.float64)
+            pairs = np.fromiter(
+                chain.from_iterable(keys), dtype=np.int64, count=2 * len(keys)
+            ).reshape(-1, 2)
+            key_u, key_v = pairs[:, 0], pairs[:, 1]
+            # Each link once per direction, in (src, dst) order.
+            src = np.concatenate((key_u, key_v))
+            dst = np.concatenate((key_v, key_u))
+            order = np.lexsort((dst, src))
+            links = LinkArrays(
+                src=src[order],
+                dst=dst[order],
+                cost=np.concatenate((key_cost, key_cost))[order],
+                keys=tuple(keys),
+                key_cost=key_cost,
+                key_prr=np.array([edge.prr for edge in edges], dtype=np.float64),
+                index=MappingProxyType(dict(zip(keys, range(len(keys))))),
             )
             for array in links:
-                array.setflags(write=False)
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
             self._links = links
         return self._links
+
+    def edge_index(self, pairs: Iterable[Tuple[int, int]]) -> np.ndarray:
+        """Positions in ``link_arrays().keys`` of the links ``(u, v)`` in
+        *pairs*, each in either orientation.
+
+        Raises ``KeyError`` when some pair is not a link.
+        """
+        keys = [(u, v) if u < v else (v, u) for u, v in pairs]
+        return np.fromiter(
+            map(self.link_arrays().index.__getitem__, keys), dtype=np.intp, count=len(keys)
+        )
 
     def degree(self, node: int) -> int:
         self._check_node(node)

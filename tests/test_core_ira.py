@@ -1,6 +1,7 @@
 """Tests for repro.core.ira (the Iterative Relaxation Algorithm)."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from repro.core.errors import DisconnectedNetworkError, InfeasibleLifetimeError
 from repro.core.ira import IterativeRelaxation, build_ira_tree
 from repro.core.lifetime import lifetime_with_children
 from repro.core.lp import LPSolution
-from repro.engine import build_tree
+from repro.engine import TreeState, build_tree
 from repro.network.model import Network
 from repro.network.topology import random_graph
 from repro.obs import instrument
@@ -326,3 +327,58 @@ class TestForcedRelaxation:
         assert digest == (
             "94c5ae1d32e7aadcf7c4172d20ebe609c9ba997322b6453ccba62af64af9e123"
         )
+
+
+class TestNetworkSnapshot:
+    """IRA and the tree metrics read edges, costs and bounds off the
+    network's link snapshot (``Network.link_arrays``)."""
+
+    def test_a_loose_build_makes_no_per_edge_lookup(self, monkeypatch):
+        net = random_graph(25, 0.6, seed=0)
+        lc = 0.5 * build_tree("bfs", net).lifetime
+        calls = Counter()
+        for owner, name in (
+            (Network, "cost"),
+            (Network, "edge"),
+            (Network, "edges"),
+            (TreeState, "attach"),
+        ):
+            real = getattr(owner, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        result = build_ira_tree(net, lc)
+        metrics = (result.tree.cost(), result.tree.reliability(), result.tree.lifetime())
+        monkeypatch.undo()
+        assert calls == Counter()
+        # The pinned cost of CI's warm-start smoke for this input.
+        assert abs(metrics[0] - 0.0906682628805758) < 1e-9
+        assert metrics[1] == pytest.approx(np.exp(-metrics[0]), rel=1e-12)
+        assert result.lifetime_satisfied and metrics[2] >= lc
+
+    def test_a_changed_prr_reaches_the_next_build(self):
+        net = random_graph(25, 0.6, seed=1)
+        lc = 0.5 * build_tree("bfs", net).lifetime
+        first = build_ira_tree(net, lc)
+        u, v = first.tree.edges()[0]
+        net.set_prr(u, v, 0.5)  # a support edge turns bad between builds
+        again = build_ira_tree(net, lc)
+
+        fresh_net = random_graph(25, 0.6, seed=1)
+        fresh_net.set_prr(u, v, 0.5)
+        fresh = build_ira_tree(fresh_net, lc)
+        assert (u, v) not in again.tree.edges()
+        assert again.tree.parents == fresh.tree.parents
+        for tree in (again.tree, fresh.tree):
+            assert tree.cost().hex() == fresh.tree.cost().hex()
+            assert tree.reliability().hex() == fresh.tree.reliability().hex()
+        for name in (
+            "spec", "iterations", "lp_solves", "lp_reused", "cuts_generated",
+            "forced_relaxations", "lifetime_satisfied", "inflation_used",
+        ):
+            assert getattr(again, name) == getattr(fresh, name), name
+        # The first tree's metrics read the changed link too.
+        assert first.tree.cost() == sum(net.cost(*e) for e in first.tree.edges())

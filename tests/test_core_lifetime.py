@@ -141,6 +141,34 @@ class TestLifetimeSpec:
             for degree in range(n):
                 assert (degree <= caps[v]) == spec.satisfied_by_degree(net, v, degree)
 
+    @given(
+        energies=st.lists(
+            st.one_of(st.just(0.0), st.floats(1.0, 5000.0)), min_size=1, max_size=12
+        ),
+        lc=st.floats(1.0, 1e7),
+        inflate=st.sampled_from([None, 1.0, 1.5]),
+        with_sink=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lp_degree_bounds_equal_the_scalar_bounds(
+        self, energies, lc, inflate, with_sink
+    ):
+        # 0 J nodes, W with and without the sink, and L' = LC, L' > LC or
+        # the paper's inflated L' (when I_min admits one).
+        net = Network(len(energies), initial_energy=np.array(energies))
+        if inflate is None:
+            try:
+                spec = LifetimeSpec.resolve(net, lc)
+            except ValueError:
+                spec = LifetimeSpec.uninflated(net, lc)
+        else:
+            spec = LifetimeSpec(lc=lc, l_prime=lc * inflate)
+        nodes = [v for v in net.nodes if with_sink or v != net.sink]
+        bounds = spec.lp_degree_bounds(net, nodes)
+        assert list(bounds) == nodes
+        for v in nodes:
+            assert bounds[v].hex() == spec.lp_degree_bound(net, v).hex(), v
+
     def test_satisfied_degree_caps_mark_hopeless_nodes(self, net):
         spec = LifetimeSpec.uninflated(net, 1e12)
         assert spec.satisfied_degree_caps(net, [0, 2]) == {0: -1, 2: -1}

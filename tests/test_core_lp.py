@@ -1,6 +1,7 @@
 """Tests for repro.core.lp (the cutting-plane LP solver)."""
 
 import math
+import threading
 from collections import Counter
 from itertools import chain
 
@@ -25,7 +26,7 @@ from repro.core.lp import (
     TIGHT_SLACK,
     LPSolution,
     MRLCLinearProgram,
-    _perturbed_cost,
+    _perturbed_costs,
     _row_block,
     solve_mrlc_lp,
 )
@@ -300,16 +301,18 @@ class TestHighsBinding:
             "run",
             "getModelStatus",
             "getSolution",
-            "getInfo",
+            "getInfoValue",
+            "getObjectiveValue",
+            "clearModel",
             "setOptionValue",
             "modelStatusToString",
         ):
             assert callable(getattr(_Highs, method, None)), method
         for status in ("kOptimal", "kInfeasible", "kUnboundedOrInfeasible"):
             assert hasattr(HighsModelStatus, status), status
-        info = _Highs().getInfo()
-        assert hasattr(info, "simplex_iteration_count")
-        assert hasattr(info, "objective_function_value")
+        _, iterations = _Highs().getInfoValue("simplex_iteration_count")
+        assert isinstance(iterations, int)
+        assert isinstance(_Highs().getObjectiveValue(), float)
         assert hasattr(_Highs().getSolution(), "col_value")
 
 
@@ -320,7 +323,7 @@ class TestDualTolerance:
 
     def test_jitter_gaps_are_multiples_of_the_quantum(self):
         pairs = [(u, v) for u in range(30) for v in range(u + 1, 30)]
-        offsets = np.array([_perturbed_cost(0.0, u, v) for u, v in pairs])
+        offsets = _perturbed_costs(np.zeros(len(pairs)), pairs)
         steps = (offsets - lp_module.PERTURBATION_SCALE) / JITTER_QUANTUM
         np.testing.assert_allclose(steps, np.round(steps), rtol=0.0, atol=1e-6)
         assert len(np.unique(np.round(steps))) > 1
@@ -348,7 +351,9 @@ ORACLE_INPUTS = {name: (net, spec) for name, net, spec in _oracle_inputs()}
 def _cold_solve(program, solution):
     """Cold dual simplex on the program's final row set through scipy."""
     edges = program.edges
-    costs = [_perturbed_cost(program.network.cost(u, v), u, v) for u, v in edges]
+    costs = _perturbed_costs(
+        np.array([program.network.cost(u, v) for u, v in edges]), edges
+    )
     rows, rhs = [], []
     for v, bound in sorted(program.degree_bounds.items()):
         rows.append([float(v in e) for e in edges])
@@ -528,13 +533,101 @@ class TestRestrictedModelMatchesFresh:
             program.restrict(edges[1:], {1: 2.0})
 
 
+def _rounds_spy(monkeypatch):
+    """Record ``(model, simplex iterations)`` of every HiGHS call."""
+    rounds = []
+    real = lp_module.linprog
+
+    def spy(model, **kwargs):
+        result = real(model, **kwargs)
+        rounds.append((model, result.simplex_iterations))
+        return result
+
+    monkeypatch.setattr(lp_module, "linprog", spy)
+    return rounds
+
+
+class TestModelReuse:
+    """A released HiGHS model is cleared and refilled by the next program
+    its thread builds; a live program's model is never handed out."""
+
+    @staticmethod
+    def _program(name, **kwargs):
+        net, spec = ORACLE_INPUTS[name]
+        bounds = spec.lp_degree_bounds(net, net.nodes)
+        return MRLCLinearProgram(net, net.link_arrays().keys, bounds, **kwargs)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_reused_model_matches_a_fresh_one(self, name, monkeypatch):
+        monkeypatch.setattr(lp_module._SPARE, "model", None, raising=False)
+        rounds = _rounds_spy(monkeypatch)
+        fresh = self._program(name)
+        fresh_solution = fresh.solve()
+        fresh_rounds = [iterations for _, iterations in rounds]
+        # Another input's program, cut down and re-solved, hands its model on.
+        donor = self._program(sorted(ORACLE_INPUTS)[0])
+        first = donor.solve()
+        donor.restrict(first.support(), {})
+        donor.solve()
+        spare = donor._model
+        donor.release()
+        assert donor._model is None and lp_module._SPARE.model is spare
+        rounds.clear()
+        reused = self._program(name)
+        solution = reused.solve()
+        assert reused._model is spare and lp_module._SPARE.model is None
+        assert all(model is spare for model, _ in rounds)
+        assert [iterations for _, iterations in rounds] == fresh_rounds
+        assert solution.x.tobytes() == fresh_solution.x.tobytes()
+        assert solution.objective == fresh_solution.objective
+        assert solution.cuts == fresh_solution.cuts
+
+    def test_live_programs_never_share_a_model(self, monkeypatch):
+        monkeypatch.setattr(lp_module._SPARE, "model", None, raising=False)
+        name, other = sorted(ORACLE_INPUTS)[:2]
+        done = self._program(name)
+        cuts = done.solve().cuts
+        spare = done._model
+        done.release()
+        # Solved side by side, as in TestRestrictedModelMatchesFresh: the
+        # first new program takes the spare, the second creates a model.
+        a, b = self._program(name), self._program(other)
+        a_first, b_first = a.solve(), b.solve()
+        assert a._model is spare and b._model is not spare
+        a.restrict(a_first.support(), {})
+        b.restrict(b_first.support(), {})
+        a.solve(), b.solve()
+        assert a._model is spare and b._model is not spare
+        # A model released in one thread is not another thread's spare.
+        a.release()
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(_solved_model(other)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert seen[0] is not spare and lp_module._SPARE.model is spare
+        # A released program still solves: it takes the spare and starts
+        # cold, as a new program carrying its cuts would.
+        again = done.solve()
+        assert done._model is spare and done._model is not b._model
+        carried = self._program(name, initial_cuts=cuts).solve()
+        assert again.x.tobytes() == carried.x.tobytes()
+
+
+def _solved_model(name):
+    net, spec = ORACLE_INPUTS[name]
+    bounds = spec.lp_degree_bounds(net, net.nodes)
+    program = MRLCLinearProgram(net, net.link_arrays().keys, bounds)
+    program.solve()
+    return program._model
+
+
 def _greedy_degrees(net):
     """Node degrees at the greedy point: the ``n - 1`` edges cheapest under
     the LP's perturbed costs."""
-    ranked = sorted(
-        (_perturbed_cost(net.cost(u, v), u, v), (u, v))
-        for u, v in (e.key for e in net.edges())
-    )
+    edges = [e.key for e in net.edges()]
+    costs = _perturbed_costs(np.array([e.cost for e in net.edges()]), edges)
+    ranked = sorted(zip(costs.tolist(), edges))
     return Counter(chain.from_iterable(e for _, e in ranked[: net.n - 1]))
 
 

@@ -576,11 +576,26 @@ def _scalar_costs(net, parents):
     }
 
 
+def _assert_undirected_view_current(net):
+    """The snapshot's undirected view lists ``edges()`` as it is now."""
+    links = net.link_arrays()
+    edges = list(net.edges())
+    assert links.keys == tuple(e.key for e in edges)
+    assert links.key_cost.tolist() == [e.cost for e in edges]
+    assert links.key_prr.tolist() == [e.prr for e in edges]
+    positions = list(range(len(edges)))
+    assert net.edge_index(links.keys).tolist() == positions
+    assert net.edge_index((v, u) for u, v in links.keys).tolist() == positions
+    assert dict(links.index) == {key: i for i, key in enumerate(links.keys)}
+
+
 def test_link_changes_between_builds_reach_the_bulk_scans():
-    """set_prr, add_link and remove_link each drop the snapshot."""
+    """set_prr, add_link and remove_link each drop the snapshot, directed
+    rows and undirected view alike."""
     net = random_graph(12, 0.4, seed=51)
     parents = bfs_tree(net).parents
     assert _scan_costs(net, parents) == _scalar_costs(net, parents)
+    _assert_undirected_view_current(net)
 
     off_tree = next(
         (v, u)
@@ -594,6 +609,7 @@ def test_link_changes_between_builds_reach_the_bulk_scans():
     assert costs[off_tree] == net.cost(*off_tree) - net.cost(
         off_tree[0], parents[off_tree[0]]
     )
+    _assert_undirected_view_current(net)
 
     missing = next(
         (v, u)
@@ -604,11 +620,15 @@ def test_link_changes_between_builds_reach_the_bulk_scans():
     net.add_link(*missing, 0.7)
     assert missing in _scan_costs(net, parents)
     assert _scan_costs(net, parents) == _scalar_costs(net, parents)
+    _assert_undirected_view_current(net)
 
     net.remove_link(*off_tree)
     costs = _scan_costs(net, parents)
     assert off_tree not in costs
     assert costs == _scalar_costs(net, parents)
+    _assert_undirected_view_current(net)
+    with pytest.raises(KeyError):
+        net.edge_index([off_tree])
 
 
 def test_link_snapshot_is_shared_read_only_and_not_pickled():
@@ -616,7 +636,16 @@ def test_link_snapshot_is_shared_read_only_and_not_pickled():
     blank = pickle.dumps(net)
     links = net.link_arrays()
     assert net.link_arrays() is links  # one snapshot per link set
-    assert all(not array.flags.writeable for array in links)
+    arrays = [part for part in links if isinstance(part, np.ndarray)]
+    assert len(arrays) == len(links) - 2  # all but the keys and their index
+    assert all(not array.flags.writeable for array in arrays)
+    assert isinstance(links.keys, tuple)
+    _assert_undirected_view_current(net)
+    for u, v in ((3, 3), (0, net.n), (-1, 1)):  # a self-loop, out of range
+        with pytest.raises(KeyError):
+            net.edge_index([(u, v)])
+    with pytest.raises(TypeError):
+        links.index[(0, 1)] = 0  # the snapshot is read-only
     assert pickle.dumps(net) == blank  # the snapshot stays out of pickles
     for clone in (
         pickle.loads(blank),
@@ -627,4 +656,8 @@ def test_link_snapshot_is_shared_read_only_and_not_pickled():
         rebuilt = clone.link_arrays()
         assert rebuilt is not links
         for a, b in zip(rebuilt, links):
-            assert np.array_equal(a, b)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+            else:
+                assert a == b
