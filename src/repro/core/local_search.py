@@ -25,9 +25,10 @@ engine: a re-parent changes only the two parents' lifetimes and one tree
 edge, cycle filtering is an ancestor walk, and no :class:`AggregationTree`
 is constructed until the search ``freeze()``s its result.  The two greedy
 cost descents score every candidate at once through
-:meth:`~repro.engine.treestate.TreeState.best_cost_reparent`, the lifetime
-ascent through :meth:`~repro.engine.treestate.TreeState.best_lifetime_reparent`.
-The accepted moves and final trees are decision-identical to the historical
+:meth:`~repro.engine.treestate.TreeState.best_cost_reparent`; the lifetime
+ascent (:meth:`~repro.engine.treestate.TreeState.ascend_lifetime`) scores
+only the moves of the loaded nodes it visits, most starved first.  The
+accepted moves and final trees are decision-identical to the historical
 rebuild-per-candidate implementation.
 """
 
@@ -63,26 +64,26 @@ def bfs_tree(network) -> AggregationTree:
     """Breadth-first (shortest-hop) spanning tree — the canonical start point.
 
     Used as AAML's "arbitrary tree" and as the restart point of IRA's repair
-    pass.  Raises :class:`~repro.core.errors.DisconnectedNetworkError` when
-    some node cannot reach the sink.
+    pass.  Neighbours are visited in ascending id order, so the first node
+    to reach each node is its parent.  Raises
+    :class:`~repro.core.errors.DisconnectedNetworkError` when some node
+    cannot reach the sink.
     """
     from repro.core.errors import DisconnectedNetworkError
 
-    state = TreeState(network)
-    frontier = [network.sink]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in network.neighbors(u):
-                if not state.is_attached(v):
-                    state.attach(v, u)
-                    nxt.append(v)
-        frontier = nxt
-    if not state.spanning:
+    sink = network.sink
+    parents: Dict[int, int] = {}
+    queue = [sink]
+    for u in queue:
+        for v in network.neighbors(u):
+            if v != sink and v not in parents:
+                parents[v] = u
+                queue.append(v)
+    if len(queue) != network.n:
         raise DisconnectedNetworkError(
             "network is disconnected; no spanning tree exists"
         )
-    return state.freeze()
+    return AggregationTree(network, parents)
 
 
 def lifetime_vector(tree: AggregationTree) -> Tuple[float, ...]:
@@ -98,21 +99,13 @@ def maximize_lifetime(
     Each iteration takes the most-starved loaded node that has a strictly
     improving move, accepts its lexicographically best move of the
     ascending lifetime vector, and stops at a local optimum.
-    :meth:`~repro.engine.treestate.TreeState.best_lifetime_reparent` scores
-    every candidate in one vectorized pass and walks ancestors only for the
+    :meth:`~repro.engine.treestate.TreeState.ascend_lifetime` scores the
+    moves of one loaded node at a time and walks ancestors only for the
     few it checks for legality; the accepted moves are those of the scalar
     scan (``_reference_maximize_lifetime`` in :mod:`repro.engine.bench`).
     """
     state = TreeState.from_tree(tree)
-    moves = 0
-    checked = 0
-    while moves < max_moves:
-        move, walked = state.best_lifetime_reparent()
-        checked += walked
-        if move is None:
-            break
-        state.reparent(*move, check=False)
-        moves += 1
+    moves, checked = state.ascend_lifetime(max_moves)
     if OBS.enabled:
         reg = OBS.registry
         reg.counter("local_search.moves_accepted", op="maximize_lifetime").inc(moves)

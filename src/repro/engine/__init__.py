@@ -6,9 +6,9 @@ Two pieces that every optimizer and every consumer share:
   tree with O(1) ``reparent``/``attach`` moves and incrementally-maintained
   cost / reliability / lifetime, plus ``reparent_lifetime_delta`` for ranking
   a move without applying it, vectorized bulk scans for the greedy cost
-  descents (``best_cost_reparent``) and the lifetime ascent
-  (``best_lifetime_reparent``), and ``freeze()`` back to the immutable
-  :class:`~repro.core.tree.AggregationTree`.
+  descents (``best_cost_reparent``), the lifetime ascent's per-node scan
+  (``best_lifetime_reparent``, ``ascend_lifetime``), and ``freeze()`` back
+  to the immutable :class:`~repro.core.tree.AggregationTree`.
 * :mod:`repro.engine.registry` — the builder registry mapping
   canonical names (``"ira"``, ``"exact"``, ``"local_search"``, ``"mst"``,
   ``"spt"``, ``"random_tree"``, ``"aaml"``, ``"rasmalai"``,
