@@ -2,8 +2,9 @@
 
 A scaled-down in-CI version of ``repro bench core`` (whose full-size runs
 feed ``BENCH_core.json``): asserts the vectorized round simulator and
-TreeState's bulk cost and lifetime scans produce *identical* results to
-the historical scalar loops and are faster at bench-smoke sizes.  Absolute thresholds are
+TreeState's bulk cost and lifetime scans, and the RaSMaLai and CLMT
+builders, produce *identical* results to the historical scalar loops and
+are faster at bench-smoke sizes.  Absolute thresholds are
 deliberately loose — machine-independence matters more than the exact
 ratio, which the trajectory file tracks across PRs instead.
 """
@@ -30,6 +31,13 @@ def test_core_bench_speedups_and_identity(tmp_path):
     # counts are asserted equal inside run_core_bench.
     assert (report.ascent_nodes, report.ascent_moves) == (300, 241)
     assert report.lifetime_ascent_speedup > 1.5
+    # The serve-size row keeps its 30 G(30, 8/30) graphs at every size;
+    # trees and counters are asserted equal inside run_core_bench.
+    assert (report.serve_nodes, report.serve_graphs) == (30, 30)
+    assert report.rasmalai_s < report.rasmalai_reference_s
+    assert report.clmt_s < report.clmt_reference_s
+    assert report.rasmalai_speedup > 1.5
+    assert report.clmt_speedup > 1.5
 
     # Trajectory plumbing: append twice, then the sentinel must parse the
     # document and find no regression between back-to-back runs.

@@ -14,6 +14,14 @@ switch is *eligible* when the new parent's post-move lifetime stays above
 the current network bottleneck — the same acceptance logic RaSMaLai uses
 with its load threshold.
 
+The loop runs on plain lists (parent pointers, sorted children lists,
+Eq. 1 lifetimes from :meth:`~repro.network.energy.EnergyModel.lifetime_rounds_unchecked`
+and per-build neighbour lists) kept in step with each trial move and its
+undo, so an attempt makes no validated per-call lookup.  It makes the
+same random draws, trees and counters as the historical loop on
+:class:`~repro.engine.treestate.TreeState`, which
+:mod:`repro.engine.bench` keeps as ``_reference_rasmalai``.
+
 Included as an extension baseline: the extended benchmarks use it to show
 that (a) randomized switching approaches AAML's lifetime far faster per
 move scan, and (b) like AAML it remains link-quality oblivious, so IRA
@@ -22,12 +30,12 @@ dominates it on reliability just the same.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.core.local_search import bfs_tree
 from repro.core.tree import AggregationTree
-from repro.engine.treestate import TreeState
 from repro.network.model import Network
 from repro.utils.rng import SeedLike, as_rng
 
@@ -84,48 +92,82 @@ def build_rasmalai_tree(
     tree = initial_tree if initial_tree is not None else bfs_tree(network)
     if tree.network is not network:
         raise ValueError("initial_tree must be built over the same network")
-    state = TreeState.from_tree(tree)
+
+    # Plain-list mirrors of the tree, kept in step with every trial move
+    # and undo: parent pointers (-1 at the sink), ascending children lists
+    # (the random child pick indexes them), each node's Eq. 1 lifetime and
+    # its lifetime with one child more.
+    n = network.n
+    model = network.energy_model
+    energy = network.initial_energies.tolist()
+    parent = [-1] * n
+    for v, p in tree.parents.items():
+        parent[v] = p
+    kids = [tree.children(v) for v in range(n)]
+    life = [model.lifetime_rounds_unchecked(energy[v], len(kids[v])) for v in range(n)]
+    plus = [model.lifetime_rounds_unchecked(energy[v], len(kids[v]) + 1) for v in range(n)]
+    nbrs = [network.neighbors(v) for v in range(n)]
+
+    def move(child: int, new_parent: int) -> None:
+        old = parent[child]
+        parent[child] = new_parent
+        kids[old].remove(child)
+        insort(kids[new_parent], child)
+        for v in (old, new_parent):
+            k = len(kids[v])
+            life[v] = model.lifetime_rounds_unchecked(energy[v], k)
+            plus[v] = model.lifetime_rounds_unchecked(energy[v], k + 1)
+
+    def bottleneck() -> Tuple[float, List[int]]:
+        low = min(life)
+        bound = low * (1 + 1e-12)
+        return low, [v for v, lv in enumerate(life) if lv <= bound]
 
     switches = 0
     attempts = 0
     failures = 0
-    low, members = state.bottleneck_members(1e-12)
+    low, members = bottleneck()
+    # Bottleneck nodes with at least one child.  A rejected trial move is
+    # undone, so this changes only when a switch is accepted.
+    loaded_candidates = [v for v in members if kids[v]]
     while switches < max_switches and failures < patience:
         attempts += 1
-        # Random bottleneck node with at least one child.
-        loaded_candidates = [v for v in members if state.n_children(v) > 0]
         if not loaded_candidates:
             break  # bottleneck nodes are all leaves; no load to shed
-        loaded = int(loaded_candidates[rng.integers(0, len(loaded_candidates))])
-        children = state.children(loaded)
-        child = int(children[rng.integers(0, len(children))])
-        eligible = [
-            p
-            for p in network.neighbors(child)
-            if p != loaded
-            and not state.in_subtree(p, child)
-            and network.energy_model.lifetime_rounds(
-                network.initial_energy(p), state.n_children(p) + 1
-            )
-            > low * (1 + 1e-12)
-        ]
+        loaded = loaded_candidates[rng.integers(0, len(loaded_candidates))]
+        children = kids[loaded]
+        child = children[rng.integers(0, len(children))]
+        bound = low * (1 + 1e-12)
+        eligible = []
+        for p in nbrs[child]:
+            if p == loaded or plus[p] <= bound:
+                continue
+            # Outside the child's subtree: p's ancestors miss the child.
+            u = p
+            while u >= 0 and u != child:
+                u = parent[u]
+            if u < 0:
+                eligible.append(p)
         if not eligible:
             failures += 1
             continue
-        new_parent = int(eligible[rng.integers(0, len(eligible))])
-        state.reparent(child, new_parent, check=False)
-        new_low, new_members = state.bottleneck_members(1e-12)
+        new_parent = eligible[rng.integers(0, len(eligible))]
+        move(child, new_parent)
+        new_low, new_members = bottleneck()
         if new_low > low * (1 + 1e-12) or (
             new_low >= low * (1 - 1e-12) and len(new_members) < len(members)
         ):
             low, members = new_low, new_members
+            loaded_candidates = [v for v in members if kids[v]]
             switches += 1
             failures = 0
         else:
-            state.reparent(child, loaded, check=False)  # undo the trial move
+            move(child, loaded)  # undo the trial move
             failures += 1
 
-    final = state.freeze()
+    final = AggregationTree(
+        network, {v: p for v, p in enumerate(parent) if p >= 0}
+    )
     return RaSMaLaiResult(
         tree=final, lifetime=final.lifetime(), switches=switches, attempts=attempts
     )

@@ -18,6 +18,10 @@ Two related-work competitors, both energy-aware and link-quality agnostic
   distributed protocol of the paper; the result is generally worse than
   CLMT's because nodes cannot see the global bottleneck.
 
+CLMT keeps its frontier in a heap (see :func:`build_clmt_tree`), with the
+same trees as the historical rescan of every frontier link per step,
+which :mod:`repro.engine.bench` keeps as ``_reference_clmt``.
+
 Both constructions are deterministic: ties break toward the
 higher-lifetime parent, then the smaller node ids, so each tree is a pure
 function of the network.
@@ -26,6 +30,7 @@ function of the network.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import DisconnectedNetworkError
@@ -61,6 +66,21 @@ def _post_attach_lifetime(network: Network, parent: int, n_children: int) -> flo
 def build_clmt_tree(network: Network) -> VirmaniResult:
     """Centralized lifetime-maximizing tree (greedy bottleneck growth).
 
+    Every step attaches the frontier link ``(p, v)`` of largest score
+    ``(min(p_after, v_leaf), p_after, -p, -v)``: the bottleneck the
+    attachment itself creates (the parent after gaining the child vs the
+    child as a fresh leaf), then the tie-breaks of the module docstring.
+    The rest of the tree is unchanged by every candidate, so comparing
+    these minima is the same as comparing the resulting global minima.
+
+    A node's leaf lifetime never changes, and a parent's ``p_after``
+    changes only when it gains a child, and then never rises.  So the
+    frontier lives in a heap keyed on each link's score when it was
+    pushed, an upper bound of its score now: a popped link whose parent
+    has since gained a child is pushed back with its new score, and the
+    first popped link that is current is the step's best, exactly as a
+    rescan of every frontier link would find it.
+
     Raises:
         DisconnectedNetworkError: Some node cannot reach the sink.
     """
@@ -70,37 +90,40 @@ def build_clmt_tree(network: Network) -> VirmaniResult:
         return VirmaniResult(tree, tree.lifetime(), 0)
 
     model = network.energy_model
-    in_tree = [False] * n
-    in_tree[network.sink] = True
+    energy = network.initial_energies.tolist()
+    leaf = [model.lifetime_rounds_unchecked(e, 0) for e in energy]
+    after = [model.lifetime_rounds_unchecked(e, 1) for e in energy]
     children = [0] * n
+    in_tree = [False] * n
     parents: Dict[int, int] = {}
+    # Min-heap of negated scores: (-bottleneck, -p_after, p, v).
+    frontier: List[Tuple[float, float, int, int]] = []
 
-    for _ in range(n - 1):
-        # score = the bottleneck the attachment itself creates: the parent
-        # after gaining the child vs the child as a fresh leaf.  The rest
-        # of the tree is unchanged by every candidate, so comparing these
-        # minima is the same as comparing the resulting global minima.
-        best: Optional[Tuple[Tuple[float, float, int, int], int, int]] = None
-        for p in range(n):
-            if not in_tree[p]:
-                continue
-            p_after = _post_attach_lifetime(network, p, children[p])
-            for v in network.neighbors(p):
-                if in_tree[v]:
-                    continue
-                v_leaf = model.lifetime_rounds(network.initial_energy(v), 0)
-                score = (min(p_after, v_leaf), p_after, -p, -v)
-                if best is None or score > best[0]:
-                    best = (score, p, v)
-        if best is None:
-            attached = sum(in_tree)
+    def grow(p: int) -> None:
+        pa = after[p]
+        for v in network.neighbors(p):
+            if not in_tree[v]:
+                heappush(frontier, (-min(pa, leaf[v]), -pa, p, v))
+
+    in_tree[network.sink] = True
+    grow(network.sink)
+    while len(parents) < n - 1:
+        if not frontier:
             raise DisconnectedNetworkError(
-                f"only {attached} of {n} nodes reach the sink"
+                f"only {len(parents) + 1} of {n} nodes reach the sink"
             )
-        _, p, v = best
+        _, neg_pa, p, v = heappop(frontier)
+        if in_tree[v]:
+            continue
+        pa = after[p]
+        if -neg_pa != pa:  # p gained a child since: re-file at its new score
+            heappush(frontier, (-min(pa, leaf[v]), -pa, p, v))
+            continue
         parents[v] = p
         children[p] += 1
+        after[p] = model.lifetime_rounds_unchecked(energy[p], children[p] + 1)
         in_tree[v] = True
+        grow(v)
 
     tree = AggregationTree(network, parents)
     return VirmaniResult(tree=tree, lifetime=tree.lifetime(), attachments=n - 1)

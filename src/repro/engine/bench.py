@@ -1,6 +1,6 @@
 """Core-compute benchmark: the array-native paths vs the historical loops.
 
-Three measurements, each over a workload the acceptance bar names:
+Four measurements, each over a workload the acceptance bar names:
 
 * **Round simulation** — ``AggregationSimulator.estimate_reliability`` (the
   batched Bernoulli-matrix path) against a faithful re-implementation of
@@ -19,10 +19,16 @@ Three measurements, each over a workload the acceptance bar names:
   moves of one loaded node at a time and keeps its scan order across
   moves) against the historical scalar scan, both from the BFS tree of
   ``random_graph(300, 0.07, seed=1)``.  Trees and move counts must match.
+* **Serve size** — :func:`~repro.baselines.rasmalai.build_rasmalai_tree`
+  and :func:`~repro.baselines.virmani.build_clmt_tree` (plain-list loops,
+  no validated per-call API) against their historical loops
+  (``_reference_rasmalai``, ``_reference_clmt``), per build over 30
+  G(30, 8/30) graphs, the size of a served miss.  Trees and counters must
+  match.
 
-``repro bench core`` runs all three (``--ci``: smaller grids) and can
+``repro bench core`` runs all four (``--ci``: smaller grids) and can
 append the report to a ``BENCH_core.json`` trajectory, which ``repro obs
-bench-diff`` then gates on the three speedups (:data:`CORE_BENCH`) — the
+bench-diff`` then gates on the five speedups (:data:`CORE_BENCH`) — the
 cross-PR regression sentinel for the compute core.  See
 ``docs/performance.md``.
 """
@@ -31,8 +37,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.baselines.rasmalai import (
+    DEFAULT_PATIENCE,
+    RaSMaLaiResult,
+    build_rasmalai_tree,
+)
+from repro.baselines.virmani import VirmaniResult, build_clmt_tree
+from repro.core.errors import DisconnectedNetworkError
 from repro.core.local_search import (
     COST_EPS,
     bfs_tree,
@@ -42,10 +55,11 @@ from repro.core.local_search import (
 from repro.core.tree import AggregationTree
 from repro.engine.registry import build_tree
 from repro.engine.treestate import NO_GAIN, TreeState, lifetime_delta_better
+from repro.network.model import Network
 from repro.network.topology import grid_graph, random_graph
 from repro.obs.benchdiff import BenchRecord, MetricSpec
 from repro.simulation.rounds import AggregationSimulator
-from repro.utils.rng import as_rng
+from repro.utils.rng import SeedLike, as_rng
 
 __all__ = [
     "CORE_BENCH",
@@ -74,6 +88,10 @@ ASCENT_SEED = 1
 #: The ascent takes tens of milliseconds, so each side keeps its best of
 #: this many runs.
 ASCENT_REPEATS = 3
+#: Serve-size row: RaSMaLai and CLMT on ``random_graph(30, 8/30, seed=i)``
+#: for ``i < SERVE_GRAPHS``, the size of the served misses.
+SERVE_NODES = 30
+SERVE_GRAPHS = 30
 
 
 def _reference_estimate(tree, rng, n_rounds: int) -> float:
@@ -175,6 +193,114 @@ def _reference_maximize_lifetime(
     return state.freeze(), moves
 
 
+def _reference_rasmalai(
+    network: Network,
+    *,
+    initial_tree: Optional[AggregationTree] = None,
+    max_switches: int = 10_000,
+    patience: int = DEFAULT_PATIENCE,
+    seed: SeedLike = None,
+) -> RaSMaLaiResult:
+    """The historical RaSMaLai loop on validated TreeState calls, kept
+    verbatim as the oracle: the random picks, trial moves and undos that
+    :func:`~repro.baselines.rasmalai.build_rasmalai_tree` reproduces.
+    """
+    if patience <= 0:
+        raise ValueError(f"patience must be positive, got {patience}")
+    rng = as_rng(seed)
+    tree = initial_tree if initial_tree is not None else bfs_tree(network)
+    if tree.network is not network:
+        raise ValueError("initial_tree must be built over the same network")
+    state = TreeState.from_tree(tree)
+
+    switches = 0
+    attempts = 0
+    failures = 0
+    low, members = state.bottleneck_members(1e-12)
+    while switches < max_switches and failures < patience:
+        attempts += 1
+        # Random bottleneck node with at least one child.
+        loaded_candidates = [v for v in members if state.n_children(v) > 0]
+        if not loaded_candidates:
+            break  # bottleneck nodes are all leaves; no load to shed
+        loaded = int(loaded_candidates[rng.integers(0, len(loaded_candidates))])
+        children = state.children(loaded)
+        child = int(children[rng.integers(0, len(children))])
+        eligible = [
+            p
+            for p in network.neighbors(child)
+            if p != loaded
+            and not state.in_subtree(p, child)
+            and network.energy_model.lifetime_rounds(
+                network.initial_energy(p), state.n_children(p) + 1
+            )
+            > low * (1 + 1e-12)
+        ]
+        if not eligible:
+            failures += 1
+            continue
+        new_parent = int(eligible[rng.integers(0, len(eligible))])
+        state.reparent(child, new_parent, check=False)
+        new_low, new_members = state.bottleneck_members(1e-12)
+        if new_low > low * (1 + 1e-12) or (
+            new_low >= low * (1 - 1e-12) and len(new_members) < len(members)
+        ):
+            low, members = new_low, new_members
+            switches += 1
+            failures = 0
+        else:
+            state.reparent(child, loaded, check=False)  # undo the trial move
+            failures += 1
+
+    final = state.freeze()
+    return RaSMaLaiResult(
+        tree=final, lifetime=final.lifetime(), switches=switches, attempts=attempts
+    )
+
+
+def _reference_clmt(network: Network) -> VirmaniResult:
+    """The historical CLMT greedy on validated lifetime calls, kept verbatim
+    as the oracle: every step rescores every frontier link, the choice
+    :func:`~repro.baselines.virmani.build_clmt_tree` reproduces.
+    """
+    n = network.n
+    if n == 1:
+        tree = AggregationTree(network, {})
+        return VirmaniResult(tree, tree.lifetime(), 0)
+
+    model = network.energy_model
+    in_tree = [False] * n
+    in_tree[network.sink] = True
+    children = [0] * n
+    parents: Dict[int, int] = {}
+
+    for _ in range(n - 1):
+        best: Optional[Tuple[Tuple[float, float, int, int], int, int]] = None
+        for p in range(n):
+            if not in_tree[p]:
+                continue
+            p_after = model.lifetime_rounds(network.initial_energy(p), children[p] + 1)
+            for v in network.neighbors(p):
+                if in_tree[v]:
+                    continue
+                v_leaf = model.lifetime_rounds(network.initial_energy(v), 0)
+                score = (min(p_after, v_leaf), p_after, -p, -v)
+                if best is None or score > best[0]:
+                    best = (score, p, v)
+        if best is None:
+            attached = sum(in_tree)
+            raise DisconnectedNetworkError(
+                f"only {attached} of {n} nodes reach the sink"
+            )
+        _, p, v = best
+        parents[v] = p
+        children[p] += 1
+        in_tree[v] = True
+
+    tree = AggregationTree(network, parents)
+    return VirmaniResult(tree=tree, lifetime=tree.lifetime(), attachments=n - 1)
+
+
 def _best_of(fn: Callable[[], Any]) -> Tuple[Any, float]:
     """``fn()``'s result and its fastest wall time over ``ASCENT_REPEATS`` runs."""
     best = float("inf")
@@ -185,9 +311,18 @@ def _best_of(fn: Callable[[], Any]) -> Tuple[Any, float]:
     return result, best
 
 
+def _per_build(
+    build: Callable[[Network, int], Any], nets: List[Network]
+) -> Tuple[List[Any], float]:
+    """``build(net, i)`` over the *i*-th of *nets*: the results and the
+    per-build wall time of the fastest of ``ASCENT_REPEATS`` passes."""
+    results, total = _best_of(lambda: [build(net, i) for i, net in enumerate(nets)])
+    return results, total / len(nets)
+
+
 @dataclass(frozen=True)
 class CoreBenchReport:
-    """One core-bench run: sizes, wall-clock splits, and the three speedups."""
+    """One core-bench run: sizes, wall-clock splits, and the five speedups."""
 
     round_sim_nodes: int
     round_sim_rounds: int
@@ -204,6 +339,14 @@ class CoreBenchReport:
     ascent_reference_s: float
     ascent_scan_s: float
     lifetime_ascent_speedup: float
+    serve_nodes: int
+    serve_graphs: int
+    rasmalai_reference_s: float
+    rasmalai_s: float
+    rasmalai_speedup: float
+    clmt_reference_s: float
+    clmt_s: float
+    clmt_speedup: float
     timestamp: float
 
     def to_doc(self) -> Dict[str, Any]:
@@ -226,6 +369,14 @@ class CoreBenchReport:
             f" loop {self.ascent_reference_s:.3f}s ->"
             f" node scan {self.ascent_scan_s:.3f}s"
             f"  ({self.lifetime_ascent_speedup:.1f}x)",
+            f"  rasmalai    n={self.serve_nodes} graphs={self.serve_graphs}:"
+            f" loop {self.rasmalai_reference_s * 1e3:.2f}ms ->"
+            f" lists {self.rasmalai_s * 1e3:.2f}ms per build"
+            f"  ({self.rasmalai_speedup:.1f}x)",
+            f"  clmt        n={self.serve_nodes} graphs={self.serve_graphs}:"
+            f" loop {self.clmt_reference_s * 1e3:.2f}ms ->"
+            f" heap {self.clmt_s * 1e3:.2f}ms per build"
+            f"  ({self.clmt_speedup:.1f}x)",
         ]
         return "\n".join(lines)
 
@@ -238,7 +389,7 @@ def run_core_bench(
     search_max_moves: int = SEARCH_MAX_MOVES,
     seed: int = 0,
 ) -> CoreBenchReport:
-    """Run the three core benchmarks and return the report.
+    """Run the four core benchmarks and return the report.
 
     Correctness is asserted, not sampled: the round-simulation estimates
     and the local-search and ascent trees must agree exactly between the
@@ -290,6 +441,27 @@ def run_core_bench(
     if moves != ref_moves or ascent.parents != ref_ascent.parents:
         raise AssertionError("lifetime-ascent divergence: node scan != scalar scan")
 
+    # --- serve size: RaSMaLai and CLMT vs their historical loops --------
+    serve_nets = [
+        random_graph(SERVE_NODES, 8 / SERVE_NODES, seed=i) for i in range(SERVE_GRAPHS)
+    ]
+    ras, rasmalai_s = _per_build(
+        lambda net, i: build_rasmalai_tree(net, seed=i), serve_nets
+    )
+    ras_ref, rasmalai_reference_s = _per_build(
+        lambda net, i: _reference_rasmalai(net, seed=i), serve_nets
+    )
+    if [(r.tree.parents, r.switches, r.attempts) for r in ras] != [
+        (r.tree.parents, r.switches, r.attempts) for r in ras_ref
+    ]:
+        raise AssertionError("rasmalai divergence: lists != historical loop")
+    clmt, clmt_s = _per_build(lambda net, i: build_clmt_tree(net), serve_nets)
+    clmt_ref, clmt_reference_s = _per_build(
+        lambda net, i: _reference_clmt(net), serve_nets
+    )
+    if [r.tree.parents for r in clmt] != [r.tree.parents for r in clmt_ref]:
+        raise AssertionError("clmt divergence: heap != historical loop")
+
     return CoreBenchReport(
         round_sim_nodes=sim_net.n,
         round_sim_rounds=rounds,
@@ -306,6 +478,14 @@ def run_core_bench(
         ascent_reference_s=ascent_reference_s,
         ascent_scan_s=ascent_scan_s,
         lifetime_ascent_speedup=ascent_reference_s / max(ascent_scan_s, 1e-9),
+        serve_nodes=SERVE_NODES,
+        serve_graphs=SERVE_GRAPHS,
+        rasmalai_reference_s=rasmalai_reference_s,
+        rasmalai_s=rasmalai_s,
+        rasmalai_speedup=rasmalai_reference_s / max(rasmalai_s, 1e-9),
+        clmt_reference_s=clmt_reference_s,
+        clmt_s=clmt_s,
+        clmt_speedup=clmt_reference_s / max(clmt_s, 1e-9),
         timestamp=time.time(),
     )
 
@@ -318,10 +498,13 @@ CORE_BENCH = BenchRecord(
         MetricSpec("round_sim_speedup"),
         MetricSpec("local_search_speedup"),
         MetricSpec("lifetime_ascent_speedup"),
+        MetricSpec("rasmalai_speedup"),
+        MetricSpec("clmt_speedup"),
     ),
     # The ascent's graph is fixed, so its size does not tell runs apart.
     workload=("round_sim_nodes", "round_sim_rounds", "search_nodes", "search_max_moves"),
     run=run_core_bench,
-    # The loop baselines finish in seconds; the ascent keeps its n=300 graph.
+    # The loop baselines finish in seconds; the ascent keeps its n=300 graph
+    # and the serve-size row its 30 graphs.
     ci_params={"round_grid": 40, "rounds": 100, "search_grid": 26, "search_max_moves": 30},
 )

@@ -375,8 +375,9 @@ class TreeState:
 
     def bottleneck_members(self, rel_tol: float = 1e-12) -> Tuple[float, List[int]]:
         """``(low, members)``: the minimum lifetime and the node ids within
-        ``low * (1 + rel_tol)`` of it, ascending.  The randomized-switching
-        baseline polls this every attempt.
+        ``low * (1 + rel_tol)`` of it, ascending.  The historical
+        randomized-switching loop (``_reference_rasmalai`` in
+        :mod:`repro.engine.bench`) polls this every attempt.
         """
         life = self._life
         low = min(life)

@@ -13,7 +13,7 @@ tree reliability equals minimizing total tree cost (Lemma 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple
@@ -44,21 +44,21 @@ class Edge:
     Attributes:
         u, v: Endpoint node ids with ``u < v``.
         prr: Packet reception ratio ``q_e`` in ``(0, 1]``.
+        cost: Link cost ``c_e = -log q_e = log ETX(e)`` (Eq. 9), computed
+            once here from *prr*; equality, hashing and ``repr`` leave it
+            out.
     """
 
     u: int
     v: int
     prr: float
+    cost: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.u >= self.v:
             raise ValueError(f"Edge endpoints must satisfy u < v, got ({self.u}, {self.v})")
         check_probability(self.prr, "prr", allow_zero=False)
-
-    @property
-    def cost(self) -> float:
-        """Link cost ``c_e = -log q_e = log ETX(e)`` (Eq. 9)."""
-        return -math.log(self.prr)
+        object.__setattr__(self, "cost", -math.log(self.prr))
 
     @property
     def key(self) -> Tuple[int, int]:

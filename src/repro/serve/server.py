@@ -21,11 +21,14 @@ Request lifecycle (one ``await server.submit(request)``):
    Disconnected topologies are refused here too (no builder can span
    them).
 4. **Batch** — the batcher task drains the queue into micro-batches: up to
-   ``batch_size`` requests, waiting at most ``batch_window_s`` for
-   stragglers after the first arrival.  A batch is grouped by topology
-   fingerprint and split into shards, which the worker pool executes
-   concurrently (processes in ``process`` mode — this is the sharded
-   path; see :mod:`repro.serve.workers`).
+   ``batch_size`` requests.  With a process pool it waits at most
+   ``batch_window_s`` for stragglers after the first arrival; the inline
+   pool takes only what is already queued and does not wait, because it
+   builds a batch's requests one after another anyway (identical
+   requests have already coalesced at ``submit``).  A batch is grouped
+   by topology fingerprint and split into shards, which the worker pool
+   executes concurrently (processes in ``process`` mode — this is the
+   sharded path; see :mod:`repro.serve.workers`).
 5. **Resolve futures** — each finished build becomes one
    :class:`~repro.serve.request.ReplyBody` (metrics and wire documents,
    computed once), which populates the result store and wakes every
@@ -206,8 +209,11 @@ class ServeConfig:
 
     Attributes:
         batch_size: Max requests per micro-batch.
-        batch_window_s: How long the batcher waits for stragglers after the
-            first request of a batch arrives (0 disables waiting).
+        batch_window_s: How long the batcher of a process pool waits for
+            stragglers after the first request of a batch arrives (0
+            disables waiting).  The inline pool never waits: it builds a
+            batch's requests one after another, so a straggler would gain
+            nothing by joining.
         max_pending: Admission ceiling on requests queued or building;
             submissions beyond it raise ``ServerOverloadedError``.
         slos: Declared :class:`~repro.obs.slo.SLO` objectives; an empty
@@ -535,10 +541,17 @@ class TreeServer:
             self.traces.add(ctx.trace_id, event.to_doc())
 
     async def _collect_batch(self) -> List[_Pending]:
-        """Block for the first request, then drain stragglers briefly."""
+        """Block for the first request, then drain what is queued.
+
+        A process pool then waits up to ``batch_window_s`` for stragglers,
+        which can run in a second worker or share the shard's round trip.
+        The inline pool runs a batch's builds one after another on the
+        event loop, each on its own, so a straggler gains nothing by
+        joining and the inline pool does not wait.
+        """
         first = await self._queue.get()
         batch = [first]
-        window = self.config.batch_window_s
+        window = 0.0 if self._pool.mode == "inline" else self.config.batch_window_s
         loop = asyncio.get_running_loop()
         deadline = loop.time() + window
         while len(batch) < self.config.batch_size:

@@ -584,19 +584,15 @@ def test_lifetime_candidates_are_exactly_the_improving_moves():
     assert several > 0
 
 
-@given(
-    n=st.integers(2, 30),
-    p=st.sampled_from((0.15, 0.3, 0.5)),
-    kind=st.sampled_from(("uniform", "zero", "tied", "flat", "small")),
-    seed=st.integers(0, 2**16),
-    max_moves=st.one_of(st.integers(0, 12), st.just(100_000)),
-)
-@settings(max_examples=150, deadline=None)
-def test_ascent_matches_reference_on_drawn_inputs(n, p, kind, seed, max_moves):
-    """The ascent against the scalar scan on drawn graphs, energies, starts
-    and move caps: 0 J nodes, tied energies, the flat rounding model
-    (``tx = 1``, ``rx = 6e-17``) and tied ``L⁺`` values included."""
-    rng = random.Random(seed)
+#: Energy kinds of :func:`drawn_energy_network`.
+ENERGY_KINDS = ("uniform", "zero", "tied", "flat", "small")
+
+
+def drawn_energy_network(n, p, kind, rng, seed):
+    """G(n, p) (``seed``) with energies of one kind drawn from *rng*: 0 J
+    nodes, tied energies, the flat rounding model (``tx = 1``, ``rx =
+    6e-17``) and small integer energies under ``tx = rx = 1``, whose tied
+    ``L⁺`` values differ in ``L``."""
     model = None
     if kind == "uniform":
         energies = [rng.uniform(1500.0, 5000.0) for _ in range(n)]
@@ -614,8 +610,23 @@ def test_ascent_matches_reference_on_drawn_inputs(n, p, kind, seed, max_moves):
     else:
         energies = [float(rng.choice((1, 2, 3, 5, 8))) for _ in range(n)]
         model = EnergyModel(tx=1.0, rx=6e-17)
-    net = _energy_network(n, p, energies, seed, energy_model=model)
     # random_graph keeps drawing until the graph is connected.
+    return _energy_network(n, p, energies, seed, energy_model=model)
+
+
+@given(
+    n=st.integers(2, 30),
+    p=st.sampled_from((0.15, 0.3, 0.5)),
+    kind=st.sampled_from(ENERGY_KINDS),
+    seed=st.integers(0, 2**16),
+    max_moves=st.one_of(st.integers(0, 12), st.just(100_000)),
+)
+@settings(max_examples=150, deadline=None)
+def test_ascent_matches_reference_on_drawn_inputs(n, p, kind, seed, max_moves):
+    """The ascent against the scalar scan on drawn graphs, energies, starts
+    and move caps."""
+    rng = random.Random(seed)
+    net = drawn_energy_network(n, p, kind, rng, seed)
     _assert_ascent_matches_reference(
         _random_spanning_state(net, rng).freeze(), max_moves=max_moves
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import repro.network.model as model_module
 from repro.network.model import Edge, Network, edge_key
 
 
@@ -25,6 +26,49 @@ class TestEdge:
 
     def test_perfect_link_has_zero_cost(self):
         assert Edge(0, 1, 1.0).cost == 0.0
+
+    @pytest.mark.parametrize("prr", [1.0, 0.5, 0.9, 0.123456789, 1e-9, 0.7 + 1e-16])
+    def test_cost_is_stored_bitwise(self, prr, monkeypatch):
+        e = Edge(0, 1, prr)
+        expected = (-math.log(prr)).hex()
+        # Computed once, at construction: reads do not call log again.
+        monkeypatch.setattr(model_module.math, "log", None)
+        assert e.cost.hex() == expected
+
+    def test_equality_hash_and_repr_ignore_the_stored_cost(self):
+        a, b = Edge(0, 1, 0.25), Edge(0, 1, 0.25)
+        assert a == b and hash(a) == hash(b)
+        assert a != Edge(0, 1, 0.5) and a != Edge(0, 2, 0.25)
+        assert len({a, b, Edge(0, 1, 0.5)}) == 2
+        assert repr(a) == "Edge(u=0, v=1, prr=0.25)"
+        with pytest.raises(AttributeError):
+            a.cost = 0.0  # frozen
+
+    def test_pickle_and_copy_keep_the_cost(self):
+        import copy
+        import pickle
+
+        e = Edge(3, 7, 0.37)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(e, protocol))
+            assert clone == e and hash(clone) == hash(e)
+            assert clone.cost.hex() == e.cost.hex()
+        for clone in (copy.copy(e), copy.deepcopy(e)):
+            assert clone == e and clone.cost.hex() == e.cost.hex()
+        net = Network(2)
+        net.add_link(0, 1, 0.37)
+        assert pickle.loads(pickle.dumps(net)).edge(0, 1).cost.hex() == e.cost.hex()
+
+    def test_set_prr_gives_the_new_links_cost(self):
+        net = Network(3)
+        net.add_link(0, 1, 0.9)
+        old = net.edge(0, 1)
+        new = net.set_prr(1, 0, 0.4)
+        assert new == Edge(0, 1, 0.4) and new != old
+        assert net.edge(0, 1) is new
+        assert net.cost(0, 1) == -math.log(0.4)
+        assert old.cost == -math.log(0.9)  # the replaced edge is untouched
+        assert net.link_arrays().key_cost[0] == -math.log(0.4)
 
     def test_rejects_unordered_endpoints(self):
         with pytest.raises(ValueError, match="u < v"):

@@ -104,6 +104,41 @@ class TestScheduler:
         assert stats["rejected"] == 3
         assert retry.tree.parents  # retry succeeded after the drain
 
+    def test_inline_pool_does_not_wait_for_stragglers(self):
+        net = random_graph(14, 0.4, seed=7)
+        # A 30 s window would hold a lone miss for 30 s if the inline
+        # batcher waited for stragglers.
+        config = ServeConfig(batch_window_s=30)
+
+        async def run():
+            async with TreeServer(config=config) as server:
+                response = await asyncio.wait_for(
+                    server.submit(BuildRequest("bfs", network=net)), 5
+                )
+                return response, server.stats()
+
+        response, stats = asyncio.run(run())
+        assert response.cache_info.source == "built"
+        assert stats["batches"] == 1 and stats["max_batch"] == 1
+
+    def test_process_pool_waits_for_stragglers(self):
+        nets = _nets(2)
+        config = ServeConfig(batch_window_s=0.05)
+
+        async def run(pool):
+            async with TreeServer(pool=pool, config=config) as server:
+                first = asyncio.create_task(
+                    server.submit(BuildRequest("mst", network=nets[0]))
+                )
+                await asyncio.sleep(0.005)
+                second = await server.submit(BuildRequest("mst", network=nets[1]))
+                return [await first, second], server.stats()
+
+        with WorkerPool("process", 2) as pool:
+            responses, stats = asyncio.run(run(pool))
+        assert [r.cache_info.source for r in responses] == ["built", "built"]
+        assert stats["batches"] == 1 and stats["max_batch"] == 2
+
     def test_submit_before_start_raises(self):
         server = TreeServer()
         net = random_graph(10, 0.5, seed=1)
@@ -736,8 +771,10 @@ class TestHitPath:
 
     def test_hits_and_waiters_send_the_cold_bytes(self):
         net = random_graph(30, 8 / 30, seed=4)
-        # The window keeps the second connection's copy of each request
-        # waiting on the first one's build.
+        # Both connections' copies of a request reach the server in one
+        # event-loop turn, so the second coalesces onto the first one's
+        # queued build (the window does not matter: the inline pool does
+        # not wait for stragglers).
         config = ServeConfig(batch_window_s=0.05)
 
         async def run():
