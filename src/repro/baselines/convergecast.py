@@ -137,9 +137,6 @@ def build_convergecast_tree(
         raise ValueError("initial_tree must be built over the same network")
     n = network.n
     sink = network.sink
-    if n == 1:
-        return ConvergecastResult(start, math.inf, 0)
-
     parent: List[int] = [
         -1 if v == sink else int(start.parent(v))  # type: ignore[arg-type]
         for v in range(n)

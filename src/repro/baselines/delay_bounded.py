@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.errors import DisconnectedNetworkError
 from repro.core.tree import AggregationTree
-from repro.engine.treestate import TreeState, freeze_parents
+from repro.engine.treestate import TreeState
 from repro.network.model import Network
 
 __all__ = ["build_delay_bounded_tree"]
@@ -100,10 +100,7 @@ def build_delay_bounded_tree(
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     n = network.n
-    if n == 1:
-        return freeze_parents(network, {})
-
-    state = TreeState.from_tree(_layered_seed(network, max_depth))
+    state = TreeState(_layered_seed(network, max_depth))
     sink = state.sink
 
     moves = 0

@@ -71,7 +71,7 @@ def build_kuo_energy_tree(network: Network) -> KuoEnergyResult:
         DisconnectedNetworkError: Some node cannot reach the sink.
     """
     n = network.n
-    if n == 1:
+    if n == 1:  # the general loop would report an int 0 energy, not 0.0
         tree = AggregationTree(network, {})
         return KuoEnergyResult(tree, 0.0, 0.0)
 

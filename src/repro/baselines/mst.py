@@ -32,9 +32,6 @@ def build_mst_tree(network: Network) -> AggregationTree:
     """
     start = network.sink
     n = network.n
-    if n == 1:
-        return AggregationTree(network, {})
-
     in_tree = [False] * n
     in_tree[start] = True
     parents = {}

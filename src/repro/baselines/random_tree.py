@@ -34,9 +34,6 @@ def build_random_tree(network: Network, *, seed: SeedLike = None) -> Aggregation
             "network is disconnected; no spanning tree exists"
         )
     n = network.n
-    if n == 1:
-        return AggregationTree(network, {})
-
     rng = as_rng(seed)
     in_tree = [False] * n
     in_tree[network.sink] = True

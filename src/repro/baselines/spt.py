@@ -36,9 +36,6 @@ def build_spt_tree(
         DisconnectedNetworkError: Some node cannot reach the sink.
     """
     n = network.n
-    if n == 1:
-        return AggregationTree(network, {})
-
     dist = [float("inf")] * n
     dist[network.sink] = 0.0
     parents = {}

@@ -85,10 +85,6 @@ def build_clmt_tree(network: Network) -> VirmaniResult:
         DisconnectedNetworkError: Some node cannot reach the sink.
     """
     n = network.n
-    if n == 1:
-        tree = AggregationTree(network, {})
-        return VirmaniResult(tree, tree.lifetime(), 0)
-
     model = network.energy_model
     energy = network.initial_energies.tolist()
     leaf = [model.lifetime_rounds_unchecked(e, 0) for e in energy]
@@ -136,10 +132,6 @@ def build_dlmt_tree(network: Network) -> VirmaniResult:
         DisconnectedNetworkError: Some node cannot reach the sink.
     """
     n = network.n
-    if n == 1:
-        tree = AggregationTree(network, {})
-        return VirmaniResult(tree, tree.lifetime(), 0)
-
     level = [-1] * n
     level[network.sink] = 0
     frontier = [network.sink]

@@ -135,7 +135,7 @@ def solve_mrlc_exact(
             "network is disconnected; no spanning tree exists"
         )
     n = network.n
-    if n == 1:
+    if n == 1:  # scipy.optimize.milp rejects an empty objective
         return ExactResult(
             tree=AggregationTree(network, {}), cost=0.0, milp_solves=0, cuts=()
         )

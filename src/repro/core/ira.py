@@ -77,7 +77,7 @@ Implementation notes beyond the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -91,7 +91,6 @@ from repro.core.local_search import (
 )
 from repro.core.lp import SUPPORT_EPS, LPSolution, MRLCLinearProgram
 from repro.core.tree import AggregationTree
-from repro.engine.treestate import freeze_parents
 from repro.network.model import Network
 from repro.obs import OBS
 
@@ -257,9 +256,9 @@ class IterativeRelaxation:
         """
         net = self.network
         n = net.n
-        if n == 1:
+        if n == 1:  # the lone sink's tree needs no LP
             return IRAResult(
-                tree=freeze_parents(net, {}),
+                tree=AggregationTree(net, {}),
                 spec=spec,
                 iterations=0,
                 lp_solves=0,
@@ -454,8 +453,7 @@ class IterativeRelaxation:
         position = net.edge_index(edges)
         cost = net.link_arrays().key_cost[position]
         root = list(range(net.n))  # union-find forest, path halving
-        adj: List[List[int]] = [[] for _ in range(net.n)]
-        chosen = 0
+        chosen: List[Tuple[int, int]] = []
         for i in np.lexsort((position, cost)).tolist():
             a, b = edges[i]
             ra, rb = a, b
@@ -467,23 +465,12 @@ class IterativeRelaxation:
                 rb = root[rb]
             if ra != rb:
                 root[ra] = rb
-                adj[a].append(b)
-                adj[b].append(a)
-                chosen += 1
-        if chosen != net.n - 1:
+                chosen.append((a, b))
+        if len(chosen) != net.n - 1:
             raise InfeasibleLifetimeError(
                 "surviving edge set no longer spans the network"
             )
-        # Orient away from the sink; AggregationTree validates the result.
-        parents: Dict[int, int] = {}
-        stack = [net.sink]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b != net.sink and b not in parents:
-                    parents[b] = a
-                    stack.append(b)
-        return AggregationTree(net, parents)
+        return AggregationTree.from_edges(net, chosen)
 
 
 def build_ira_tree(

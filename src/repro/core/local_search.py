@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.tree import AggregationTree
-from repro.engine.treestate import TreeState, freeze_parents
+from repro.engine.treestate import TreeState
 from repro.obs import OBS
 
 __all__ = [
@@ -104,7 +104,7 @@ def maximize_lifetime(
     few it checks for legality; the accepted moves are those of the scalar
     scan (``_reference_maximize_lifetime`` in :mod:`repro.engine.bench`).
     """
-    state = TreeState.from_tree(tree)
+    state = TreeState(tree)
     moves, checked = state.ascend_lifetime(max_moves)
     if OBS.enabled:
         reg = OBS.registry
@@ -125,7 +125,7 @@ def repair_overload(
     tree, or ``None`` when no single move can make progress (the caller
     should fall back to :func:`maximize_lifetime`).
     """
-    state = TreeState.from_tree(tree)
+    state = TreeState(tree)
     caps_arr = _caps_array(caps, state.n)
     moves = 0
     while True:
@@ -274,7 +274,7 @@ def improve_hamiltonian_path(
             "local_search.moves_accepted", op="improve_hamiltonian_path"
         ).inc(moves)
     parents = {order[k + 1]: order[k] for k in range(n - 1)}
-    return freeze_parents(network, parents)
+    return AggregationTree(network, parents)
 
 
 def reduce_cost_under_caps(
@@ -285,7 +285,7 @@ def reduce_cost_under_caps(
     Only accepts strictly cost-decreasing re-parent moves whose target stays
     under its cap, so a cap-feasible input remains cap-feasible throughout.
     """
-    state = TreeState.from_tree(tree)
+    state = TreeState(tree)
     caps_arr = _caps_array(caps, state.n)
     moves = 0
     while moves < max_moves:

@@ -2,13 +2,14 @@
 
 Two pieces that every optimizer and every consumer share:
 
-* :mod:`repro.engine.treestate` — :class:`TreeState`, a mutable spanning
-  tree with O(1) ``reparent``/``attach`` moves and incrementally-maintained
-  cost / reliability / lifetime, plus ``reparent_lifetime_delta`` for ranking
-  a move without applying it, vectorized bulk scans for the greedy cost
-  descents (``best_cost_reparent``), the lifetime ascent's per-node scan
+* :mod:`repro.engine.treestate` — :class:`TreeState`, a thawed copy of an
+  :class:`~repro.core.tree.AggregationTree` with O(1) ``reparent`` moves
+  and incrementally-maintained cost / reliability / lifetime, plus
+  ``reparent_lifetime_delta`` for ranking a move without applying it,
+  vectorized bulk scans for the greedy cost descents
+  (``best_cost_reparent``), the lifetime ascent's per-node scan
   (``best_lifetime_reparent``, ``ascend_lifetime``), and ``freeze()`` back
-  to the immutable :class:`~repro.core.tree.AggregationTree`.
+  to the immutable tree.
 * :mod:`repro.engine.registry` — the builder registry mapping
   canonical names (``"ira"``, ``"exact"``, ``"local_search"``, ``"mst"``,
   ``"spt"``, ``"random_tree"``, ``"aaml"``, ``"rasmalai"``,
@@ -46,7 +47,6 @@ from repro.engine.treestate import (
     LifetimeDelta,
     NO_GAIN,
     TreeState,
-    freeze_parents,
     lifetime_delta_better,
 )
 
@@ -63,7 +63,6 @@ __all__ = [
     "available_builders",
     "build_portfolio_tree",
     "build_tree",
-    "freeze_parents",
     "get_builder",
     "lifetime_delta_better",
     "race_builders",

@@ -126,7 +126,7 @@ def _reference_reduce_cost(
     :func:`~repro.core.local_search.reduce_cost_under_caps` reproduces.
     """
     network = tree.network
-    state = TreeState.from_tree(tree)
+    state = TreeState(tree)
     sink = state.sink
     moves = 0
     while moves < max_moves:
@@ -163,7 +163,7 @@ def _reference_maximize_lifetime(
     :func:`~repro.core.local_search.maximize_lifetime` reproduces.
     """
     network = tree.network
-    state = TreeState.from_tree(tree)
+    state = TreeState(tree)
     n = state.n
     moves = 0
     improved = True
@@ -211,7 +211,7 @@ def _reference_rasmalai(
     tree = initial_tree if initial_tree is not None else bfs_tree(network)
     if tree.network is not network:
         raise ValueError("initial_tree must be built over the same network")
-    state = TreeState.from_tree(tree)
+    state = TreeState(tree)
 
     switches = 0
     attempts = 0

@@ -1,12 +1,12 @@
 """Mutable incremental tree state — the substrate under every local search.
 
-Every optimizer in the library manipulates spanning trees through the same
-elementary move: detach a node from its parent and re-attach it under a
+Every optimizer in the library manipulates aggregation trees through the
+same elementary move: take a node from its parent and hang it under a
 network neighbour outside its own subtree.  Historically each such move paid
 for a full :class:`~repro.core.tree.AggregationTree` rebuild — O(n)
-validation plus fresh Q/C/L recomputation per *candidate*.  :class:`TreeState`
-keeps the parent pointers, children counts, and per-node lifetimes as mutable
-arrays and maintains the three paper metrics incrementally:
+validation plus fresh Q/C/L recomputation per *candidate*.  ``TreeState(tree)``
+thaws a validated tree into mutable parent pointers, children counts, and
+per-node lifetimes, and maintains the three paper metrics incrementally:
 
 * cost          ``C(T) = sum(-log q_e)``      — additive, O(1) per move
 * reliability   ``Q(T) = prod(q_e)``          — multiplicative, O(1) per move
@@ -70,18 +70,16 @@ values are recomputed exactly from the children counts, never accumulated.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.tree import AggregationTree
-from repro.network.model import Network
 
 __all__ = [
     "LifetimeDelta",
     "NO_GAIN",
     "TreeState",
-    "freeze_parents",
     "lifetime_delta_better",
 ]
 
@@ -116,26 +114,23 @@ def lifetime_delta_better(a: LifetimeDelta, b: LifetimeDelta) -> bool:
 
 
 class TreeState:
-    """Mutable (partial) spanning tree with O(1) incremental paper metrics.
+    """Mutable aggregation tree with O(1) incremental paper metrics.
 
-    A node is *attached* when it has a parent pointer (the sink is always
-    attached).  ``attach`` grows a partial tree one node at a time (the BFS /
-    Prim / Kruskal construction pattern); ``reparent`` is the local-search
-    move.  Metrics cover the attached part: cost and reliability sum/multiply
-    over the attached tree edges, lifetime takes the min over *all* nodes
-    (unattached nodes carry their zero-children lifetime, so once the state
-    is spanning every metric equals the :class:`AggregationTree` definition).
+    A thawed copy of an :class:`AggregationTree`: the tree was validated
+    when it was built, so thawing it checks nothing, and :meth:`freeze`
+    validates the result from scratch.  ``reparent`` is the local-search
+    move; cost and reliability sum/multiply over the tree edges and
+    lifetime takes the min over every node, as the :class:`AggregationTree`
+    definitions do.
 
     Parent pointers and children counts are ``int64`` arrays (the bulk move
     scans index them); per-node lifetimes are a Python list, because the
-    searches read them one scalar at a time.
+    searches read them one scalar at a time.  Sums and products run in
+    ascending node order, so a thawed tree starts from the same floats
+    however it was built.
 
     Args:
-        network: The network the tree lives in.
-        parents: Optional parent map (dict, or length-``n`` sequence with the
-            sink's entry ignored).  ``None`` starts with only the sink
-            attached.  A partial dict is allowed as long as every attached
-            node reaches the sink; edges must exist in the network.
+        tree: The tree to thaw.
     """
 
     __slots__ = (
@@ -145,87 +140,22 @@ class TreeState:
         "_life",
         "_cost",
         "_q",
-        "_n_attached",
         "_min_life",
         "_min_count",
         "_min_dirty",
     )
 
-    def __init__(
-        self,
-        network: Network,
-        parents: Optional[Dict[int, int] | Sequence[int]] = None,
-    ) -> None:
+    def __init__(self, tree: AggregationTree) -> None:
+        network = tree.network
         self.network = network
-        self._parent = np.full(network.n, -1, dtype=np.int64)
-        if parents is not None:
-            self._load_parents(parents)
-        self._derive_metrics()
-
-    def _load_parents(self, parents: Dict[int, int] | Sequence[int]) -> None:
-        network = self.network
-        n = network.n
-        sink = network.sink
-        if isinstance(parents, dict):
-            items = list(parents.items())
-        else:
-            if len(parents) != n:
-                raise ValueError(
-                    f"parents sequence must have length {n}, got {len(parents)}"
-                )
-            items = [(v, p) for v, p in enumerate(parents) if v != sink]
-        for v, p in items:
-            if v == sink:
-                continue
-            if not (0 <= v < n) or not (0 <= p < n):
-                raise ValueError(f"parent entry ({v} -> {p}) out of range")
-            if not network.has_edge(v, p):
-                raise ValueError(
-                    f"tree edge ({v}, {p}) does not exist in the network"
-                )
-            self._parent[v] = p
-        # Every attached node must reach the sink (no cycles, no orphan
-        # chains) — the same invariant AggregationTree validates, relaxed to
-        # the attached subset.
-        state = np.zeros(n, dtype=np.int8)  # 0 unvisited, 1 in-progress, 2 ok
-        state[sink] = 2
-        for start in range(n):
-            if self._parent[start] < 0:
-                continue
-            path = []
-            v = start
-            while state[v] == 0 and (v == sink or self._parent[v] >= 0):
-                state[v] = 1
-                path.append(v)
-                v = int(self._parent[v])
-            if state[v] == 1:
-                raise ValueError(
-                    f"parent pointers contain a cycle through node {v}"
-                )
-            if state[v] != 2:
-                raise ValueError(
-                    f"node {start} does not reach the sink through its parents"
-                )
-            for u in path:
-                state[u] = 2
-
-    def _derive_metrics(self) -> None:
-        """Children counts, C, Q and lifetimes from scratch off ``_parent``.
-
-        Sums and products run in ascending node order, so a state thawed
-        from a tree starts from the same floats however it was built.
-        """
-        network = self.network
+        self._parent = parent = tree._parent.copy()
         cost = 0.0
         q = 1.0
-        attached = 1
-        for v, p in enumerate(self._parent.tolist()):
+        for v, p in enumerate(parent.tolist()):
             if p >= 0:
                 edge = network.edge(v, p)
                 cost += edge.cost
                 q *= edge.prr
-                attached += 1
-        parent = self._parent
         counts = np.bincount(parent[parent >= 0], minlength=network.n)
         self._n_children = counts.astype(np.int64, copy=False)
         self._life: List[float] = network.energy_model.lifetime_rounds_unchecked(
@@ -233,19 +163,9 @@ class TreeState:
         ).tolist()
         self._cost = cost
         self._q = q
-        self._n_attached = attached
         self._min_life = 0.0
         self._min_count = 0
         self._min_dirty = True
-
-    @classmethod
-    def from_tree(cls, tree: AggregationTree) -> "TreeState":
-        """Thaw an :class:`AggregationTree` into a mutable state."""
-        state = cls.__new__(cls)
-        state.network = tree.network
-        state._parent = tree._parent.copy()
-        state._derive_metrics()
-        return state
 
     # ------------------------------------------------------------------
     # Structure accessors
@@ -258,26 +178,13 @@ class TreeState:
     def sink(self) -> int:
         return self.network.sink
 
-    @property
-    def n_attached(self) -> int:
-        """Number of attached nodes (the sink counts)."""
-        return self._n_attached
-
-    @property
-    def spanning(self) -> bool:
-        """Whether every node is attached."""
-        return self._n_attached == self.network.n
-
-    def is_attached(self, v: int) -> bool:
-        return v == self.network.sink or self._parent[v] >= 0
-
     def parent(self, v: int) -> Optional[int]:
-        """Parent of *v*, or ``None`` for the sink / an unattached node."""
+        """Parent of *v*, or ``None`` for the sink."""
         p = int(self._parent[v])
         return p if p >= 0 else None
 
     def parents_map(self) -> Dict[int, int]:
-        """Parent map of the attached non-sink nodes."""
+        """Parent map of the non-sink nodes."""
         return {v: p for v, p in enumerate(self._parent.tolist()) if p >= 0}
 
     def n_children(self, v: int) -> int:
@@ -289,7 +196,7 @@ class TreeState:
         return self._n_children.copy()
 
     def parents_array(self) -> np.ndarray:
-        """Copy of the parent-pointer vector (-1 for sink/unattached)."""
+        """Copy of the parent-pointer vector (-1 for the sink)."""
         return self._parent.copy()
 
     def children(self, v: int) -> List[int]:
@@ -319,11 +226,9 @@ class TreeState:
             if u == sink:
                 return False
             u = int(parent[u])
-            if u < 0:
-                return False
 
     def depths(self) -> List[int]:
-        """Hop count to the sink for every node (-1 when unattached).
+        """Hop count to the sink for every node.
 
         Fully iterative (memoized path walks, O(n) total): a 10k-node
         path-like chain must not touch the recursion limit — the deep-chain
@@ -335,7 +240,7 @@ class TreeState:
         depth = [-1] * n
         depth[sink] = 0
         for v in range(n):
-            if depth[v] >= 0 or parent[v] < 0:
+            if depth[v] >= 0:
                 continue
             path = []
             u = v
@@ -353,12 +258,12 @@ class TreeState:
     # ------------------------------------------------------------------
     @property
     def cost(self) -> float:
-        """``C(T) = sum(-log q_e)`` over attached tree edges."""
+        """``C(T) = sum(-log q_e)`` over the tree edges."""
         return self._cost
 
     @property
     def reliability(self) -> float:
-        """``Q(T) = prod(q_e)`` over attached tree edges."""
+        """``Q(T) = prod(q_e)`` over the tree edges."""
         return self._q
 
     def node_lifetime(self, v: int) -> float:
@@ -414,28 +319,8 @@ class TreeState:
     # ------------------------------------------------------------------
     # Moves
     # ------------------------------------------------------------------
-    def attach(self, v: int, parent: int) -> None:
-        """Attach the unattached node *v* under the attached node *parent*."""
-        network = self.network
-        if v == network.sink:
-            raise ValueError("the sink cannot be attached")
-        if self._parent[v] >= 0:
-            raise ValueError(f"node {v} is already attached; use reparent()")
-        if not self.is_attached(parent):
-            raise ValueError(f"parent {parent} is not attached")
-        if not network.has_edge(v, parent):
-            raise ValueError(
-                f"tree edge ({v}, {parent}) does not exist in the network"
-            )
-        edge = network.edge(v, parent)
-        self._parent[v] = parent
-        self._n_attached += 1
-        self._cost += edge.cost
-        self._q *= edge.prr
-        self._update_children(parent, +1)
-
     def reparent(self, v: int, new_parent: int, *, check: bool = True) -> None:
-        """Move the attached node *v* under *new_parent* — O(1) bookkeeping.
+        """Move the node *v* under *new_parent* — O(1) bookkeeping.
 
         With ``check=True`` (the default) validates link existence and walks
         ``new_parent``'s ancestry to reject cycles; search loops that already
@@ -445,14 +330,10 @@ class TreeState:
         if v == network.sink:
             raise ValueError("the sink has no parent to change")
         old = int(self._parent[v])
-        if old < 0:
-            raise ValueError(f"node {v} is not attached; use attach()")
         p = int(new_parent)
         if p == old:
             return
         if check:
-            if not self.is_attached(p):
-                raise ValueError(f"new parent {p} is not attached")
             if not network.has_edge(v, p):
                 raise ValueError(
                     f"tree edge ({v}, {p}) does not exist in the network"
@@ -478,9 +359,9 @@ class TreeState:
         result to :func:`lifetime_delta_better` for O(1) lexicographic
         comparison of candidate moves — the engine of the AAML ascent.
         """
+        if v == self.network.sink:
+            raise ValueError("the sink has no parent to change")
         old = int(self._parent[v])
-        if old < 0:
-            raise ValueError(f"node {v} is not attached")
         p = int(new_parent)
         if p == old:
             return NO_GAIN
@@ -533,7 +414,7 @@ class TreeState:
         links = self.network.link_arrays()
         src, dst, cost = links.src, links.dst, links.cost
         on_tree = dst == self._parent[src]
-        # Each attached child's current edge cost, read off its tree link.
+        # Each child's current edge cost, read off its tree link.
         edge_cost = np.zeros(self.network.n, dtype=np.float64)
         edge_cost[src[on_tree]] = cost[on_tree]
         keep = (src != self.network.sink) & ~on_tree
@@ -573,8 +454,6 @@ class TreeState:
         list (O(depth) ancestor walk each), so the usual case touches a
         handful of candidates even though every pair was scored.
         """
-        if not self.spanning:
-            raise ValueError("bulk move scans require a spanning state")
         child, cand, delta = self.reparent_candidates()
         valid = np.ones(child.size, dtype=bool)
         if cand_ok is not None:
@@ -657,48 +536,16 @@ class TreeState:
     def freeze(self) -> AggregationTree:
         """The immutable, fully-validated :class:`AggregationTree`.
 
-        Raises ``ValueError`` when the state is not spanning.  Construction
-        re-validates from scratch — intentionally, so a frozen tree is always
-        trustworthy regardless of how the state was mutated.
+        Construction re-validates from scratch — intentionally, so a frozen
+        tree is always trustworthy regardless of how the state was mutated.
         """
-        if not self.spanning:
-            raise ValueError(
-                f"tree is not spanning: {self._n_attached} of "
-                f"{self.network.n} nodes attached"
-            )
         return AggregationTree(self.network, self.parents_map())
-
-    def copy(self) -> "TreeState":
-        """Independent copy of this state."""
-        clone = TreeState.__new__(TreeState)
-        clone.network = self.network
-        clone._parent = self._parent.copy()
-        clone._n_children = self._n_children.copy()
-        clone._life = self._life.copy()
-        clone._cost = self._cost
-        clone._q = self._q
-        clone._n_attached = self._n_attached
-        clone._min_life = self._min_life
-        clone._min_count = self._min_count
-        clone._min_dirty = self._min_dirty
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"{type(self).__name__}(n={self.network.n}, "
-            f"attached={self._n_attached}, cost={self._cost:.4f})"
+            f"cost={self._cost:.4f})"
         )
-
-
-def freeze_parents(
-    network: Network, parents: Dict[int, int] | Sequence[int]
-) -> AggregationTree:
-    """One shared parents→:class:`AggregationTree` conversion point.
-
-    Covers the single-node network (empty parent map) and validates through
-    :class:`TreeState` so every construction site reports the same errors.
-    """
-    return TreeState(network, parents).freeze()
 
 
 class _LifetimeAscent:
@@ -716,8 +563,6 @@ class _LifetimeAscent:
     __slots__ = ("state", "parent", "kids", "nbrs", "energy", "plus", "order")
 
     def __init__(self, state: TreeState) -> None:
-        if not state.spanning:
-            raise ValueError("bulk move scans require a spanning state")
         network = state.network
         self.state = state
         self.parent = state._parent.tolist()

@@ -341,7 +341,7 @@ class TestNetworkSnapshot:
             (Network, "cost"),
             (Network, "edge"),
             (Network, "edges"),
-            (TreeState, "attach"),
+            (TreeState, "__init__"),
         ):
             real = getattr(owner, name)
 

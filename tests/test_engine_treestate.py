@@ -1,7 +1,7 @@
 """TreeState: incremental metrics must always agree with from-scratch trees.
 
 The core contract of :class:`repro.engine.TreeState` is that after *any*
-sequence of ``attach``/``reparent`` mutations, its incrementally maintained
+sequence of ``reparent`` mutations, its incrementally maintained
 C(T), Q(T), L(T), and children counts match a freshly constructed
 :class:`~repro.core.tree.AggregationTree` to 1e-9.  The randomized suite
 here drives a thousand mutations per topology and re-checks the invariant
@@ -27,7 +27,6 @@ from repro.core.tree import AggregationTree
 from repro.engine import (
     NO_GAIN,
     TreeState,
-    freeze_parents,
     lifetime_delta_better,
 )
 from repro.engine.bench import _reference_maximize_lifetime
@@ -91,7 +90,7 @@ def _legal_reparents(state: TreeState):
 def test_thousand_random_mutations_match_scratch(make_net, seed):
     """1k random reparents: every metric matches a from-scratch tree."""
     net = make_net()
-    state = TreeState.from_tree(AggregationTree.from_edges(net, _bfs_edges(net)))
+    state = TreeState(AggregationTree.from_edges(net, _bfs_edges(net)))
     rng = random.Random(seed)
     checked = 0
     for step in range(1000):
@@ -125,25 +124,6 @@ def _bfs_edges(net: Network):
     return edges
 
 
-@under_retired_setting
-def test_random_attach_construction_matches_scratch():
-    """Growing a tree attach-by-attach in random order matches from-scratch."""
-    net = random_graph(25, 0.5, seed=7)
-    rng = random.Random(99)
-    state = TreeState(net)
-    assert state.n_attached == 1 and not state.spanning
-    while not state.spanning:
-        frontier = [
-            (v, p)
-            for v in range(net.n)
-            if not state.is_attached(v)
-            for p in net.neighbors(v)
-            if state.is_attached(p)
-        ]
-        state.attach(*rng.choice(frontier))
-    _assert_matches_reference(state)
-
-
 # ---------------------------------------------------------------------------
 # lifetime deltas
 # ---------------------------------------------------------------------------
@@ -153,7 +133,7 @@ def test_random_attach_construction_matches_scratch():
 def test_reparent_lifetime_delta_matches_vector_comparison():
     """The O(1) cancelled delta ranks moves exactly like full sorted vectors."""
     net = random_graph(14, 0.7, seed=21)
-    state = TreeState.from_tree(AggregationTree.from_edges(net, _bfs_edges(net)))
+    state = TreeState(AggregationTree.from_edges(net, _bfs_edges(net)))
 
     def full_vector(s):
         return sorted(s.node_lifetime(v) for v in range(s.n))
@@ -161,7 +141,7 @@ def test_reparent_lifetime_delta_matches_vector_comparison():
     base = full_vector(state)
     for v, p in _legal_reparents(state):
         gain = state.reparent_lifetime_delta(v, p)
-        trial = state.copy()
+        trial = TreeState(AggregationTree(net, state.parents_map()))
         trial.reparent(v, p)
         expect = full_vector(trial) > base
         assert lifetime_delta_better(gain, NO_GAIN) == expect, (v, p)
@@ -182,7 +162,7 @@ def test_identity_gain_is_no_gain():
 @under_retired_setting
 def test_reparent_rejects_cycles_missing_links_and_sink():
     net = grid_graph(4, 4)  # sparse, so non-neighbors exist
-    state = TreeState.from_tree(AggregationTree.from_edges(net, _bfs_edges(net)))
+    state = TreeState(AggregationTree.from_edges(net, _bfs_edges(net)))
     child = next(v for v in range(net.n) if state.n_children(v) == 0)
     with pytest.raises(ValueError):
         state.reparent(net.sink, child)  # sink cannot be moved
@@ -199,45 +179,6 @@ def test_reparent_rejects_cycles_missing_links_and_sink():
         state.reparent(child, non_neighbor)  # no such link
 
 
-@under_retired_setting
-def test_attach_rejects_double_attach_and_unattached_parent():
-    net = random_graph(10, 0.8, seed=2)
-    state = TreeState(net)
-    first = min(net.neighbors(net.sink))
-    state.attach(first, net.sink)
-    with pytest.raises(ValueError):
-        state.attach(first, net.sink)  # already attached
-    orphan = next(v for v in range(net.n) if not state.is_attached(v))
-    other = next(
-        u for u in net.neighbors(orphan) if not state.is_attached(u)
-    )
-    with pytest.raises(ValueError):
-        state.attach(orphan, other)  # parent itself unattached
-
-
-@under_retired_setting
-def test_constructor_validates_parents():
-    net = dfl_network()
-    with pytest.raises(ValueError):
-        TreeState(net, {1: 1})  # self-loop (no such link either)
-    a = next(v for v in range(1, net.n) if any(u != net.sink for u in net.neighbors(v)))
-    b = next(u for u in net.neighbors(a) if u != net.sink)
-    with pytest.raises(ValueError):
-        TreeState(net, {a: b, b: a})  # two-node cycle off the sink
-    bad = {v: net.sink for v in net.neighbors(net.sink)}
-    bad[999] = net.sink
-    with pytest.raises(ValueError):
-        TreeState(net, bad)  # out of range
-
-
-@under_retired_setting
-def test_freeze_requires_spanning():
-    net = random_graph(8, 0.9, seed=4)
-    state = TreeState(net)
-    with pytest.raises(ValueError):
-        state.freeze()
-
-
 # ---------------------------------------------------------------------------
 # single-node edge case (satellite a keeps this dedicated test)
 # ---------------------------------------------------------------------------
@@ -246,26 +187,13 @@ def test_freeze_requires_spanning():
 @under_retired_setting
 def test_single_node_network_freezes_to_empty_parent_map():
     net = Network(1)
-    assert freeze_parents(net, {}).parents == {}
-    state = TreeState(net)
-    assert state.spanning
+    state = TreeState(AggregationTree(net, {}))
     tree = state.freeze()
     assert tree.parents == {}
     assert tree.cost() == 0.0
     assert tree.reliability() == 1.0
     # the lone sink still drains its battery transmitting its own reading
     assert tree.lifetime() == pytest.approx(state.lifetime())
-
-
-@under_retired_setting
-def test_copy_is_independent():
-    net = random_graph(12, 0.7, seed=6)
-    state = TreeState.from_tree(AggregationTree.from_edges(net, _bfs_edges(net)))
-    clone = state.copy()
-    v, p = _legal_reparents(state)[0]
-    state.reparent(v, p)
-    assert clone.parent(v) != p or clone.cost != state.cost
-    _assert_matches_reference(clone)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +209,7 @@ def test_depths_survive_ten_thousand_node_path():
     for v in range(1, n):
         net.add_link(v - 1, v, 0.99)
     parents = {v: v - 1 for v in range(1, n)}
-    state = TreeState(net, parents)
+    state = TreeState(AggregationTree(net, parents))
     depths = state.depths()
     assert depths[n - 1] == n - 1
     assert state.freeze().parents == parents
@@ -346,7 +274,7 @@ def _tied_network(n, p, seed):
 def _random_spanning_state(net, rng):
     from repro.baselines.random_tree import build_random_tree
 
-    return TreeState.from_tree(build_random_tree(net, seed=rng.randrange(2**32)))
+    return TreeState(build_random_tree(net, seed=rng.randrange(2**32)))
 
 
 @pytest.mark.parametrize(
@@ -503,7 +431,7 @@ def test_flat_candidates_tie_so_scan_order_decides():
     for leaf in (4, 5, 6):
         net.add_link(2, leaf, 0.9)
     tree = AggregationTree(net, {1: 0, 2: 1, 3: 1, 4: 0, 5: 0, 6: 0})
-    state = TreeState.from_tree(tree)
+    state = TreeState(tree)
     assert state.best_lifetime_reparent() == ((2, 4), 1)
     _assert_ascent_matches_reference(tree)
     _assert_ascent_matches_reference(tree, max_moves=1)
@@ -639,7 +567,9 @@ def test_ascent_matches_reference_on_drawn_inputs(n, p, kind, seed, max_moves):
 
 def _scan_costs(net, parents):
     """``{(child, cand): delta}`` of the bulk cost scan on a fresh state."""
-    child, cand, delta = TreeState(net, parents).reparent_candidates()
+    child, cand, delta = TreeState(
+        AggregationTree(net, parents)
+    ).reparent_candidates()
     return dict(zip(zip(child.tolist(), cand.tolist()), delta.tolist()))
 
 

@@ -771,14 +771,34 @@ class TestHitPath:
 
     def test_hits_and_waiters_send_the_cold_bytes(self):
         net = random_graph(30, 8 / 30, seed=4)
-        # Both connections' copies of a request reach the server in one
-        # event-loop turn, so the second coalesces onto the first one's
-        # queued build (the window does not matter: the inline pool does
-        # not wait for stragglers).
-        config = ServeConfig(batch_window_s=0.05)
 
         async def run():
-            async with TreeServer(config=config) as server:
+            async with TreeServer() as server:
+                # The batcher waits until the server has taken both
+                # connections' copies of a request, so the second always
+                # coalesces onto the first one's queued build.  Each request
+                # arrives three times: the two copies, then the hit.
+                both_taken = asyncio.Event()
+                taken = 0
+                real_submit = server._submit
+                real_collect = server._collect_batch
+
+                async def counting_submit(request, ctx):
+                    nonlocal taken
+                    taken += 1
+                    if taken % 3 == 2:
+                        # The batcher resumes on a later loop turn, after
+                        # this copy has found the queued build.
+                        both_taken.set()
+                    return await real_submit(request, ctx)
+
+                async def held_collect():
+                    await both_taken.wait()
+                    both_taken.clear()
+                    return await real_collect()
+
+                server._submit = counting_submit
+                server._collect_batch = held_collect
                 fingerprint = server.register_topology(net)
                 tcp = await start_tcp_server(server, port=0)
                 port = tcp.sockets[0].getsockname()[1]
